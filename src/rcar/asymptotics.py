@@ -81,12 +81,17 @@ def gammabar_matrix(so: SecondOrderTables) -> np.ndarray:
 
 def kappa_squared(params: ModelParams, so: SecondOrderTables) -> float:
     """Asymptotic variance of sqrt(n) * Xbar_n."""
+    return _kappa_squared(params, kbar_matrix(params), gammabar_matrix(so))
+
+
+def _kappa_squared(params: ModelParams, kbar: np.ndarray,
+                   gammabar: np.ndarray) -> float:
     den = 1.0 - params.theta - params.alpha * params.tau(2)
     if abs(den) < BOUNDARY_TOL:
         raise PathologicalParamsError(
             "theta + alpha*tau2 = 1: sample-mean variance denominator vanishes"
         )
-    quad = OMEGA3 @ (kbar_matrix(params) * gammabar_matrix(so)) @ OMEGA3
+    quad = OMEGA3 @ (kbar * gammabar) @ OMEGA3
     return float(quad / den**2)
 
 
@@ -250,26 +255,33 @@ def l_matrix(params: ModelParams) -> np.ndarray:
     ])
 
 
+def mixed_moment_table(params: ModelParams, so: SecondOrderTables,
+                       fo: FourthOrderTables) -> dict:
+    """The mixed moments Upsilon and ell take, keyed by exponent tuple."""
+    return {k.as_tuple(): mixed_moment(k, params, so, fo)
+            for k in ORACLE_MU_KEYS[1:]}
+
+
 def upsilon_matrix(params: ModelParams, so: SecondOrderTables,
-                   fo: FourthOrderTables) -> np.ndarray:
+                   fo: FourthOrderTables, mm: dict) -> np.ndarray:
+    """mm is the mixed_moment_table of the same arguments."""
     l0, l1, _ = so.Lam
     d0, d1, d2, d3, _ = fo.Delta
     ts = limits(params, so).theta_star
-    mm = lambda a, b, c, p, q: mixed_moment(
-        MixedMomentKey(a, b, c, p, q), params, so, fo)
     return np.array([
         [ts * l0, l0, 0, 0, 0, 0],
-        [d0, d1, mm(0, 0, 0, 2, 2), mm(0, 1, 0, 2, 2), mm(1, 0, 0, 2, 2), mm(0, 0, 1, 1, 2)],
+        [d0, d1, mm[0, 0, 0, 2, 2], mm[0, 1, 0, 2, 2], mm[1, 0, 0, 2, 2], mm[0, 0, 1, 1, 2]],
         [l1, 0, 0, 0, 0, 0],
-        [d1, d2, mm(0, 1, 0, 2, 2), mm(0, 2, 0, 2, 2), mm(1, 1, 0, 2, 2), mm(0, 1, 1, 1, 2)],
-        [d2, d3, mm(0, 2, 0, 2, 2), mm(0, 3, 0, 2, 2), mm(1, 2, 0, 2, 2), mm(0, 2, 1, 1, 2)],
+        [d1, d2, mm[0, 1, 0, 2, 2], mm[0, 2, 0, 2, 2], mm[1, 1, 0, 2, 2], mm[0, 1, 1, 1, 2]],
+        [d2, d3, mm[0, 2, 0, 2, 2], mm[0, 3, 0, 2, 2], mm[1, 2, 0, 2, 2], mm[0, 2, 1, 1, 2]],
         [l0, l1, 0, 0, 0, 0],
     ])
 
 
 def ell_scalar(params: ModelParams, so: SecondOrderTables,
-               fo: FourthOrderTables) -> float:
-    """Quadratic-variation limit of the lag-2 scalar martingale."""
+               fo: FourthOrderTables, mm: dict) -> float:
+    """Quadratic-variation limit of the lag-2 scalar martingale (mm as for
+    upsilon_matrix)."""
     th, al = params.theta, params.alpha
     t2, t4 = params.tau(2), params.tau(4)
     s2 = params.sigma(2)
@@ -281,16 +293,14 @@ def ell_scalar(params: ModelParams, so: SecondOrderTables,
     m4 = al**2 * (1 + al**2) * t2
     m5 = 2 * al * th * t2
     m6 = 2 * al**2 * t2
-    mm = lambda a, b, c, p, q: mixed_moment(
-        MixedMomentKey(a, b, c, p, q), params, so, fo)
     return (m1 * l0 + m2 * d0 + m3 * d1 + m4 * d2
-            + th * m5 * mm(0, 0, 0, 2, 2)
-            + al * m5 * mm(1, 0, 0, 2, 2)
-            + (1 + al) * m5 * mm(0, 1, 0, 2, 2)
-            + m5 * mm(0, 0, 1, 1, 2)
-            + m6 * mm(0, 2, 0, 2, 2)
-            + al * m6 * mm(1, 1, 0, 2, 2)
-            + m6 * mm(0, 1, 1, 1, 2))
+            + th * m5 * mm[0, 0, 0, 2, 2]
+            + al * m5 * mm[1, 0, 0, 2, 2]
+            + (1 + al) * m5 * mm[0, 1, 0, 2, 2]
+            + m5 * mm[0, 0, 1, 1, 2]
+            + m6 * mm[0, 2, 0, 2, 2]
+            + al * m6 * mm[1, 1, 0, 2, 2]
+            + m6 * mm[0, 1, 1, 1, 2])
 
 
 @dataclass(frozen=True)
@@ -309,7 +319,6 @@ class CovarianceStack:
     SigmaML: np.ndarray
     A: np.ndarray
     Sigma: np.ndarray
-    gradF: np.ndarray
     Psi: np.ndarray
     psi: float
     psi0: float
@@ -338,18 +347,14 @@ def sigma_psi(params: ModelParams, so: SecondOrderTables,
     psi0 its closed-form value at alpha = 0 (same theta and noise moments).
     """
     lim = limits(params, so)
-    if abs(1.0 - 2.0 * lim.theta_star**2) < BOUNDARY_TOL:
-        raise PathologicalParamsError(
-            f"theta_star = {lim.theta_star:.6g} is within 1e-9 of +/-1/sqrt(2); "
-            "the correction map is undefined there"
-        )
-
-    kg = k_matrix(params) * gamma6_matrix(so, fo)
-    lu = (l_matrix(params) * upsilon_matrix(params, so, fo)) @ OMEGA6
-    ell = ell_scalar(params, so, fo)
+    k, gamma6, l = k_matrix(params), gamma6_matrix(so, fo), l_matrix(params)
+    mm = mixed_moment_table(params, so, fo)
+    upsilon = upsilon_matrix(params, so, fo, mm)
+    ell = ell_scalar(params, so, fo, mm)
+    lu = (l * upsilon) @ OMEGA6
 
     sig_ml = np.zeros((7, 7))
-    sig_ml[:6, :6] = kg
+    sig_ml[:6, :6] = k * gamma6
     sig_ml[:6, 6] = lu
     sig_ml[6, :6] = lu
     sig_ml[6, 6] = ell
@@ -367,20 +372,20 @@ def sigma_psi(params: ModelParams, so: SecondOrderTables,
 
     psi0, psi00 = psi0_closed_form(params.theta, params.tau(2), params.tau(4),
                                    params.sigma(2), params.sigma(4))
+    kbar, gammabar = kbar_matrix(params), gammabar_matrix(so)
     return CovarianceStack(
-        kappa2=kappa_squared(params, so),
+        kappa2=_kappa_squared(params, kbar, gammabar),
         omega2=float(sigma[0, 0]),
-        Kbar=kbar_matrix(params),
-        Gammabar=gammabar_matrix(so),
-        K=k_matrix(params),
-        Gamma=gamma6_matrix(so, fo),
-        L=l_matrix(params),
-        Upsilon=upsilon_matrix(params, so, fo),
+        Kbar=kbar,
+        Gammabar=gammabar,
+        K=k,
+        Gamma=gamma6,
+        L=l,
+        Upsilon=upsilon,
         ell=ell,
         SigmaML=sig_ml,
         A=a,
         Sigma=sigma,
-        gradF=jac,
         Psi=psi_mat,
         psi=float(psi_mat[1, 1]),
         psi0=psi0,
@@ -388,15 +393,15 @@ def sigma_psi(params: ModelParams, so: SecondOrderTables,
     )
 
 
-def psi0_closed_form(theta: float, tau2: float, tau4: float, sigma2: float,
-                     sigma4: float, check_denominator: bool = True
-                     ) -> tuple[float, float]:
+def psi0_closed_form(theta, tau2, tau4, sigma2, sigma4,
+                     check_denominator: bool = True):
     """Closed form of the null value psi0 and its numerator psi00.
 
     Requires theta^4 + 6 theta^2 tau2 + tau4 < 1 for psi0 to be meaningful;
     raises PathologicalParamsError when the denominator vanishes (unless
     check_denominator is False, in which case psi0 is returned as nan and
-    psi00, which stays well defined, is still exact).
+    psi00, which stays well defined, is still exact). The arguments may be
+    same-shape arrays, evaluated elementwise; scalars give floats.
     """
     th2 = theta**2
     th4 = th2**2
@@ -413,11 +418,14 @@ def psi0_closed_form(theta: float, tau2: float, tau4: float, sigma2: float,
     )
     root = 1.0 - 2.0 * th2
     moment_factor = th4 + 6 * th2 * tau2 + tau4 - 1.0
-    if abs(root) < BOUNDARY_TOL or abs(moment_factor) < BOUNDARY_TOL:
-        if not check_denominator:
-            return float("nan"), psi00
+    bad = (np.abs(root) < BOUNDARY_TOL) | (np.abs(moment_factor) < BOUNDARY_TOL)
+    if check_denominator and np.any(bad):
         raise PathologicalParamsError(
             "psi0 denominator vanishes: theta near +/-1/sqrt(2) or fourth-moment "
             "condition on the boundary"
         )
-    return psi00 / (root**2 * sigma2**2 * moment_factor), psi00
+    psi0 = np.divide(psi00, root**2 * sigma2**2 * moment_factor,
+                     out=np.full(np.shape(psi00), np.nan), where=~bad)
+    if psi0.ndim == 0:
+        return float(psi0), float(psi00)
+    return psi0, psi00

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, asymptotics, harness
 from . import estimate as est
-from . import fourth_order, model, second_order
+from . import fourth_order, model, numerics, second_order
 from .errors import (ConfigurationError, DegenerateDataError, HypothesisError,
                      PathologicalParamsError, RcarError)
 from .simulate import (DEFAULT_BURN_IN, GENERATOR_ID, ingest,
@@ -31,7 +31,10 @@ EXIT_PATHOLOGICAL = 5
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("RCAR_SEED", "0"))
+    try:
+        return int(os.environ.get("RCAR_SEED", "0"))
+    except ValueError as exc:
+        raise ConfigurationError(f"RCAR_SEED: {exc}") from None
 
 
 def _provenance(params: model.ModelParams | None, seed=None, **settings) -> dict:
@@ -290,10 +293,8 @@ def cmd_region(args) -> int:
             except PathologicalParamsError:
                 rows.append([f"{theta:.17g}", f"{alpha:.17g}", "nan", "nan"])
                 continue
-            rho_m = float(np.max(np.abs(
-                np.linalg.eigvals(second_order.m_matrix(params)))))
-            rho_h = float(np.max(np.abs(
-                np.linalg.eigvals(fourth_order.h_matrix(params)))))
+            rho_m = numerics.spectral_radius(second_order.m_matrix(params))
+            rho_h = numerics.spectral_radius(fourth_order.h_matrix(params))
             rows.append([f"{theta:.17g}", f"{alpha:.17g}",
                          f"{rho_m:.17g}", f"{rho_h:.17g}"])
     if args.format == "json":
@@ -397,11 +398,11 @@ def _join_range_flags(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_join_range_flags(list(argv)))
     try:
+        # the parser's seed defaults read RCAR_SEED, which may be malformed
+        args = build_parser().parse_args(_join_range_flags(list(argv)))
         return args.func(args)
     except ConfigurationError as exc:
         print(f"rcar: configuration error: {exc}", file=sys.stderr)

@@ -8,11 +8,14 @@ correlated; the map f below turns them into consistent estimates of
     n * gamma_tilde^2 / psi0_hat
 
 is asymptotically chi-square(1) under the null of uncorrelated coefficients.
+Each statistic is computed once, row-wise over a block of series: the Monte
+Carlo harness passes whole blocks, the scalar functions a block of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,50 +26,186 @@ from .simulate import Trajectory
 
 MIN_TEST_LENGTH = 50
 
+#: reason codes of the batch statistics, in the order they are checked: a
+#: row carries the first that applies, OK when none does
+(OK, ZERO_WINDOW, MAP_BOUNDARY, CONSTANT_SQUARES, PSI0_DENOMINATOR,
+ PSI0_NOT_POSITIVE) = range(6)
+REASONS = ("ok", "zero_window", "map_boundary", "constant_squares",
+           "psi0_denominator", "psi0_not_positive")
+
+#: error class and message template (formatted with the row's values) of
+#: each failure reason
+_ERRORS = {
+    ZERO_WINDOW: (DegenerateDataError, "all-zero lag window"),
+    MAP_BOUNDARY: (PathologicalParamsError, "correction map undefined: first "
+                   "argument {theta_hat:.6g} is within 1e-9 of +/-1/sqrt(2)"),
+    CONSTANT_SQUARES: (DegenerateDataError, "constant squared series"),
+    PSI0_DENOMINATOR: (PathologicalParamsError, "psi0 denominator vanishes"),
+    PSI0_NOT_POSITIVE: (DegenerateDataError, "invalid variance plug-in: "
+                        "psi0_hat = {psi0_hat:.6g} <= 0"),
+}
+
+
+def _raise_for(code: int, where: str, **values) -> None:
+    if code != OK:
+        cls, template = _ERRORS[code]
+        raise cls(f"{where}: " + template.format(**values))
+
+
+# ---------------------------------------------------------------------------
+# row-wise formulas over a block x of shape (R, n+1), one series X_0..X_n
+# per row; each returns nan where it is undefined, with an ok mask
+
+
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _lag_ratio(x: np.ndarray, lag: int):
+    """sum X_{t-lag} X_t / sum X_{t-lag}^2, t = lag..n; ok if the lag window
+    is not all zero."""
+    lagged = x[:, :-lag]
+    den = _dot_rows(lagged, lagged)
+    ok = den > 0
+    return np.divide(_dot_rows(lagged, x[:, lag:]), den,
+                     out=np.full(len(x), np.nan), where=ok), ok
+
+
+def _correct(th: np.ndarray, vt: np.ndarray):
+    """Correction map (x, y) -> ((1-2y)x, y-x^2) / (1-2x^2); ok unless x is
+    within BOUNDARY_TOL of +/-1/sqrt(2)."""
+    den = 1.0 - 2.0 * th * th
+    ok = np.abs(den) >= BOUNDARY_TOL
+    tt = np.divide((1.0 - 2.0 * vt) * th, den,
+                   out=np.full(len(th), np.nan), where=ok)
+    gg = np.divide(vt - th * th, den, out=np.full(len(th), np.nan), where=ok)
+    return tt, gg, ok
+
+
+def _residuals(x: np.ndarray, theta_used: np.ndarray) -> np.ndarray:
+    """e_t = X_t - theta_used X_{t-1}, t = 1..n."""
+    return x[:, 1:] - theta_used[:, None] * x[:, :-1]
+
+
+def _mean_square(resid: np.ndarray) -> np.ndarray:
+    return _dot_rows(resid, resid) / resid.shape[1]
+
+
+def _nicholls_quinn(x: np.ndarray, resid: np.ndarray, sigma2_hat: np.ndarray):
+    """Regression of squared residuals on the lagged squared series.
+
+    The conditional variance of X_t given the past is sigma2 + tau2 X_{t-1}^2,
+    so residual t is paired with the regressor Z = X_{t-1}^2. Returns
+    (tau2_bar, sigma2_bar, ok): the slope estimates the coefficient-noise
+    variance, sigma2_bar = sigma2_hat - Zbar * tau2_bar removes the inflation
+    the raw residual variance inherits from the random coefficient, and ok
+    is False where Z is constant.
+    """
+    z = x[:, :-1] ** 2
+    zbar = z.mean(axis=1)
+    zc = z - zbar[:, None]
+    den = _dot_rows(zc, zc)
+    ok = den > 0
+    tau2_bar = np.divide(_dot_rows(zc, resid**2), den,
+                         out=np.full(len(x), np.nan), where=ok)
+    return tau2_bar, sigma2_hat - zbar * tau2_bar, ok
+
+
+# ---------------------------------------------------------------------------
+# the two batch stages
+
+
+def ratio_statistics(x: np.ndarray) -> dict:
+    """Per row of x (shape (R, n+1)): arrays xbar, theta_hat, vartheta_hat,
+    theta_tilde, gamma_tilde and reason (OK, ZERO_WINDOW or MAP_BOUNDARY);
+    values a row's reason leaves undefined are nan."""
+    th, ok1 = _lag_ratio(x, 1)
+    vt, ok2 = _lag_ratio(x, 2)
+    tt, gg, ok_map = _correct(th, vt)
+    reason = np.select([~(ok1 & ok2), ~ok_map], [ZERO_WINDOW, MAP_BOUNDARY], OK)
+    return {"xbar": x[:, 1:].mean(axis=1), "theta_hat": th, "vartheta_hat": vt,
+            "theta_tilde": tt, "gamma_tilde": gg, "reason": reason}
+
+
+def correlation_statistics(x: np.ndarray, level: float, source: str,
+                           eps_family: NoiseFamily,
+                           eta_family: NoiseFamily) -> dict:
+    """ratio_statistics plus the correlation test of each row, with the
+    arguments of correlation_test.
+
+    Adds the arrays sigma2_hat, tau2_bar, sigma2_bar, sigma4_bar, tau4_bar,
+    psi0_hat, statistic, p_value and reject; reason may also be
+    CONSTANT_SQUARES, PSI0_DENOMINATOR or PSI0_NOT_POSITIVE. A row that is
+    not OK has statistic and p_value nan and is not rejected.
+    """
+    from .asymptotics import psi0_closed_form
+
+    out = ratio_statistics(x)
+    th = out["theta_hat"]
+    resid = _residuals(x, th)
+    sigma2_hat = _mean_square(resid)
+    tau2_bar, sigma2_bar, ok_nq = _nicholls_quinn(x, resid, sigma2_hat)
+    sigma4_bar = KURTOSIS_FACTOR[NoiseFamily(eps_family)] * sigma2_bar**2
+    tau4_bar = KURTOSIS_FACTOR[NoiseFamily(eta_family)] * tau2_bar**2
+    theta_bar = out["theta_tilde"] if source == "tilde" else th
+    psi0, _ = psi0_closed_form(theta_bar, tau2_bar, tau4_bar, sigma2_bar,
+                               sigma4_bar, check_denominator=False)
+    reason = np.select(
+        [out["reason"] != OK, ~ok_nq, np.isnan(psi0),
+         ~(np.isfinite(psi0) & (psi0 > 0))],
+        [out["reason"], CONSTANT_SQUARES, PSI0_DENOMINATOR, PSI0_NOT_POSITIVE],
+        OK)
+    ok = reason == OK
+    stat = np.divide((x.shape[1] - 1) * out["gamma_tilde"]**2, psi0,
+                     out=np.full(len(x), np.nan), where=ok)
+    pval = np.array([chisq1_tail(s) if good else math.nan
+                     for s, good in zip(stat, ok)])
+    out.update(sigma2_hat=sigma2_hat, tau2_bar=tau2_bar, sigma2_bar=sigma2_bar,
+               sigma4_bar=sigma4_bar, tau4_bar=tau4_bar, psi0_hat=psi0,
+               statistic=stat, p_value=pval, reject=ok & (pval < level),
+               reason=reason)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# scalar estimators: each a batch of one
+
 
 def sample_mean(traj: Trajectory) -> float:
     """Mean of X_1..X_n (X_0 is excluded)."""
-    return float(traj.x[1:].mean())
+    return float(ratio_statistics(traj.x[None, :])["xbar"][0])
+
+
+def _scalar_ratio(traj: Trajectory, lag: int, name: str) -> float:
+    ratio, ok = _lag_ratio(traj.x[None, :], lag)
+    _raise_for(OK if ok[0] else ZERO_WINDOW, name)
+    return float(ratio[0])
 
 
 def theta_hat(traj: Trajectory) -> float:
     """Lag-1 ratio sum X_{t-1} X_t / sum X_{t-1}^2, t = 1..n."""
-    x = traj.x
-    den = float(x[:-1] @ x[:-1])
-    if den <= 0.0:
-        raise DegenerateDataError("theta_hat: all-zero lag window")
-    return float(x[:-1] @ x[1:]) / den
+    return _scalar_ratio(traj, 1, "theta_hat")
 
 
 def vartheta_hat(traj: Trajectory) -> float:
     """Lag-2 ratio sum X_{t-2} X_t / sum X_{t-2}^2, t = 2..n."""
-    x = traj.x
     if traj.n < 2:
         raise DegenerateDataError("vartheta_hat needs n >= 2")
-    den = float(x[:-2] @ x[:-2])
-    if den <= 0.0:
-        raise DegenerateDataError("vartheta_hat: all-zero lag window")
-    return float(x[:-2] @ x[2:]) / den
+    return _scalar_ratio(traj, 2, "vartheta_hat")
 
 
 def f_map(x: float, y: float) -> tuple[float, float]:
     """Correction map (x, y) -> ((1-2y)x, y-x^2) / (1-2x^2)."""
-    den = 1.0 - 2.0 * x * x
-    if abs(den) < BOUNDARY_TOL:
-        raise PathologicalParamsError(
-            f"correction map undefined: first ratio {x:.6g} is within 1e-9 "
-            "of +/-1/sqrt(2)"
-        )
-    return (1.0 - 2.0 * y) * x / den, (y - x * x) / den
+    tt, gg, ok = _correct(np.array([x], dtype=float), np.array([y], dtype=float))
+    _raise_for(OK if ok[0] else MAP_BOUNDARY, "f_map", theta_hat=x)
+    return float(tt[0]), float(gg[0])
 
 
 def f_jacobian(x: float, y: float) -> np.ndarray:
     """Jacobian of the correction map (rows differentiate its components)."""
     den = 1.0 - 2.0 * x * x
-    if abs(den) < BOUNDARY_TOL:
-        raise PathologicalParamsError(
-            f"correction-map Jacobian undefined at x = {x:.6g}"
-        )
+    _raise_for(OK if abs(den) >= BOUNDARY_TOL else MAP_BOUNDARY, "f_jacobian",
+               theta_hat=x)
     return np.array([
         [(1.0 - 2.0 * y) * (1.0 + 2.0 * x * x) / den**2, -2.0 * x / den],
         [-2.0 * x * (1.0 - 2.0 * y) / den**2, 1.0 / den],
@@ -75,28 +214,18 @@ def f_jacobian(x: float, y: float) -> np.ndarray:
 
 def residual_variance(traj: Trajectory, theta_used: float):
     """Residuals e_t = X_t - theta_used X_{t-1} and their mean square."""
-    x = traj.x
-    residuals = x[1:] - theta_used * x[:-1]
-    return float(residuals @ residuals) / traj.n, residuals
+    resid = _residuals(traj.x[None, :], np.array([theta_used], dtype=float))
+    return float(_mean_square(resid)[0]), resid[0]
 
 
 def nicholls_quinn(traj: Trajectory, residuals: np.ndarray):
-    """Regression of squared residuals on the lagged squared series.
-
-    The conditional variance of X_t given the past is sigma2 + tau2 X_{t-1}^2,
-    so residual t is paired with the regressor Z = X_{t-1}^2. Returns
-    (tau2_bar, sigma2_bar): the slope estimates the coefficient-noise
-    variance, and sigma2_bar = sigma2_hat - Zbar * tau2_bar removes the
-    inflation the raw residual variance inherits from the random coefficient.
-    """
-    z = traj.x[:-1] ** 2
-    zc = z - z.mean()
-    den = float(zc @ zc)
-    if den <= 0.0:
-        raise DegenerateDataError("nicholls_quinn: constant squared series")
-    tau2_bar = float(zc @ (residuals**2)) / den
-    sigma2_hat = float(residuals @ residuals) / traj.n
-    return tau2_bar, sigma2_hat - float(z.mean()) * tau2_bar
+    """(tau2_bar, sigma2_bar) of the Nicholls-Quinn regression of the
+    squared residuals on X_{t-1}^2 (see _nicholls_quinn)."""
+    resid = np.asarray(residuals, dtype=float)[None, :]
+    tau2_bar, sigma2_bar, ok = _nicholls_quinn(traj.x[None, :], resid,
+                                               _mean_square(resid))
+    _raise_for(OK if ok[0] else CONSTANT_SQUARES, "nicholls_quinn")
+    return float(tau2_bar[0]), float(sigma2_bar[0])
 
 
 @dataclass(frozen=True)
@@ -122,25 +251,7 @@ class EstimationReport:
     reject: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "xbar": self.xbar,
-            "theta_hat": self.theta_hat,
-            "vartheta_hat": self.vartheta_hat,
-            "theta_tilde": self.theta_tilde,
-            "gamma_tilde": self.gamma_tilde,
-            "sigma2_hat": self.sigma2_hat,
-            "tau2_bar": self.tau2_bar,
-            "sigma2_bar": self.sigma2_bar,
-            "sigma4_bar": self.sigma4_bar,
-            "tau4_bar": self.tau4_bar,
-            "psi0_hat": self.psi0_hat,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "theta_hat_source": self.theta_hat_source,
-            "level": self.level,
-            "reject": self.reject,
-        }
+        return asdict(self)
 
 
 def correlation_test(traj: Trajectory, level: float = 0.05,
@@ -157,8 +268,6 @@ def correlation_test(traj: Trajectory, level: float = 0.05,
     A non-positive plug-in psi0_hat (possible at small n) is an error, never
     silently clamped.
     """
-    from .asymptotics import psi0_closed_form
-
     if not 0.0 < level <= 1.0:
         raise ValueError(f"level must be in (0, 1], got {level}")
     if source not in ("tilde", "hat"):
@@ -168,40 +277,14 @@ def correlation_test(traj: Trajectory, level: float = 0.05,
             f"correlation test needs n >= {MIN_TEST_LENGTH}, got {traj.n}"
         )
 
-    th_hat = theta_hat(traj)
-    vt_hat = vartheta_hat(traj)
-    th_tilde, gamma_tilde = f_map(th_hat, vt_hat)
-    sigma2_hat, residuals = residual_variance(traj, th_hat)
-    tau2_bar, sigma2_bar = nicholls_quinn(traj, residuals)
-    sigma4_bar = KURTOSIS_FACTOR[NoiseFamily(eps_family)] * sigma2_bar**2
-    tau4_bar = KURTOSIS_FACTOR[NoiseFamily(eta_family)] * tau2_bar**2
-
-    theta_bar = th_tilde if source == "tilde" else th_hat
-    psi0_hat, _ = psi0_closed_form(theta_bar, tau2_bar, tau4_bar,
-                                   sigma2_bar, sigma4_bar)
-    if not psi0_hat > 0.0:
-        raise DegenerateDataError(
-            f"invalid variance plug-in: psi0_hat = {psi0_hat:.6g} <= 0"
-        )
-
-    statistic = traj.n * gamma_tilde**2 / psi0_hat
-    p_value = chisq1_tail(statistic)
+    out = correlation_statistics(traj.x[None, :], level, source, eps_family,
+                                 eta_family)
+    row = {k: v[0] for k, v in out.items()}
+    _raise_for(row.pop("reason"), "correlation_test", **row)
     return EstimationReport(
         n=traj.n,
-        xbar=sample_mean(traj),
-        theta_hat=th_hat,
-        vartheta_hat=vt_hat,
-        theta_tilde=th_tilde,
-        gamma_tilde=gamma_tilde,
-        sigma2_hat=sigma2_hat,
-        tau2_bar=tau2_bar,
-        sigma2_bar=sigma2_bar,
-        sigma4_bar=sigma4_bar,
-        tau4_bar=tau4_bar,
-        psi0_hat=psi0_hat,
-        statistic=statistic,
-        p_value=p_value,
         theta_hat_source=source,
         level=level,
-        reject=p_value < level,
+        reject=bool(row.pop("reject")),
+        **{k: float(v) for k, v in row.items()},
     )

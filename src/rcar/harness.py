@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import asymptotics
+from . import asymptotics, estimate
 from .errors import ConfigurationError
-from .estimate import MIN_TEST_LENGTH
 from .fourth_order import build_fourth_order
-from .model import BOUNDARY_TOL, KURTOSIS_FACTOR, ModelParams, NoiseFamily
+from .model import ModelParams, NoiseFamily
 from .second_order import build_second_order
 from .simulate import (DEFAULT_BURN_IN, GENERATOR_ID, replicate_seed,
                        simulate_block, simulate_with_noise)
@@ -86,11 +85,15 @@ class MCReport:
     empirical: dict
     tolerances: dict
     passes: dict
-    failed_replicates: int
+    failed_by_reason: dict
     replicates_used: int
     status: str
     provenance: dict
     per_replicate: dict = field(default_factory=dict)
+
+    @property
+    def failed_replicates(self) -> int:
+        return sum(self.failed_by_reason.values())
 
     def to_dict(self, include_replicates: bool = False) -> dict:
         out = {
@@ -101,6 +104,7 @@ class MCReport:
             "tolerance": self.tolerances,
             "pass": self.passes,
             "failed_replicates": self.failed_replicates,
+            "failed_by_reason": self.failed_by_reason,
             "replicates_used": self.replicates_used,
             "status": self.status,
             "provenance": self.provenance,
@@ -130,94 +134,41 @@ def _status(failed: int, total: int) -> str:
     return "ok" if failed <= MAX_FAILED_FRACTION * total else "inconclusive"
 
 
+def _outcome(reason: np.ndarray) -> dict:
+    """The MCReport fields counting replicates, from their reason codes:
+    failures per reason (every reason listed), replicates used, status."""
+    counts = np.bincount(reason, minlength=len(estimate.REASONS)).tolist()
+    return {"failed_by_reason": dict(zip(estimate.REASONS[1:], counts[1:])),
+            "replicates_used": counts[0],
+            "status": _status(len(reason) - counts[0], len(reason))}
+
+
 # ---------------------------------------------------------------------------
-# per-replicate statistics, vectorized across a chunk
+# per-replicate statistics of one chunk: simulation plus one estimator stage
 
 
 def _chunk_estimates(params: ModelParams, n: int, master_seed: int,
                      burn_in: int, start: int, stop: int) -> dict:
-    """Per-replicate xbar and ratio/corrected estimators for one chunk."""
     x = simulate_block(params, n, master_seed, range(start, stop), burn_in)
-    xbar = x[:, 1:].mean(axis=1)
-    den1 = np.einsum("ij,ij->i", x[:, :-1], x[:, :-1])
-    num1 = np.einsum("ij,ij->i", x[:, :-1], x[:, 1:])
-    den2 = np.einsum("ij,ij->i", x[:, :-2], x[:, :-2])
-    num2 = np.einsum("ij,ij->i", x[:, :-2], x[:, 2:])
-    valid = (den1 > 0) & (den2 > 0)
-    th = np.divide(num1, den1, out=np.full(len(x), np.nan), where=valid)
-    vt = np.divide(num2, den2, out=np.full(len(x), np.nan), where=valid)
-    fden = 1.0 - 2.0 * th * th
-    valid &= np.abs(fden) >= BOUNDARY_TOL
-    tt = (1.0 - 2.0 * vt) * th / fden
-    gg = (vt - th * th) / fden
-    return {"xbar": xbar, "theta_hat": th, "vartheta_hat": vt,
-            "theta_tilde": tt, "gamma_tilde": gg, "valid": valid}
-
-
-def _psi0_vec(theta, tau2, tau4, sigma2, sigma4):
-    """Vectorized psi0 closed form; nan where a denominator degenerates."""
-    th2 = theta**2
-    th4 = th2**2
-    th6 = th2 * th4
-    psi00 = (tau2 + th2 - 1.0) * (
-        sigma4 * tau2 * ((6 * th2 - 1) * tau2**2 + (8 * th4 - 9 * th2 + 1) * tau2
-                         + 2 * th2 * (th2 - 1) ** 2)
-        + sigma2**2 * tau2 * (-36 * tau2**2 * th2 + 6 * tau2**2 - 12 * tau2 * th4
-                              + 12 * tau2 * th2 - 6 * th6 + 17 * th4
-                              + 6 * tau4 * th2 - 12 * th2 - tau4 + 1)
-        + sigma2**2 * (th6 - th4 + th2 * tau4 - th2 - tau4 + 1)
-    )
-    root = 1.0 - 2.0 * th2
-    mom = th4 + 6 * th2 * tau2 + tau4 - 1.0
-    den = root**2 * sigma2**2 * mom
-    bad = (np.abs(root) < BOUNDARY_TOL) | (np.abs(mom) < BOUNDARY_TOL)
-    return np.divide(psi00, den, out=np.full_like(psi00, np.nan), where=~bad)
+    return estimate.ratio_statistics(x)
 
 
 def _chunk_tests(params: ModelParams, n: int, master_seed: int, burn_in: int,
-                 level: float, source: str, kurt_eps: float, kurt_eta: float,
-                 start: int, stop: int) -> dict:
-    """Correlation-test outcome per replicate for one chunk."""
+                 level: float, source: str, eps_family: NoiseFamily,
+                 eta_family: NoiseFamily, start: int, stop: int) -> dict:
     x = simulate_block(params, n, master_seed, range(start, stop), burn_in)
-    den1 = np.einsum("ij,ij->i", x[:, :-1], x[:, :-1])
-    num1 = np.einsum("ij,ij->i", x[:, :-1], x[:, 1:])
-    den2 = np.einsum("ij,ij->i", x[:, :-2], x[:, :-2])
-    num2 = np.einsum("ij,ij->i", x[:, :-2], x[:, 2:])
-    valid = (den1 > 0) & (den2 > 0)
-    th = np.divide(num1, den1, out=np.zeros(len(x)), where=valid)
-    vt = np.divide(num2, den2, out=np.zeros(len(x)), where=valid)
-    fden = 1.0 - 2.0 * th * th
-    valid &= np.abs(fden) >= BOUNDARY_TOL
-    tt = (1.0 - 2.0 * vt) * th / np.where(valid, fden, 1.0)
-    gg = (vt - th * th) / np.where(valid, fden, 1.0)
-
-    resid = x[:, 1:] - th[:, None] * x[:, :-1]
-    sigma2_hat = np.einsum("ij,ij->i", resid, resid) / n
-    z = x[:, :-1] ** 2
-    zbar = z.mean(axis=1)
-    zc = z - zbar[:, None]
-    zden = np.einsum("ij,ij->i", zc, zc)
-    valid &= zden > 0
-    tau2_bar = np.einsum("ij,ij->i", zc, resid**2) / np.where(valid, zden, 1.0)
-    sigma2_bar = sigma2_hat - zbar * tau2_bar
-    sigma4_bar = kurt_eps * sigma2_bar**2
-    tau4_bar = kurt_eta * tau2_bar**2
-
-    theta_bar = tt if source == "tilde" else th
-    psi0 = _psi0_vec(theta_bar, tau2_bar, tau4_bar, sigma2_bar, sigma4_bar)
-    valid &= np.isfinite(psi0) & (psi0 > 0)
-    stat = n * gg**2 / np.where(valid, psi0, 1.0)
-    pval = np.array([math.erfc(math.sqrt(0.5 * s)) if ok else math.nan
-                     for s, ok in zip(stat, valid)])
-    return {"statistic": np.where(valid, stat, np.nan), "p_value": pval,
-            "reject": valid & (pval < level), "valid": valid}
+    return estimate.correlation_statistics(x, level, source, eps_family,
+                                           eta_family)
 
 
-def _gather(worker, args_common: tuple, replicates: int, workers: int) -> dict:
-    """Run `worker` over fixed chunks and merge results in index order."""
+def _gather(cfg: MCConfig, worker, params: ModelParams, *extra) -> dict:
+    """Run `worker` over fixed chunks of cfg's replicates and merge results
+    in index order."""
+    args_common = (params, cfg.n, cfg.master_seed, cfg.burn_in, *extra)
+    replicates = cfg.replicates
     spans = [(s, min(s + CHUNK, replicates)) for s in range(0, replicates, CHUNK)]
-    if workers > 1 and len(spans) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if cfg.workers > 1 and len(spans) > 1:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             futures = [pool.submit(worker, *args_common, s, e) for s, e in spans]
             parts = [f.result() for f in futures]
     else:
@@ -233,15 +184,12 @@ def run_clt_mean(cfg: MCConfig) -> MCReport:
     """Empirical mean/variance of sqrt(n) Xbar_n against (0, kappa2)."""
     so = build_second_order(cfg.params)
     kappa2 = asymptotics.kappa_squared(cfg.params, so)
-    res = _gather(_chunk_estimates,
-                  (cfg.params, cfg.n, cfg.master_seed, cfg.burn_in),
-                  cfg.replicates, cfg.workers)
-    ok = res["valid"]
+    res = _gather(cfg, _chunk_estimates, cfg.params)
+    ok = res["reason"] == estimate.OK
     values = math.sqrt(cfg.n) * res["xbar"][ok]
     emp_var = float(values.var(ddof=1))
     emp_mean = float(values.mean())
     se_mean = float(values.std(ddof=1)) / math.sqrt(len(values))
-    failed = int(cfg.replicates - ok.sum())
     return MCReport(
         experiment=cfg.experiment,
         config=_config_echo(cfg),
@@ -252,9 +200,7 @@ def run_clt_mean(cfg: MCConfig) -> MCReport:
             "variance": abs(emp_var - kappa2) <= VARIANCE_RTOL * kappa2,
             "mean": abs(emp_mean) <= 3 * se_mean,
         },
-        failed_replicates=failed,
-        replicates_used=int(ok.sum()),
-        status=_status(failed, cfg.replicates),
+        **_outcome(res["reason"]),
         provenance=_provenance(cfg),
         per_replicate={"sqrt_n_xbar": values.tolist()},
     )
@@ -267,10 +213,8 @@ def run_clt_theta(cfg: MCConfig) -> MCReport:
     fo = build_fourth_order(cfg.params, so)
     lim = asymptotics.limits(cfg.params, so)
     omega2 = asymptotics.omega_squared(cfg.params, so, fo)
-    res = _gather(_chunk_estimates,
-                  (cfg.params, cfg.n, cfg.master_seed, cfg.burn_in),
-                  cfg.replicates, cfg.workers)
-    ok = res["valid"]
+    res = _gather(cfg, _chunk_estimates, cfg.params)
+    ok = res["reason"] == estimate.OK
     th = res["theta_hat"][ok]
     values = math.sqrt(cfg.n) * (th - lim.theta_star)
     emp_var = float(values.var(ddof=1))
@@ -278,7 +222,6 @@ def run_clt_theta(cfg: MCConfig) -> MCReport:
     se_mean = float(values.std(ddof=1)) / math.sqrt(len(values))
     mean_th = float(th.mean())
     se_th = float(th.std(ddof=1)) / math.sqrt(len(th))
-    failed = int(cfg.replicates - ok.sum())
     return MCReport(
         experiment=cfg.experiment,
         config=_config_echo(cfg),
@@ -295,9 +238,7 @@ def run_clt_theta(cfg: MCConfig) -> MCReport:
             "variance": abs(emp_var - omega2) <= VARIANCE_RTOL * omega2,
             "mean": abs(emp_mean) <= 3 * se_mean,
         },
-        failed_replicates=failed,
-        replicates_used=int(ok.sum()),
-        status=_status(failed, cfg.replicates),
+        **_outcome(res["reason"]),
         provenance=_provenance(cfg),
         per_replicate={"theta_hat": th.tolist()},
     )
@@ -309,15 +250,12 @@ def run_clt_couple(cfg: MCConfig) -> MCReport:
     fo = build_fourth_order(cfg.params, so)
     stack = asymptotics.sigma_psi(cfg.params, so, fo)
     gamma = cfg.params.alpha * cfg.params.tau(2)
-    res = _gather(_chunk_estimates,
-                  (cfg.params, cfg.n, cfg.master_seed, cfg.burn_in),
-                  cfg.replicates, cfg.workers)
-    ok = res["valid"]
+    res = _gather(cfg, _chunk_estimates, cfg.params)
+    ok = res["reason"] == estimate.OK
     dev = np.vstack([res["theta_tilde"][ok] - cfg.params.theta,
                      res["gamma_tilde"][ok] - gamma]) * math.sqrt(cfg.n)
     emp_cov = np.cov(dev, ddof=1)
     rel = np.abs(emp_cov - stack.Psi) / np.abs(stack.Psi)
-    failed = int(cfg.replicates - ok.sum())
     return MCReport(
         experiment=cfg.experiment,
         config=_config_echo(cfg),
@@ -327,9 +265,7 @@ def run_clt_couple(cfg: MCConfig) -> MCReport:
                    "max_rel_err": float(rel.max())},
         tolerances={"entrywise_rtol": COUPLE_RTOL},
         passes={"covariance": bool((rel <= COUPLE_RTOL).all())},
-        failed_replicates=failed,
-        replicates_used=int(ok.sum()),
-        status=_status(failed, cfg.replicates),
+        **_outcome(res["reason"]),
         provenance=_provenance(cfg),
         per_replicate={"theta_tilde": res["theta_tilde"][ok].tolist(),
                        "gamma_tilde": res["gamma_tilde"][ok].tolist()},
@@ -341,23 +277,25 @@ def run_size_power(cfg: MCConfig, alpha_grid=None) -> MCReport:
     grid = tuple(alpha_grid if alpha_grid is not None else cfg.alpha_grid)
     if not grid or not any(a == 0.0 for a in grid):
         raise ConfigurationError("alpha_grid must contain the null point 0")
-    if cfg.n < MIN_TEST_LENGTH:
-        raise ConfigurationError(f"size_power needs n >= {MIN_TEST_LENGTH}")
-    kurt_eps = KURTOSIS_FACTOR[NoiseFamily(cfg.params.eps.family)]
-    kurt_eta = (KURTOSIS_FACTOR[NoiseFamily(cfg.params.eta.family)]
-                if cfg.params.eta is not None else 3.0)
+    if cfg.n < estimate.MIN_TEST_LENGTH:
+        raise ConfigurationError(
+            f"size_power needs n >= {estimate.MIN_TEST_LENGTH}")
+    # with no coefficient noise the plug-in takes the gaussian tau4 map
+    eta_family = (cfg.params.eta.family if cfg.params.eta is not None
+                  else NoiseFamily.GAUSSIAN)
 
-    rates, ses, used, failed_total = {}, {}, {}, 0
+    rates, ses, used, reasons = {}, {}, {}, []
     for alpha in grid:
         params = dataclasses.replace(cfg.params, alpha=alpha)
-        res = _gather_tests(params, cfg, kurt_eps, kurt_eta)
-        ok = res["valid"]
+        res = _gather(cfg, _chunk_tests, params, cfg.level, cfg.theta_source,
+                      cfg.params.eps.family, eta_family)
+        reasons.append(res["reason"])
+        ok = res["reason"] == estimate.OK
         nv = int(ok.sum())
         rate = float(res["reject"][ok].mean()) if nv else math.nan
         rates[alpha] = rate
         ses[alpha] = math.sqrt(rate * (1 - rate) / nv) if nv else math.nan
         used[alpha] = nv
-        failed_total += cfg.replicates - nv
 
     h0_rate, h0_se = rates[0.0], ses[0.0]
     sorted_abs = sorted(grid, key=abs)
@@ -384,20 +322,8 @@ def run_size_power(cfg: MCConfig, alpha_grid=None) -> MCReport:
                 for a in grid if a != 0.0
             ),
         },
-        failed_replicates=failed_total,
-        replicates_used=sum(used.values()),
-        status=_status(failed_total, cfg.replicates * len(grid)),
+        **_outcome(np.concatenate(reasons)),
         provenance=_provenance(cfg),
-    )
-
-
-def _gather_tests(params: ModelParams, cfg: MCConfig, kurt_eps: float,
-                  kurt_eta: float) -> dict:
-    return _gather(
-        _chunk_tests,
-        (params, cfg.n, cfg.master_seed, cfg.burn_in, cfg.level,
-         cfg.theta_source, kurt_eps, kurt_eta),
-        cfg.replicates, cfg.workers,
     )
 
 
@@ -444,9 +370,7 @@ def run_rates(cfg: MCConfig) -> MCReport:
         tolerances={"ln_average_band": "[omega2/2, 2*omega2]"},
         passes={"ln_average": band[0] <= l_n <= band[1],
                 "lil": True},  # informational only
-        failed_replicates=0,
-        replicates_used=1,
-        status="ok",
+        **_outcome(np.array([estimate.OK])),
         provenance=_provenance(cfg),
     )
 
@@ -489,9 +413,7 @@ def run_mixed_moment_oracle(cfg: MCConfig) -> MCReport:
                    "deviation_in_se": abs(est - target) / se if se else math.inf},
         tolerances={"band": "3 se"},
         passes={"mu": abs(est - target) <= 3 * se},
-        failed_replicates=0,
-        replicates_used=1,
-        status="ok",
+        **_outcome(np.array([estimate.OK])),
         provenance=_provenance(cfg),
     )
 

@@ -228,10 +228,6 @@ class HypothesisReport:
     h1_uncertain: bool = False
     mc_draws: int = 0
 
-    def verdict(self, name: str) -> bool:
-        return {"H1": self.h1, "H2": self.h2, "H3": self.h3,
-                "H4": self.h4, "H5": self.h5}[name.upper()]
-
     def to_dict(self) -> dict:
         return {
             "rho_M": self.rho_M,

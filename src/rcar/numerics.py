@@ -67,15 +67,6 @@ def spectral_radius(a) -> float:
     return float(np.max(np.abs(eig)))
 
 
-def hadamard(a, b) -> np.ndarray:
-    """Entrywise (Hadamard) product of two same-shape matrices."""
-    ma = as_small_matrix(a, "hadamard lhs")
-    mb = as_small_matrix(b, "hadamard rhs")
-    if ma.shape != mb.shape:
-        raise NumericError(f"hadamard shape mismatch: {ma.shape} vs {mb.shape}")
-    return ma * mb
-
-
 def mat_power(a, k: int) -> np.ndarray:
     """A**k by repeated squaring, with A**0 = I."""
     m = _square(a, "mat_power argument")

@@ -103,10 +103,6 @@ def autocovariance(tables: SecondOrderTables, h: int) -> float:
     return float((numerics.mat_power(tables.N, k) @ tables.Lam)[0])
 
 
-def autocorrelation(tables: SecondOrderTables, h: int) -> float:
-    return autocovariance(tables, h) / autocovariance(tables, 0)
-
-
 @dataclass(frozen=True)
 class Acvf:
     """Autocovariances over a lag range plus the two limiting correlations."""

@@ -325,3 +325,17 @@ class TestPsi0ClosedForm:
         psi0, psi00 = psi0_closed_form(1 / math.sqrt(2), 0.1, 0.03, 1.0, 3.0,
                                        check_denominator=False)
         assert math.isnan(psi0) and math.isfinite(psi00)
+
+    def test_arrays_evaluate_elementwise(self):
+        theta = np.array([0.2, 1 / math.sqrt(2), -0.4])
+        psi0, psi00 = psi0_closed_form(theta, 0.1, 0.03, 1.0, 3.0,
+                                       check_denominator=False)
+        for i, th in enumerate(theta):
+            ref0, ref00 = psi0_closed_form(float(th), 0.1, 0.03, 1.0, 3.0,
+                                           check_denominator=False)
+            assert type(ref0) is float and type(ref00) is float
+            assert psi00[i] == ref00
+            assert psi0[i] == ref0 or (math.isnan(psi0[i]) and math.isnan(ref0))
+        assert math.isnan(psi0[1]) and np.isfinite(psi0[[0, 2]]).all()
+        with pytest.raises(PathologicalParamsError):
+            psi0_closed_form(theta, 0.1, 0.03, 1.0, 3.0)

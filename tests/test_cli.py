@@ -244,3 +244,16 @@ class TestUsageErrors:
         monkeypatch.setenv("RCAR_SEED", "54321")
         assert main(args + ["--out", str(out_b)]) == 0
         assert not np.array_equal(ingest(out_a).x, ingest(out_b).x)
+
+    @pytest.mark.parametrize("command", [
+        ["check", "--theta", "0.3", "--alpha", "0", "--eps", "gaussian:1",
+         "--eta", "gaussian:0.2", "--mc-draws", "1000"],
+        ["variance", "--theta", "0.3", "--alpha", "0.5", "--eps", "gaussian:1",
+         "--eta", "gaussian:0.1"],
+    ])
+    def test_malformed_env_seed_is_a_configuration_error(self, capsys,
+                                                         monkeypatch, command):
+        monkeypatch.setenv("RCAR_SEED", "abc")
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "RCAR_SEED" in err

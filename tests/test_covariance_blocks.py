@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from rcar.asymptotics import (ell_scalar, gamma6_matrix, gammabar_matrix,
-                              kbar_matrix, k_matrix, l_matrix, sigma_psi,
-                              upsilon_matrix)
+                              kbar_matrix, k_matrix, l_matrix,
+                              mixed_moment_table, sigma_psi, upsilon_matrix)
 from rcar.fourth_order import build_fourth_order
 from rcar.model import ModelParams, NoiseFamily, NoiseSpec
 from rcar.second_order import build_second_order
@@ -82,11 +82,12 @@ class TestBlockMoments:
                 assert_close(kg[i, j], d_lag1[i] * d_lag1[j],
                              f"lag-1 block ({i},{j})")
 
-        lu = (l_matrix(p) * upsilon_matrix(p, so, fo)) @ np.ones(6)
+        mm = mixed_moment_table(p, so, fo)
+        lu = (l_matrix(p) * upsilon_matrix(p, so, fo, mm)) @ np.ones(6)
         for i in range(6):
             assert_close(lu[i], d_lag1[i] * d_lag2, f"cross block ({i})")
 
-        assert_close(ell_scalar(p, so, fo), d_lag2 * d_lag2, "lag-2 scalar")
+        assert_close(ell_scalar(p, so, fo, mm), d_lag2 * d_lag2, "lag-2 scalar")
 
 
 class TestNonGaussianStack:

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_admissible
+from rcar import estimate
 from rcar.asymptotics import kappa_squared, limits, omega_squared
 from rcar.errors import DegenerateDataError, PathologicalParamsError
 from rcar.estimate import (correlation_test, f_jacobian, f_map,
@@ -15,7 +17,8 @@ from rcar.model import ModelParams, NoiseFamily, NoiseSpec
 from rcar.second_order import build_second_order
 from rcar.simulate import Trajectory, simulate, simulate_block
 
-GAUSS1 = NoiseSpec(NoiseFamily.GAUSSIAN, 1.0)
+G = NoiseFamily.GAUSSIAN
+GAUSS1 = NoiseSpec(G, 1.0)
 
 
 def traj_of(values):
@@ -111,6 +114,15 @@ class TestCorrectionMap:
         tilde_theta, tilde_gamma = f_map(x, x * x)
         assert tilde_gamma == 0.0
         assert tilde_theta == pytest.approx(x, rel=1e-9, abs=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_inverts_limits_on_admissible_draws(self, seed):
+        p = random_admissible(np.random.default_rng(seed))
+        lim = limits(p, build_second_order(p))
+        tt, gg = f_map(lim.theta_star, lim.vartheta_star)
+        assert tt == pytest.approx(p.theta, rel=0, abs=1e-10)
+        assert gg == pytest.approx(p.alpha * p.tau(2), rel=0, abs=1e-10)
 
     def test_pathological(self):
         with pytest.raises(PathologicalParamsError):
@@ -214,3 +226,92 @@ class TestCorrelationTest:
         a = correlation_test(traj, eta_family=NoiseFamily.GAUSSIAN)
         b = correlation_test(traj, eta_family=NoiseFamily.RADEMACHER)
         assert a.psi0_hat != b.psi0_hat
+
+
+#: error each reason code raises from the scalar API
+REASON_ERRORS = {
+    estimate.ZERO_WINDOW: DegenerateDataError,
+    estimate.MAP_BOUNDARY: PathologicalParamsError,
+    estimate.CONSTANT_SQUARES: DegenerateDataError,
+    estimate.PSI0_DENOMINATOR: PathologicalParamsError,
+    estimate.PSI0_NOT_POSITIVE: DegenerateDataError,
+}
+
+
+def assert_row_matches_scalar_path(out, i, row, **test_args):
+    """Row i of a batch result equals the scalar API on that series: the
+    same values bitwise when it is valid, the mapped error when not.
+    test_args are the correlation_test arguments the batch was run with."""
+    traj = traj_of(row)
+    code = int(out["reason"][i])
+    if code != estimate.OK:
+        assert np.isnan(out["statistic"][i]) and not out["reject"][i]
+        with pytest.raises(REASON_ERRORS[code]):
+            correlation_test(traj, **test_args)
+        return
+    report = correlation_test(traj, **test_args).to_dict()
+    for key, value in report.items():
+        if key in out:
+            assert out[key][i] == value, key
+    assert sample_mean(traj) == out["xbar"][i]
+    assert theta_hat(traj) == out["theta_hat"][i]
+    assert vartheta_hat(traj) == out["vartheta_hat"][i]
+    assert f_map(theta_hat(traj), vartheta_hat(traj)) \
+        == (out["theta_tilde"][i], out["gamma_tilde"][i])
+    s2, resid = residual_variance(traj, theta_hat(traj))
+    assert s2 == out["sigma2_hat"][i]
+    assert nicholls_quinn(traj, resid) == (out["tau2_bar"][i],
+                                           out["sigma2_bar"][i])
+
+
+class TestBatchKernel:
+    N = 60
+
+    def block_with_every_reason(self, params_accept):
+        """Rows: valid, all zero, geometric x_t = 2^(-t/2) (first ratio at
+        1/sqrt(2)), alternating +/-1 (constant squares), and the first row
+        of a seeded search whose psi0_hat is negative."""
+        found = simulate_block(params_accept, self.N, master_seed=2,
+                               replicates=range(256))
+        reason = estimate.correlation_statistics(found, 0.05, "tilde", G, G)[
+            "reason"]
+        t = np.arange(self.N + 1.0)
+        return np.vstack([
+            found[np.flatnonzero(reason == estimate.OK)[0]],
+            np.zeros(self.N + 1),
+            2.0 ** (-t / 2),
+            (-1.0) ** t,
+            found[np.flatnonzero(reason == estimate.PSI0_NOT_POSITIVE)[0]],
+        ])
+
+    @pytest.mark.parametrize("source", ["tilde", "hat"])
+    def test_reasons_and_scalar_agreement(self, params_accept, source):
+        block = self.block_with_every_reason(params_accept)
+        out = estimate.correlation_statistics(block, 0.05, source, G, G)
+        assert out["reason"].tolist() == [
+            estimate.OK, estimate.ZERO_WINDOW, estimate.MAP_BOUNDARY,
+            estimate.CONSTANT_SQUARES, estimate.PSI0_NOT_POSITIVE]
+        for i, row in enumerate(block):
+            assert_row_matches_scalar_path(out, i, row, source=source)
+
+    def test_ratio_stage_is_the_test_stage_prefix(self, params_accept):
+        block = self.block_with_every_reason(params_accept)
+        ratios = estimate.ratio_statistics(block)
+        tests = estimate.correlation_statistics(block, 0.05, "tilde", G, G)
+        for key, value in ratios.items():
+            if key != "reason":
+                np.testing.assert_array_equal(value, tests[key])
+        # the ratio stage sees only its own reasons
+        assert ratios["reason"].tolist() == [0, 1, 2, 0, 0]
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["tilde", "hat"]))
+    def test_batch_equals_scalar_on_admissible_draws(self, seed, source):
+        p = random_admissible(np.random.default_rng(seed))
+        block = simulate_block(p, 80, master_seed=seed, replicates=range(4),
+                               burn_in=200)
+        args = {"level": 0.05, "source": source,
+                "eps_family": p.eps.family, "eta_family": p.eta.family}
+        out = estimate.correlation_statistics(block, **args)
+        for i, row in enumerate(block):
+            assert_row_matches_scalar_path(out, i, row, **args)

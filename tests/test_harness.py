@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rcar.errors import ConfigurationError
+from rcar.estimate import REASONS
 from rcar.fourth_order import build_fourth_order
 from rcar.harness import (MCConfig, mixed_moment_oracle, run_clt_mean,
                           run_clt_theta, run_experiment, run_rates,
@@ -112,6 +113,16 @@ class TestSizePower:
         report = run_size_power(cfg)
         assert report.passes["h0_size"], report.empirical["rates"]
 
+    def test_failures_counted_by_reason(self, params_accept):
+        # at n = 60 some plug-in values psi0_hat come out negative
+        cfg = cfg_for(params_accept, n=60, replicates=300,
+                      experiment="size_power", alpha_grid=(0.0, 0.5))
+        report = run_size_power(cfg)
+        counts = report.to_dict()["failed_by_reason"]
+        assert counts["psi0_not_positive"] > 0
+        assert sum(counts.values()) == report.failed_replicates \
+            == 2 * 300 - report.replicates_used
+
 
 class TestRates:
     def test_band_and_reporting(self):
@@ -169,8 +180,11 @@ class TestReportShape:
         report = run_clt_theta(cfg_for(params_accept, replicates=100))
         payload = report.to_dict()
         for key in ("targets", "empirical", "tolerance", "pass", "status",
-                    "provenance", "config"):
+                    "provenance", "config", "failed_by_reason"):
             assert key in payload
+        assert list(payload["failed_by_reason"]) == list(REASONS[1:])
+        assert sum(payload["failed_by_reason"].values()) \
+            == payload["failed_replicates"]
         assert "generator" in payload["provenance"]
         assert "master_seed" in payload["provenance"]
         assert payload["provenance"]["params"]["theta"] == 0.3

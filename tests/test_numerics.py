@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from rcar.errors import NumericError
 from rcar.model import ModelParams, NoiseFamily, NoiseSpec
-from rcar.numerics import (chisq1_tail, hadamard, mat_power, solve,
-                           spectral_radius)
+from rcar.numerics import chisq1_tail, mat_power, solve, spectral_radius
 from rcar.second_order import m_matrix, n_matrix
 
 
@@ -136,19 +135,6 @@ class TestChisq1Tail:
 
 
 class TestHadamardAndPower:
-    def test_hadamard_ones_zeros(self, rng):
-        a = rng.normal(size=(3, 3))
-        assert np.array_equal(hadamard(a, np.ones((3, 3))), a)
-        assert np.array_equal(hadamard(a, np.zeros((3, 3))), np.zeros((3, 3)))
-
-    def test_hadamard_entrywise(self):
-        out = hadamard([[1, 2], [3, 4]], [[2, 0], [0, 2]])
-        assert np.array_equal(out, [[2, 0], [0, 8]])
-
-    def test_hadamard_shape_mismatch(self):
-        with pytest.raises(NumericError):
-            hadamard(np.eye(2), np.eye(3))
-
     def test_power_trivial(self, rng):
         a = rng.normal(size=(4, 4))
         assert np.array_equal(mat_power(a, 1), a)
