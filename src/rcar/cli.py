@@ -22,7 +22,7 @@ from . import fourth_order, model, numerics, second_order
 from .errors import (ConfigurationError, DegenerateDataError, HypothesisError,
                      PathologicalParamsError, RcarError)
 from .simulate import (DEFAULT_BURN_IN, GENERATOR_ID, ingest,
-                       simulate as run_simulation, write_csv)
+                       simulate as run_simulation, write_csv, write_rows)
 
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
@@ -188,8 +188,7 @@ def cmd_simulate(args) -> int:
     elif args.out:
         write_csv(traj, args.out)
     else:
-        _emit_rows(["t", "x"],
-                   [(t, f"{v:.17g}") for t, v in enumerate(traj.x)], None)
+        write_rows(sys.stdout, traj.x)
     return 0
 
 

@@ -75,6 +75,12 @@ class MCConfig:
             )
         if self.experiment == "rates" and self.n < 100_000:
             raise ConfigurationError("rates experiment needs a path of n >= 1e5")
+        if self.theta_source not in ("tilde", "hat"):
+            raise ConfigurationError(
+                f"theta_source must be 'tilde' or 'hat', got {self.theta_source!r}"
+            )
+        if not 0.0 < self.level <= 1.0:
+            raise ConfigurationError(f"level must be in (0, 1], got {self.level}")
 
 
 @dataclass

@@ -3,10 +3,12 @@
 Randomness contract: replicate r of master seed s uses the 64-bit avalanche
 mix of (s, r); within one trajectory the coefficient noise and the innovation
 noise are two independent Philox streams derived from the trajectory seed, so
-the coefficient path is reproducible on its own and extending the burn-in
-never perturbs the retained segment's draw order. Everything is bitwise
-deterministic given (params, n, seed, burn_in) and independent of evaluation
-order or parallelism.
+the coefficient path is reproducible on its own. Each stream is drawn as one
+run of burn_in + n + 1 values and the retained segment is its tail, so the
+retained draws depend on the burn-in actually used: a different burn_in, or
+the automatic doubling below, shifts them (ROADMAP item 2). Everything is
+bitwise deterministic given (params, n, seed, burn_in) and independent of
+evaluation order or parallelism.
 
 The recurrence starts at 0 and discards `burn_in` steps; the initial
 condition is forgotten exponentially fast, which the generator verifies by
@@ -16,7 +18,8 @@ burn-in (up to 2**16) until both copies agree to 1e-8.
 
 from __future__ import annotations
 
-import csv
+import itertools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,47 +225,112 @@ def simulate_coefficients(params: ModelParams, n: int, seed: int) -> Coefficient
 # ---------------------------------------------------------------------------
 # CSV interchange: header `t,x`, one row per index, full double precision
 
+_CSV_ROWS = np.dtype([("t", "<i8"), ("x", "<f8")])
+#: rows formatted per write; bounds the size of each formatted string
+_WRITE_BLOCK = 1 << 16
+#: rows per parse when a rejected file is searched for its faulty line
+_LOCATE_BLOCK = 1 << 10
+
+
+def write_rows(fh, x) -> None:
+    """Write the `t,x` header and the rows `t,x[t]` to a text stream.
+
+    Lines end in CRLF and values carry 17 significant digits, byte for byte
+    what `csv.writer` gives for rows `(t, f"{x[t]:.17g}")`.
+    """
+    fh.write("t,x\r\n")
+    for start in range(0, len(x), _WRITE_BLOCK):
+        block = x[start:start + _WRITE_BLOCK].tolist()
+        cells = [None] * (2 * len(block))
+        cells[0::2] = range(start, start + len(block))
+        cells[1::2] = block
+        fh.write(("%d,%.17g\r\n" * len(block)) % tuple(cells))
+
 
 def write_csv(traj: Trajectory, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x"])
-        for t, value in enumerate(traj.x):
-            writer.writerow([t, f"{value:.17g}"])
+        write_rows(fh, traj.x)
+
+
+def _parse_rows(lines) -> np.ndarray:
+    """Parse `t,x` data lines into (t, x) records; ValueError on a bad line.
+
+    This parse alone decides which lines are well formed. Empty lines are
+    skipped; `#` is data, not a comment.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(lines, delimiter=",", dtype=_CSV_ROWS,
+                          comments=None, ndmin=1)
+
+
+def _value_fault(rows: np.ndarray, start: int) -> str | None:
+    """Why the first record that breaks the contiguous index from `start` or
+    holds a non-finite value is rejected, or None."""
+    expected = np.arange(start, start + len(rows))
+    bad = np.flatnonzero((rows["t"] != expected) | ~np.isfinite(rows["x"]))
+    if not bad.size:
+        return None
+    i = bad[0]
+    if rows["t"][i] != expected[i]:
+        return (f"index {rows['t'][i]} breaks the contiguous sequence "
+                f"(expected {expected[i]})")
+    return "non-finite value"
+
+
+def _line_fault(line: str, start: int) -> str | None:
+    """Why one data line with expected index `start` is rejected, or None."""
+    try:
+        rows = _parse_rows([line])
+    except ValueError:
+        fields = line.count(",") + 1
+        if fields != 2:
+            return f"expected two fields, got {fields}"
+        return f"expected an integer index and a float, got {line.rstrip()!r}"
+    return _value_fault(rows, start)
+
+
+def _locate(path, reason: str) -> DegenerateDataError:
+    """The error naming the first faulty line of a file `ingest` rejected.
+
+    Walks the non-empty lines after the header in blocks through the same
+    parse and checks, then line by line within the first block that fails.
+    Falls back to the rejection's `reason` if no line is pinned.
+    """
+    with open(path, encoding="utf-8") as fh:
+        numbered = ((lineno, line) for lineno, line in enumerate(fh, start=1)
+                    if lineno > 1 and line != "\n")
+        start = 0
+        while block := list(itertools.islice(numbered, _LOCATE_BLOCK)):
+            lines = [line for _, line in block]
+            try:
+                clean = _value_fault(_parse_rows(lines), start) is None
+            except ValueError:
+                clean = False
+            if not clean:
+                for offset, (lineno, line) in enumerate(block):
+                    why = _line_fault(line, start + offset)
+                    if why:
+                        return DegenerateDataError(f"{path}:{lineno}: {why}")
+            start += len(block)
+    return DegenerateDataError(f"{path}: {reason}")
 
 
 def ingest(path) -> Trajectory:
     """Read a trajectory CSV; errors name the offending line."""
-    values = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["t", "x"]:
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline()
+        if [c.strip() for c in header.split(",")] != ["t", "x"]:
             raise DegenerateDataError(
-                f"{path}: expected header 't,x', got {header!r}"
+                f"{path}: expected header 't,x', got {header.rstrip()!r}"
             )
-        expected_t = 0
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DegenerateDataError(
-                    f"{path}:{lineno}: expected two fields, got {len(row)}"
-                )
-            try:
-                t = int(row[0])
-                value = float(row[1])
-            except ValueError as exc:
-                raise DegenerateDataError(f"{path}:{lineno}: {exc}") from exc
-            if t != expected_t:
-                raise DegenerateDataError(
-                    f"{path}:{lineno}: index {t} breaks the contiguous "
-                    f"sequence (expected {expected_t})"
-                )
-            if not np.isfinite(value):
-                raise DegenerateDataError(f"{path}:{lineno}: non-finite value")
-            values.append(value)
-            expected_t += 1
-    if len(values) < 2:
+        try:
+            rows = _parse_rows(fh)
+        except ValueError as exc:
+            raise _locate(path, str(exc)) from None
+    fault = _value_fault(rows, 0)
+    if fault is not None:
+        raise _locate(path, fault)
+    if len(rows) < 2:
         raise DegenerateDataError(f"{path}: need at least two observations")
-    return Trajectory(x=np.array(values), n=len(values) - 1)
+    return Trajectory(x=np.ascontiguousarray(rows["x"]), n=len(rows) - 1)

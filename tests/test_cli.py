@@ -140,6 +140,13 @@ class TestSimulateEstimateRoundTrip:
         path.write_text("t,x\n" + "\n".join(f"{t},1.0" for t in range(80)) + "\n")
         assert main(["estimate", "--in", str(path)]) == 3
 
+    def test_stdout_matches_out_file(self, tmp_path, capsysbinary):
+        out = tmp_path / "series.csv"
+        args = ["simulate", *self.ARGS, "--n", "200", "--seed", "3"]
+        assert main(args + ["--out", str(out)]) == 0
+        assert main(args) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+
     def test_malformed_csv_exit3(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,x\n0,1.0\n2,0.5\n")
@@ -183,6 +190,14 @@ class TestMc:
         cfg = tmp_path / "run.toml"
         cfg.write_text("theta=0.3\nalpha=0\neps.family=gaussian\neps.scale=1\n")
         assert main(["mc", "--config", str(cfg)]) == 2
+
+    def test_misspelt_theta_source_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.toml"
+        cfg.write_text("theta=0.3\nalpha=0\neps.family=gaussian\neps.scale=1\n"
+                       "replicates=100\ntheta_source=tilda\n")
+        assert main(["mc", "--experiment", "size_power",
+                     "--config", str(cfg)]) == 2
+        assert "theta_source" in capsys.readouterr().err
 
 
 class TestRegion:

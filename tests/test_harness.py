@@ -37,6 +37,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             cfg_for(AR1, experiment="rates", replicates=1, n=1000)
 
+    @pytest.mark.parametrize("source", ["tilda", "Tilde", ""])
+    def test_unknown_theta_source(self, source):
+        with pytest.raises(ConfigurationError, match="theta_source"):
+            cfg_for(AR1, experiment="size_power", theta_source=source)
+
+    @pytest.mark.parametrize("level", [0.0, -0.05, 1.5, float("nan")])
+    def test_level_outside_unit_interval(self, level):
+        with pytest.raises(ConfigurationError, match="level"):
+            cfg_for(AR1, experiment="size_power", level=level)
+
 
 class TestCltExperiments:
     def test_ar1_variance_reproduced(self):

@@ -1,5 +1,10 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcar.errors import DegenerateDataError, HypothesisError
 from rcar.model import ModelParams, NoiseFamily, NoiseSpec
@@ -125,7 +130,62 @@ class TestTrajectoryType:
             Trajectory(x=np.array([0.0, np.inf]), n=1)
 
 
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+     np.finfo(float).max, -np.finfo(float).max])
+
+
 class TestCsvInterchange:
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_csv(Trajectory(x=np.array([1.5, -0.1, 5e-324]), n=2), path)
+        assert path.read_bytes() == (b"t,x\r\n0,1.5\r\n1,-0.10000000000000001\r\n"
+                                     b"2,4.9406564584124654e-324\r\n")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(FLOATS, min_size=2, max_size=40))
+    def test_roundtrip_bitwise_any_double(self, values):
+        x = np.array(values)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.csv")
+            write_csv(Trajectory(x=x, n=len(x) - 1), path)
+            back = ingest(path).x
+        assert back.tobytes() == x.tobytes()
+        assert back.dtype == np.float64 and back.flags.c_contiguous
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_line_endings_accepted(self, tmp_path, newline):
+        path = tmp_path / "s.csv"
+        path.write_bytes(newline.join(["t,x", "0,1.5", "1,-2", "2,0.25", ""]).encode())
+        assert np.array_equal(ingest(path).x, [1.5, -2.0, 0.25])
+
+    def test_three_fields_names_line(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("t,x\n0,1.0\n1,2.0,3.0\n2,0.5\n")
+        with pytest.raises(DegenerateDataError, match=r":3: expected two fields, got 3"):
+            ingest(path)
+
+    def test_comment_line_rejected(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("t,x\n0,1.0\n# note\n1,2.0\n")
+        with pytest.raises(DegenerateDataError, match=":3:"):
+            ingest(path)
+
+    def test_blank_lines_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("t,x\n0,1.0\n\n1,2.0\n\n\n2,3.0\n")
+        assert np.array_equal(ingest(path).x, [1.0, 2.0, 3.0])
+        path.write_text("t,x\n0,1.0\n\n1,2.0\n\n\n2,oops\n")
+        with pytest.raises(DegenerateDataError, match=":7:"):
+            ingest(path)
+
+    def test_gap_after_blank_line_names_line(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("t,x\n0,1.0\n\n1,2.0\n\n3,3.0\n")
+        with pytest.raises(DegenerateDataError,
+                           match=r":6: index 3 breaks the contiguous sequence"):
+            ingest(path)
+
     def test_roundtrip_bitwise(self, tmp_path, params_accept):
         traj = simulate(params_accept, 300, seed=2)
         path = tmp_path / "series.csv"
