@@ -10,10 +10,23 @@ the automatic doubling below, shifts them (ROADMAP item 2). Everything is
 bitwise deterministic given (params, n, seed, burn_in) and independent of
 evaluation order or parallelism.
 
-The recurrence starts at 0 and discards `burn_in` steps; the initial
-condition is forgotten exponentially fast, which the generator verifies by
-running a second copy started far away on the same noise and doubling the
-burn-in (up to 2**16) until both copies agree to 1e-8.
+One kernel, `_recur`, runs the recurrence X_t = theta_t X_{t-1} + eps_t
+down the time axis of a (rows, T) block, vectorised across rows, and writes
+the path over the coefficients. `simulate_block` runs many rows;
+`simulate_with_noise` and `simulate` run one, so a block row equals the
+scalar path bit for bit. Paths of at most _FOLD steps are the plain
+sequential recurrence. A longer path is folded, because a first-order
+linear recurrence is a scan (Blelloch, "Prefix sums and their
+applications", 1990): ceil(T / _FOLD) equal segments run from 0 side by
+side and are stitched with the cumulative products of their coefficients.
+The fold depends only on T, never on how rows are grouped, and moves a path
+by round-off only (about 1e-15 at n = 1e6).
+
+The recurrence starts at 0 and discards `burn_in` steps. The initial
+condition is forgotten exponentially fast, and the generator verifies it: a
+copy started at _TWIN_START on the same noise differs from the path after b
+steps by exactly _TWIN_START * |theta_1 ... theta_b|. Rows where that gap is
+1e-8 or more are simulated again with the burn-in doubled (up to 2**16).
 """
 
 from __future__ import annotations
@@ -35,6 +48,8 @@ FORGET_TOL = 1e-8
 EXPLOSION_LIMIT = 1e300
 
 _TWIN_START = 100.0
+#: longest path the kernel runs as one sequential loop; longer ones are folded
+_FOLD = 2**14
 _MASK64 = (1 << 64) - 1
 _ETA_STREAM = 0xE7A
 _EPS_STREAM = 0xE95
@@ -62,17 +77,25 @@ def _stream(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(mix64(seed, tag))))
 
 
+def _draw_eta(params: ModelParams, seed: int, size: int) -> np.ndarray:
+    """The first `size` coefficient-noise draws; zeros without eta noise."""
+    if params.eta is None:
+        return np.zeros(size)
+    return params.eta.sample(_stream(seed, _ETA_STREAM), size)
+
+
 def _draw_noise(params: ModelParams, seed: int, total: int):
     """eta[0..total] and eps[0..total]; eps[0] precedes the recurrence."""
-    eta_rng = _stream(seed, _ETA_STREAM)
-    eps_rng = _stream(seed, _EPS_STREAM)
-    if params.eta is None:
-        eta = np.zeros(total + 1)
-        eta_rng = None  # no draws consumed
-    else:
-        eta = params.eta.sample(eta_rng, total + 1)
-    eps = params.eps.sample(eps_rng, total + 1)
-    return eta, eps
+    return (_draw_eta(params, seed, total + 1),
+            params.eps.sample(_stream(seed, _EPS_STREAM), total + 1))
+
+
+def _coefficients(params: ModelParams, eta: np.ndarray, out=None) -> np.ndarray:
+    """theta + alpha*eta[t-1] + eta[t] for each t >= 1 along the last axis."""
+    out = np.multiply(params.alpha, eta[..., :-1], out=out)
+    out += params.theta
+    out += eta[..., 1:]
+    return out
 
 
 @dataclass(frozen=True)
@@ -113,6 +136,70 @@ def _check_explosion(x: np.ndarray):
         )
 
 
+def _recur(c: np.ndarray, e: np.ndarray) -> None:
+    """Overwrite c with y_t = c_t y_{t-1} + e_t along the last axis, y_{-1} = 0.
+
+    Leading axes are independent rows. More than _FOLD steps are folded:
+    the head and the k segments are run from 0, then segment j gets its
+    running coefficient product times the value carried out of segment j-1.
+    """
+    steps = c.shape[-1]
+    if steps > _FOLD:
+        k = -(-steps // _FOLD)
+        width = steps // k
+        head = steps - k * width
+        _recur(c[..., :head], e[..., :head])
+        # splitting the last axis is a view, so the runs below write into c
+        seg = c[..., head:].reshape(*c.shape[:-1], k, width)
+        gain = np.cumprod(seg, axis=-1)
+        _recur(seg, e[..., head:].reshape(seg.shape))
+        carry = c[..., head - 1] if head else np.zeros(c.shape[:-1])
+        for j in range(k):
+            seg[..., j, :] += gain[..., j, :] * carry[..., None]
+            carry = seg[..., j, -1]
+        return
+    y = np.zeros(c.shape[:-1])
+    for t in range(steps):
+        y = c[..., t] * y + e[..., t]
+        c[..., t] = y
+
+
+def _simulate_rows(params: ModelParams, n: int, seeds: list, burn: int):
+    """X_0..X_n for each trajectory seed, after a verified burn-in.
+
+    Returns (x, burns, eta, eps): row i holds the path of seeds[i], the
+    burn-in it used and its retained noise. Rows whose initial condition is
+    not forgotten are simulated again, recursively, with the burn-in doubled.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if burn < 0:
+        raise ValueError("burn_in must be >= 0")
+    total = burn + n
+    eta = np.empty((len(seeds), total + 1))
+    eps = np.empty_like(eta)
+    for i, seed in enumerate(seeds):
+        eta[i], eps[i] = _draw_noise(params, seed, total)
+    path = np.empty_like(eta)  # column 0 is the start, the rest coefficients
+    path[:, 0] = 0.0
+    coef = _coefficients(params, eta, out=path[:, 1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = _TWIN_START * np.abs(np.prod(coef[:, :burn], axis=1))
+        _recur(coef, eps[:, 1:])
+    x, eta, eps = path[:, burn:], eta[:, burn:], eps[:, burn:]
+    burns = np.full(len(seeds), burn)
+    slow = np.flatnonzero(~(gap < FORGET_TOL)) if burn else []
+    if len(slow):
+        if burn >= MAX_BURN_IN:
+            raise HypothesisError(
+                f"initial condition not forgotten after burn-in {burn}; "
+                "the process is at or beyond the stationarity boundary"
+            )
+        x[slow], burns[slow], eta[slow], eps[slow] = _simulate_rows(
+            params, n, [seeds[i] for i in slow], min(2 * burn, MAX_BURN_IN))
+    return x, burns, eta, eps
+
+
 def simulate(params: ModelParams, n: int, seed: int,
              burn_in: int = DEFAULT_BURN_IN) -> Trajectory:
     """Simulate X_0..X_n after discarding a verified burn-in."""
@@ -128,41 +215,11 @@ def simulate_with_noise(params: ModelParams, n: int, seed: int,
     aligned with X_t: the transition X_{t-1} -> X_t uses the coefficient
     theta + alpha*eta[t-1] + eta[t] and the innovation eps[t].
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
-
-    burn = burn_in
-    while True:
-        total = burn + n
-        eta, eps = _draw_noise(params, seed, total)
-        theta_path = (params.theta + params.alpha * eta[:-1] + eta[1:]).tolist()
-        eps_list = eps.tolist()
-
-        y = 0.0
-        twin = _TWIN_START
-        for s in range(1, burn + 1):
-            c = theta_path[s - 1]
-            y = c * y + eps_list[s]
-            twin = c * twin + eps_list[s]
-        if burn == 0 or burn_in == 0 or abs(y - twin) < FORGET_TOL:
-            break
-        if burn >= MAX_BURN_IN:
-            raise HypothesisError(
-                f"initial condition not forgotten after burn-in {burn}; "
-                "the process is at or beyond the stationarity boundary"
-            )
-        burn = min(2 * burn, MAX_BURN_IN)
-
-    x = np.empty(n + 1)
-    x[0] = y
-    for t in range(1, n + 1):
-        y = theta_path[burn + t - 1] * y + eps_list[burn + t]
-        x[t] = y
+    x, burns, eta, eps = _simulate_rows(params, n, [seed], burn_in)
     _check_explosion(x)
-    traj = Trajectory(x=x, n=n, seed=seed, burn_in=burn, params_echo=params)
-    return traj, eta[burn:], eps[burn:]
+    traj = Trajectory(x=x[0], n=n, seed=seed, burn_in=int(burns[0]),
+                      params_echo=params)
+    return traj, eta[0], eps[0]
 
 
 def simulate_block(params: ModelParams, n: int, master_seed: int,
@@ -173,36 +230,10 @@ def simulate_block(params: ModelParams, n: int, master_seed: int,
     via replicate_seed(master_seed, r); the result does not depend on how
     replicates are grouped into blocks.
     """
-    reps = list(replicates)
-    total = burn_in + n
-    nrep = len(reps)
-    eta = np.empty((nrep, total + 1))
-    eps = np.empty((nrep, total + 1))
-    for i, r in enumerate(reps):
-        eta[i], eps[i] = _draw_noise(params, replicate_seed(master_seed, r), total)
-    theta_path = params.theta + params.alpha * eta[:, :-1] + eta[:, 1:]
-
-    y = np.zeros(nrep)
-    twin = np.full(nrep, _TWIN_START)
-    for s in range(1, burn_in + 1):
-        c = theta_path[:, s - 1]
-        y = c * y + eps[:, s]
-        twin = c * twin + eps[:, s]
-
-    x = np.empty((nrep, n + 1))
-    x[:, 0] = y
-    for t in range(1, n + 1):
-        y = theta_path[:, burn_in + t - 1] * y + eps[:, burn_in + t]
-        x[:, t] = y
-
-    slow = np.abs(x[:, 0] - twin) >= FORGET_TOL
-    if burn_in > 0 and np.any(slow):
-        # rare: redo the offending replicates with the auto-doubling path
-        for i in np.flatnonzero(slow):
-            x[i] = simulate(params, n, replicate_seed(master_seed, reps[i]),
-                            burn_in).x
+    seeds = [replicate_seed(master_seed, r) for r in replicates]
+    x = _simulate_rows(params, n, seeds, burn_in)[0]
     _check_explosion(x)
-    return x
+    return np.ascontiguousarray(x)
 
 
 def simulate_coefficients(params: ModelParams, n: int, seed: int) -> CoefficientPath:
@@ -214,11 +245,7 @@ def simulate_coefficients(params: ModelParams, n: int, seed: int) -> Coefficient
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if params.eta is None:
-        theta_t = np.full(n, params.theta)
-    else:
-        eta = params.eta.sample(_stream(seed, _ETA_STREAM), n + 1)
-        theta_t = params.theta + params.alpha * eta[:-1] + eta[1:]
+    theta_t = _coefficients(params, _draw_eta(params, seed, n + 1))
     return CoefficientPath(theta=theta_t, seed=seed, params_echo=params)
 
 
@@ -297,7 +324,7 @@ def _locate(path, reason: str) -> DegenerateDataError:
     parse and checks, then line by line within the first block that fails.
     Falls back to the rejection's `reason` if no line is pinned.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         numbered = ((lineno, line) for lineno, line in enumerate(fh, start=1)
                     if lineno > 1 and line != "\n")
         start = 0
@@ -317,8 +344,12 @@ def _locate(path, reason: str) -> DegenerateDataError:
 
 
 def ingest(path) -> Trajectory:
-    """Read a trajectory CSV; errors name the offending line."""
-    with open(path, encoding="utf-8") as fh:
+    """Read a trajectory CSV; errors name the offending line.
+
+    Bytes that are not UTF-8 reach the parse as lone surrogates, which it
+    rejects like any other malformed cell.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline()
         if [c.strip() for c in header.split(",")] != ["t", "x"]:
             raise DegenerateDataError(

@@ -152,6 +152,12 @@ class TestSimulateEstimateRoundTrip:
         path.write_text("t,x\n0,1.0\n2,0.5\n")
         assert main(["test", "--in", str(path)]) == 3
 
+    def test_undecodable_csv_exit3(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"t,x\n0,1.0\n1,\xff\n2,0.5\n")
+        assert main(["estimate", "--in", str(path)]) == 3
+        assert f"{path}:3:" in capsys.readouterr().err
+
 
 class TestMc:
     def test_from_config_file(self, tmp_path, capsys):
@@ -198,6 +204,14 @@ class TestMc:
         assert main(["mc", "--experiment", "size_power",
                      "--config", str(cfg)]) == 2
         assert "theta_source" in capsys.readouterr().err
+
+    def test_negative_burn_in_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.toml"
+        cfg.write_text("theta=0.3\nalpha=0\neps.family=gaussian\neps.scale=1\n"
+                       "n=50\nreplicates=100\nburn_in=-3\n")
+        assert main(["mc", "--experiment", "clt_couple",
+                     "--config", str(cfg)]) == 2
+        assert "burn_in must be >= 0" in capsys.readouterr().err
 
 
 class TestRegion:

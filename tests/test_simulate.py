@@ -9,14 +9,28 @@ from hypothesis import strategies as st
 from rcar.errors import DegenerateDataError, HypothesisError
 from rcar.model import ModelParams, NoiseFamily, NoiseSpec
 from rcar.second_order import build_second_order
-from rcar.simulate import (CoefficientPath, Trajectory, _draw_noise, ingest,
-                           mix64, replicate_seed, simulate, simulate_block,
-                           simulate_coefficients, simulate_with_noise,
-                           write_csv)
+from rcar.simulate import (FORGET_TOL, CoefficientPath, Trajectory,
+                           _draw_noise, ingest, mix64, replicate_seed, simulate,
+                           simulate_block, simulate_coefficients,
+                           simulate_with_noise, write_csv)
 
 from conftest import batch_se
 
 GAUSS1 = NoiseSpec(NoiseFamily.GAUSSIAN, 1.0)
+#: slowly forgetting: the default check doubles a burn-in of 5 several times
+SLOW = ModelParams(0.9, 0.3, GAUSS1, NoiseSpec(NoiseFamily.GAUSSIAN, 0.01))
+
+
+def sequential_path(params, seed, burn, n, start=0.0):
+    """X_0..X_n by the plain Python-float recurrence on the simulator's
+    noise, started at `start` `burn` steps before X_0."""
+    eta, eps = _draw_noise(params, seed, burn + n)
+    th = (params.theta + params.alpha * eta[:-1] + eta[1:]).tolist()
+    e = eps.tolist()
+    path = [start]
+    for s in range(1, burn + n + 1):
+        path.append(th[s - 1] * path[-1] + e[s])
+    return np.array(path[burn:])
 
 
 class TestDeterminism:
@@ -45,6 +59,14 @@ class TestDeterminism:
         ])
         assert np.array_equal(whole, parts)
 
+    @pytest.mark.parametrize("n, burn_in", [(0, 10), (10, -1)])
+    def test_bad_lengths_rejected(self, params_accept, n, burn_in):
+        with pytest.raises(ValueError):
+            simulate(params_accept, n, seed=1, burn_in=burn_in)
+        with pytest.raises(ValueError):
+            simulate_block(params_accept, n, master_seed=1, replicates=range(2),
+                           burn_in=burn_in)
+
     def test_mixer_avalanche(self):
         # distinct replicate indices must give well-separated seeds
         seeds = {replicate_seed(42, r) for r in range(10_000)}
@@ -64,12 +86,8 @@ class TestStationaryBehavior:
         # twin recurrences from 0 and 100 on the same noise coincide after
         # the default burn-in
         burn, n = 2000, 10
-        eta, eps = _draw_noise(params_accept, 123, burn + n)
-        th = params_accept.theta + params_accept.alpha * eta[:-1] + eta[1:]
-        y, z = 0.0, 100.0
-        for s in range(1, burn + 1):
-            y = th[s - 1] * y + eps[s]
-            z = th[s - 1] * z + eps[s]
+        y = sequential_path(params_accept, 123, burn, n)[0]
+        z = sequential_path(params_accept, 123, burn, n, start=100.0)[0]
         assert abs(y - z) < 1e-8
         assert simulate(params_accept, n, seed=123).x[0] == pytest.approx(y)
 
@@ -84,6 +102,61 @@ class TestStationaryBehavior:
         params = ModelParams(3.0, 0.0, GAUSS1, None)
         with pytest.raises(HypothesisError):
             simulate(params, 100, seed=1)
+
+
+class TestBurnInDoubling:
+    @pytest.mark.parametrize("burn_in", [5, 6])
+    def test_doubles_until_forgotten(self, burn_in):
+        traj = simulate(SLOW, 300, seed=3, burn_in=burn_in)
+        doublings = int(np.log2(traj.burn_in // burn_in))
+        assert doublings >= 1 and traj.burn_in == burn_in * 2**doublings
+        assert np.array_equal(traj.x, sequential_path(SLOW, 3, traj.burn_in, 300))
+        for burn, forgotten in ((traj.burn_in, True), (traj.burn_in // 2, False)):
+            gap = (sequential_path(SLOW, 3, burn, 300, start=100.0)[0]
+                   - sequential_path(SLOW, 3, burn, 300)[0])
+            assert bool(abs(gap) < FORGET_TOL) is forgotten
+
+    def test_block_rows_match_scalar(self):
+        # at burn-in 6 the rows stop doubling at different burn-ins
+        block = simulate_block(SLOW, 300, master_seed=4, replicates=range(8),
+                               burn_in=6)
+        burns = set()
+        for r in range(8):
+            single = simulate(SLOW, 300, seed=replicate_seed(4, r), burn_in=6)
+            burns.add(single.burn_in)
+            assert np.array_equal(block[r], single.x)
+        assert len(burns) > 1 and min(burns) > 6
+
+    def test_retained_noise_rebuilds_path(self):
+        traj, eta, eps = simulate_with_noise(SLOW, 300, seed=3, burn_in=5)
+        assert traj.burn_in > 5
+        th = SLOW.theta + SLOW.alpha * eta[:-1] + eta[1:]
+        assert np.allclose(th * traj.x[:-1] + eps[1:], traj.x[1:], atol=0)
+
+
+class TestFoldedRecurrence:
+    # a path of burn_in + n > 2**14 steps is folded into segments run side
+    # by side; shorter paths are the plain sequential recurrence
+    @pytest.mark.parametrize("burn_in, n", [(0, 1), (2000, 10), (0, 2**14),
+                                            (2000, 2**14 - 2000)])
+    def test_unfolded_path_is_sequential(self, params_accept, burn_in, n):
+        traj = simulate(params_accept, n, seed=8, burn_in=burn_in)
+        assert np.array_equal(traj.x, sequential_path(params_accept, 8, burn_in, n))
+
+    @pytest.mark.parametrize("burn_in", [0, 2000])
+    def test_folded_path_within_roundoff(self, params_accept, burn_in):
+        n = 50_003  # four segments after a three-step head
+        traj = simulate(params_accept, n, seed=8, burn_in=burn_in)
+        ref = sequential_path(params_accept, 8, burn_in, n)
+        assert np.max(np.abs(traj.x - ref)) <= 1e-13
+
+    def test_folded_block_rows_match_scalar(self, params_accept):
+        n = 31_005  # three segments after a two-step head
+        block = simulate_block(params_accept, n, master_seed=5,
+                               replicates=range(2, 5))
+        for i, r in enumerate(range(2, 5)):
+            single = simulate(params_accept, n, seed=replicate_seed(5, r))
+            assert np.array_equal(block[i], single.x)
 
 
 class TestCoefficients:
@@ -219,6 +292,18 @@ class TestCsvInterchange:
         path = tmp_path / "s.csv"
         path.write_text("t,x\n0,1.0\n2,2.0\n")
         with pytest.raises(DegenerateDataError, match="contiguous"):
+            ingest(path)
+
+    def test_undecodable_byte_names_line(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"t,x\n0,1.0\n1,\xff\n2,3.0\n")
+        with pytest.raises(DegenerateDataError, match=r":3: expected an integer"):
+            ingest(path)
+
+    def test_undecodable_byte_in_header(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"t,\xffx\n0,1.0\n1,2.0\n")
+        with pytest.raises(DegenerateDataError, match="expected header 't,x'"):
             ingest(path)
 
     def test_non_finite_rejected(self, tmp_path):
