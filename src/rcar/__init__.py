@@ -20,7 +20,7 @@ from .harness import MCConfig, MCReport, mixed_moment_oracle, run_experiment
 from .model import (HypothesisReport, ModelParams, MomentSet, NoiseFamily,
                     NoiseSpec, check_hypotheses, noise_moments)
 from .second_order import (Acvf, SecondOrderTables, acvf, autocovariance,
-                           build_second_order, u_sequence, eta_cross_moment)
+                           build_second_order, eta_cross_moment)
 from .simulate import (CoefficientPath, Trajectory, ingest, simulate,
                        simulate_coefficients, write_csv)
 
@@ -32,7 +32,7 @@ __all__ = [
     "NumericError", "PathologicalParamsError", "RcarError",
     "SecondOrderTables", "Trajectory", "acvf", "autocovariance",
     "build_fourth_order", "build_second_order", "check_hypotheses",
-    "correlation_test", "f_map", "ingest", "kappa_squared", "u_sequence",
+    "correlation_test", "f_map", "ingest", "kappa_squared",
     "limits", "mixed_moment", "mixed_moment_oracle", "nicholls_quinn",
     "noise_moments", "omega_squared", "psi0_closed_form", "residual_variance",
     "run_experiment", "sample_mean", "sigma_psi", "simulate",

@@ -27,7 +27,7 @@ from .errors import PathologicalParamsError
 from .estimate import f_jacobian
 from .fourth_order import FourthOrderTables
 from .model import BOUNDARY_TOL, ModelParams
-from .second_order import SecondOrderTables, eta_cross_moment
+from .second_order import SecondOrderTables
 
 OMEGA3 = np.ones(3)
 OMEGA6 = np.ones(6)
@@ -192,7 +192,9 @@ def mixed_moment(key: MixedMomentKey, params: ModelParams,
     and factorizing by independence of (eps_t, eta_t) from the past:
 
        mu = sum_{j<=q} sum_{i<=j} C(q,j) C(j,i) alpha^i sigma_{c+q-j}
-            * E[eta^b (theta+eta)^(j-i)] * E[eta^(a+i) X^(p+j)].
+            * E[eta^b (theta+eta)^(j-i)] * E[eta^(a+i) X^(p+j)],
+
+    with E[eta^b (theta+eta)^(j-i)] read from the moment table so.C.
     """
     a, b, c, p, q = key.as_tuple()
     al = params.alpha
@@ -203,9 +205,9 @@ def mixed_moment(key: MixedMomentKey, params: ModelParams,
             continue
         for i in range(j + 1):
             total += (comb(q, j) * comb(j, i) * al**i * s
-                      * eta_cross_moment(b, j - i, params)
+                      * so.C[b, j - i]
                       * _eta_x_moment(a + i, p + j, params, fo))
-    return total
+    return float(total)
 
 
 #: distinct mixed-moment keys appearing in the Upsilon matrix and the ell

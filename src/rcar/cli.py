@@ -324,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moments", help="second/fourth-order moment tables")
     _add_param_flags(p)
     p.add_argument("--order", type=int, choices=(2, 4), default=2)
-    p.add_argument("--hmax", type=int, default=10)
+    p.add_argument("--hmax", type=int, default=10,
+                   help="largest autocovariance lag, 0..1000 (default 10)")
     _add_out_flag(p)
     p.set_defaults(func=cmd_moments)
 

@@ -1,12 +1,15 @@
 """Fourth-order moment machinery.
 
-Builds the vectors V0..V4, the 5x5 matrices H and G, the source vector
-R = 6 lambda_0 G1 + 6 lambda_1 G2 + 6 lambda_2 G3, and solves
+Reads the moment tables of the second-order solve (see `second_order`):
+H = recursion_matrix(C, alpha, 4, 5) and G = recursion_matrix(C, alpha, 2, 5),
+and V0..V4 are the columns of T. With the source vector
+R = 6 lambda_0 G1 + 6 lambda_1 G2 + 6 lambda_2 G3 it solves
 
     (I5 - H) Delta  = sigma2 R + sigma4 V0     (Delta_a = E[eta_t^a X_t^4])
     (I5 - G) Lambda5 = sigma2 V0               (Lambda5_a = E[eta_t^a X_t^2])
 
-The upper-left 3x3 block of G is M, so the first three entries of Lambda5
+G and M slice the same columns of C with the same weights, so the
+upper-left 3x3 block of G is M and the first three entries of Lambda5
 coincide with Lambda from the second-order solve.
 """
 
@@ -19,60 +22,30 @@ import numpy as np
 from . import numerics
 from .errors import HypothesisError
 from .model import ModelParams
-from .second_order import SecondOrderTables
-
-
-def basis_vectors(params: ModelParams):
-    """The vectors V0..V4 carrying (1, eta, .., eta^4)-moments."""
-    t2, t4, t6, t8 = (params.tau(k) for k in (2, 4, 6, 8))
-    v0 = np.array([1.0, 0.0, t2, 0.0, t4])
-    v1 = np.array([0.0, t2, 0.0, t4, 0.0])
-    v2 = np.array([t2, 0.0, t4, 0.0, t6])
-    v3 = np.array([0.0, t4, 0.0, t6, 0.0])
-    v4 = np.array([t4, 0.0, t6, 0.0, t8])
-    return v0, v1, v2, v3, v4
+from .second_order import SecondOrderTables, moment_tables, recursion_matrix
 
 
 def h_matrix(params: ModelParams) -> np.ndarray:
-    """Columns H1..H5 as binomial combinations of V0..V4."""
-    th, al = params.theta, params.alpha
-    v0, v1, v2, v3, v4 = basis_vectors(params)
-    return np.column_stack([
-        th**4 * v0 + 4 * th**3 * v1 + 6 * th**2 * v2 + 4 * th * v3 + v4,
-        4 * al * (th**3 * v0 + 3 * th**2 * v1 + 3 * th * v2 + v3),
-        6 * al**2 * (th**2 * v0 + 2 * th * v1 + v2),
-        4 * al**3 * (th * v0 + v1),
-        al**4 * v0,
-    ])
-
-
-def g_matrix(params: ModelParams) -> np.ndarray:
-    """Columns: G1 = theta^2 V0 + 2 theta V1 + V2, G2 = 2 alpha (theta V0 + V1),
-    G3 = alpha^2 V0, G4 = G5 = 0."""
-    th, al = params.theta, params.alpha
-    v0, v1, v2, _, _ = basis_vectors(params)
-    return np.column_stack([
-        th**2 * v0 + 2 * th * v1 + v2,
-        2 * al * (th * v0 + v1),
-        al**2 * v0,
-        np.zeros(5),
-        np.zeros(5),
-    ])
+    """H, the fourth-order recursion matrix: (power, rows) = (4, 5)."""
+    return recursion_matrix(moment_tables(params)[1], params.alpha, 4, 5)
 
 
 @dataclass(frozen=True)
 class FourthOrderTables:
-    V0: np.ndarray
-    V1: np.ndarray
-    V2: np.ndarray
-    V3: np.ndarray
-    V4: np.ndarray
+    T: np.ndarray  # tau_{a+k}, 5 x 5, shared with the second-order tables
     H: np.ndarray
     G: np.ndarray
     R: np.ndarray
     Delta: np.ndarray
     Lam5: np.ndarray
     rho_H: float
+
+    # the (1, eta, .., eta^4)-moment vectors are the columns of T
+    V0 = property(lambda self: self.T[:, 0])
+    V1 = property(lambda self: self.T[:, 1])
+    V2 = property(lambda self: self.T[:, 2])
+    V3 = property(lambda self: self.T[:, 3])
+    V4 = property(lambda self: self.T[:, 4])
 
     @property
     def delta0(self) -> float:
@@ -89,37 +62,19 @@ class FourthOrderTables:
 
 
 def build_fourth_order(params: ModelParams, so: SecondOrderTables) -> FourthOrderTables:
-    h = h_matrix(params)
+    h = recursion_matrix(so.C, params.alpha, 4, 5)
     rho = numerics.spectral_radius(h)
     if rho >= 1:
         raise HypothesisError(
             f"fourth moments do not exist (H4 violated): rho(H) = {rho:.6g}"
         )
-    g = g_matrix(params)
+    g = recursion_matrix(so.C, params.alpha, 2, 5)
     l0, l1, l2 = so.Lam
     r = 6 * l0 * g[:, 0] + 6 * l1 * g[:, 1] + 6 * l2 * g[:, 2]
     sigma2, sigma4 = params.sigma(2), params.sigma(4)
-    v = basis_vectors(params)
-    delta = numerics.solve(np.eye(5) - h, sigma2 * r + sigma4 * v[0],
+    v0 = so.T[:, 0]
+    delta = numerics.solve(np.eye(5) - h, sigma2 * r + sigma4 * v0,
                            context="I5 - H")
-    lam5 = numerics.solve(np.eye(5) - g, sigma2 * v[0], context="I5 - G")
-    return FourthOrderTables(V0=v[0], V1=v[1], V2=v[2], V3=v[3], V4=v[4],
-                             H=h, G=g, R=r, Delta=delta, Lam5=lam5, rho_H=rho)
-
-
-def v_sequence(params: ModelParams, k: int) -> np.ndarray:
-    """V_k = H^k V0."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    v0 = basis_vectors(params)[0]
-    return numerics.mat_power(h_matrix(params), k) @ v0
-
-
-def w_sequence(params: ModelParams, l: int, k: int) -> np.ndarray:
-    """W_{l,k} = H^k G^(l-k) V0 for 1 <= k < l."""
-    if not 1 <= k < l:
-        raise ValueError(f"w_sequence requires 1 <= k < l, got k={k}, l={l}")
-    v0 = basis_vectors(params)[0]
-    gl = numerics.mat_power(g_matrix(params), l - k)
-    hk = numerics.mat_power(h_matrix(params), k)
-    return hk @ (gl @ v0)
+    lam5 = numerics.solve(np.eye(5) - g, sigma2 * v0, context="I5 - G")
+    return FourthOrderTables(T=so.T, H=h, G=g, R=r, Delta=delta, Lam5=lam5,
+                             rho_H=rho)

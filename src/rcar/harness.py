@@ -73,6 +73,14 @@ class MCConfig:
             raise ConfigurationError(
                 "distributional experiments need at least 100 replicates"
             )
+        if self.n < 1:
+            raise ConfigurationError(f"n must be >= 1, got {self.n}")
+        if self.burn_in < 0:
+            raise ConfigurationError(f"burn_in must be >= 0, got {self.burn_in}")
+        if self.mu_key is not None and len(self.mu_key) != 5:
+            raise ConfigurationError(
+                f"mu_key needs five entries (a, b, c, p, q), got {len(self.mu_key)}"
+            )
         if self.experiment == "rates" and self.n < 100_000:
             raise ConfigurationError("rates experiment needs a path of n >= 1e5")
         if self.theta_source not in ("tilde", "hat"):

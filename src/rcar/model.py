@@ -30,6 +30,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -169,9 +170,14 @@ class ModelParams:
                 "2*alpha*tau2 = 1: the process would be deterministic"
             )
 
-    @property
+    # each noise's moments are resolved once per parameter set
+    @cached_property
     def eps_moments(self) -> MomentSet:
         return noise_moments(self.eps)
+
+    @cached_property
+    def eta_moments(self) -> MomentSet | None:
+        return None if self.eta is None else noise_moments(self.eta)
 
     def sigma(self, order: int) -> float:
         """Moment E[eps_0^order]."""
@@ -181,7 +187,7 @@ class ModelParams:
         """Moment E[eta_0^order]; all zero when the coefficient is not random."""
         if self.eta is None:
             return 1.0 if order == 0 else 0.0
-        return noise_moments(self.eta).moment(order)
+        return self.eta_moments.moment(order)
 
     @property
     def random_coefficient(self) -> bool:

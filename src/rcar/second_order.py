@@ -1,8 +1,23 @@
-"""Second-order moment machinery.
+"""Second-order moment machinery, and the moment table every recursion
+matrix comes from.
 
-Builds the vectors U0, U1, U2, the 3x3 matrices M and N, the solved moment
-vector Lambda = (lambda_0, lambda_1, lambda_2) with lambda_a = E[eta_t^a X_t^2],
-and evaluates the autocovariance
+With tau_k = E[eta^k], the Hankel matrix T[a, k] = tau_{a+k} (0 <= a, k <= 4)
+carries the eta moments, and C = T B with B[k, b] = C(b, k) theta^(b-k)
+holds C[a, b] = E[eta^a (theta + eta)^b]; `moment_tables` builds both once
+per parameter set. Expanding the coefficient
+theta_t = theta + eta_t + alpha eta_{t-1} as
+
+    theta_t^p = sum_j C(p, j) (alpha eta_{t-1})^j (theta + eta_t)^(p-j)
+
+gives the recursion matrix of power p over the first r moments: column j
+is C(p, j) alpha^j C[:r, p - j] for j <= p and zero beyond
+(`recursion_matrix`). The second-order matrices are M = (p, r) = (2, 3)
+and N = (1, 3); the fourth-order module takes G = (2, 5) and H = (4, 5).
+The vectors U0, U1, U2 are the first three columns of T, cut to three rows.
+
+This module solves Lambda = (lambda_0, lambda_1, lambda_2) with
+lambda_a = E[eta_t^a X_t^2] from (I3 - M) Lambda = sigma2 U0 and evaluates
+the autocovariance
 
     gamma_X(h) = sigma2 [ N^|h| (I3 - M)^(-1) U0 ]_1 = [ N^|h| Lambda ]_1.
 """
@@ -15,52 +30,65 @@ from math import comb
 import numpy as np
 
 from . import numerics
-from .errors import HypothesisError
+from .errors import ConfigurationError, HypothesisError
 from .model import ModelParams
 
 #: largest |h| served by autocovariance(); beyond this the value is
 #: numerically zero for any admissible parameter set
 MAX_LAG = 1000
 
+#: side of the moment tables: eta powers 0..4 (moments tau_0..tau_8)
+TABLE_SIZE = 5
 
-def basis_vectors(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The vectors U0, U1, U2 carrying (1, eta, eta^2)-moments."""
-    t2, t4 = params.tau(2), params.tau(4)
-    u0 = np.array([1.0, 0.0, t2])
-    u1 = np.array([0.0, t2, 0.0])
-    u2 = np.array([t2, 0.0, t4])
-    return u0, u1, u2
+_K = np.arange(TABLE_SIZE)
+#: C(b, k) at [k, b] (zero for k > b) and the matching power b - k of theta
+_BINOM = np.array([[comb(b, k) for b in _K] for k in _K], dtype=float)
+_THETA_POWER = np.maximum(_K - _K[:, None], 0)
+
+
+def moment_tables(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """T[a, k] = tau_{a+k} and C = T B, C[a, b] = E[eta^a (theta + eta)^b]."""
+    tau = np.array([params.tau(k) for k in range(2 * TABLE_SIZE - 1)])
+    t = tau[_K[:, None] + _K]
+    powers = np.array([params.theta ** e for e in range(TABLE_SIZE)])
+    binom = _BINOM * powers[_THETA_POWER]
+    # T B summed term by term in k order (add.accumulate is sequential), as
+    # the binomial expansion reads: a BLAS product may reorder or fuse the
+    # sums, which moves H by an ulp and Delta, through the solve near
+    # rho(H) = 1, by ~1e-14
+    c = np.add.accumulate(t[:, :, None] * binom, axis=1)[:, -1]
+    return t, c
+
+
+def recursion_matrix(c: np.ndarray, alpha: float, power: int,
+                     rows: int) -> np.ndarray:
+    """The rows x rows matrix with column j = C(power, j) alpha^j
+    c[:rows, power - j] for j <= power and zero columns beyond."""
+    out = np.zeros((rows, rows))
+    out[:, :power + 1] = c[:rows, power::-1] * [
+        comb(power, j) * alpha**j for j in range(power + 1)]
+    return out
 
 
 def m_matrix(params: ModelParams) -> np.ndarray:
-    """Columns: M1 = theta^2 U0 + 2 theta U1 + U2, M2 = 2 alpha (theta U0 + U1),
-    M3 = alpha^2 U0."""
-    th, al = params.theta, params.alpha
-    u0, u1, u2 = basis_vectors(params)
-    return np.column_stack([
-        th**2 * u0 + 2 * th * u1 + u2,
-        2 * al * (th * u0 + u1),
-        al**2 * u0,
-    ])
-
-
-def n_matrix(params: ModelParams) -> np.ndarray:
-    """Columns: N1 = theta U0 + U1, N2 = alpha U0, N3 = 0."""
-    th, al = params.theta, params.alpha
-    u0, u1, _ = basis_vectors(params)
-    return np.column_stack([th * u0 + u1, al * u0, np.zeros(3)])
+    """M, the second-order recursion matrix: (power, rows) = (2, 3)."""
+    return recursion_matrix(moment_tables(params)[1], params.alpha, 2, 3)
 
 
 @dataclass(frozen=True)
 class SecondOrderTables:
-    U0: np.ndarray
-    U1: np.ndarray
-    U2: np.ndarray
+    T: np.ndarray  # tau_{a+k}, 5 x 5
+    C: np.ndarray  # E[eta^a (theta + eta)^b], 5 x 5
     M: np.ndarray
     N: np.ndarray
     Lam: np.ndarray
     rho_M: float
     sigma2: float
+
+    # the (1, eta, eta^2)-moment vectors are columns of T
+    U0 = property(lambda self: self.T[:3, 0])
+    U1 = property(lambda self: self.T[:3, 1])
+    U2 = property(lambda self: self.T[:3, 2])
 
     @property
     def lambda0(self) -> float:
@@ -77,21 +105,22 @@ class SecondOrderTables:
 
 def build_second_order(params: ModelParams) -> SecondOrderTables:
     """Solve (I3 - M) Lambda = sigma2 U0 after checking rho(M) < 1."""
-    m = m_matrix(params)
+    t, c = moment_tables(params)
+    m = recursion_matrix(c, params.alpha, 2, 3)
     rho = numerics.spectral_radius(m)
     if rho >= 1:
         raise HypothesisError(
             f"no second-order stationary solution (H3 violated): rho(M) = {rho:.6g}"
         )
     sigma2 = params.sigma(2)
-    u0, u1, u2 = basis_vectors(params)
-    lam = numerics.solve(np.eye(3) - m, sigma2 * u0, context="I3 - M")
+    lam = numerics.solve(np.eye(3) - m, sigma2 * t[:3, 0], context="I3 - M")
     if lam[0] <= 1e-12:
         # 2 alpha tau2 = 1 slipped past validation: a deterministic process
         raise HypothesisError(
             f"degenerate second-order solution: gamma_X(0) = {lam[0]:.3e}"
         )
-    return SecondOrderTables(U0=u0, U1=u1, U2=u2, M=m, N=n_matrix(params),
+    return SecondOrderTables(T=t, C=c, M=m,
+                             N=recursion_matrix(c, params.alpha, 1, 3),
                              Lam=lam, rho_M=rho, sigma2=sigma2)
 
 
@@ -120,27 +149,18 @@ class Acvf:
 
 
 def acvf(tables: SecondOrderTables, hmax: int = 10) -> Acvf:
-    values = np.array([autocovariance(tables, h) for h in range(hmax + 1)])
-    return Acvf(values=values,
+    """gamma_X(0..hmax) for 0 <= hmax <= MAX_LAG; the two correlations come
+    from lags 1 and 2 whatever hmax is."""
+    if not 0 <= hmax <= MAX_LAG:
+        raise ConfigurationError(f"hmax must be in [0, {MAX_LAG}], got {hmax}")
+    values = np.array([autocovariance(tables, h) for h in range(max(hmax, 2) + 1)])
+    return Acvf(values=values[:hmax + 1],
                 theta_star=values[1] / values[0],
                 vartheta_star=values[2] / values[0])
 
 
-def u_sequence(params: ModelParams, k: int, h: int) -> np.ndarray:
-    """U_{k,h} = N^h M^k U0 (convention U_{0,0} = U0)."""
-    if k < 0 or h < 0:
-        raise ValueError("k and h must be >= 0")
-    u0, _, _ = basis_vectors(params)
-    mk = numerics.mat_power(m_matrix(params), k)
-    nh = numerics.mat_power(n_matrix(params), h)
-    return nh @ (mk @ u0)
-
-
 def eta_cross_moment(a: int, b: int, params: ModelParams) -> float:
-    """E[eta^a (theta + eta)^b] = sum_j C(b,j) theta^(b-j) tau_{a+j}."""
-    if not (0 <= a <= 4 and 0 <= b <= 4):
+    """E[eta^a (theta + eta)^b], the entry C[a, b] of the moment table."""
+    if not (0 <= a < TABLE_SIZE and 0 <= b < TABLE_SIZE):
         raise ValueError(f"eta_cross_moment indices out of range: a={a}, b={b}")
-    return sum(
-        comb(b, j) * params.theta ** (b - j) * params.tau(a + j)
-        for j in range(b + 1)
-    )
+    return float(moment_tables(params)[1][a, b])

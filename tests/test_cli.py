@@ -274,6 +274,36 @@ class TestUsageErrors:
         assert main(args + ["--out", str(out_b)]) == 0
         assert not np.array_equal(ingest(out_a).x, ingest(out_b).x)
 
+    MOMENTS = ["moments", "--theta", "0.3", "--alpha", "0.5",
+               "--eps", "gaussian:1", "--eta", "gaussian:0.1"]
+    MC_PARAMS = "theta=0.3\nalpha=0\neps.family=gaussian\neps.scale=1\n"
+
+    @pytest.mark.parametrize("argv,config,code,key", [
+        (MOMENTS + ["--hmax", "-1"], None, 2, "hmax"),
+        (MOMENTS + ["--hmax", "0"], None, 0, None),
+        (MOMENTS + ["--hmax", "1"], None, 0, None),
+        (["mc", "--experiment", "mixed_moment_oracle"],
+         "n=1000000\nreplicates=1\nmu_key=1,2\n", 2, "mu_key"),
+        (["mc", "--experiment", "clt_couple"],
+         "n=50\nreplicates=100\nburn_in=-3\n", 2, "burn_in"),
+        (["mc", "--experiment", "clt_couple"], "n=0\nreplicates=100\n", 2, "n"),
+    ], ids=["hmax-1", "hmax0", "hmax1", "mu_key2", "burn_in-3", "n0"])
+    def test_no_traceback(self, tmp_path, capsys, argv, config, code, key):
+        if config is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(self.MC_PARAMS + config)
+            argv = argv + ["--config", str(cfg)]
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert err.startswith(f"rcar: configuration error: {key} "), err
+        else:
+            assert err == ""
+            hmax = int(argv[-1])
+            acvf = json.loads(out)["acvf"]
+            assert len(acvf["gamma"]) == hmax + 1
+            assert acvf["theta_star"] == pytest.approx(1 / 3, rel=1e-12)
+
     @pytest.mark.parametrize("command", [
         ["check", "--theta", "0.3", "--alpha", "0", "--eps", "gaussian:1",
          "--eta", "gaussian:0.2", "--mc-draws", "1000"],

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from rcar.errors import HypothesisError
-from rcar.fourth_order import (build_fourth_order, g_matrix, h_matrix,
-                               v_sequence, w_sequence)
+from rcar.fourth_order import build_fourth_order, h_matrix
 from rcar.model import ModelParams, NoiseFamily, NoiseSpec
 from rcar.numerics import spectral_radius
 from rcar.second_order import build_second_order, m_matrix
@@ -51,14 +50,14 @@ class TestTables:
     def test_g_upper_left_block_is_m(self, rng):
         for _ in range(20):
             p = random_admissible(rng)
-            g = g_matrix(p)
+            g = build_both(p)[1].G
             assert np.array_equal(g[:3, :3], m_matrix(p))
             assert np.array_equal(g[:, 3:], np.zeros((5, 2)))
 
     def test_rho_g_equals_rho_m(self, rng):
         for _ in range(20):
             p = random_admissible(rng)
-            assert spectral_radius(g_matrix(p)) == pytest.approx(
+            assert spectral_radius(build_both(p)[1].G) == pytest.approx(
                 spectral_radius(m_matrix(p)), abs=1e-8)
 
     def test_solve_identities_on_random_draws(self, rng):
@@ -104,42 +103,28 @@ class TestTables:
 
 
 class TestLemmas:
-    def test_v_sequence_k0(self, params_accept):
-        t2, t4 = params_accept.tau(2), params_accept.tau(4)
-        assert np.array_equal(v_sequence(params_accept, 0),
-                              [1.0, 0.0, t2, 0.0, t4])
-
     def test_v_sequence_k1_entries(self, params_accept):
+        # V_1 = H V0
         th, al = params_accept.theta, params_accept.alpha
         t2, t4, t6 = (params_accept.tau(k) for k in (2, 4, 6))
-        v = v_sequence(params_accept, 1)
+        _, fo = build_both(params_accept)
+        v = fo.H @ fo.V0
         assert v[0] == pytest.approx(
             (th**4 + 6 * th**2 * t2 + t4) + 6 * al**2 * t2 * (th**2 + t2)
             + al**4 * t4, rel=1e-12)
         assert v[1] == pytest.approx(
             (4 * th**3 * t2 + 4 * th * t4) + 12 * al**2 * th * t2**2, rel=1e-12)
 
-    def test_w_sequence_composition(self, params_accept):
-        ref = h_matrix(params_accept) @ (g_matrix(params_accept)
-                                         @ v_sequence(params_accept, 0))
-        assert np.allclose(w_sequence(params_accept, 2, 1), ref, atol=1e-15)
-
-    def test_w_sequence_domain(self, params_accept):
-        with pytest.raises(ValueError):
-            w_sequence(params_accept, 2, 2)
-        with pytest.raises(ValueError):
-            w_sequence(params_accept, 1, 0)
-
     def test_g_powers_project_to_m_powers(self, rng):
-        # columns 4 and 5 of G vanish, so the upper block iterates like M
-        from rcar.second_order import u_sequence
+        # columns 4 and 5 of G vanish, so the upper block iterates like M:
+        # (G^m V0)[:3] = M^m U0
         for _ in range(10):
             p = random_admissible(rng)
-            v = v_sequence(p, 0)
-            g = g_matrix(p)
+            so, fo = build_both(p)
             for m in range(1, 4):
-                v = g @ v
-                assert np.allclose(v[:3], u_sequence(p, m, 0), atol=1e-12)
+                v = np.linalg.matrix_power(fo.G, m) @ fo.V0
+                u = np.linalg.matrix_power(so.M, m) @ so.U0
+                assert np.allclose(v[:3], u, atol=1e-12)
 
     def test_w_sequence_first_entry_against_coefficient_simulation(self, rng):
         # E[theta_l^4 ... theta_{l-k+1}^4 theta_{l-k}^2 ... theta_1^2]
@@ -154,7 +139,10 @@ class TestLemmas:
         for i in range(l - k, 0, -1):
             prod = prod * th[:, i - 1] ** 2
         se = prod.std(ddof=1) / np.sqrt(draws)
-        ref = w_sequence(p, l, k)[0]
+        # W_{l,k} = H^k G^(l-k) V0
+        _, fo = build_both(p)
+        ref = (np.linalg.matrix_power(fo.H, k)
+               @ np.linalg.matrix_power(fo.G, l - k) @ fo.V0)[0]
         assert abs(prod.mean() - ref) <= 3 * se
 
 

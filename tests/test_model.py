@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -86,6 +87,23 @@ class TestModelParams:
         params = ModelParams(0.5, 0.1, GAUSS1, NoiseSpec(NoiseFamily.UNIFORM, 0.4))
         assert params.random_coefficient
         assert params.tau(2) > 0
+
+    def test_noise_moments_resolved_once_per_noise(self, monkeypatch):
+        from rcar import asymptotics, model
+        from rcar.fourth_order import build_fourth_order
+        from rcar.second_order import build_second_order
+
+        calls = []
+        real = model.noise_moments
+        monkeypatch.setattr(model, "noise_moments",
+                            lambda spec: calls.append(spec) or real(spec))
+        eta = NoiseSpec(NoiseFamily.UNIFORM, 0.4)
+        params = ModelParams(0.3, 0.5, GAUSS1, eta)
+        check_hypotheses(params, mc_draws=10_000)
+        so = build_second_order(params)
+        fo = build_fourth_order(params, so)
+        asymptotics.sigma_psi(params, so, fo)
+        assert Counter(calls) == {GAUSS1: 1, eta: 1}
 
 
 class TestCheckHypotheses:

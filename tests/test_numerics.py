@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from rcar.errors import NumericError
 from rcar.model import ModelParams, NoiseFamily, NoiseSpec
 from rcar.numerics import chisq1_tail, mat_power, solve, spectral_radius
-from rcar.second_order import m_matrix, n_matrix
+from rcar.second_order import build_second_order, m_matrix
 
 
 def faddeev_leverrier(a: np.ndarray) -> np.ndarray:
@@ -144,6 +144,6 @@ class TestHadamardAndPower:
     def test_power_against_direct_multiply(self):
         params = ModelParams(0.4, 0.0, NoiseSpec(NoiseFamily.GAUSSIAN, 1.0),
                              NoiseSpec(NoiseFamily.GAUSSIAN, 0.15))
-        n = n_matrix(params)
+        n = build_second_order(params).N
         assert np.allclose(mat_power(n, 2), n @ n, atol=1e-14)
         assert np.allclose(mat_power(n, 5), n @ n @ n @ n @ n, atol=1e-14)

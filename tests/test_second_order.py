@@ -6,8 +6,7 @@ import pytest
 from rcar.errors import HypothesisError
 from rcar.model import ModelParams, NoiseFamily, NoiseSpec
 from rcar.second_order import (Acvf, acvf, autocovariance, build_second_order,
-                               u_sequence, m_matrix, n_matrix,
-                               eta_cross_moment)
+                               m_matrix, eta_cross_moment)
 from rcar.simulate import simulate_with_noise
 
 from conftest import batch_se, random_admissible
@@ -49,8 +48,8 @@ class TestTables:
     def test_n_matches_explicit_display(self, rng):
         for _ in range(20):
             p = random_admissible(rng)
-            assert np.allclose(
-                n_matrix(p), explicit_n(p.theta, p.alpha, p.tau(2)), atol=0)
+            assert np.allclose(build_second_order(p).N,
+                               explicit_n(p.theta, p.alpha, p.tau(2)), atol=0)
 
     def test_theta_zero_alpha_zero_m(self):
         p = ModelParams(0.0, 0.0, GAUSS1, NoiseSpec(NoiseFamily.GAUSSIAN, 0.25))
@@ -133,21 +132,14 @@ class TestAutocovariance:
 
 
 class TestLemma1:
-    def test_k0_h0_is_u0(self, params_accept):
-        t2 = params_accept.tau(2)
-        assert np.array_equal(u_sequence(params_accept, 0, 0),
-                              [1.0, 0.0, t2])
-
     def test_k1_h0_entries(self, params_accept):
+        # U_{1,0} = M U0
         th, al = params_accept.theta, params_accept.alpha
         t2 = params_accept.tau(2)
-        u = u_sequence(params_accept, 1, 0)
+        so = build_second_order(params_accept)
+        u = so.M @ so.U0
         assert u[0] == pytest.approx((th**2 + t2) + al**2 * t2, rel=1e-12)
         assert u[1] == pytest.approx(2 * th * t2, rel=1e-12)
-
-    def test_negative_indices_rejected(self, params_accept):
-        with pytest.raises(ValueError):
-            u_sequence(params_accept, -1, 0)
 
 
 class TestEtaCrossMoment:
@@ -172,6 +164,17 @@ class TestEtaCrossMoment:
                 quad = np.trapezoid(x**a * (0.4 + x) ** b * pdf, x)
                 assert eta_cross_moment(a, b, p) == pytest.approx(
                     quad, rel=1e-6, abs=1e-9), f"cell ({a},{b})"
+
+    def test_table_cells_equal_the_term_by_term_sum(self, rng):
+        # the table sums in k order, so each cell is bitwise the written-out
+        # binomial expansion, the reference the moment matrices were built on
+        for _ in range(20):
+            p = random_admissible(rng)
+            for a in range(5):
+                for b in range(5):
+                    ref = sum(math.comb(b, j) * p.theta ** (b - j) * p.tau(a + j)
+                              for j in range(b + 1))
+                    assert eta_cross_moment(a, b, p) == ref, (a, b, p)
 
     def test_range_check(self, params_accept):
         with pytest.raises(ValueError):
