@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import ClassVar
 
 import numpy as np
 
@@ -160,10 +161,11 @@ class MixedMomentKey:
     p: int
     q: int
 
+    #: largest supported exponent of each of (a, b, c, p, q); the least is 0
+    BOUNDS: ClassVar[tuple[int, ...]] = (2, 3, 1, 2, 2)
+
     def __post_init__(self):
-        ok = (0 <= self.a <= 2 and 0 <= self.b <= 3 and 0 <= self.c <= 1
-              and 0 <= self.p <= 2 and 0 <= self.q <= 2)
-        if not ok:
+        if not all(0 <= e <= top for e, top in zip(self.as_tuple(), self.BOUNDS)):
             raise ValueError(f"mixed-moment key out of range: {self}")
 
     def as_tuple(self) -> tuple[int, int, int, int, int]:

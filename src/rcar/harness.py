@@ -1,19 +1,24 @@
 """Monte Carlo experiment runner.
 
-Experiments: CLT/variance verification for the sample mean, the lag-1 ratio
-estimator and the corrected couple; test size/power curves over a grid of
-coefficient-correlation weights; rate-of-convergence checks on a single long
-path; and the brute-force mixed-moment oracle.
+`run_experiment` is the one runner. Each experiment is a function from an
+MCConfig to its report fields: targets, empirical values, tolerances,
+passes, the reason codes of its replicates and, where kept, per-replicate
+values. The runner adds the config echo, the provenance and the replicate
+counts. The experiments: CLT/variance verification for the sample mean, the
+lag-1 ratio estimator and the corrected couple; test size/power curves over
+a grid of coefficient-correlation weights; rate-of-convergence checks on a
+single long path; and the brute-force mixed-moment oracle.
 
 Determinism: replicate r is seeded by mix64(master_seed, r) and computed
 independently, so an MCReport depends only on its MCConfig, never on worker
 count or chunk layout. Theoretical targets are recomputed from the moment
-pipeline at report time.
+pipeline at report time, building only the tables an experiment needs.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -27,9 +32,6 @@ from .model import ModelParams, NoiseFamily
 from .second_order import build_second_order
 from .simulate import (DEFAULT_BURN_IN, GENERATOR_ID, replicate_seed,
                        simulate_block, simulate_with_noise)
-
-EXPERIMENTS = ("clt_mean", "clt_theta", "clt_couple", "size_power", "rates",
-               "mixed_moment_oracle")
 
 #: replicates per work unit; results are invariant to this choice
 CHUNK = 512
@@ -67,20 +69,21 @@ class MCConfig:
             raise ConfigurationError(
                 f"unknown experiment {self.experiment!r}; pick one of {EXPERIMENTS}"
             )
-        distributional = self.experiment in ("clt_mean", "clt_theta",
-                                             "clt_couple", "size_power")
-        if distributional and self.replicates < 100:
+        if (self.experiment not in ("rates", "mixed_moment_oracle")
+                and self.replicates < 100):
             raise ConfigurationError(
-                "distributional experiments need at least 100 replicates"
-            )
+                "distributional experiments need at least 100 replicates")
         if self.n < 1:
             raise ConfigurationError(f"n must be >= 1, got {self.n}")
         if self.burn_in < 0:
             raise ConfigurationError(f"burn_in must be >= 0, got {self.burn_in}")
-        if self.mu_key is not None and len(self.mu_key) != 5:
-            raise ConfigurationError(
-                f"mu_key needs five entries (a, b, c, p, q), got {len(self.mu_key)}"
-            )
+        if self.mu_key is not None:
+            try:
+                asymptotics.MixedMomentKey(*self.mu_key)
+            except (TypeError, ValueError):
+                raise ConfigurationError(
+                    f"mu_key {self.mu_key} is not five exponents (a, b, c, p, q) "
+                    f"in 0..{asymptotics.MixedMomentKey.BOUNDS}") from None
         if self.experiment == "rates" and self.n < 100_000:
             raise ConfigurationError("rates experiment needs a path of n >= 1e5")
         if self.theta_source not in ("tilde", "hat"):
@@ -89,6 +92,13 @@ class MCConfig:
             )
         if not 0.0 < self.level <= 1.0:
             raise ConfigurationError(f"level must be in (0, 1], got {self.level}")
+        if self.experiment == "size_power" and 0.0 not in self.alpha_grid:
+            raise ConfigurationError("alpha_grid must contain the null point 0")
+        if self.experiment == "size_power" and self.n < estimate.MIN_TEST_LENGTH:
+            raise ConfigurationError(
+                f"size_power needs n >= {estimate.MIN_TEST_LENGTH}")
+        if self.experiment == "mixed_moment_oracle" and self.mu_key is None:
+            raise ConfigurationError("mixed_moment_oracle experiment needs mu_key")
 
 
 @dataclass
@@ -128,22 +138,6 @@ class MCReport:
         return out
 
 
-def _provenance(cfg: MCConfig) -> dict:
-    from . import __version__
-    return {
-        "params": cfg.params.to_dict(),
-        "master_seed": cfg.master_seed,
-        "generator": GENERATOR_ID,
-        "version": __version__,
-    }
-
-
-def _config_echo(cfg: MCConfig) -> dict:
-    out = dataclasses.asdict(cfg)
-    out["params"] = cfg.params.to_dict()
-    return out
-
-
 def _status(failed: int, total: int) -> str:
     return "ok" if failed <= MAX_FAILED_FRACTION * total else "inconclusive"
 
@@ -157,191 +151,158 @@ def _outcome(reason: np.ndarray) -> dict:
             "status": _status(len(reason) - counts[0], len(reason))}
 
 
+def _tables(params: ModelParams):
+    """The second- and fourth-order moment tables of params."""
+    so = build_second_order(params)
+    return so, build_fourth_order(params, so)
+
+
+def _theta_targets(params: ModelParams) -> tuple[float, float]:
+    """theta_star, the limit of theta_hat, and omega2, its CLT variance."""
+    so, fo = _tables(params)
+    return (asymptotics.limits(params, so).theta_star,
+            asymptotics.omega_squared(params, so, fo))
+
+
 # ---------------------------------------------------------------------------
-# per-replicate statistics of one chunk: simulation plus one estimator stage
+# per-replicate statistics: simulation plus one estimator stage, by chunk
 
 
-def _chunk_estimates(params: ModelParams, n: int, master_seed: int,
-                     burn_in: int, start: int, stop: int) -> dict:
-    x = simulate_block(params, n, master_seed, range(start, stop), burn_in)
-    return estimate.ratio_statistics(x)
+def _chunk(stage, params: ModelParams, n: int, master_seed: int, burn_in: int,
+           start: int, stop: int) -> dict:
+    return stage(simulate_block(params, n, master_seed, range(start, stop), burn_in))
 
 
-def _chunk_tests(params: ModelParams, n: int, master_seed: int, burn_in: int,
-                 level: float, source: str, eps_family: NoiseFamily,
-                 eta_family: NoiseFamily, start: int, stop: int) -> dict:
-    x = simulate_block(params, n, master_seed, range(start, stop), burn_in)
-    return estimate.correlation_statistics(x, level, source, eps_family,
-                                           eta_family)
-
-
-def _gather(cfg: MCConfig, worker, params: ModelParams, *extra) -> dict:
-    """Run `worker` over fixed chunks of cfg's replicates and merge results
-    in index order."""
-    args_common = (params, cfg.n, cfg.master_seed, cfg.burn_in, *extra)
-    replicates = cfg.replicates
-    spans = [(s, min(s + CHUNK, replicates)) for s in range(0, replicates, CHUNK)]
-    if cfg.workers > 1 and len(spans) > 1:
+def _gather(cfg: MCConfig, params: ModelParams, stage) -> dict:
+    """Run `stage` over fixed chunks of cfg's replicates, merged in index order."""
+    work = functools.partial(_chunk, stage, params, cfg.n, cfg.master_seed,
+                             cfg.burn_in)
+    starts = range(0, cfg.replicates, CHUNK)
+    stops = [min(s + CHUNK, cfg.replicates) for s in starts]
+    if cfg.workers > 1 and len(starts) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(worker, *args_common, s, e) for s, e in spans]
-            parts = [f.result() for f in futures]
+            parts = list(pool.map(work, starts, stops))
     else:
-        parts = [worker(*args_common, s, e) for s, e in spans]
+        parts = list(map(work, starts, stops))
     return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
 
 
-# ---------------------------------------------------------------------------
-# experiments
-
-
-def run_clt_mean(cfg: MCConfig) -> MCReport:
-    """Empirical mean/variance of sqrt(n) Xbar_n against (0, kappa2)."""
-    so = build_second_order(cfg.params)
-    kappa2 = asymptotics.kappa_squared(cfg.params, so)
-    res = _gather(cfg, _chunk_estimates, cfg.params)
+def _estimates(cfg: MCConfig, *keys: str):
+    """Reason codes, then the valid values of each ratio statistic in keys."""
+    res = _gather(cfg, cfg.params, estimate.ratio_statistics)
     ok = res["reason"] == estimate.OK
-    values = math.sqrt(cfg.n) * res["xbar"][ok]
+    return (res["reason"], *(res[k][ok] for k in keys))
+
+
+# ---------------------------------------------------------------------------
+# experiments: each returns the fields of its MCReport that the runner does
+# not fill in, plus the replicates' reason codes
+
+
+def _clt(values: np.ndarray, variance: float, reason: np.ndarray,
+         **per_replicate: np.ndarray) -> dict:
+    """Fields of a CLT check of `values` against N(0, variance), with the
+    reason codes and the named per-replicate arrays."""
     emp_var = float(values.var(ddof=1))
     emp_mean = float(values.mean())
     se_mean = float(values.std(ddof=1)) / math.sqrt(len(values))
-    return MCReport(
-        experiment=cfg.experiment,
-        config=_config_echo(cfg),
-        targets={"mean": 0.0, "variance": kappa2},
-        empirical={"mean": emp_mean, "mean_se": se_mean, "variance": emp_var},
-        tolerances={"variance_rtol": VARIANCE_RTOL, "mean_band": "3 se"},
-        passes={
-            "variance": abs(emp_var - kappa2) <= VARIANCE_RTOL * kappa2,
-            "mean": abs(emp_mean) <= 3 * se_mean,
-        },
-        **_outcome(res["reason"]),
-        provenance=_provenance(cfg),
-        per_replicate={"sqrt_n_xbar": values.tolist()},
-    )
+    return {
+        "targets": {"mean": 0.0, "variance": variance},
+        "empirical": {"mean": emp_mean, "mean_se": se_mean, "variance": emp_var},
+        "tolerances": {"variance_rtol": VARIANCE_RTOL, "mean_band": "3 se"},
+        "passes": {"variance": abs(emp_var - variance) <= VARIANCE_RTOL * variance,
+                   "mean": abs(emp_mean) <= 3 * se_mean},
+        "reason": reason,
+        "per_replicate": {k: v.tolist() for k, v in per_replicate.items()},
+    }
 
 
-def run_clt_theta(cfg: MCConfig) -> MCReport:
+def _clt_mean(cfg: MCConfig) -> dict:
+    """Empirical mean/variance of sqrt(n) Xbar_n against (0, kappa2)."""
+    kappa2 = asymptotics.kappa_squared(cfg.params, build_second_order(cfg.params))
+    reason, xbar = _estimates(cfg, "xbar")
+    values = math.sqrt(cfg.n) * xbar
+    return _clt(values, kappa2, reason, sqrt_n_xbar=values)
+
+
+def _clt_theta(cfg: MCConfig) -> dict:
     """sqrt(n)(theta_hat - theta_star) against N(0, omega2), plus the
     inconsistency exhibit (distance of mean theta_hat from theta vs theta_star)."""
-    so = build_second_order(cfg.params)
-    fo = build_fourth_order(cfg.params, so)
-    lim = asymptotics.limits(cfg.params, so)
-    omega2 = asymptotics.omega_squared(cfg.params, so, fo)
-    res = _gather(cfg, _chunk_estimates, cfg.params)
-    ok = res["reason"] == estimate.OK
-    th = res["theta_hat"][ok]
-    values = math.sqrt(cfg.n) * (th - lim.theta_star)
-    emp_var = float(values.var(ddof=1))
-    emp_mean = float(values.mean())
-    se_mean = float(values.std(ddof=1)) / math.sqrt(len(values))
+    theta_star, omega2 = _theta_targets(cfg.params)
+    reason, th = _estimates(cfg, "theta_hat")
+    out = _clt(math.sqrt(cfg.n) * (th - theta_star), omega2, reason, theta_hat=th)
     mean_th = float(th.mean())
     se_th = float(th.std(ddof=1)) / math.sqrt(len(th))
-    return MCReport(
-        experiment=cfg.experiment,
-        config=_config_echo(cfg),
-        targets={"mean": 0.0, "variance": omega2, "theta_star": lim.theta_star,
-                 "theta": cfg.params.theta},
-        empirical={
-            "mean": emp_mean, "mean_se": se_mean, "variance": emp_var,
-            "mean_theta_hat": mean_th, "mean_theta_hat_se": se_th,
-            "dist_to_theta_star_in_se": abs(mean_th - lim.theta_star) / se_th,
-            "dist_to_theta_in_se": abs(mean_th - cfg.params.theta) / se_th,
-        },
-        tolerances={"variance_rtol": VARIANCE_RTOL, "mean_band": "3 se"},
-        passes={
-            "variance": abs(emp_var - omega2) <= VARIANCE_RTOL * omega2,
-            "mean": abs(emp_mean) <= 3 * se_mean,
-        },
-        **_outcome(res["reason"]),
-        provenance=_provenance(cfg),
-        per_replicate={"theta_hat": th.tolist()},
-    )
+    out["targets"].update(theta_star=theta_star, theta=cfg.params.theta)
+    out["empirical"].update(
+        mean_theta_hat=mean_th, mean_theta_hat_se=se_th,
+        dist_to_theta_star_in_se=abs(mean_th - theta_star) / se_th,
+        dist_to_theta_in_se=abs(mean_th - cfg.params.theta) / se_th)
+    return out
 
 
-def run_clt_couple(cfg: MCConfig) -> MCReport:
+def _clt_couple(cfg: MCConfig) -> dict:
     """Covariance of sqrt(n)(theta_tilde - theta, gamma_tilde - gamma) vs Psi."""
-    so = build_second_order(cfg.params)
-    fo = build_fourth_order(cfg.params, so)
-    stack = asymptotics.sigma_psi(cfg.params, so, fo)
+    psi = asymptotics.sigma_psi(cfg.params, *_tables(cfg.params)).Psi
     gamma = cfg.params.alpha * cfg.params.tau(2)
-    res = _gather(cfg, _chunk_estimates, cfg.params)
-    ok = res["reason"] == estimate.OK
-    dev = np.vstack([res["theta_tilde"][ok] - cfg.params.theta,
-                     res["gamma_tilde"][ok] - gamma]) * math.sqrt(cfg.n)
+    reason, tt, gg = _estimates(cfg, "theta_tilde", "gamma_tilde")
+    dev = np.vstack([tt - cfg.params.theta, gg - gamma]) * math.sqrt(cfg.n)
     emp_cov = np.cov(dev, ddof=1)
-    rel = np.abs(emp_cov - stack.Psi) / np.abs(stack.Psi)
-    return MCReport(
-        experiment=cfg.experiment,
-        config=_config_echo(cfg),
-        targets={"Psi": stack.Psi.tolist(), "theta": cfg.params.theta,
-                 "gamma": gamma},
-        empirical={"covariance": emp_cov.tolist(),
-                   "max_rel_err": float(rel.max())},
-        tolerances={"entrywise_rtol": COUPLE_RTOL},
-        passes={"covariance": bool((rel <= COUPLE_RTOL).all())},
-        **_outcome(res["reason"]),
-        provenance=_provenance(cfg),
-        per_replicate={"theta_tilde": res["theta_tilde"][ok].tolist(),
-                       "gamma_tilde": res["gamma_tilde"][ok].tolist()},
-    )
+    rel = np.abs(emp_cov - psi) / np.abs(psi)
+    return {
+        "targets": {"Psi": psi.tolist(), "theta": cfg.params.theta, "gamma": gamma},
+        "empirical": {"covariance": emp_cov.tolist(), "max_rel_err": float(rel.max())},
+        "tolerances": {"entrywise_rtol": COUPLE_RTOL},
+        "passes": {"covariance": bool((rel <= COUPLE_RTOL).all())},
+        "reason": reason,
+        "per_replicate": {"theta_tilde": tt.tolist(), "gamma_tilde": gg.tolist()},
+    }
 
 
-def run_size_power(cfg: MCConfig, alpha_grid=None) -> MCReport:
+def _size_power(cfg: MCConfig) -> dict:
     """Rejection rate of the correlation test at each grid point."""
-    grid = tuple(alpha_grid if alpha_grid is not None else cfg.alpha_grid)
-    if not grid or not any(a == 0.0 for a in grid):
-        raise ConfigurationError("alpha_grid must contain the null point 0")
-    if cfg.n < estimate.MIN_TEST_LENGTH:
-        raise ConfigurationError(
-            f"size_power needs n >= {estimate.MIN_TEST_LENGTH}")
+    grid = cfg.alpha_grid
     # with no coefficient noise the plug-in takes the gaussian tau4 map
     eta_family = (cfg.params.eta.family if cfg.params.eta is not None
                   else NoiseFamily.GAUSSIAN)
+    stage = functools.partial(estimate.correlation_statistics, level=cfg.level,
+                              source=cfg.theta_source, eta_family=eta_family,
+                              eps_family=cfg.params.eps.family)
 
     rates, ses, used, reasons = {}, {}, {}, []
     for alpha in grid:
-        params = dataclasses.replace(cfg.params, alpha=alpha)
-        res = _gather(cfg, _chunk_tests, params, cfg.level, cfg.theta_source,
-                      cfg.params.eps.family, eta_family)
+        res = _gather(cfg, dataclasses.replace(cfg.params, alpha=alpha), stage)
         reasons.append(res["reason"])
         ok = res["reason"] == estimate.OK
-        nv = int(ok.sum())
-        rate = float(res["reject"][ok].mean()) if nv else math.nan
-        rates[alpha] = rate
+        nv = used[alpha] = int(ok.sum())
+        rate = rates[alpha] = float(res["reject"][ok].mean()) if nv else math.nan
         ses[alpha] = math.sqrt(rate * (1 - rate) / nv) if nv else math.nan
-        used[alpha] = nv
 
     h0_rate, h0_se = rates[0.0], ses[0.0]
     sorted_abs = sorted(grid, key=abs)
-    monotone = all(
-        rates[a] <= rates[b] + 2 * math.hypot(ses[a], ses[b])
-        for a, b in zip(sorted_abs, sorted_abs[1:])
-    )
+    monotone = all(rates[a] <= rates[b] + 2 * math.hypot(ses[a], ses[b])
+                   for a, b in zip(sorted_abs, sorted_abs[1:]))
     binom_band = 3 * math.sqrt(cfg.level * (1 - cfg.level) / max(used[0.0], 1))
-    return MCReport(
-        experiment=cfg.experiment,
-        config=_config_echo(cfg),
-        targets={"h0_rate": cfg.level, "alpha_grid": list(grid)},
-        empirical={
+    return {
+        "targets": {"h0_rate": cfg.level, "alpha_grid": list(grid)},
+        "empirical": {
             "rates": {str(a): rates[a] for a in grid},
             "binomial_se": {str(a): ses[a] for a in grid},
             "replicates_used": {str(a): used[a] for a in grid},
             "monotone_in_abs_alpha": monotone,
         },
-        tolerances={"h0_band": f"level +/- {binom_band:.4f} (3 binomial se)"},
-        passes={
+        "tolerances": {"h0_band": f"level +/- {binom_band:.4f} (3 binomial se)"},
+        "passes": {
             "h0_size": abs(h0_rate - cfg.level) <= binom_band,
             "power_dominates_h0": all(
                 rates[a] - h0_rate > 5 * math.hypot(ses[a], h0_se)
-                for a in grid if a != 0.0
-            ),
+                for a in grid if a != 0.0),
         },
-        **_outcome(np.concatenate(reasons)),
-        provenance=_provenance(cfg),
-    )
+        "reason": np.concatenate(reasons),
+    }
 
 
-def run_rates(cfg: MCConfig) -> MCReport:
+def _rates(cfg: MCConfig) -> dict:
     """Log-averaged squared error of the running estimator on one long path.
 
     L_n = (1/ln n) sum_t (theta_hat_t - theta_star)^2 must approach omega2;
@@ -352,18 +313,12 @@ def run_rates(cfg: MCConfig) -> MCReport:
     are excluded from both statistics to avoid start-up blow-ups, which does
     not affect the ln-averaged limit.
     """
-    so = build_second_order(cfg.params)
-    fo = build_fourth_order(cfg.params, so)
-    lim = asymptotics.limits(cfg.params, so)
-    omega2 = asymptotics.omega_squared(cfg.params, so, fo)
-
-    traj, _, _ = simulate_with_noise(
-        cfg.params, cfg.n, replicate_seed(cfg.master_seed, 0), cfg.burn_in)
-    x = traj.x
-    num = np.cumsum(x[:-1] * x[1:])
-    den = np.cumsum(x[:-1] * x[:-1])
-    th_t = num / den                       # theta_hat_t for t = 1..n
-    sq = (th_t - lim.theta_star) ** 2
+    theta_star, omega2 = _theta_targets(cfg.params)
+    x = simulate_with_noise(cfg.params, cfg.n, replicate_seed(cfg.master_seed, 0),
+                            cfg.burn_in)[0].x
+    # theta_hat_t for t = 1..n
+    th_t = np.cumsum(x[:-1] * x[1:]) / np.cumsum(x[:-1] * x[:-1])
+    sq = (th_t - theta_star) ** 2
     t_idx = np.arange(1, cfg.n + 1)
     keep = t_idx >= RATES_PREFIX
     # normalize over the log-span actually summed: excluding the start-up
@@ -371,22 +326,15 @@ def run_rates(cfg: MCConfig) -> MCReport:
     l_n = float(sq[keep].sum() / (math.log(cfg.n) - math.log(RATES_PREFIX)))
     lil = t_idx[keep] * sq[keep] / (2.0 * np.log(np.log(t_idx[keep])))
     band = (omega2 / 2.0, 2.0 * omega2)
-    return MCReport(
-        experiment=cfg.experiment,
-        config=_config_echo(cfg),
-        targets={"omega2": omega2, "ln_average_band": list(band)},
-        empirical={
-            "ln_average": l_n,
-            "lil_running_max": float(lil.max()),
-            "lil_final": float(lil[-1]),
-            "prefix_excluded": RATES_PREFIX,
-        },
-        tolerances={"ln_average_band": "[omega2/2, 2*omega2]"},
-        passes={"ln_average": band[0] <= l_n <= band[1],
-                "lil": True},  # informational only
-        **_outcome(np.array([estimate.OK])),
-        provenance=_provenance(cfg),
-    )
+    return {
+        "targets": {"omega2": omega2, "ln_average_band": list(band)},
+        "empirical": {"ln_average": l_n, "lil_running_max": float(lil.max()),
+                      "lil_final": float(lil[-1]), "prefix_excluded": RATES_PREFIX},
+        "tolerances": {"ln_average_band": "[omega2/2, 2*omega2]"},
+        "passes": {"ln_average": band[0] <= l_n <= band[1],
+                   "lil": True},  # informational only
+        "reason": np.array([estimate.OK]),
+    }
 
 
 def mixed_moment_oracle(key, params: ModelParams, n: int, seed: int,
@@ -409,36 +357,43 @@ def mixed_moment_oracle(key, params: ModelParams, n: int, seed: int,
     return float(prod.mean()), float(means.std(ddof=1) / math.sqrt(len(means)))
 
 
-def run_mixed_moment_oracle(cfg: MCConfig) -> MCReport:
-    if cfg.mu_key is None:
-        raise ConfigurationError("mixed_moment_oracle experiment needs mu_key")
-    so = build_second_order(cfg.params)
-    fo = build_fourth_order(cfg.params, so)
+def _mixed_moment_oracle(cfg: MCConfig) -> dict:
+    """The oracle's estimate of mu_key against the moment pipeline's value."""
     key = asymptotics.MixedMomentKey(*cfg.mu_key)
-    target = asymptotics.mixed_moment(key, cfg.params, so, fo)
+    target = asymptotics.mixed_moment(key, cfg.params, *_tables(cfg.params))
     est, se = mixed_moment_oracle(key, cfg.params, cfg.n,
                                   replicate_seed(cfg.master_seed, 0),
                                   cfg.burn_in)
-    return MCReport(
-        experiment=cfg.experiment,
-        config=_config_echo(cfg),
-        targets={"mu": target, "key": list(cfg.mu_key)},
-        empirical={"mu": est, "se": se,
-                   "deviation_in_se": abs(est - target) / se if se else math.inf},
-        tolerances={"band": "3 se"},
-        passes={"mu": abs(est - target) <= 3 * se},
-        **_outcome(np.array([estimate.OK])),
-        provenance=_provenance(cfg),
-    )
+    return {
+        "targets": {"mu": target, "key": list(cfg.mu_key)},
+        "empirical": {"mu": est, "se": se,
+                      "deviation_in_se": abs(est - target) / se if se else math.inf},
+        "tolerances": {"band": "3 se"},
+        "passes": {"mu": abs(est - target) <= 3 * se},
+        "reason": np.array([estimate.OK]),
+    }
+
+
+_EXPERIMENTS = {
+    "clt_mean": _clt_mean,
+    "clt_theta": _clt_theta,
+    "clt_couple": _clt_couple,
+    "size_power": _size_power,
+    "rates": _rates,
+    "mixed_moment_oracle": _mixed_moment_oracle,
+}
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def run_experiment(cfg: MCConfig) -> MCReport:
-    runner = {
-        "clt_mean": run_clt_mean,
-        "clt_theta": run_clt_theta,
-        "clt_couple": run_clt_couple,
-        "size_power": run_size_power,
-        "rates": run_rates,
-        "mixed_moment_oracle": run_mixed_moment_oracle,
-    }[cfg.experiment]
-    return runner(cfg)
+    """Run cfg's experiment; add the config echo, provenance and counts."""
+    from . import __version__
+    fields = _EXPERIMENTS[cfg.experiment](cfg)
+    return MCReport(
+        experiment=cfg.experiment,
+        config={**dataclasses.asdict(cfg), "params": cfg.params.to_dict()},
+        **_outcome(fields.pop("reason")),
+        provenance={"params": cfg.params.to_dict(),
+                    "master_seed": cfg.master_seed,
+                    "generator": GENERATOR_ID, "version": __version__},
+        **fields)

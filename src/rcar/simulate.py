@@ -106,7 +106,6 @@ class Trajectory:
     n: int
     seed: int | None = None
     burn_in: int | None = None
-    params_echo: ModelParams | None = None
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -125,7 +124,6 @@ class CoefficientPath:
 
     theta: np.ndarray
     seed: int
-    params_echo: ModelParams
 
 
 def _check_explosion(x: np.ndarray):
@@ -217,8 +215,7 @@ def simulate_with_noise(params: ModelParams, n: int, seed: int,
     """
     x, burns, eta, eps = _simulate_rows(params, n, [seed], burn_in)
     _check_explosion(x)
-    traj = Trajectory(x=x[0], n=n, seed=seed, burn_in=int(burns[0]),
-                      params_echo=params)
+    traj = Trajectory(x=x[0], n=n, seed=seed, burn_in=int(burns[0]))
     return traj, eta[0], eps[0]
 
 
@@ -246,7 +243,7 @@ def simulate_coefficients(params: ModelParams, n: int, seed: int) -> Coefficient
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     theta_t = _coefficients(params, _draw_eta(params, seed, n + 1))
-    return CoefficientPath(theta=theta_t, seed=seed, params_echo=params)
+    return CoefficientPath(theta=theta_t, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,7 @@ import pytest
 from rcar.asymptotics import (ORACLE_MU_KEYS, kappa_squared, mixed_moment,
                               omega_squared, psi0_closed_form, sigma_psi)
 from rcar.fourth_order import build_fourth_order
-from rcar.harness import (MCConfig, mixed_moment_oracle, run_clt_couple,
-                          run_clt_mean, run_clt_theta, run_rates,
-                          run_size_power)
+from rcar.harness import MCConfig, mixed_moment_oracle, run_experiment
 from rcar.model import ModelParams, NoiseFamily, NoiseSpec
 from rcar.numerics import spectral_radius
 from rcar.second_order import autocovariance, build_second_order
@@ -180,21 +178,21 @@ def test_criterion_5_clt_variance_reproduction():
     start = time.time()
     base = dict(n=5000, replicates=2000, master_seed=MASTER_SEED, burn_in=2000)
 
-    r_theta = run_clt_theta(MCConfig(params=REFERENCE, experiment="clt_theta", **base))
+    r_theta = run_experiment(MCConfig(params=REFERENCE, experiment="clt_theta", **base))
     dev_i = abs(r_theta.empirical["variance"] - r_theta.targets["variance"]) \
         / r_theta.targets["variance"]
 
     p0 = ModelParams(0.3, 0.0, NoiseSpec(NoiseFamily.GAUSSIAN, 1.0),
                      NoiseSpec(NoiseFamily.GAUSSIAN, 0.2))
-    r_theta0 = run_clt_theta(MCConfig(params=p0, experiment="clt_theta", **base))
+    r_theta0 = run_experiment(MCConfig(params=p0, experiment="clt_theta", **base))
     dev_ii = abs(r_theta0.empirical["variance"] - r_theta0.targets["variance"]) \
         / r_theta0.targets["variance"]
 
-    r_mean = run_clt_mean(MCConfig(params=REFERENCE, experiment="clt_mean", **base))
+    r_mean = run_experiment(MCConfig(params=REFERENCE, experiment="clt_mean", **base))
     dev_mean = abs(r_mean.empirical["variance"] - r_mean.targets["variance"]) \
         / r_mean.targets["variance"]
 
-    r_couple = run_clt_couple(MCConfig(params=REFERENCE, experiment="clt_couple", **base))
+    r_couple = run_experiment(MCConfig(params=REFERENCE, experiment="clt_couple", **base))
     dev_couple = r_couple.empirical["max_rel_err"]
 
     ok = dev_i <= 0.10 and dev_ii <= 0.10 and dev_mean <= 0.10 and dev_couple <= 0.15
@@ -209,7 +207,7 @@ def test_criterion_6_inconsistency_exhibit():
     start = time.time()
     cfg = MCConfig(params=REFERENCE, n=10_000, replicates=2000,
                    master_seed=MASTER_SEED, experiment="clt_theta")
-    r = run_clt_theta(cfg)
+    r = run_experiment(cfg)
     d_theta = r.empirical["dist_to_theta_in_se"]
     d_star = r.empirical["dist_to_theta_star_in_se"]
     report(6, d_theta > 10 and d_star <= 3,
@@ -222,7 +220,7 @@ def test_criterion_7_test_calibration():
     start = time.time()
     p0 = ModelParams(0.3, 0.0, NoiseSpec(NoiseFamily.GAUSSIAN, 1.0),
                      NoiseSpec(NoiseFamily.GAUSSIAN, 0.1))
-    r_2000 = run_size_power(MCConfig(
+    r_2000 = run_experiment(MCConfig(
         params=p0, n=2000, replicates=2000, master_seed=MASTER_SEED,
         experiment="size_power", level=0.05, alpha_grid=(0.0, 0.5)))
     rates = r_2000.empirical["rates"]
@@ -230,7 +228,7 @@ def test_criterion_7_test_calibration():
     h0_ok = 0.035 <= rates["0.0"] <= 0.065
     sep = (rates["0.5"] - rates["0.0"]) / math.hypot(ses["0.5"], ses["0.0"])
 
-    r_4000 = run_size_power(MCConfig(
+    r_4000 = run_experiment(MCConfig(
         params=p0, n=4000, replicates=2000, master_seed=MASTER_SEED + 1,
         experiment="size_power", level=0.05, alpha_grid=(0.0, 0.5)))
     power_grows = r_4000.empirical["rates"]["0.5"] > rates["0.5"]
@@ -252,7 +250,7 @@ def test_criterion_8_rate_property():
     # single path misses the band with probability ~ 1/4)
     cfg = MCConfig(params=params, n=100_000, replicates=1, master_seed=2020,
                    experiment="rates")
-    r = run_rates(cfg)
+    r = run_experiment(cfg)
     l_n = r.empirical["ln_average"]
     lo, hi = r.targets["ln_average_band"]
     report(8, lo <= l_n <= hi,

@@ -284,10 +284,13 @@ class TestUsageErrors:
         (MOMENTS + ["--hmax", "1"], None, 0, None),
         (["mc", "--experiment", "mixed_moment_oracle"],
          "n=1000000\nreplicates=1\nmu_key=1,2\n", 2, "mu_key"),
+        (["mc", "--experiment", "mixed_moment_oracle"],
+         "n=1000000\nreplicates=1\nmu_key=9,0,0,0,0\n", 2, "mu_key"),
         (["mc", "--experiment", "clt_couple"],
          "n=50\nreplicates=100\nburn_in=-3\n", 2, "burn_in"),
         (["mc", "--experiment", "clt_couple"], "n=0\nreplicates=100\n", 2, "n"),
-    ], ids=["hmax-1", "hmax0", "hmax1", "mu_key2", "burn_in-3", "n0"])
+    ], ids=["hmax-1", "hmax0", "hmax1", "mu_key2", "mu_key9", "burn_in-3",
+            "n0"])
     def test_no_traceback(self, tmp_path, capsys, argv, config, code, key):
         if config is not None:
             cfg = tmp_path / "run.cfg"

@@ -7,9 +7,8 @@ import pytest
 from rcar.errors import ConfigurationError
 from rcar.estimate import REASONS
 from rcar.fourth_order import build_fourth_order
-from rcar.harness import (MCConfig, mixed_moment_oracle, run_clt_mean,
-                          run_clt_theta, run_experiment, run_rates,
-                          run_size_power)
+from rcar import harness
+from rcar.harness import MCConfig, mixed_moment_oracle, run_experiment
 from rcar.model import ModelParams, NoiseFamily, NoiseSpec
 from rcar.second_order import build_second_order
 
@@ -47,34 +46,63 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="level"):
             cfg_for(AR1, experiment="size_power", level=level)
 
+    @pytest.mark.parametrize("kw,message", [
+        (dict(experiment="size_power", alpha_grid=(0.5,)), "null point"),
+        (dict(experiment="size_power", alpha_grid=(0.0,), n=49), "n >= 50"),
+        (dict(experiment="mixed_moment_oracle", n=10**6, replicates=1),
+         "needs mu_key"),
+        (dict(mu_key=(9, 0, 0, 0, 0)), "^mu_key "),
+        (dict(mu_key=(0, 0, 0, -1, 2)), "^mu_key "),
+    ], ids=["grid_without_0", "short_test", "oracle_no_key", "key_above_range",
+            "key_below_range"])
+    def test_experiment_checks_run_at_config_time(self, kw, message):
+        with pytest.raises(ConfigurationError, match=message):
+            cfg_for(AR1, **kw)
+
 
 class TestCltExperiments:
     def test_ar1_variance_reproduced(self):
         # variance of sqrt(n)(theta_hat - theta) is 1 - theta^2 = 0.75
-        report = run_clt_theta(cfg_for(AR1, n=2000, replicates=600))
+        report = run_experiment(cfg_for(AR1, n=2000, replicates=600))
         assert report.targets["variance"] == pytest.approx(0.75, rel=1e-12)
         assert report.passes["variance"] and report.passes["mean"]
         assert report.status == "ok"
 
     def test_mean_variance_reproduced(self):
         # variance of sqrt(n) Xbar is sigma2/(1-theta)^2 = 4
-        report = run_clt_mean(cfg_for(AR1, n=2000, replicates=600,
-                                      experiment="clt_mean"))
+        report = run_experiment(cfg_for(AR1, n=2000, replicates=600,
+                                        experiment="clt_mean"))
         assert report.targets["variance"] == pytest.approx(4.0, rel=1e-12)
         assert report.passes["variance"]
 
     def test_inconsistency_exhibited(self, params_accept):
-        report = run_clt_theta(cfg_for(params_accept, n=5000, replicates=500))
+        report = run_experiment(cfg_for(params_accept, n=5000, replicates=500))
         assert report.empirical["dist_to_theta_star_in_se"] < 3
         assert report.empirical["dist_to_theta_in_se"] > 10
 
-    def test_determinism_across_workers(self, params_accept):
-        cfg1 = cfg_for(params_accept, replicates=600, workers=1)
+    # size_power sends its estimator stage, a functools.partial, to the pool
+    DETERMINISM_CASES = [dict(experiment="clt_theta"),
+                         dict(experiment="size_power", alpha_grid=(0.0, 0.5))]
+
+    @pytest.mark.parametrize("kw", DETERMINISM_CASES,
+                             ids=["clt_theta", "size_power"])
+    def test_determinism_across_workers(self, params_accept, kw):
+        cfg1 = cfg_for(params_accept, replicates=600, workers=1, **kw)
         cfg2 = dataclasses.replace(cfg1, workers=3)
-        r1 = run_clt_theta(cfg1).to_dict(include_replicates=True)
-        r2 = run_clt_theta(cfg2).to_dict(include_replicates=True)
+        r1 = run_experiment(cfg1).to_dict(include_replicates=True)
+        r2 = run_experiment(cfg2).to_dict(include_replicates=True)
         r1["config"].pop("workers"), r2["config"].pop("workers")
         assert r1 == r2
+
+    @pytest.mark.parametrize("kw", DETERMINISM_CASES,
+                             ids=["clt_theta", "size_power"])
+    def test_determinism_across_chunk_layouts(self, params_accept, kw,
+                                              monkeypatch):
+        # 97 does not divide 600, so the last chunk is a short one
+        cfg = cfg_for(params_accept, replicates=600, **kw)
+        default = run_experiment(cfg).to_dict(include_replicates=True)
+        monkeypatch.setattr(harness, "CHUNK", 97)
+        assert run_experiment(cfg).to_dict(include_replicates=True) == default
 
     def test_couple_covariance(self, params_accept):
         cfg = cfg_for(params_accept, n=4000, replicates=800,
@@ -85,29 +113,29 @@ class TestCltExperiments:
         assert np.all(np.abs(emp - psi) / np.abs(psi) < 0.25)  # loose at R=800
 
     def test_targets_recomputed_per_params(self, params_accept):
-        a = run_clt_theta(cfg_for(AR1, replicates=100))
-        b = run_clt_theta(cfg_for(params_accept, replicates=100))
+        a = run_experiment(cfg_for(AR1, replicates=100))
+        b = run_experiment(cfg_for(params_accept, replicates=100))
         assert a.targets["variance"] != b.targets["variance"]
 
 
 class TestSizePower:
     def test_needs_null_point(self, params_accept):
         with pytest.raises(ConfigurationError):
-            run_size_power(cfg_for(params_accept, experiment="size_power",
+            run_experiment(cfg_for(params_accept, experiment="size_power",
                                    alpha_grid=(0.5,)))
 
     def test_level_one_always_rejects(self, params_accept):
         cfg = cfg_for(params_accept, n=400, replicates=200,
                       experiment="size_power", level=1.0,
                       alpha_grid=(0.0, 0.5))
-        report = run_size_power(cfg)
+        report = run_experiment(cfg)
         assert report.empirical["rates"]["0.0"] == 1.0
         assert report.empirical["rates"]["0.5"] == 1.0
 
     def test_size_and_power(self, params_accept):
         cfg = cfg_for(params_accept, n=1000, replicates=800,
                       experiment="size_power", alpha_grid=(0.0, 0.5))
-        report = run_size_power(cfg)
+        report = run_experiment(cfg)
         rates = report.empirical["rates"]
         assert report.passes["h0_size"]
         assert rates["0.5"] > rates["0.0"]
@@ -120,14 +148,14 @@ class TestSizePower:
                              NoiseSpec(NoiseFamily.UNIFORM, 0.55))
         cfg = cfg_for(params, n=2000, replicates=800,
                       experiment="size_power", alpha_grid=(0.0,))
-        report = run_size_power(cfg)
+        report = run_experiment(cfg)
         assert report.passes["h0_size"], report.empirical["rates"]
 
     def test_failures_counted_by_reason(self, params_accept):
         # at n = 60 some plug-in values psi0_hat come out negative
         cfg = cfg_for(params_accept, n=60, replicates=300,
                       experiment="size_power", alpha_grid=(0.0, 0.5))
-        report = run_size_power(cfg)
+        report = run_experiment(cfg)
         counts = report.to_dict()["failed_by_reason"]
         assert counts["psi0_not_positive"] > 0
         assert sum(counts.values()) == report.failed_replicates \
@@ -141,7 +169,7 @@ class TestRates:
         # scan from 2020, where 75% of seeds land in-band
         cfg = MCConfig(params=AR1, n=100_000, replicates=1, master_seed=2020,
                        experiment="rates")
-        report = run_rates(cfg)
+        report = run_experiment(cfg)
         lo, hi = report.targets["ln_average_band"]
         assert (lo, hi) == (0.375, 1.5)
         assert report.passes["ln_average"]
@@ -187,7 +215,7 @@ class TestReportShape:
 
 
     def test_json_schema_fields(self, params_accept):
-        report = run_clt_theta(cfg_for(params_accept, replicates=100))
+        report = run_experiment(cfg_for(params_accept, replicates=100))
         payload = report.to_dict()
         for key in ("targets", "empirical", "tolerance", "pass", "status",
                     "provenance", "config", "failed_by_reason"):
