@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import __version__, asymptotics, harness
 from . import estimate as est
-from . import fourth_order, model, numerics, second_order
+from . import fourth_order, model, second_order
 from .errors import (ConfigurationError, DegenerateDataError, HypothesisError,
                      PathologicalParamsError, RcarError)
 from .simulate import (DEFAULT_BURN_IN, GENERATOR_ID, ingest,
@@ -50,8 +51,20 @@ def _provenance(params: model.ModelParams | None, seed=None, **settings) -> dict
     return block
 
 
+def _null_non_finite(obj):
+    """obj with every nan or infinite float replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _null_non_finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_null_non_finite(v) for v in obj]
+    return obj
+
+
 def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+    """Write strict JSON: an undefined or infinite value is null."""
+    text = json.dumps(_null_non_finite(payload), indent=2, allow_nan=False)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -292,8 +305,7 @@ def cmd_region(args) -> int:
             except PathologicalParamsError:
                 rows.append([f"{theta:.17g}", f"{alpha:.17g}", "nan", "nan"])
                 continue
-            rho_m = numerics.spectral_radius(second_order.m_matrix(params))
-            rho_h = numerics.spectral_radius(fourth_order.h_matrix(params))
+            rho_m, rho_h = second_order.stationarity_radii(params)
             rows.append([f"{theta:.17g}", f"{alpha:.17g}",
                          f"{rho_m:.17g}", f"{rho_h:.17g}"])
     if args.format == "json":
@@ -316,8 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="hypothesis report for a parameter set")
     _add_param_flags(p)
-    p.add_argument("--mc-draws", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--mc-draws", type=int, default=100_000,
+                   help="accepted, no effect: the H1 log moment is exact")
+    p.add_argument("--seed", type=int, default=_default_seed(),
+                   help="accepted, no effect: the check makes no random draws")
     _add_out_flag(p)
     p.set_defaults(func=cmd_check)
 

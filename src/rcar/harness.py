@@ -199,13 +199,22 @@ def _estimates(cfg: MCConfig, *keys: str):
 # not fill in, plus the replicates' reason codes
 
 
+def _mean_se_var(values: np.ndarray) -> tuple[float, float, float]:
+    """Mean, its standard error and the variance (ddof 1) of values; all
+    undefined (nan) with fewer than two values."""
+    if len(values) < 2:
+        return math.nan, math.nan, math.nan
+    return (float(values.mean()),
+            float(values.std(ddof=1)) / math.sqrt(len(values)),
+            float(values.var(ddof=1)))
+
+
 def _clt(values: np.ndarray, variance: float, reason: np.ndarray,
          **per_replicate: np.ndarray) -> dict:
     """Fields of a CLT check of `values` against N(0, variance), with the
-    reason codes and the named per-replicate arrays."""
-    emp_var = float(values.var(ddof=1))
-    emp_mean = float(values.mean())
-    se_mean = float(values.std(ddof=1)) / math.sqrt(len(values))
+    reason codes and the named per-replicate arrays. With fewer than two
+    valid replicates the empirical values are undefined and nothing passes."""
+    emp_mean, se_mean, emp_var = _mean_se_var(values)
     return {
         "targets": {"mean": 0.0, "variance": variance},
         "empirical": {"mean": emp_mean, "mean_se": se_mean, "variance": emp_var},
@@ -231,8 +240,7 @@ def _clt_theta(cfg: MCConfig) -> dict:
     theta_star, omega2 = _theta_targets(cfg.params)
     reason, th = _estimates(cfg, "theta_hat")
     out = _clt(math.sqrt(cfg.n) * (th - theta_star), omega2, reason, theta_hat=th)
-    mean_th = float(th.mean())
-    se_th = float(th.std(ddof=1)) / math.sqrt(len(th))
+    mean_th, se_th, _ = _mean_se_var(th)
     out["targets"].update(theta_star=theta_star, theta=cfg.params.theta)
     out["empirical"].update(
         mean_theta_hat=mean_th, mean_theta_hat_se=se_th,
@@ -247,7 +255,7 @@ def _clt_couple(cfg: MCConfig) -> dict:
     gamma = cfg.params.alpha * cfg.params.tau(2)
     reason, tt, gg = _estimates(cfg, "theta_tilde", "gamma_tilde")
     dev = np.vstack([tt - cfg.params.theta, gg - gamma]) * math.sqrt(cfg.n)
-    emp_cov = np.cov(dev, ddof=1)
+    emp_cov = np.cov(dev, ddof=1) if len(tt) > 1 else np.full((2, 2), math.nan)
     rel = np.abs(emp_cov - psi) / np.abs(psi)
     return {
         "targets": {"Psi": psi.tolist(), "theta": cfg.params.theta, "gamma": gamma},

@@ -12,9 +12,12 @@ modules consumes.
 `check_hypotheses` reports verdicts for the five model hypotheses:
 
   H1  strict-stationarity contraction: E[ln |theta + alpha eta_0 + eta_1|]
-      < 0, estimated by Monte Carlo (and E[ln+ |eps_0|] < inf, which holds
-      by construction for every supported family since they all have finite
-      variance).
+      < 0 (Brandt's condition for a random-coefficient AR(1)), and
+      E[ln+ |eps_0|] < inf, which holds by construction for every supported
+      family since they all have finite variance. The log moment is exact
+      (`log_moment`): four atoms for rademacher, a closed form for uniform at
+      alpha = 0, and otherwise a tanh-sinh quadrature of ln|y| against the
+      closed-form density of theta_t, with a bound on its error.
   H2  all odd noise moments vanish: true structurally, every family is
       symmetric.
   H3  second moments of the process exist: sigma2 > 0, tau2 > 0 and the
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -203,6 +206,199 @@ class ModelParams:
         }
 
 
+# ---------------------------------------------------------------------------
+# the log moment of (H1)
+
+_EPS = float(np.finfo(float).eps)
+
+# Tanh-sinh rule on [0, 1]: nodes k h, |k| <= 112, h = 1/32, so t runs to
+# 3.5, where a node lies 2.6e-23 from its end and even a log singularity
+# there adds terms below 1e-20. A node is stored as its distance to the
+# nearer end, so nodes next to a cut at y = 0 keep full relative precision.
+# Every other node (k even) is the rule at step 2h. The nodes are built
+# with the math module: numpy's sinh and cosh loops would add ~0.5 MB of
+# peak RSS to every import of the package.
+_TS_STEP = 1.0 / 32.0
+_TS_K = range(-112, 113)
+_TS_GAP = np.array([1.0 / (1.0 + math.exp(math.pi * math.sinh(abs(k) * _TS_STEP)))
+                    for k in _TS_K])
+_TS_WEIGHT = np.array([_TS_STEP * 0.25 * math.pi * math.cosh(k * _TS_STEP)
+                       / math.cosh(0.5 * math.pi * math.sinh(k * _TS_STEP)) ** 2
+                       for k in _TS_K])
+_TS_FROM_RIGHT = np.array([k > 0 for k in _TS_K])
+_TS_SIGNED_GAP = np.array([-g if k > 0 else g for k, g in zip(_TS_K, _TS_GAP)])
+_TS_COARSE = np.array([k % 2 == 0 for k in _TS_K])
+
+#: truncation of the unbounded supports, in standard deviations (gaussian)
+#: and in the larger laplace diversity
+_GAUSS_REACH = 12.0
+_LAPLACE_REACH = 80.0
+
+
+def _sum_law(alpha: float, eta: NoiseSpec):
+    """The law of S = alpha eta_0 + eta_1 as the quadrature reads it.
+
+    Returns (density, cuts, reach, tail). density(s, ds) gives the density
+    at s and a bound on its rounding error when s is off by up to ds; cuts
+    are the points where the density is not analytic (and the gaussian
+    mode, which puts the bulk of the mass next to the rule's dense end
+    nodes); the support is cut to [-reach, reach], and tail(theta) bounds
+    what that cut leaves out of E ln|theta + S|. That bound rests on
+    |ln|y|| <= |y| + 2 |y|^(-1/2) for |y| < 1: the part beyond the cut is
+    at most |theta| P(|S| > reach) + E[|S|; |S| > reach]
+    + 8 max_{|s| > reach} density(s).
+    """
+    c = eta.scale
+    if eta.family is NoiseFamily.GAUSSIAN:
+        # S ~ N(0, (1 + alpha^2) tau2) exactly
+        sd = math.sqrt((1.0 + alpha * alpha) * c)
+        norm = 1.0 / (sd * math.sqrt(2.0 * math.pi))
+        edge = math.exp(-0.5 * _GAUSS_REACH**2) / math.sqrt(2.0 * math.pi)
+
+        def density(s, ds):
+            z = s / sd
+            p = norm * np.exp(-0.5 * z * z)
+            return p, p * (_EPS * (4.0 + z * z) + np.abs(z) * ds / sd)
+
+        def tail(theta):
+            return (abs(theta) * math.erfc(_GAUSS_REACH / math.sqrt(2.0))
+                    + 2.0 * sd * edge + 8.0 * edge / sd)
+
+        return density, (0.0,), _GAUSS_REACH * sd, tail
+
+    if eta.family is NoiseFamily.LAPLACE:
+        # with diversities b1 <= b2 the density is
+        # (b2 e^(-x/b2) - b1 e^(-x/b1)) / (2 (b2^2 - b1^2)), x = |s|, written
+        # as e^(-x/b2) (1 + x/b2 phi1(r)) / (2 (b1 + b2)) with
+        # r = x (b1 - b2) / (b1 b2) <= 0 and phi1(r) = expm1(r) / r, which
+        # stays exact at b1 = b2 (|alpha| = 1, phi1 = 1); alpha = 0 is the
+        # single laplace density
+        b1, b2 = sorted((abs(alpha) * c, c))
+        reach = _LAPLACE_REACH * b2
+
+        def density(s, ds):
+            x = np.abs(s)
+            p = np.exp(-x / b2)
+            if b1 == 0.0:
+                p /= 2.0 * b2
+            else:
+                with np.errstate(over="ignore"):
+                    r = x * (b1 - b2) / b1 / b2
+                phi1 = np.expm1(r) / np.where(r < 0.0, r, -1.0)
+                p *= (1.0 + x / b2 * np.where(r < 0.0, phi1, 1.0)) / (2.0 * (b1 + b2))
+            # |p'| <= p / b2
+            return p, p * (_EPS * (8.0 + x / b2) + ds / b2)
+
+        def tail(theta):
+            # |S| <= b1 E_0 + b2 E_1 (E standard exponential), dominated by
+            # b2 Gamma(2): P = (1 + y) e^-y and E[.; .] = b2 (y^2 + 2y + 2) e^-y
+            y = _LAPLACE_REACH
+            edge = float(density(np.array([reach]), 0.0)[0][0])
+            return ((abs(theta) * (1.0 + y) + b2 * (y * y + 2.0 * y + 2.0))
+                    * math.exp(-y) + 8.0 * edge)
+
+        return density, (0.0,), reach, tail
+
+    # uniform, alpha != 0: a trapezoid on [-(a + b), a + b], flat on
+    # [-|a - b|, |a - b|], with a = c and b = |alpha| c
+    a, b = c, abs(alpha) * c
+    top = 2.0 * min(a, b)
+    area = 4.0 * a * b
+
+    def density(s, ds):
+        x = np.abs(s)
+        ramp = np.minimum(a + b - x, top)
+        slope = ramp < top
+        p = np.maximum(ramp, 0.0) / area
+        return p, 2.0 * _EPS * p + np.where(slope, _EPS * (a + b + x) + ds, 0.0) / area
+
+    return density, (-abs(a - b), abs(a - b)), a + b, lambda theta: 0.0
+
+
+def _uniform_log_moment(theta: float, c: float) -> tuple[float, float]:
+    """E ln|theta + eta| for eta uniform on [-c, c], in closed form:
+    (F(theta + c) - F(theta - c)) / 2c with F(x) = x ln|x| - x."""
+    def f(x):
+        return x * math.log(abs(x)) - x if x else 0.0
+
+    def f_err(x):  # rounding of x, of its log and of F's two operations
+        return 2.0 * _EPS * (abs(x) * abs(math.log(abs(x))) + abs(x)) if x else 0.0
+
+    hi, lo = theta + c, theta - c
+    value = (f(hi) - f(lo)) / (2.0 * c)
+    return value, (f_err(hi) + f_err(lo)) / (2.0 * c) + 2.0 * _EPS * abs(value)
+
+
+def _rademacher_log_moment(theta: float, alpha: float, c: float) -> tuple[float, float]:
+    """Mean of ln|theta +/- alpha c +/- c| over the four atoms; the atoms are
+    summed exactly, so an atom is zero (and the value -inf) only when it is
+    zero in exact arithmetic."""
+    # imported here: fractions loads decimal (~0.4 MB of peak RSS), which
+    # no other path needs
+    from fractions import Fraction
+
+    th, al, cc = Fraction(theta), Fraction(alpha), Fraction(c)
+    atoms = [float(th + i * al * cc + j * cc) for i in (-1, 1) for j in (-1, 1)]
+    if 0.0 in atoms:
+        return -math.inf, 0.0
+    logs = [math.log(abs(y)) for y in atoms]
+    return math.fsum(logs) / 4.0, _EPS * (1.0 + sum(map(abs, logs)))
+
+
+def log_moment(params: ModelParams) -> tuple[float, float]:
+    """E ln|theta + alpha eta_0 + eta_1|, the contraction rate of (H1), and
+    a bound on the error of the returned value.
+
+    eta = None gives ln|theta| and the rademacher law four atoms, both
+    exact (width 0 when an atom, or theta, is zero and the value -inf).
+    Uniform eta at alpha = 0 has a closed form. Otherwise the value is
+    the sum over pieces of the integral of ln|y| f(y - theta), f the density
+    of alpha eta_0 + eta_1, with the support cut at 0 and at the kinks of f
+    so each piece is analytic inside and the log singularity sits at an
+    end, where the tanh-sinh rule resolves it. The bound adds the distance to
+    the rule at twice the step and its last terms (the discretisation), the
+    truncated tails, and first-order bounds on the rounding of each node's
+    abscissa, log, density and weight and of the sum.
+    """
+    theta, alpha, eta = params.theta, params.alpha, params.eta
+    if eta is None:
+        return (math.log(abs(theta)) if theta != 0 else -math.inf), 0.0
+    if eta.family is NoiseFamily.RADEMACHER:
+        return _rademacher_log_moment(theta, alpha, eta.scale)
+    if eta.family is NoiseFamily.UNIFORM and alpha == 0:
+        return _uniform_log_moment(theta, eta.scale)
+
+    density, inner, reach, tail = _sum_law(alpha, eta)
+    # cut in s = y - theta, where the kinks and the support are exact; the
+    # cut at y = 0 is s = -theta, and theta + (-theta) is exactly 0
+    cuts = {-reach, reach, *inner}
+    if abs(theta) < reach:
+        cuts.add(-theta)
+    cuts = np.array(sorted(cuts))
+    lo, hi = cuts[:-1, None], cuts[1:, None]
+    # each node is its nearer end plus or minus its distance to that end,
+    # in s and in y alike
+    end = np.where(_TS_FROM_RIGHT, hi, lo)
+    step = (hi - lo) * _TS_SIGNED_GAP
+    s = end + step
+    y_end = theta + end
+    y = y_end + step
+    p, p_err = density(s, _EPS * (np.abs(s) + np.abs(end)))
+    abs_y = np.abs(y)
+    ln = np.log(abs_y)
+    abs_ln = np.abs(ln)
+    weight = (hi - lo) * _TS_WEIGHT
+    terms = weight * ln * p
+    value = float(terms.sum())
+    coarse = 2.0 * float(terms[:, _TS_COARSE].sum())
+    abs_terms = weight * abs_ln * p
+    discretisation = abs(value - coarse) + float(abs_terms[:, [0, -1]].sum())
+    ln_err = _EPS * (1.0 + np.abs(y_end) / abs_y + 4.0 * abs_ln)
+    rounding = float(np.sum(weight * (p * ln_err + abs_ln * p_err))
+                     + _EPS * (terms.size + 4.0) * abs_terms.sum())
+    return value, discretisation + rounding + tail(theta)
+
+
 @dataclass(frozen=True)
 class DegeneracyFlags:
     """Proximity flags for the excluded pathological parameter set."""
@@ -216,9 +412,12 @@ class DegeneracyFlags:
 class HypothesisReport:
     """Verdicts for (H1)-(H5) plus the quantities they were based on.
 
-    The H1 verdict is Monte Carlo based; `h1_uncertain` is set (a warning,
-    not a rejection) when the confidence interval for the log moment
-    straddles zero.
+    The H1 log moment is exact (`log_moment`). `log_moment_half_width` is
+    a conservative bound on its numerical error, quadrature and rounding:
+    0 for eta = None or an atom at zero, and below 2e-12 for noise scales
+    from 1e-10 to 100. `h1_uncertain` is set (a warning, not a
+    rejection) only when the value lies within that bound of zero.
+    `to_dict()` keeps the key `mc_draws`, always 0: no draws are made.
     """
 
     rho_M: float
@@ -232,7 +431,6 @@ class HypothesisReport:
     h4: bool
     h5: bool
     h1_uncertain: bool = False
-    mc_draws: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -248,7 +446,7 @@ class HypothesisReport:
             "verdicts": {"H1": self.h1, "H2": self.h2, "H3": self.h3,
                          "H4": self.h4, "H5": self.h5},
             "h1_uncertain": self.h1_uncertain,
-            "mc_draws": self.mc_draws,
+            "mc_draws": 0,
         }
 
 
@@ -256,34 +454,15 @@ def check_hypotheses(params: ModelParams, mc_draws: int = 100_000,
                      seed: int = 0x5EED) -> HypothesisReport:
     """Report-only check of (H1)-(H5) and the pathological-set flags.
 
-    rho_M and rho_H come from the second- and fourth-order matrices; the
-    log-moment condition of (H1) is estimated over mc_draws independent
-    (eta_0, eta_1) pairs with a 3-standard-error half-width.
+    rho_M and rho_H come from the second- and fourth-order matrices, cut
+    from one moment table; the log moment of (H1) is exact, with the error
+    bound of `log_moment` as its half-width. No random draws are made:
+    `mc_draws` and `seed` are accepted for compatibility and have no effect.
     """
-    from . import asymptotics, fourth_order, second_order
-    from .numerics import spectral_radius
+    from . import asymptotics, second_order
 
-    if mc_draws < 10_000:
-        raise ConfigurationError(f"mc_draws must be >= 10000, got {mc_draws}")
-
-    rho_m = spectral_radius(second_order.m_matrix(params))
-    rho_h = spectral_radius(fourth_order.h_matrix(params))
-
-    if params.eta is None:
-        est, hw = math.log(abs(params.theta)) if params.theta != 0 else -math.inf, 0.0
-    else:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        eta0 = params.eta.sample(rng, mc_draws)
-        eta1 = params.eta.sample(rng, mc_draws)
-        z = np.abs(params.theta + params.alpha * eta0 + eta1)
-        with np.errstate(divide="ignore"):
-            logs = np.log(z)
-        if np.any(np.isneginf(logs)):
-            # an atom at zero makes the expectation -inf: (H1) holds trivially
-            est, hw = -math.inf, math.nan
-        else:
-            est = float(logs.mean())
-            hw = 3.0 * float(logs.std(ddof=1)) / math.sqrt(mc_draws)
+    rho_m, rho_h = second_order.stationarity_radii(params)
+    est, hw = log_moment(params)
 
     tau2, tau8 = params.tau(2), params.tau(8)
     sigma2, sigma4 = params.sigma(2), params.sigma(4)
@@ -311,8 +490,7 @@ def check_hypotheses(params: ModelParams, mc_draws: int = 100_000,
         h3=rho_m < 1 and tau2 > 0 and sigma2 > 0,
         h4=rho_h < 1 and math.isfinite(sigma4) and math.isfinite(tau8),
         h5=True,   # every family carries its closed fourth-moment map
-        h1_uncertain=math.isfinite(hw) and est + hw > 0 > est - hw,
-        mc_draws=mc_draws,
+        h1_uncertain=est + hw > 0 > est - hw,
     )
 
 

@@ -67,14 +67,6 @@ def spectral_radius(a) -> float:
     return float(np.max(np.abs(eig)))
 
 
-def mat_power(a, k: int) -> np.ndarray:
-    """A**k by repeated squaring, with A**0 = I."""
-    m = _square(a, "mat_power argument")
-    if k < 0:
-        raise NumericError("mat_power: exponent must be >= 0")
-    return np.linalg.matrix_power(m, k)
-
-
 def chisq1_tail(s: float) -> float:
     """P(chi2_1 > s) = 2 (1 - Phi(sqrt(s))) = erfc(sqrt(s / 2))."""
     if s < 0:

@@ -19,7 +19,9 @@ This module solves Lambda = (lambda_0, lambda_1, lambda_2) with
 lambda_a = E[eta_t^a X_t^2] from (I3 - M) Lambda = sigma2 U0 and evaluates
 the autocovariance
 
-    gamma_X(h) = sigma2 [ N^|h| (I3 - M)^(-1) U0 ]_1 = [ N^|h| Lambda ]_1.
+    gamma_X(h) = sigma2 [ N^|h| (I3 - M)^(-1) U0 ]_1 = [ N^|h| Lambda ]_1
+
+by iterating v <- N v from v = Lambda.
 """
 
 from __future__ import annotations
@@ -75,6 +77,14 @@ def m_matrix(params: ModelParams) -> np.ndarray:
     return recursion_matrix(moment_tables(params)[1], params.alpha, 2, 3)
 
 
+def stationarity_radii(params: ModelParams) -> tuple[float, float]:
+    """rho(M) and rho(H), the second- and fourth-order spectral radii,
+    from one moment table."""
+    c = moment_tables(params)[1]
+    return (numerics.spectral_radius(recursion_matrix(c, params.alpha, 2, 3)),
+            numerics.spectral_radius(recursion_matrix(c, params.alpha, 4, 5)))
+
+
 @dataclass(frozen=True)
 class SecondOrderTables:
     T: np.ndarray  # tau_{a+k}, 5 x 5
@@ -124,12 +134,23 @@ def build_second_order(params: ModelParams) -> SecondOrderTables:
                              Lam=lam, rho_M=rho, sigma2=sigma2)
 
 
+def _gammas(tables: SecondOrderTables, hmax: int) -> np.ndarray:
+    """gamma_X(0..hmax) from one iteration v <- N v started at Lambda."""
+    out = np.empty(hmax + 1)
+    v = tables.Lam
+    out[0] = v[0]
+    for h in range(1, hmax + 1):
+        v = tables.N @ v
+        out[h] = v[0]
+    return out
+
+
 def autocovariance(tables: SecondOrderTables, h: int) -> float:
     """gamma_X(h), even in h, computed by the matrix formula."""
     k = abs(int(h))
     if k > MAX_LAG:
         raise ValueError(f"lag |h| = {k} exceeds the supported maximum {MAX_LAG}")
-    return float((numerics.mat_power(tables.N, k) @ tables.Lam)[0])
+    return float(_gammas(tables, k)[k])
 
 
 @dataclass(frozen=True)
@@ -153,7 +174,7 @@ def acvf(tables: SecondOrderTables, hmax: int = 10) -> Acvf:
     from lags 1 and 2 whatever hmax is."""
     if not 0 <= hmax <= MAX_LAG:
         raise ConfigurationError(f"hmax must be in [0, {MAX_LAG}], got {hmax}")
-    values = np.array([autocovariance(tables, h) for h in range(max(hmax, 2) + 1)])
+    values = _gammas(tables, max(hmax, 2))
     return Acvf(values=values[:hmax + 1],
                 theta_star=values[1] / values[0],
                 vartheta_star=values[2] / values[0])

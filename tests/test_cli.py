@@ -47,6 +47,19 @@ class TestCheck:
                        "eps.scale=1\nbogus = 1\n")
         assert main(["check", "--params-file", str(cfg)]) == 2
 
+    def test_atom_at_zero_is_strict_json(self, capsys):
+        # rademacher eta: the atom 0.75 - 0.5 * 0.5 - 0.5 is zero, so the log
+        # moment is -inf, which strict JSON has no token for
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        code = main(["check", "--theta", "0.75", "--alpha", "0.5",
+                     "--eps", "gaussian:1", "--eta", "rademacher:0.5"])
+        payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert code == 0
+        assert payload["log_moment_estimate"] is None
+        assert payload["verdicts"]["H1"] is True
+
 
 class TestMoments:
     def test_order2_keys(self, capsys):
@@ -172,6 +185,30 @@ class TestMc:
         for key in ("targets", "empirical", "tolerance", "pass"):
             assert key in payload
         assert payload["targets"]["variance"] == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("experiment", ["clt_mean", "clt_theta", "clt_couple"])
+    def test_every_replicate_failed(self, tmp_path, capsys, experiment):
+        # n = 1 leaves no lag window, so every replicate fails: the report is
+        # inconclusive with undefined (null) empirical values
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("theta = 0.5\nalpha = 0.0\neps.family = gaussian\n"
+                       "eps.scale = 1\nn = 1\nreplicates = 100\n")
+        code = main(["mc", "--experiment", experiment, "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        payload = json.loads(out, parse_constant=lambda token: pytest.fail(token))
+        assert payload["status"] == "inconclusive"
+        assert payload["replicates_used"] == 0
+        assert not any(payload["pass"].values())
+
+        def leaves(node):
+            if isinstance(node, (dict, list)):
+                for child in (node.values() if isinstance(node, dict) else node):
+                    yield from leaves(child)
+            else:
+                yield node
+
+        assert set(leaves(payload["empirical"])) == {None}
 
     def test_worker_count_invariance(self, tmp_path, capsys):
         cfg = tmp_path / "run.toml"

@@ -7,7 +7,8 @@ import pytest
 from rcar.errors import ConfigurationError, PathologicalParamsError
 from rcar.model import (KURTOSIS_FACTOR, ModelParams, MomentSet, NoiseFamily,
                         NoiseSpec, check_hypotheses, load_run_file,
-                        noise_moments, params_from_mapping, parse_noise)
+                        log_moment, noise_moments, params_from_mapping,
+                        parse_noise)
 
 GAUSS1 = NoiseSpec(NoiseFamily.GAUSSIAN, 1.0)
 
@@ -146,11 +147,32 @@ class TestCheckHypotheses:
         assert report.h1 and not report.h1_uncertain
 
     def test_log_moment_warns_near_boundary(self):
-        # theta = 1 with tiny coefficient noise: E ln|theta_t| ~ 0
-        params = ModelParams(1.0, 0.0, GAUSS1,
-                             NoiseSpec(NoiseFamily.GAUSSIAN, 1e-6))
-        report = check_hypotheses(params, mc_draws=10_000)
-        assert report.h1_uncertain
+        # theta = 1 with tiny coefficient noise: E ln|1 + sd Z| is
+        # -sd^2/2 - 3 sd^4/4 - 15 sd^6/6 - ... ~ -5e-7 for sd = 1e-3
+        def report(theta):
+            return check_hypotheses(ModelParams(
+                theta, 0.0, GAUSS1, NoiseSpec(NoiseFamily.GAUSSIAN, 1e-6)))
+
+        at_one = report(1.0)
+        assert at_one.log_moment_half_width < 1e-14
+        assert at_one.log_moment_estimate == pytest.approx(
+            -5e-7 - 7.5e-13 - 2.5e-18, abs=at_one.log_moment_half_width)
+        assert at_one.h1 and not at_one.h1_uncertain
+
+        # the rate crosses zero near theta = 1 + 5e-7: bisect theta until
+        # the value lies within its error bound of zero
+        lo, hi = 1.0, 1.0 + 1e-5
+        assert report(hi).log_moment_estimate > 0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            rep = report(mid)
+            if abs(rep.log_moment_estimate) <= rep.log_moment_half_width:
+                break
+            lo, hi = (mid, hi) if rep.log_moment_estimate < 0 else (lo, mid)
+        else:
+            pytest.fail("no theta within the error bound of the H1 boundary")
+        assert rep.h1_uncertain
+        assert mid == pytest.approx(1 + 5e-7, abs=1e-9)
 
     def test_eta_none_log_moment_exact(self):
         report = check_hypotheses(ModelParams(0.5, 0.0, GAUSS1, None),
@@ -165,15 +187,164 @@ class TestCheckHypotheses:
         report = check_hypotheses(params, mc_draws=10_000)
         assert report.excluded_degenerate.sqrt2_theta_boundary
 
-    def test_mc_draws_floor(self):
-        with pytest.raises(ConfigurationError):
-            check_hypotheses(ModelParams(0.3, 0.0, GAUSS1, None), mc_draws=100)
-
     def test_determinism(self):
         params = ModelParams(0.2, 0.3, GAUSS1, NoiseSpec(NoiseFamily.GAUSSIAN, 0.1))
         a = check_hypotheses(params, mc_draws=10_000, seed=5)
         b = check_hypotheses(params, mc_draws=10_000, seed=5)
         assert a == b
+        # mc_draws and seed are accepted and have no effect
+        assert check_hypotheses(params, mc_draws=100, seed=6) == a
+        assert a.to_dict()["mc_draws"] == 0
+
+    def test_makes_no_random_draws(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_hypotheses drew random numbers")
+
+        monkeypatch.setattr(np.random, "Philox", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        for family in NoiseFamily:
+            for alpha in (0.0, 0.5):
+                params = ModelParams(0.3, alpha, GAUSS1, NoiseSpec(family, 0.2))
+                assert check_hypotheses(params).h1
+
+
+def mc_log_moment(params, seed, draws=200_000):
+    """Mean of ln|theta + alpha eta_0 + eta_1| over `draws` Philox draws
+    and its standard error."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    eta0 = params.eta.sample(rng, draws)
+    eta1 = params.eta.sample(rng, draws)
+    logs = np.log(np.abs(params.theta + params.alpha * eta0 + eta1))
+    return float(logs.mean()), float(logs.std(ddof=1)) / math.sqrt(draws)
+
+
+def eta_params(theta, alpha, family, scale):
+    return ModelParams(theta, alpha, GAUSS1, NoiseSpec(family, scale))
+
+
+#: 16 points, 4 per family, from default_rng(2026) over the ranges of the
+#: suite's random_admissible draw
+MC_POINTS = [
+    (float(t), float(a), family, float(c))
+    for rng in [np.random.default_rng(2026)]
+    for family in NoiseFamily
+    for t, a, c in zip(rng.uniform(-0.8, 0.8, 4), rng.uniform(-0.9, 0.9, 4),
+                       rng.uniform(0.02, 0.3, 4))
+]
+
+
+class TestLogMoment:
+    def test_eta_none_is_log_theta(self):
+        assert log_moment(ModelParams(-0.5, 0.3, GAUSS1, None)) == (math.log(0.5), 0.0)
+        assert log_moment(ModelParams(0.0, 0.3, GAUSS1, None)) == (-math.inf, 0.0)
+
+    @pytest.mark.parametrize("theta,alpha,c", [
+        (0.3, 0.5, 0.2), (-0.7, -0.8, 0.05), (0.1, 2.0, 0.3)])
+    def test_rademacher_atoms(self, theta, alpha, c):
+        value, bound = log_moment(eta_params(theta, alpha, NoiseFamily.RADEMACHER, c))
+        atoms = [theta + i * alpha * c + j * c for i in (-1, 1) for j in (-1, 1)]
+        direct = sum(math.log(abs(y)) for y in atoms) / 4
+        assert 0 < bound < 1e-14
+        assert value == pytest.approx(direct, abs=1e-14)
+
+    def test_rademacher_atom_at_zero(self):
+        # 0.75 - 0.5 * 0.5 - 0.5 = 0 exactly: one of the four atoms is zero
+        params = eta_params(0.75, 0.5, NoiseFamily.RADEMACHER, 0.5)
+        assert log_moment(params) == (-math.inf, 0.0)
+        report = check_hypotheses(params)
+        assert report.log_moment_estimate == -math.inf
+        assert report.h1 and not report.h1_uncertain
+
+    @pytest.mark.parametrize("theta,c", [(0.0, 1.0), (0.4, 0.4), (0.3, 0.2),
+                                         (-2.0, 0.5)])
+    def test_uniform_alpha_zero_closed_form(self, theta, c):
+        # E ln|theta + U| = (F(theta + c) - F(theta - c)) / 2c with
+        # F(x) = x ln|x| - x: ln c - 1 at theta = 0, ln 2c - 1 at theta = c
+        def f(x):
+            return x * math.log(abs(x)) - x if x else 0.0
+
+        value, bound = log_moment(eta_params(theta, 0.0, NoiseFamily.UNIFORM, c))
+        assert bound < 1e-14
+        assert value == pytest.approx((f(theta + c) - f(theta - c)) / (2 * c),
+                                      abs=1e-15)
+        if theta == 0:
+            assert value == pytest.approx(math.log(c) - 1, abs=1e-15)
+        if theta == c:
+            assert value == pytest.approx(math.log(2 * c) - 1, abs=1e-15)
+        # the trapezoid density of a small alpha != 0 tends to the uniform one
+        near, near_bound = log_moment(eta_params(theta, 1e-9, NoiseFamily.UNIFORM, c))
+        assert near_bound < 1e-10
+        assert near == pytest.approx(value, abs=1e-12)
+
+    @pytest.mark.parametrize("theta,alpha,c", [
+        (0.3, 0.5, 0.2), (-0.1, -0.9, 0.3), (0.7, 0.2, 0.05), (0.0, 1.0, 0.25)])
+    def test_uniform_closed_form(self, theta, alpha, c):
+        # integrating F twice: E ln|theta + U_a + U_b| is
+        # [G(t+a+b) - G(t+a-b) - G(t-a+b) + G(t-a-b)] / 4ab with
+        # G(x) = x^2/2 ln|x| - 3x^2/4, a = c and b = |alpha| c
+        def g(x):
+            return x * x / 2 * math.log(abs(x)) - 0.75 * x * x if x else 0.0
+
+        a, b = c, abs(alpha) * c
+        terms = [g(theta + a + b), -g(theta + a - b), -g(theta - a + b),
+                 g(theta - a - b)]
+        target = math.fsum(terms) / (4 * a * b)
+        # the four terms cancel: each carries a few ulps of its size
+        cancellation = 1e-15 * sum(map(abs, terms)) / (4 * a * b)
+        value, bound = log_moment(eta_params(theta, alpha, NoiseFamily.UNIFORM, c))
+        assert bound < 1e-12
+        assert value == pytest.approx(target, abs=bound + cancellation)
+
+    @pytest.mark.parametrize("theta,alpha,var", [
+        (0.0, 0.0, 1.0), (0.3, 0.5, 0.1), (-0.8, 0.9, 0.02), (0.5, -0.2, 0.3)])
+    def test_gaussian_poisson_series(self, theta, alpha, var):
+        # theta_t ~ N(theta, s2) with s2 = (1 + alpha^2) var, so theta_t^2 / s2
+        # is a Poisson(lam) mixture of chi2(1 + 2k), lam = theta^2 / (2 s2);
+        # with E ln chi2(nu) = ln 2 + digamma(nu / 2) and
+        # digamma(1/2 + k) = -gamma - 2 ln 2 + sum_{j <= k} 2 / (2j - 1):
+        # E ln|theta_t| = (ln s2 + ln 2 + sum_k P(k) digamma(1/2 + k)) / 2
+        s2 = (1 + alpha**2) * var
+        lam = theta**2 / (2 * s2)
+        k = np.arange(400)
+        weights = (np.exp(k * math.log(lam) - lam - np.array([math.lgamma(j + 1) for j in k]))
+                   if lam else (k == 0).astype(float))
+        digamma = (-np.euler_gamma - 2 * math.log(2)
+                   + np.concatenate([[0.0], np.cumsum(2 / (2 * k[1:] - 1))]))
+        target = 0.5 * (math.log(s2) + math.log(2) + math.fsum(weights * digamma))
+        value, bound = log_moment(eta_params(theta, alpha, NoiseFamily.GAUSSIAN, var))
+        assert bound < 1e-12
+        assert value == pytest.approx(target, abs=bound + 1e-14)
+
+    @pytest.mark.parametrize("b", [0.05, 0.3, 1.0])
+    def test_laplace_closed_forms(self, b):
+        # at theta = 0 one laplace (alpha = 0) gives E ln|b L| = ln b - gamma;
+        # at |alpha| = 1 the sum has density (b + |s|) e^(-|s|/b) / 4b^2 and
+        # E ln|S| = ln b - gamma + 1/2
+        for alpha, target in ((0.0, math.log(b) - np.euler_gamma),
+                              (1.0, math.log(b) - np.euler_gamma + 0.5),
+                              (-1.0, math.log(b) - np.euler_gamma + 0.5)):
+            value, bound = log_moment(eta_params(0.0, alpha, NoiseFamily.LAPLACE, b))
+            assert bound < 1e-12
+            assert abs(value - target) <= bound + 1e-15
+
+    @pytest.mark.parametrize("theta", [0.0, 0.4, -0.9])
+    def test_laplace_continuous_at_special_alphas(self, theta):
+        # the general density next to alpha = 0 and |alpha| = 1 agrees with
+        # the forms taken at those points
+        for special, near in ((0.0, 1e-9), (1.0, 1.0 - 1e-9), (-1.0, -1.0 - 1e-9)):
+            a, a_bound = log_moment(eta_params(theta, special, NoiseFamily.LAPLACE, 0.2))
+            b, b_bound = log_moment(eta_params(theta, near, NoiseFamily.LAPLACE, 0.2))
+            assert max(a_bound, b_bound) < 1e-10
+            assert a == pytest.approx(b, abs=1e-8)
+
+    @pytest.mark.parametrize("i", range(len(MC_POINTS)))
+    def test_against_monte_carlo(self, i):
+        # 2e5 Philox draws per point (seed 7000 + i), band 4 standard errors
+        params = eta_params(*MC_POINTS[i])
+        value, bound = log_moment(params)
+        mean, se = mc_log_moment(params, seed=7000 + i)
+        assert bound < 1e-10
+        assert abs(value - mean) <= 4 * se, (value, mean, se)
 
 
 class TestRunFile:

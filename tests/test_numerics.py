@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rcar.errors import NumericError
 from rcar.model import ModelParams, NoiseFamily, NoiseSpec
-from rcar.numerics import chisq1_tail, mat_power, solve, spectral_radius
+from rcar.numerics import chisq1_tail, solve, spectral_radius
 from rcar.second_order import build_second_order, m_matrix
 
 
@@ -132,18 +132,3 @@ class TestChisq1Tail:
         z = np.linspace(0.0, math.sqrt(s), 2_000_001)
         cdf = 2.0 * np.trapezoid(np.exp(-z * z / 2) / math.sqrt(2 * math.pi), z)
         assert chisq1_tail(s) + cdf == pytest.approx(1.0, abs=1e-9)
-
-
-class TestHadamardAndPower:
-    def test_power_trivial(self, rng):
-        a = rng.normal(size=(4, 4))
-        assert np.array_equal(mat_power(a, 1), a)
-        assert np.allclose(mat_power(np.diag([2.0]), 3), np.diag([8.0]))
-        assert np.array_equal(mat_power(a, 0), np.eye(4))
-
-    def test_power_against_direct_multiply(self):
-        params = ModelParams(0.4, 0.0, NoiseSpec(NoiseFamily.GAUSSIAN, 1.0),
-                             NoiseSpec(NoiseFamily.GAUSSIAN, 0.15))
-        n = build_second_order(params).N
-        assert np.allclose(mat_power(n, 2), n @ n, atol=1e-14)
-        assert np.allclose(mat_power(n, 5), n @ n @ n @ n @ n, atol=1e-14)

@@ -115,6 +115,18 @@ class TestAutocovariance:
         assert len(summary.values) == 5
         assert summary.theta_star == pytest.approx(1 / 3, rel=1e-12)
 
+    def test_one_iteration_serves_every_lag(self, rng):
+        # acvf and autocovariance read one iteration v <- N v from Lambda;
+        # each lag matches the explicit power N^h Lambda to round-off
+        for _ in range(5):
+            so = build_second_order(random_admissible(rng))
+            values = acvf(so, hmax=60).values
+            assert [autocovariance(so, h) for h in range(61)] == values.tolist()
+            for h in (0, 1, 2, 7, 60):
+                direct = (np.linalg.matrix_power(so.N, h) @ so.Lam)[0]
+                assert values[h] == pytest.approx(direct, rel=1e-13,
+                                                  abs=1e-15 * values[0])
+
     def test_lag_cap(self, params_accept):
         so = build_second_order(params_accept)
         with pytest.raises(ValueError):
