@@ -1,15 +1,18 @@
 """Command-line entry point.
 
 Subcommands: check, moments, variance, simulate, estimate, test, mc, region.
-JSON is the canonical output; CSV is used for trajectories and grids. Exit
-codes: 0 success, 2 usage/configuration error, 3 degenerate data,
-4 hypothesis violation, 5 pathological parameter set.
+JSON is the canonical output; CSV is used for trajectories and grids. Each
+command returns its result, a JSON payload or a CSV writer, and one emitter,
+`_emit`, writes it to `--out` or stdout. Exit codes: 0 success (a reader that
+closes stdout early is not an error), 1 i/o or numerical failure,
+2 usage/configuration error, 3 degenerate data, 4 hypothesis violation,
+5 pathological parameter set.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
 import math
 import os
@@ -22,7 +25,7 @@ from . import estimate as est
 from . import fourth_order, model, second_order
 from .errors import (ConfigurationError, DegenerateDataError, HypothesisError,
                      PathologicalParamsError, RcarError)
-from .simulate import (DEFAULT_BURN_IN, GENERATOR_ID, ingest,
+from .simulate import (DEFAULT_BURN_IN, GENERATOR_ID, Trajectory, ingest,
                        simulate as run_simulation, write_csv, write_rows)
 
 EXIT_USAGE = 2
@@ -62,25 +65,31 @@ def _null_non_finite(obj):
     return obj
 
 
-def _emit_json(payload: dict, out: str | None) -> None:
-    """Write strict JSON: an undefined or infinite value is null."""
-    text = json.dumps(_null_non_finite(payload), indent=2, allow_nan=False)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _emit(result, out: str | None) -> None:
+    """Write a command's result to the file `out`, or to stdout if None.
 
-
-def _emit_rows(header, rows, out: str | None) -> None:
-    fh = open(out, "w", newline="", encoding="utf-8") if out else sys.stdout
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
+    The result is a JSON payload (a dict, written as strict JSON: an
+    undefined or infinite value is null), a trajectory (the `t,x` CSV) or a
+    function that writes a CSV table to a text stream. A reader that closes
+    stdout early ends the output quietly.
+    """
+    if isinstance(result, Trajectory):
         if out:
-            fh.close()
+            return write_csv(result, out)
+        result = functools.partial(write_rows, x=result.x)
+    elif isinstance(result, dict):
+        text = json.dumps(_null_non_finite(result), indent=2, allow_nan=False)
+        result = lambda fh: fh.write(text + "\n")
+    if out:
+        with open(out, "w", newline="", encoding="utf-8") as fh:
+            result(fh)
+    else:
+        try:
+            result(sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # stdout is dead; the interpreter's last flush must not report it
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _params_from_args(args) -> model.ModelParams:
@@ -126,32 +135,22 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
                         help="flat key=value run file; flags override")
 
 
-def _add_out_flag(parser: argparse.ArgumentParser, fmt: str = "json") -> None:
+def _add_out_flag(parser: argparse.ArgumentParser, csv: bool = False) -> None:
+    """`--out` and `--format`; CSV is the default where the command has it."""
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=("json", "csv"), default=fmt)
+    parser.add_argument("--format", choices=("json", "csv"),
+                        default="csv" if csv else "json")
+    parser.set_defaults(has_csv=csv)
 
 
-def _require_json(args) -> None:
-    if getattr(args, "format", "json") != "json":
-        raise ConfigurationError(
-            "CSV output is restricted to grids and trajectories; this "
-            "subcommand emits JSON"
-        )
-
-
-def cmd_check(args) -> int:
-    _require_json(args)
+def cmd_check(args) -> dict:
     params = _params_from_args(args)
-    report = model.check_hypotheses(params, mc_draws=args.mc_draws, seed=args.seed)
-    payload = report.to_dict()
-    payload["provenance"] = _provenance(params, seed=args.seed,
-                                        mc_draws=args.mc_draws)
-    _emit_json(payload, args.out)
-    return 0
+    payload = model.check_hypotheses(params).to_dict()
+    payload["provenance"] = _provenance(params)
+    return payload
 
 
-def cmd_moments(args) -> int:
-    _require_json(args)
+def cmd_moments(args) -> dict:
     params = _params_from_args(args)
     so = second_order.build_second_order(params)
     payload = so.to_dict()
@@ -160,18 +159,16 @@ def cmd_moments(args) -> int:
         fo = fourth_order.build_fourth_order(params, so)
         payload.update(fo.to_dict())
     payload["provenance"] = _provenance(params, order=args.order, hmax=args.hmax)
-    _emit_json(payload, args.out)
-    return 0
+    return payload
 
 
-def cmd_variance(args) -> int:
-    _require_json(args)
+def cmd_variance(args) -> dict:
     params = _params_from_args(args)
     so = second_order.build_second_order(params)
     fo = fourth_order.build_fourth_order(params, so)
     lim = asymptotics.limits(params, so)
     stack = asymptotics.sigma_psi(params, so, fo)
-    payload = {
+    return {
         "theta_star": lim.theta_star,
         "vartheta_star": lim.vartheta_star,
         "gamma": lim.gamma,
@@ -184,68 +181,56 @@ def cmd_variance(args) -> int:
         "psi0": stack.psi0,
         "provenance": _provenance(params),
     }
-    _emit_json(payload, args.out)
-    return 0
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> dict | Trajectory:
     params = _params_from_args(args)
     traj = run_simulation(params, args.n, args.seed, args.burn_in)
-    if args.format == "json":
-        _emit_json({
-            "t": list(range(traj.n + 1)),
-            "x": traj.x.tolist(),
-            "provenance": _provenance(params, seed=args.seed,
-                                      n=args.n, burn_in=traj.burn_in),
-        }, args.out)
-    elif args.out:
-        write_csv(traj, args.out)
-    else:
-        write_rows(sys.stdout, traj.x)
-    return 0
+    if args.format == "csv":
+        return traj
+    return {
+        "t": list(range(traj.n + 1)),
+        "x": traj.x.tolist(),
+        "provenance": _provenance(params, seed=args.seed,
+                                  n=args.n, burn_in=traj.burn_in),
+    }
 
 
-def _run_estimation(args) -> est.EstimationReport:
-    traj = ingest(args.infile)
-    return est.correlation_test(
-        traj, level=args.level, source=args.theta_source,
+def cmd_estimate(args) -> dict:
+    payload = est.correlation_test(
+        ingest(args.infile), level=args.level, source=args.theta_source,
         eps_family=model.NoiseFamily(args.eps_family),
         eta_family=model.NoiseFamily(args.eta_family),
-    )
-
-
-def cmd_estimate(args) -> int:
-    _require_json(args)
-    report = _run_estimation(args)
-    payload = report.to_dict()
+    ).to_dict()
     payload["provenance"] = _provenance(None, infile=args.infile,
                                         level=args.level,
                                         theta_source=args.theta_source)
-    _emit_json(payload, args.out)
-    return 0
+    return payload
 
 
-def cmd_test(args) -> int:
-    _require_json(args)
-    report = _run_estimation(args)
-    payload = {k: getattr(report, k) for k in
-               ("n", "statistic", "p_value", "reject", "level",
-                "gamma_tilde", "psi0_hat", "theta_hat_source")}
-    payload["provenance"] = _provenance(None, infile=args.infile,
-                                        level=args.level,
-                                        theta_source=args.theta_source)
-    _emit_json(payload, args.out)
-    return 0
+def cmd_test(args) -> dict:
+    """The test's fields of the `rcar estimate` report."""
+    payload = cmd_estimate(args)
+    keys = ("n", "statistic", "p_value", "reject", "level", "gamma_tilde",
+            "psi0_hat", "theta_hat_source", "provenance")
+    return {k: payload[k] for k in keys}
 
 
-_MC_KEYS = set(model.PARAM_KEYS) | {
-    "n", "replicates", "level", "master_seed", "burn_in", "experiment",
-    "alpha_grid", "mu_key", "theta_source", "workers",
+def _comma_list(cast):
+    return lambda text: tuple(cast(v) for v in text.split(","))
+
+
+# the `MCConfig` fields a run file may set, with the cast of each value;
+# `MCConfig` holds the defaults of those the file leaves out
+_MC_CASTS = {
+    "n": int, "replicates": int, "master_seed": int, "level": float,
+    "burn_in": int, "theta_source": str,
+    "alpha_grid": _comma_list(float), "mu_key": _comma_list(int),
 }
+_MC_KEYS = set(model.PARAM_KEYS) | set(_MC_CASTS) | {"experiment"}
 
 
-def cmd_mc(args) -> int:
-    _require_json(args)
+def cmd_mc(args) -> dict:
     values = model.load_run_file(args.config) if args.config else {}
     unknown = set(values) - _MC_KEYS
     if unknown:
@@ -257,28 +242,15 @@ def cmd_mc(args) -> int:
     if not experiment:
         raise ConfigurationError("no experiment given (flag or config key)")
 
-    def _get(key, cast, default):
-        return cast(values[key]) if key in values else default
-
-    cfg = harness.MCConfig(
-        params=params,
-        n=_get("n", int, 1000),
-        replicates=_get("replicates", int, 1000),
-        master_seed=(args.seed if args.seed is not None
-                     else _get("master_seed", int, _default_seed())),
-        experiment=experiment,
-        level=_get("level", float, 0.05),
-        burn_in=_get("burn_in", int, DEFAULT_BURN_IN),
-        alpha_grid=tuple(float(v) for v in values["alpha_grid"].split(","))
-        if "alpha_grid" in values else (),
-        mu_key=tuple(int(v) for v in values["mu_key"].split(","))
-        if "mu_key" in values else None,
-        theta_source=values.get("theta_source", "tilde"),
-        workers=args.workers,
-    )
+    settings = {"n": 1000, "replicates": 1000, "master_seed": _default_seed()}
+    settings.update((key, model.cast_value(key, values[key], cast))
+                    for key, cast in _MC_CASTS.items() if key in values)
+    if args.seed is not None:
+        settings["master_seed"] = args.seed
+    cfg = harness.MCConfig(params=params, experiment=experiment,
+                           workers=args.workers, **settings)
     report = harness.run_experiment(cfg)
-    _emit_json(report.to_dict(include_replicates=args.keep_replicates), args.out)
-    return 0
+    return report.to_dict(include_replicates=args.keep_replicates)
 
 
 def _parse_range(text: str) -> np.ndarray:
@@ -291,30 +263,26 @@ def _parse_range(text: str) -> np.ndarray:
     return np.arange(lo, hi + step / 2, step)
 
 
-def cmd_region(args) -> int:
+def cmd_region(args):
     eps = model.parse_noise(args.eps)
     eta = model.parse_noise(args.eta)
     if eps is None:
         raise ConfigurationError("eps noise cannot be 'none'")
     header = ["theta", "alpha", "rho_M", "rho_H"]
     rows = []
-    for theta in _parse_range(args.theta_range):
-        for alpha in _parse_range(args.alpha_range):
+    for theta in _parse_range(args.theta_range).tolist():
+        for alpha in _parse_range(args.alpha_range).tolist():
             try:
                 params = model.ModelParams(theta, alpha, eps, eta)
             except PathologicalParamsError:
-                rows.append([f"{theta:.17g}", f"{alpha:.17g}", "nan", "nan"])
+                rows.append((theta, alpha, math.nan, math.nan))
                 continue
-            rho_m, rho_h = second_order.stationarity_radii(params)
-            rows.append([f"{theta:.17g}", f"{alpha:.17g}",
-                         f"{rho_m:.17g}", f"{rho_h:.17g}"])
+            rows.append((theta, alpha, *second_order.stationarity_radii(params)))
     if args.format == "json":
-        _emit_json({"columns": header,
-                    "rows": [[float(v) for v in row] for row in rows]},
-                   args.out)
-    else:
-        _emit_rows(header, rows, args.out)
-    return 0
+        return {"columns": header, "rows": rows}
+    text = ",".join(header) + "\r\n" + "".join(
+        "%.17g,%.17g,%.17g,%.17g\r\n" % row for row in rows)
+    return lambda fh: fh.write(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,10 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="hypothesis report for a parameter set")
     _add_param_flags(p)
-    p.add_argument("--mc-draws", type=int, default=100_000,
-                   help="accepted, no effect: the H1 log moment is exact")
-    p.add_argument("--seed", type=int, default=_default_seed(),
-                   help="accepted, no effect: the check makes no random draws")
     _add_out_flag(p)
     p.set_defaults(func=cmd_check)
 
@@ -353,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN)
-    _add_out_flag(p, fmt="csv")
+    _add_out_flag(p, csv=True)
     p.set_defaults(func=cmd_simulate)
 
     for name, func, help_text in (
@@ -388,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-range", required=True, metavar="LO:HI:STEP")
     p.add_argument("--eps", required=True, metavar="FAMILY:SCALE")
     p.add_argument("--eta", required=True, metavar="FAMILY:SCALE")
-    _add_out_flag(p, fmt="csv")
+    _add_out_flag(p, csv=True)
     p.set_defaults(func=cmd_region)
 
     return parser
@@ -417,7 +381,12 @@ def main(argv=None) -> int:
     try:
         # the parser's seed defaults read RCAR_SEED, which may be malformed
         args = build_parser().parse_args(_join_range_flags(list(argv)))
-        return args.func(args)
+        if args.format == "csv" and not args.has_csv:
+            raise ConfigurationError(
+                "CSV output is restricted to grids and trajectories; this "
+                "subcommand emits JSON")
+        _emit(args.func(args), args.out)
+        return 0
     except ConfigurationError as exc:
         print(f"rcar: configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE

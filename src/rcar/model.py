@@ -518,15 +518,32 @@ def load_run_file(path) -> dict[str, str]:
 PARAM_KEYS = ("theta", "alpha", "eps.family", "eps.scale", "eta.family", "eta.scale")
 
 
+def cast_value(key: str, text: str, cast):
+    """`cast(text)` for the run-file key `key`; a value that does not cast is
+    a ConfigurationError whose message starts with the key."""
+    try:
+        return cast(text)
+    except ValueError as exc:
+        raise ConfigurationError(f"{key} = {text}: {exc}") from None
+
+
+def _family(text: str) -> NoiseFamily:
+    return NoiseFamily(text.lower())
+
+
 def params_from_mapping(values: dict[str, str]) -> ModelParams:
     """Build ModelParams from the flat keys theta, alpha, eps.*, eta.*."""
     missing = [k for k in ("theta", "alpha", "eps.family", "eps.scale") if k not in values]
     if missing:
         raise ConfigurationError(f"missing parameter keys: {', '.join(missing)}")
-    eps = NoiseSpec(NoiseFamily(values["eps.family"].lower()), float(values["eps.scale"]))
+
+    def get(key, cast):
+        return cast_value(key, values[key], cast)
+
+    eps = NoiseSpec(get("eps.family", _family), get("eps.scale", float))
     eta = None
     if values.get("eta.family", "none").lower() not in ("none", ""):
         if "eta.scale" not in values:
             raise ConfigurationError("eta.family given without eta.scale")
-        eta = NoiseSpec(NoiseFamily(values["eta.family"].lower()), float(values["eta.scale"]))
-    return ModelParams(float(values["theta"]), float(values["alpha"]), eps, eta)
+        eta = NoiseSpec(get("eta.family", _family), get("eta.scale", float))
+    return ModelParams(get("theta", float), get("alpha", float), eps, eta)

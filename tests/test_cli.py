@@ -1,12 +1,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rcar
 from rcar.cli import main
 from rcar.model import ModelParams, NoiseFamily, NoiseSpec
+from rcar.second_order import stationarity_radii
 from rcar.simulate import ingest, simulate
 
 CHECK_ARGS = ["check", "--theta", "0.3", "--alpha", "0",
@@ -59,6 +64,18 @@ class TestCheck:
         assert code == 0
         assert payload["log_moment_estimate"] is None
         assert payload["verdicts"]["H1"] is True
+
+    @pytest.mark.parametrize("flag", ["--mc-draws", "--seed"])
+    def test_removed_monte_carlo_flags(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(CHECK_ARGS + [flag, "5"])
+        assert exc.value.code == 2
+
+    def test_provenance_claims_no_draws(self, capsys):
+        _, payload = run_json(capsys, CHECK_ARGS)
+        assert payload["provenance"]["settings"] == {}
+        assert "seed" not in payload["provenance"]
+        assert payload["mc_draws"] == 0
 
 
 class TestMoments:
@@ -160,6 +177,29 @@ class TestSimulateEstimateRoundTrip:
         assert main(args) == 0
         assert capsysbinary.readouterr().out == out.read_bytes()
 
+    @pytest.mark.parametrize("fmt,n", [("csv", 200_000), ("json", 20_000)])
+    def test_closed_stdout_pipe_is_quiet(self, fmt, n):
+        # a reader that takes one line and closes the pipe is ordinary
+        # pipeline use (`rcar simulate ... | head -1`), not an i/o failure
+        src = os.path.dirname(os.path.dirname(rcar.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rcar.cli", "simulate", *self.ARGS,
+             "--n", str(n), "--seed", "1", "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert first in (b"t,x\r\n", b"{\n")
+        assert err == b""
+
+    def test_failed_out_write_is_an_io_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "series.csv"
+        assert main(["simulate", *self.ARGS, "--n", "20", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("rcar: i/o error: ")
+
     def test_malformed_csv_exit3(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,x\n0,1.0\n2,0.5\n")
@@ -250,6 +290,17 @@ class TestMc:
                      "--config", str(cfg)]) == 2
         assert "burn_in must be >= 0" in capsys.readouterr().err
 
+    def test_workers_is_not_a_run_file_key(self, tmp_path, capsys):
+        # the worker count is set by --workers only
+        cfg = tmp_path / "run.toml"
+        cfg.write_text("theta=0.3\nalpha=0\neps.family=gaussian\neps.scale=1\n"
+                       "n=50\nreplicates=100\nworkers=2\n")
+        assert main(["mc", "--experiment", "clt_couple",
+                     "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rcar: configuration error: unknown keys")
+        assert "workers" in err
+
 
 class TestRegion:
     def test_grid_csv(self, tmp_path):
@@ -288,12 +339,53 @@ class TestRegion:
         assert payload["columns"] == ["theta", "alpha", "rho_M", "rho_H"]
         assert len(payload["rows"]) == 4
 
+    # at alpha 5, 2 alpha tau2 = 1: the pathological points carry nan
+    PATHOLOGICAL = ["region", "--theta-range", "0:0.5:0.5", "--alpha-range",
+                    "4:5:1", "--eps", "gaussian:1", "--eta", "gaussian:0.1"]
+
+    @staticmethod
+    def _radii(theta):
+        return stationarity_radii(ModelParams(
+            theta, 4.0, NoiseSpec(NoiseFamily.GAUSSIAN, 1.0),
+            NoiseSpec(NoiseFamily.GAUSSIAN, 0.1)))
+
+    def test_pathological_grid_csv_bytes(self, capsysbinary):
+        assert main(self.PATHOLOGICAL) == 0
+        rho = [f"{r:.17g}" for theta in (0.0, 0.5) for r in self._radii(theta)]
+        assert capsysbinary.readouterr().out == (
+            "theta,alpha,rho_M,rho_H\r\n"
+            f"0,4,{rho[0]},{rho[1]}\r\n"
+            "0,5,nan,nan\r\n"
+            f"0.5,4,{rho[2]},{rho[3]}\r\n"
+            "0.5,5,nan,nan\r\n").encode()
+
+    def test_pathological_grid_json(self, capsys):
+        code, payload = run_json(capsys, self.PATHOLOGICAL + ["--format", "json"])
+        assert code == 0
+        assert payload == {
+            "columns": ["theta", "alpha", "rho_M", "rho_H"],
+            "rows": [[0.0, 4.0, *self._radii(0.0)], [0.0, 5.0, None, None],
+                     [0.5, 4.0, *self._radii(0.5)], [0.5, 5.0, None, None]],
+        }
+
 
 class TestUsageErrors:
     def test_csv_format_rejected_for_reports(self):
         assert main(["variance", "--theta", "0.3", "--alpha", "0",
                      "--eps", "gaussian:1", "--eta", "gaussian:0.1",
                      "--format", "csv"]) == 2
+
+    def test_csv_format_rejected_before_the_run(self, tmp_path, monkeypatch,
+                                                capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.MC_PARAMS + "n=50\nreplicates=100\n")
+        monkeypatch.setattr("rcar.harness.run_experiment",
+                            lambda cfg: pytest.fail("the experiment ran"))
+        assert main(["mc", "--experiment", "clt_couple", "--config", str(cfg),
+                     "--format", "csv"]) == 2
+        assert capsys.readouterr().err == (
+            "rcar: configuration error: CSV output is restricted to grids and "
+            "trajectories; this subcommand emits JSON\n")
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
@@ -326,8 +418,12 @@ class TestUsageErrors:
         (["mc", "--experiment", "clt_couple"],
          "n=50\nreplicates=100\nburn_in=-3\n", 2, "burn_in"),
         (["mc", "--experiment", "clt_couple"], "n=0\nreplicates=100\n", 2, "n"),
+        (["mc", "--experiment", "clt_couple"], "n=1e6\nreplicates=100\n", 2, "n"),
+        (["mc", "--experiment", "clt_couple"], "theta=abc\n", 2, "theta"),
+        (["mc", "--experiment", "clt_couple"], "eps.family=bogus\n", 2,
+         "eps.family"),
     ], ids=["hmax-1", "hmax0", "hmax1", "mu_key2", "mu_key9", "burn_in-3",
-            "n0"])
+            "n0", "n1e6", "theta_abc", "eps_family_bogus"])
     def test_no_traceback(self, tmp_path, capsys, argv, config, code, key):
         if config is not None:
             cfg = tmp_path / "run.cfg"
@@ -346,7 +442,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("command", [
         ["check", "--theta", "0.3", "--alpha", "0", "--eps", "gaussian:1",
-         "--eta", "gaussian:0.2", "--mc-draws", "1000"],
+         "--eta", "gaussian:0.2"],
         ["variance", "--theta", "0.3", "--alpha", "0.5", "--eps", "gaussian:1",
          "--eta", "gaussian:0.1"],
     ])
