@@ -197,11 +197,13 @@ def cmd_simulate(args) -> dict | Trajectory:
 
 
 def cmd_estimate(args) -> dict:
+    # the flags are checked before the series is read
+    eps_family = model.cast_value("--eps-family", args.eps_family, model.NoiseFamily)
+    eta_family = model.cast_value("--eta-family", args.eta_family, model.NoiseFamily)
+    level = model.cast_value("--level", args.level, est.check_level)
     payload = est.correlation_test(
-        ingest(args.infile), level=args.level, source=args.theta_source,
-        eps_family=model.NoiseFamily(args.eps_family),
-        eta_family=model.NoiseFamily(args.eta_family),
-    ).to_dict()
+        ingest(args.infile), level=level, source=args.theta_source,
+        eps_family=eps_family, eta_family=eta_family).to_dict()
     payload["provenance"] = _provenance(None, infile=args.infile,
                                         level=args.level,
                                         theta_source=args.theta_source)
@@ -268,20 +270,21 @@ def cmd_region(args):
     eta = model.parse_noise(args.eta)
     if eps is None:
         raise ConfigurationError("eps noise cannot be 'none'")
+    theta = _parse_range(args.theta_range)
+    alpha = _parse_range(args.alpha_range)
+    # every point shares the noise, and so T; (0, 0) is never pathological
+    noise = model.ModelParams(0.0, 0.0, eps, eta)
+    keep = ~model.two_alpha_tau2_one(alpha, noise.tau(2))
+    c = second_order.cross_moments(second_order.moment_tables(noise)[0], theta)
+    rho = np.full((2, len(theta), len(alpha)), np.nan)
+    rho[:, :, keep] = second_order.spectral_radii(c[:, None], alpha[keep])
     header = ["theta", "alpha", "rho_M", "rho_H"]
-    rows = []
-    for theta in _parse_range(args.theta_range).tolist():
-        for alpha in _parse_range(args.alpha_range).tolist():
-            try:
-                params = model.ModelParams(theta, alpha, eps, eta)
-            except PathologicalParamsError:
-                rows.append((theta, alpha, math.nan, math.nan))
-                continue
-            rows.append((theta, alpha, *second_order.stationarity_radii(params)))
+    rows = np.stack(np.broadcast_arrays(theta[:, None], alpha, *rho),
+                    axis=-1).reshape(-1, 4).tolist()
     if args.format == "json":
         return {"columns": header, "rows": rows}
     text = ",".join(header) + "\r\n" + "".join(
-        "%.17g,%.17g,%.17g,%.17g\r\n" % row for row in rows)
+        "%.17g,%.17g,%.17g,%.17g\r\n" % tuple(row) for row in rows)
     return lambda fh: fh.write(text)
 
 

@@ -254,6 +254,13 @@ class EstimationReport:
         return asdict(self)
 
 
+def check_level(level: float) -> float:
+    """The test level itself if it lies in (0, 1]; ValueError otherwise."""
+    if not 0.0 < level <= 1.0:
+        raise ValueError(f"level must be in (0, 1], got {level}")
+    return level
+
+
 def correlation_test(traj: Trajectory, level: float = 0.05,
                      source: str = "tilde",
                      eps_family: NoiseFamily = NoiseFamily.GAUSSIAN,
@@ -268,8 +275,7 @@ def correlation_test(traj: Trajectory, level: float = 0.05,
     A non-positive plug-in psi0_hat (possible at small n) is an error, never
     silently clamped.
     """
-    if not 0.0 < level <= 1.0:
-        raise ValueError(f"level must be in (0, 1], got {level}")
+    check_level(level)
     if source not in ("tilde", "hat"):
         raise ValueError(f"theta source must be 'tilde' or 'hat', got {source!r}")
     if traj.n < MIN_TEST_LENGTH:

@@ -2,7 +2,7 @@
 
 Reads the moment tables of the second-order solve (see `second_order`):
 H = recursion_matrix(C, alpha, 4, 5) and G = recursion_matrix(C, alpha, 2, 5),
-and V0..V4 are the columns of T. With the source vector
+and V0 is the first column of T. With the source vector
 R = 6 lambda_0 G1 + 6 lambda_1 G2 + 6 lambda_2 G3 it solves
 
     (I5 - H) Delta  = sigma2 R + sigma4 V0     (Delta_a = E[eta_t^a X_t^4])
@@ -40,12 +40,8 @@ class FourthOrderTables:
     Lam5: np.ndarray
     rho_H: float
 
-    # the (1, eta, .., eta^4)-moment vectors are the columns of T
+    # V0 = (1, 0, tau2, 0, tau4), the first column of T
     V0 = property(lambda self: self.T[:, 0])
-    V1 = property(lambda self: self.T[:, 1])
-    V2 = property(lambda self: self.T[:, 2])
-    V3 = property(lambda self: self.T[:, 3])
-    V4 = property(lambda self: self.T[:, 4])
 
     @property
     def delta0(self) -> float:

@@ -28,7 +28,7 @@ import numpy as np
 from . import asymptotics, estimate
 from .errors import ConfigurationError
 from .fourth_order import build_fourth_order
-from .model import ModelParams, NoiseFamily
+from .model import ModelParams, NoiseFamily, cast_value
 from .second_order import build_second_order
 from .simulate import (DEFAULT_BURN_IN, GENERATOR_ID, replicate_seed,
                        simulate_block, simulate_with_noise)
@@ -90,8 +90,7 @@ class MCConfig:
             raise ConfigurationError(
                 f"theta_source must be 'tilde' or 'hat', got {self.theta_source!r}"
             )
-        if not 0.0 < self.level <= 1.0:
-            raise ConfigurationError(f"level must be in (0, 1], got {self.level}")
+        cast_value("level", self.level, estimate.check_level)
         if self.experiment == "size_power" and 0.0 not in self.alpha_grid:
             raise ConfigurationError("alpha_grid must contain the null point 0")
         if self.experiment == "size_power" and self.n < estimate.MIN_TEST_LENGTH:

@@ -47,6 +47,12 @@ BOUNDARY_TOL = 1e-9
 PSI00_TOL = 1e-8
 
 
+def two_alpha_tau2_one(alpha, tau2):
+    """2 alpha tau2 = 1 within BOUNDARY_TOL (a deterministic process),
+    elementwise over arrays."""
+    return abs(2.0 * alpha * tau2 - 1.0) < BOUNDARY_TOL
+
+
 class NoiseFamily(str, enum.Enum):
     GAUSSIAN = "gaussian"
     UNIFORM = "uniform"
@@ -168,7 +174,7 @@ class ModelParams:
     def __post_init__(self):
         if not (math.isfinite(self.theta) and math.isfinite(self.alpha)):
             raise ConfigurationError("theta and alpha must be finite")
-        if abs(2.0 * self.alpha * self.tau(2) - 1.0) < BOUNDARY_TOL:
+        if two_alpha_tau2_one(self.alpha, self.tau(2)):
             raise PathologicalParamsError(
                 "2*alpha*tau2 = 1: the process would be deterministic"
             )
@@ -471,7 +477,7 @@ def check_hypotheses(params: ModelParams, mc_draws: int = 100_000,
         params.theta, tau2, params.tau(4), sigma2, sigma4, check_denominator=False
     )
     flags = DegeneracyFlags(
-        two_alpha_tau2_one=abs(g1) < BOUNDARY_TOL,
+        two_alpha_tau2_one=two_alpha_tau2_one(params.alpha, tau2),
         sqrt2_theta_boundary=(
             abs(math.sqrt(2) * params.theta - g1) < BOUNDARY_TOL
             or abs(math.sqrt(2) * params.theta + g1) < BOUNDARY_TOL

@@ -1,7 +1,8 @@
 """Small dense linear-algebra kernel and the chi-square(1) tail function.
 
-Everything operates on plain numpy arrays of dimension at most MAX_DIM;
-the sizes actually used elsewhere are 2, 3, 5, 6 and 7.
+Matrices are plain numpy arrays of side at most MAX_DIM; the systems solved
+elsewhere are 3 x 3 and 5 x 5. `spectral_radius` also takes a stack of
+matrices (..., n, n), so a whole parameter grid is one call.
 """
 
 from __future__ import annotations
@@ -18,22 +19,17 @@ MAX_DIM = 8
 SOLVE_RTOL = 1e-10
 
 
-def as_small_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return `a` as a 2-d float array with both dims <= MAX_DIM."""
+def _square(a, name: str) -> np.ndarray:
+    """`a` as finite float square matrices (..., n, n) with n <= MAX_DIM."""
     m = np.asarray(a, dtype=float)
-    if m.ndim != 2:
-        raise NumericError(f"{name}: expected a 2-d array, got ndim={m.ndim}")
-    if m.shape[0] > MAX_DIM or m.shape[1] > MAX_DIM:
+    if m.ndim < 2:
+        raise NumericError(f"{name}: expected a matrix, got ndim={m.ndim}")
+    if m.shape[-1] != m.shape[-2]:
+        raise NumericError(f"{name}: expected square matrices, got {m.shape}")
+    if m.shape[-1] > MAX_DIM:
         raise NumericError(f"{name}: dimensions {m.shape} exceed {MAX_DIM}")
     if not np.all(np.isfinite(m)):
         raise NumericError(f"{name}: non-finite entries")
-    return m
-
-
-def _square(a, name: str) -> np.ndarray:
-    m = as_small_matrix(a, name)
-    if m.shape[0] != m.shape[1]:
-        raise NumericError(f"{name}: expected square matrix, got {m.shape}")
     return m
 
 
@@ -57,14 +53,16 @@ def solve(a, b, context: str = "linear system") -> np.ndarray:
     return x
 
 
-def spectral_radius(a) -> float:
-    """Maximum modulus over all (possibly complex) eigenvalues of a."""
+def spectral_radius(a):
+    """Maximum modulus over all (possibly complex) eigenvalues of a: a float
+    for one matrix, an array of the stack's shape for a stack (..., n, n)."""
     m = _square(a, "spectral_radius argument")
     try:
         eig = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigvals on n<=8
         raise NumericError(f"eigenvalue iteration failed: {exc}") from exc
-    return float(np.max(np.abs(eig)))
+    rho = np.max(np.abs(eig), axis=-1)
+    return float(rho) if m.ndim == 2 else rho
 
 
 def chisq1_tail(s: float) -> float:

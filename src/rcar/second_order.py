@@ -4,8 +4,9 @@ matrix comes from.
 With tau_k = E[eta^k], the Hankel matrix T[a, k] = tau_{a+k} (0 <= a, k <= 4)
 carries the eta moments, and C = T B with B[k, b] = C(b, k) theta^(b-k)
 holds C[a, b] = E[eta^a (theta + eta)^b]; `moment_tables` builds both once
-per parameter set. Expanding the coefficient
-theta_t = theta + eta_t + alpha eta_{t-1} as
+per parameter set. `cross_moments` and `recursion_matrix` also take stacks
+of theta and alpha; one parameter set is a stack of one. Expanding the
+coefficient theta_t = theta + eta_t + alpha eta_{t-1} as
 
     theta_t^p = sum_j C(p, j) (alpha eta_{t-1})^j (theta + eta_t)^(p-j)
 
@@ -48,27 +49,41 @@ _BINOM = np.array([[comb(b, k) for b in _K] for k in _K], dtype=float)
 _THETA_POWER = np.maximum(_K - _K[:, None], 0)
 
 
+def _powers(x, n: int) -> np.ndarray:
+    """x^0 .. x^(n-1) for each entry of x, on a new last axis, by Python's
+    float `**` (libm pow): numpy's `**` rounds ~3% of cubes differently."""
+    x = np.asarray(x, dtype=float)
+    return np.array([[v ** e for e in range(n)] for v in x.ravel().tolist()]
+                    ).reshape(x.shape + (n,))
+
+
 def moment_tables(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """T[a, k] = tau_{a+k} and C = T B, C[a, b] = E[eta^a (theta + eta)^b]."""
     tau = np.array([params.tau(k) for k in range(2 * TABLE_SIZE - 1)])
     t = tau[_K[:, None] + _K]
-    powers = np.array([params.theta ** e for e in range(TABLE_SIZE)])
-    binom = _BINOM * powers[_THETA_POWER]
+    return t, cross_moments(t, params.theta)
+
+
+def cross_moments(t: np.ndarray, theta) -> np.ndarray:
+    """C = T B for each theta of a stack: shape theta.shape + (5, 5)."""
+    binom = _BINOM * _powers(theta, TABLE_SIZE)[..., _THETA_POWER]
     # T B summed term by term in k order (add.accumulate is sequential), as
     # the binomial expansion reads: a BLAS product may reorder or fuse the
     # sums, which moves H by an ulp and Delta, through the solve near
     # rho(H) = 1, by ~1e-14
-    c = np.add.accumulate(t[:, :, None] * binom, axis=1)[:, -1]
-    return t, c
+    terms = t[:, :, None] * binom[..., None, :, :]
+    return np.add.accumulate(terms, axis=-2)[..., -1, :]
 
 
-def recursion_matrix(c: np.ndarray, alpha: float, power: int,
+def recursion_matrix(c: np.ndarray, alpha, power: int,
                      rows: int) -> np.ndarray:
     """The rows x rows matrix with column j = C(power, j) alpha^j
-    c[:rows, power - j] for j <= power and zero columns beyond."""
-    out = np.zeros((rows, rows))
-    out[:, :power + 1] = c[:rows, power::-1] * [
-        comb(power, j) * alpha**j for j in range(power + 1)]
+    c[:rows, power - j] for j <= power and zero columns beyond. A stack of
+    tables c (..., 5, 5) and of alpha broadcast to a stack of matrices."""
+    weights = _powers(alpha, power + 1) * _BINOM[:power + 1, power]
+    cols = c[..., :rows, power::-1] * weights[..., None, :]
+    out = np.zeros(cols.shape[:-1] + (rows,))
+    out[..., :power + 1] = cols
     return out
 
 
@@ -80,9 +95,13 @@ def m_matrix(params: ModelParams) -> np.ndarray:
 def stationarity_radii(params: ModelParams) -> tuple[float, float]:
     """rho(M) and rho(H), the second- and fourth-order spectral radii,
     from one moment table."""
-    c = moment_tables(params)[1]
-    return (numerics.spectral_radius(recursion_matrix(c, params.alpha, 2, 3)),
-            numerics.spectral_radius(recursion_matrix(c, params.alpha, 4, 5)))
+    return spectral_radii(moment_tables(params)[1], params.alpha)
+
+
+def spectral_radii(c: np.ndarray, alpha):
+    """rho(M) and rho(H) for tables c and alpha broadcast to a stack."""
+    return (numerics.spectral_radius(recursion_matrix(c, alpha, 2, 3)),
+            numerics.spectral_radius(recursion_matrix(c, alpha, 4, 5)))
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,33 @@ import pytest
 
 import rcar
 from rcar.cli import main
-from rcar.model import ModelParams, NoiseFamily, NoiseSpec
+from rcar.errors import PathologicalParamsError
+from rcar.model import ModelParams, NoiseFamily, NoiseSpec, parse_noise
+from rcar.numerics import spectral_radius
 from rcar.second_order import stationarity_radii
 from rcar.simulate import ingest, simulate
 
 CHECK_ARGS = ["check", "--theta", "0.3", "--alpha", "0",
               "--eta", "gaussian:0.2", "--eps", "gaussian:1"]
+
+
+def reference_radii(params):
+    """rho(M) and rho(H) by the scalar formulas of the moment table, each
+    power by Python's float `**`: the values `rcar region` has always
+    printed."""
+    tau = [params.tau(k) for k in range(9)]
+    t = np.array([[tau[a + k] for k in range(5)] for a in range(5)])
+    binom = np.array([[math.comb(b, k) * params.theta ** (b - k) if k <= b
+                       else 0.0 for b in range(5)] for k in range(5)])
+    c = np.add.accumulate(t[:, :, None] * binom, axis=1)[:, -1]
+
+    def matrix(power, rows):
+        out = np.zeros((rows, rows))
+        out[:, :power + 1] = c[:rows, power::-1] * [
+            math.comb(power, j) * params.alpha ** j for j in range(power + 1)]
+        return out
+
+    return spectral_radius(matrix(2, 3)), spectral_radius(matrix(4, 5))
 
 
 def run_json(capsys, argv):
@@ -359,6 +380,34 @@ class TestRegion:
             f"0.5,4,{rho[2]},{rho[3]}\r\n"
             "0.5,5,nan,nan\r\n").encode()
 
+    # alpha 1 (uniform, laplace) or 2 (gaussian, rademacher) puts
+    # 2 alpha tau2 = 1 on the grid
+    @pytest.mark.parametrize("eta", [
+        "gaussian:0.25", "uniform:1.224744871391589", "laplace:0.5",
+        "rademacher:0.5", "none"])
+    def test_grid_equals_points(self, capsys, eta):
+        argv = ["region", "--theta-range", "-1:1:0.1", "--alpha-range",
+                "-2:2:0.2", "--eps", "laplace:0.7", "--eta", eta]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        code, payload = run_json(capsys, argv + ["--format", "json"])
+        assert code == 0 and len(lines) == len(payload["rows"]) == 21 * 21
+        eps, noise = NoiseSpec(NoiseFamily.LAPLACE, 0.7), parse_noise(eta)
+        pathological = 0
+        for line, row in zip(lines, payload["rows"]):
+            theta, alpha, *radii = map(float, line.split(","))
+            assert row[:2] == [theta, alpha]
+            try:
+                params = ModelParams(theta, alpha, eps, noise)
+            except PathologicalParamsError:
+                pathological += 1
+                assert all(map(math.isnan, radii)) and row[2:] == [None, None]
+                continue
+            want = stationarity_radii(params)
+            assert radii == row[2:] == list(want)
+            assert want == reference_radii(params)
+        assert pathological == (0 if noise is None else 21)
+
     def test_pathological_grid_json(self, capsys):
         code, payload = run_json(capsys, self.PATHOLOGICAL + ["--format", "json"])
         assert code == 0
@@ -406,6 +455,7 @@ class TestUsageErrors:
     MOMENTS = ["moments", "--theta", "0.3", "--alpha", "0.5",
                "--eps", "gaussian:1", "--eta", "gaussian:0.1"]
     MC_PARAMS = "theta=0.3\nalpha=0\neps.family=gaussian\neps.scale=1\n"
+    MISSING = os.path.join("no-such-directory", "series.csv")
 
     @pytest.mark.parametrize("argv,config,code,key", [
         (MOMENTS + ["--hmax", "-1"], None, 2, "hmax"),
@@ -422,8 +472,16 @@ class TestUsageErrors:
         (["mc", "--experiment", "clt_couple"], "theta=abc\n", 2, "theta"),
         (["mc", "--experiment", "clt_couple"], "eps.family=bogus\n", 2,
          "eps.family"),
+        # the flags are checked before the missing series is read
+        (["estimate", "--in", MISSING, "--eps-family", "bogus"], None, 2,
+         "--eps-family"),
+        (["test", "--in", MISSING, "--eta-family", "bogus"], None, 2,
+         "--eta-family"),
+        (["test", "--in", MISSING, "--level", "2"], None, 2, "--level"),
+        (["estimate", "--in", MISSING, "--level", "0"], None, 2, "--level"),
     ], ids=["hmax-1", "hmax0", "hmax1", "mu_key2", "mu_key9", "burn_in-3",
-            "n0", "n1e6", "theta_abc", "eps_family_bogus"])
+            "n0", "n1e6", "theta_abc", "eps_family_bogus", "estimate_eps_family",
+            "test_eta_family", "test_level2", "estimate_level0"])
     def test_no_traceback(self, tmp_path, capsys, argv, config, code, key):
         if config is not None:
             cfg = tmp_path / "run.cfg"

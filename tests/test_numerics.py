@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rcar.errors import NumericError
 from rcar.model import ModelParams, NoiseFamily, NoiseSpec
-from rcar.numerics import chisq1_tail, solve, spectral_radius
+from rcar.numerics import MAX_DIM, chisq1_tail, solve, spectral_radius
 from rcar.second_order import build_second_order, m_matrix
 
 
@@ -43,6 +43,13 @@ def companion_power_radius(coeffs: np.ndarray, iters: int = 6000):
     full = np.mean(log_growth[iters // 2:])
     half = np.mean(log_growth[iters // 4: iters // 2])
     return math.exp(full), abs(full - half) < 1e-10
+
+
+def last_entry(value, stack=None):
+    """A zero 3 x 3 matrix, or a stack of `stack` of them, ending in value."""
+    m = np.zeros((3, 3) if stack is None else (stack, 3, 3))
+    m.flat[-1] = value
+    return m
 
 
 class TestSolve:
@@ -105,6 +112,25 @@ class TestSpectralRadius:
                 continue  # near-tied dominant moduli: oracle itself unreliable
             assert spectral_radius(a) == pytest.approx(radius, abs=1e-9)
             checked += 1
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_stack_equals_single_calls(self, n):
+        stack = np.random.default_rng(n).normal(size=(24, n, n))
+        got = spectral_radius(stack)
+        assert got.tolist() == [spectral_radius(m) for m in stack]
+        assert np.array_equal(spectral_radius(stack.reshape(4, 6, n, n)),
+                              got.reshape(4, 6))
+
+    @pytest.mark.parametrize("bad", [
+        np.float64(0.5), np.ones(3),
+        np.ones((3, 4)), np.ones((2, 3, 4)),
+        np.eye(MAX_DIM + 1), np.ones((2, MAX_DIM + 1, MAX_DIM + 1)),
+        last_entry(np.nan), last_entry(np.inf, 4), last_entry(-np.inf, 2),
+    ], ids=["ndim0", "ndim1", "nonsquare", "nonsquare_stack", "side",
+            "side_stack", "nan", "inf_stack", "neg_inf_stack"])
+    def test_bad_input_raises(self, bad):
+        with pytest.raises(NumericError):
+            spectral_radius(bad)
 
 
 class TestChisq1Tail:
