@@ -19,23 +19,22 @@ from .fourth_order import FourthOrderTables, build_fourth_order
 from .harness import MCConfig, MCReport, mixed_moment_oracle, run_experiment
 from .model import (HypothesisReport, ModelParams, MomentSet, NoiseFamily,
                     NoiseSpec, check_hypotheses, noise_moments)
-from .second_order import (Acvf, SecondOrderTables, acvf, autocovariance,
-                           build_second_order, eta_cross_moment)
+from .second_order import SecondOrderTables, acvf, build_second_order
 from .simulate import (CoefficientPath, Trajectory, ingest, simulate,
                        simulate_coefficients, write_csv)
 
 __all__ = [
-    "Acvf", "CoefficientPath", "ConfigurationError", "CovarianceStack",
+    "CoefficientPath", "ConfigurationError", "CovarianceStack",
     "DegenerateDataError", "EstimationReport", "FourthOrderTables",
     "HypothesisError", "HypothesisReport", "LimitSet", "MCConfig", "MCReport",
     "MixedMomentKey", "ModelParams", "MomentSet", "NoiseFamily", "NoiseSpec",
     "NumericError", "PathologicalParamsError", "RcarError",
-    "SecondOrderTables", "Trajectory", "acvf", "autocovariance",
+    "SecondOrderTables", "Trajectory", "acvf",
     "build_fourth_order", "build_second_order", "check_hypotheses",
     "correlation_test", "f_map", "ingest", "kappa_squared",
     "limits", "mixed_moment", "mixed_moment_oracle", "nicholls_quinn",
     "noise_moments", "omega_squared", "psi0_closed_form", "residual_variance",
     "run_experiment", "sample_mean", "sigma_psi", "simulate",
-    "simulate_coefficients", "eta_cross_moment", "theta_hat", "vartheta_hat",
+    "simulate_coefficients", "theta_hat", "vartheta_hat",
     "write_csv",
 ]

@@ -108,13 +108,13 @@ def _params_from_args(args) -> model.ModelParams:
     if args.alpha is not None:
         values["alpha"] = repr(args.alpha)
     if args.eps is not None:
-        spec = model.parse_noise(args.eps)
+        spec = model.cast_value("--eps", args.eps, model.parse_noise)
         if spec is None:
             raise ConfigurationError("eps noise cannot be 'none'")
         values["eps.family"] = spec.family.value
         values["eps.scale"] = repr(spec.scale)
     if args.eta is not None:
-        spec = model.parse_noise(args.eta)
+        spec = model.cast_value("--eta", args.eta, model.parse_noise)
         if spec is None:
             values["eta.family"] = "none"
             values.pop("eta.scale", None)
@@ -153,8 +153,11 @@ def cmd_check(args) -> dict:
 def cmd_moments(args) -> dict:
     params = _params_from_args(args)
     so = second_order.build_second_order(params)
+    lim = asymptotics.limits(params, so)
     payload = so.to_dict()
-    payload["acvf"] = second_order.acvf(so, args.hmax).to_dict()
+    payload["acvf"] = {"gamma": second_order.acvf(so, args.hmax).tolist(),
+                       "theta_star": lim.theta_star,
+                       "vartheta_star": lim.vartheta_star}
     if args.order == 4:
         fo = fourth_order.build_fourth_order(params, so)
         payload.update(fo.to_dict())
@@ -169,10 +172,7 @@ def cmd_variance(args) -> dict:
     lim = asymptotics.limits(params, so)
     stack = asymptotics.sigma_psi(params, so, fo)
     return {
-        "theta_star": lim.theta_star,
-        "vartheta_star": lim.vartheta_star,
-        "gamma": lim.gamma,
-        "sigma2_star": lim.sigma2_star,
+        **lim.to_dict(),
         "kappa2": stack.kappa2,
         "omega2": stack.omega2,
         "Sigma": stack.Sigma.tolist(),
@@ -255,23 +255,26 @@ def cmd_mc(args) -> dict:
     return report.to_dict(include_replicates=args.keep_replicates)
 
 
-def _parse_range(text: str) -> np.ndarray:
+def _parse_range(flag: str, text: str) -> np.ndarray:
+    """The grid lo, lo + step, ... up to hi of the flag's `lo:hi:step`."""
     try:
         lo, hi, step = (float(v) for v in text.split(":"))
-    except ValueError as exc:
-        raise ConfigurationError(f"bad range {text!r}, expected lo:hi:step") from exc
-    if step <= 0 or hi < lo:
-        raise ConfigurationError(f"bad range {text!r}")
+    except ValueError:
+        lo = hi = step = math.nan
+    top = model.MAX_COEFFICIENT
+    if not (0 < step < math.inf and -top <= lo <= hi <= top):
+        raise ConfigurationError(f"{flag} = {text}: expected lo:hi:step with "
+                                 f"0 < step < inf and -{top:g} <= lo <= hi <= {top:g}")
     return np.arange(lo, hi + step / 2, step)
 
 
 def cmd_region(args):
-    eps = model.parse_noise(args.eps)
-    eta = model.parse_noise(args.eta)
+    eps = model.cast_value("--eps", args.eps, model.parse_noise)
+    eta = model.cast_value("--eta", args.eta, model.parse_noise)
     if eps is None:
         raise ConfigurationError("eps noise cannot be 'none'")
-    theta = _parse_range(args.theta_range)
-    alpha = _parse_range(args.alpha_range)
+    theta = _parse_range("--theta-range", args.theta_range)
+    alpha = _parse_range("--alpha-range", args.alpha_range)
     # every point shares the noise, and so T; (0, 0) is never pathological
     noise = model.ModelParams(0.0, 0.0, eps, eta)
     keep = ~model.two_alpha_tau2_one(alpha, noise.tau(2))

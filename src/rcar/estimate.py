@@ -261,6 +261,14 @@ def check_level(level: float) -> float:
     return level
 
 
+def check_theta_source(source: str) -> str:
+    """The theta source itself if it is "tilde" or "hat"; ValueError
+    otherwise."""
+    if source not in ("tilde", "hat"):
+        raise ValueError(f"theta_source must be 'tilde' or 'hat', got {source!r}")
+    return source
+
+
 def correlation_test(traj: Trajectory, level: float = 0.05,
                      source: str = "tilde",
                      eps_family: NoiseFamily = NoiseFamily.GAUSSIAN,
@@ -276,8 +284,7 @@ def correlation_test(traj: Trajectory, level: float = 0.05,
     silently clamped.
     """
     check_level(level)
-    if source not in ("tilde", "hat"):
-        raise ValueError(f"theta source must be 'tilde' or 'hat', got {source!r}")
+    check_theta_source(source)
     if traj.n < MIN_TEST_LENGTH:
         raise DegenerateDataError(
             f"correlation test needs n >= {MIN_TEST_LENGTH}, got {traj.n}"

@@ -32,20 +32,13 @@ def h_matrix(params: ModelParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FourthOrderTables:
-    T: np.ndarray  # tau_{a+k}, 5 x 5, shared with the second-order tables
+    V0: np.ndarray  # (1, 0, tau2, 0, tau4), the first column of T
     H: np.ndarray
     G: np.ndarray
     R: np.ndarray
     Delta: np.ndarray
     Lam5: np.ndarray
     rho_H: float
-
-    # V0 = (1, 0, tau2, 0, tau4), the first column of T
-    V0 = property(lambda self: self.T[:, 0])
-
-    @property
-    def delta0(self) -> float:
-        return float(self.Delta[0])
 
     def to_dict(self) -> dict:
         return {
@@ -72,5 +65,5 @@ def build_fourth_order(params: ModelParams, so: SecondOrderTables) -> FourthOrde
     delta = numerics.solve(np.eye(5) - h, sigma2 * r + sigma4 * v0,
                            context="I5 - H")
     lam5 = numerics.solve(np.eye(5) - g, sigma2 * v0, context="I5 - G")
-    return FourthOrderTables(T=so.T, H=h, G=g, R=r, Delta=delta, Lam5=lam5,
+    return FourthOrderTables(V0=v0, H=h, G=g, R=r, Delta=delta, Lam5=lam5,
                              rho_H=rho)

@@ -86,10 +86,7 @@ class MCConfig:
                     f"in 0..{asymptotics.MixedMomentKey.BOUNDS}") from None
         if self.experiment == "rates" and self.n < 100_000:
             raise ConfigurationError("rates experiment needs a path of n >= 1e5")
-        if self.theta_source not in ("tilde", "hat"):
-            raise ConfigurationError(
-                f"theta_source must be 'tilde' or 'hat', got {self.theta_source!r}"
-            )
+        cast_value("theta_source", self.theta_source, estimate.check_theta_source)
         cast_value("level", self.level, estimate.check_level)
         if self.experiment == "size_power" and 0.0 not in self.alpha_grid:
             raise ConfigurationError("alpha_grid must contain the null point 0")
@@ -167,28 +164,30 @@ def _theta_targets(params: ModelParams) -> tuple[float, float]:
 # per-replicate statistics: simulation plus one estimator stage, by chunk
 
 
-def _chunk(stage, params: ModelParams, n: int, master_seed: int, burn_in: int,
+def _chunk(stage, n: int, master_seed: int, burn_in: int, params: ModelParams,
            start: int, stop: int) -> dict:
     return stage(simulate_block(params, n, master_seed, range(start, stop), burn_in))
 
 
-def _gather(cfg: MCConfig, params: ModelParams, stage) -> dict:
-    """Run `stage` over fixed chunks of cfg's replicates, merged in index order."""
-    work = functools.partial(_chunk, stage, params, cfg.n, cfg.master_seed,
-                             cfg.burn_in)
+def _gather(cfg: MCConfig, stage, points: list[ModelParams]) -> list[dict]:
+    """Run `stage` over fixed chunks of cfg's replicates at each parameter
+    set of points: one result per point, merged in index order. Every
+    (point, chunk) job goes through one map, so one pool at most."""
+    work = functools.partial(_chunk, stage, cfg.n, cfg.master_seed, cfg.burn_in)
     starts = range(0, cfg.replicates, CHUNK)
-    stops = [min(s + CHUNK, cfg.replicates) for s in starts]
-    if cfg.workers > 1 and len(starts) > 1:
+    jobs = [(p, s, min(s + CHUNK, cfg.replicates)) for p in points for s in starts]
+    if cfg.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = list(pool.map(work, starts, stops))
+            parts = list(pool.map(work, *zip(*jobs)))
     else:
-        parts = list(map(work, starts, stops))
-    return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+        parts = [work(*job) for job in jobs]
+    return [{k: np.concatenate([p[k] for p in parts[i:i + len(starts)]])
+             for k in parts[i]} for i in range(0, len(parts), len(starts))]
 
 
 def _estimates(cfg: MCConfig, *keys: str):
     """Reason codes, then the valid values of each ratio statistic in keys."""
-    res = _gather(cfg, cfg.params, estimate.ratio_statistics)
+    res, = _gather(cfg, estimate.ratio_statistics, [cfg.params])
     ok = res["reason"] == estimate.OK
     return (res["reason"], *(res[k][ok] for k in keys))
 
@@ -277,8 +276,9 @@ def _size_power(cfg: MCConfig) -> dict:
                               eps_family=cfg.params.eps.family)
 
     rates, ses, used, reasons = {}, {}, {}, []
-    for alpha in grid:
-        res = _gather(cfg, dataclasses.replace(cfg.params, alpha=alpha), stage)
+    results = _gather(cfg, stage, [dataclasses.replace(cfg.params, alpha=alpha)
+                                   for alpha in grid])
+    for alpha, res in zip(grid, results):
         reasons.append(res["reason"])
         ok = res["reason"] == estimate.OK
         nv = used[alpha] = int(ok.sum())

@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -45,6 +46,10 @@ BOUNDARY_TOL = 1e-9
 
 #: threshold under which the psi0 numerator is flagged as vanishing
 PSI00_TOL = 1e-8
+
+#: bound on |theta| and |alpha|: they enter the moment and covariance
+#: formulas through powers up to the eighth, which must stay finite
+MAX_COEFFICIENT = 1e38
 
 
 def two_alpha_tau2_one(alpha, tau2):
@@ -59,14 +64,35 @@ class NoiseFamily(str, enum.Enum):
     LAPLACE = "laplace"
     RADEMACHER = "rademacher"
 
+    @classmethod
+    def _missing_(cls, value):
+        # the one parse of a family name: case and surrounding spaces ignored
+        return cls.__members__.get(str(value).strip().upper())
+
+
+#: one row per family: its sampler (rng, scale, size), its closed-form even
+#: moments (m2, m4, m6, m8) of the scale, and the factor c of its
+#: fourth-moment map m4 = c * m2^2
+_Family = namedtuple("_Family", "sample moments kurtosis")
+_FAMILIES = {
+    NoiseFamily.GAUSSIAN: _Family(
+        lambda rng, s, size: rng.normal(0.0, math.sqrt(s), size),
+        lambda s: (s, 3 * s**2, 15 * s**3, 105 * s**4), 3.0),
+    # E[X^(2k)] = c^(2k) / (2k + 1) on [-c, c]
+    NoiseFamily.UNIFORM: _Family(
+        lambda rng, s, size: rng.uniform(-s, s, size),
+        lambda s: (s**2 / 3, s**4 / 5, s**6 / 7, s**8 / 9), 9.0 / 5.0),
+    # E[X^(2k)] = (2k)! b^(2k)
+    NoiseFamily.LAPLACE: _Family(
+        lambda rng, s, size: rng.laplace(0.0, s, size),
+        lambda s: (2 * s**2, 24 * s**4, 720 * s**6, 40320 * s**8), 6.0),
+    NoiseFamily.RADEMACHER: _Family(
+        lambda rng, s, size: s * (2.0 * rng.integers(0, 2, size) - 1.0),
+        lambda s: (s**2, s**4, s**6, s**8), 1.0),
+}
 
 #: m4 = KURTOSIS_FACTOR[family] * m2**2, the family's fourth-moment map
-KURTOSIS_FACTOR = {
-    NoiseFamily.GAUSSIAN: 3.0,
-    NoiseFamily.UNIFORM: 9.0 / 5.0,
-    NoiseFamily.LAPLACE: 6.0,
-    NoiseFamily.RADEMACHER: 1.0,
-}
+KURTOSIS_FACTOR = {family: row.kurtosis for family, row in _FAMILIES.items()}
 
 
 @dataclass(frozen=True)
@@ -79,15 +105,19 @@ class MomentSet:
     m8: float
 
     def __post_init__(self):
-        if not self.m2 > 0:
-            raise ConfigurationError(f"degenerate noise: m2 = {self.m2} must be > 0")
+        if not math.isfinite(self.m8):
+            raise ConfigurationError("noise moments overflow")
+        # a noise that is not zero has every even moment > 0; one that
+        # underflows to 0 would make the plug-ins divide 0 by 0
+        if not min(self.m2, self.m4, self.m6, self.m8) > 0:
+            raise ConfigurationError(
+                "degenerate noise: every even moment must be > 0, got "
+                f"m2..m8 = {self.m2}, {self.m4}, {self.m6}, {self.m8}")
         # rademacher sits exactly on the Jensen boundary m4 = m2^2
         if self.m4 < self.m2**2 * (1.0 - 1e-12):
             raise ConfigurationError(
                 f"impossible moments: m4 = {self.m4} < m2^2 = {self.m2 ** 2}"
             )
-        if self.m6 < 0 or self.m8 < 0:
-            raise ConfigurationError("even moments must be non-negative")
 
     def moment(self, order: int) -> float:
         """Moment of the given order, 0 <= order <= 8 (odd orders are 0)."""
@@ -105,45 +135,29 @@ class NoiseSpec:
 
     The scale is the family's natural parameter: the variance for gaussian,
     the half-width c of [-c, c] for uniform, the diversity b for laplace and
-    the magnitude c of the +/-c values for rademacher.
+    the magnitude c of the +/-c values for rademacher. The family may be
+    given by name.
     """
 
     family: NoiseFamily
     scale: float
 
     def __post_init__(self):
-        fam = self.family
-        if not isinstance(fam, NoiseFamily):
-            object.__setattr__(self, "family", NoiseFamily(str(fam).lower()))
-        if not self.scale > 0:
-            raise ConfigurationError(f"noise scale must be > 0, got {self.scale}")
+        object.__setattr__(self, "family", NoiseFamily(self.family))
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ConfigurationError(
+                f"noise scale must be finite and > 0, got {self.scale}")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.family is NoiseFamily.GAUSSIAN:
-            return rng.normal(0.0, math.sqrt(self.scale), size)
-        if self.family is NoiseFamily.UNIFORM:
-            return rng.uniform(-self.scale, self.scale, size)
-        if self.family is NoiseFamily.LAPLACE:
-            return rng.laplace(0.0, self.scale, size)
-        if self.family is NoiseFamily.RADEMACHER:
-            return self.scale * (2.0 * rng.integers(0, 2, size) - 1.0)
-        raise ConfigurationError(f"unsupported noise family {self.family}")
+        return _FAMILIES[self.family].sample(rng, self.scale, size)
 
 
 def noise_moments(spec: NoiseSpec) -> MomentSet:
     """Closed-form even moments m2..m8 of the given noise."""
-    s = spec.scale
-    if spec.family is NoiseFamily.GAUSSIAN:
-        return MomentSet(s, 3 * s**2, 15 * s**3, 105 * s**4)
-    if spec.family is NoiseFamily.UNIFORM:
-        # E[X^(2k)] = c^(2k) / (2k + 1) on [-c, c]
-        return MomentSet(s**2 / 3, s**4 / 5, s**6 / 7, s**8 / 9)
-    if spec.family is NoiseFamily.LAPLACE:
-        # E[X^(2k)] = (2k)! b^(2k)
-        return MomentSet(2 * s**2, 24 * s**4, 720 * s**6, 40320 * s**8)
-    if spec.family is NoiseFamily.RADEMACHER:
-        return MomentSet(s**2, s**4, s**6, s**8)
-    raise ConfigurationError(f"unsupported noise family {spec.family}")
+    try:
+        return MomentSet(*_FAMILIES[spec.family].moments(spec.scale))
+    except OverflowError:
+        raise ConfigurationError("noise moments overflow") from None
 
 
 def parse_noise(text: str) -> NoiseSpec | None:
@@ -152,8 +166,8 @@ def parse_noise(text: str) -> NoiseSpec | None:
         return None
     try:
         fam, scale = text.split(":")
-        return NoiseSpec(NoiseFamily(fam.strip().lower()), float(scale))
-    except (ValueError, KeyError) as exc:
+        return NoiseSpec(fam, float(scale))
+    except ValueError as exc:
         raise ConfigurationError(f"cannot parse noise spec {text!r}: {exc}") from exc
 
 
@@ -163,7 +177,9 @@ class ModelParams:
 
     eta=None declares a non-random coefficient (eta == 0), the classical
     AR(1) reduction; otherwise the model is random-coefficient and tau2 > 0
-    holds by construction.
+    holds by construction. Building one resolves both noises' moments and
+    rejects, naming the key, a theta or alpha beyond MAX_COEFFICIENT and a
+    scale whose moments overflow or degenerate.
     """
 
     theta: float
@@ -172,8 +188,17 @@ class ModelParams:
     eta: NoiseSpec | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta) and math.isfinite(self.alpha)):
-            raise ConfigurationError("theta and alpha must be finite")
+        for key in ("theta", "alpha"):
+            value = getattr(self, key)
+            if not abs(value) <= MAX_COEFFICIENT:  # nan fails too
+                raise ConfigurationError(
+                    f"{key} = {value!r}: |{key}| must be <= {MAX_COEFFICIENT:g}")
+        for key in ("eps", "eta"):
+            try:
+                getattr(self, key + "_moments")
+            except ConfigurationError as exc:
+                scale = getattr(self, key).scale
+                raise ConfigurationError(f"{key}.scale = {scale!r}: {exc}") from None
         if two_alpha_tau2_one(self.alpha, self.tau(2)):
             raise PathologicalParamsError(
                 "2*alpha*tau2 = 1: the process would be deterministic"
@@ -197,10 +222,6 @@ class ModelParams:
         if self.eta is None:
             return 1.0 if order == 0 else 0.0
         return self.eta_moments.moment(order)
-
-    @property
-    def random_coefficient(self) -> bool:
-        return self.eta is not None
 
     def to_dict(self) -> dict:
         return {
@@ -357,7 +378,8 @@ def log_moment(params: ModelParams) -> tuple[float, float]:
 
     eta = None gives ln|theta| and the rademacher law four atoms, both
     exact (width 0 when an atom, or theta, is zero and the value -inf).
-    Uniform eta at alpha = 0 has a closed form. Otherwise the value is
+    Uniform eta at alpha = 0 (or at an alpha too small for the trapezoid
+    density) has a closed form. Otherwise the value is
     the sum over pieces of the integral of ln|y| f(y - theta), f the density
     of alpha eta_0 + eta_1, with the support cut at 0 and at the kinks of f
     so each piece is analytic inside and the log singularity sits at an
@@ -371,8 +393,11 @@ def log_moment(params: ModelParams) -> tuple[float, float]:
         return (math.log(abs(theta)) if theta != 0 else -math.inf), 0.0
     if eta.family is NoiseFamily.RADEMACHER:
         return _rademacher_log_moment(theta, alpha, eta.scale)
-    if eta.family is NoiseFamily.UNIFORM and alpha == 0:
-        return _uniform_log_moment(theta, eta.scale)
+    # alpha = 0, or an alpha so small that the area 4 a b of the trapezoid
+    # density (see _sum_law) underflows: the law is uniform to double precision
+    c = eta.scale
+    if eta.family is NoiseFamily.UNIFORM and 4.0 * c * (abs(alpha) * c) == 0:
+        return _uniform_log_moment(theta, c)
 
     density, inner, reach, tail = _sum_law(alpha, eta)
     # cut in s = y - theta, where the kinks and the support are exact; the
@@ -444,11 +469,7 @@ class HypothesisReport:
             "rho_H": self.rho_H,
             "log_moment_estimate": self.log_moment_estimate,
             "log_moment_half_width": self.log_moment_half_width,
-            "excluded_degenerate": {
-                "two_alpha_tau2_one": self.excluded_degenerate.two_alpha_tau2_one,
-                "sqrt2_theta_boundary": self.excluded_degenerate.sqrt2_theta_boundary,
-                "psi00_zero": self.excluded_degenerate.psi00_zero,
-            },
+            "excluded_degenerate": asdict(self.excluded_degenerate),
             "verdicts": {"H1": self.h1, "H2": self.h2, "H3": self.h3,
                          "H4": self.h4, "H5": self.h5},
             "h1_uncertain": self.h1_uncertain,
@@ -529,12 +550,8 @@ def cast_value(key: str, text: str, cast):
     a ConfigurationError whose message starts with the key."""
     try:
         return cast(text)
-    except ValueError as exc:
+    except (ValueError, ConfigurationError) as exc:
         raise ConfigurationError(f"{key} = {text}: {exc}") from None
-
-
-def _family(text: str) -> NoiseFamily:
-    return NoiseFamily(text.lower())
 
 
 def params_from_mapping(values: dict[str, str]) -> ModelParams:
@@ -546,10 +563,13 @@ def params_from_mapping(values: dict[str, str]) -> ModelParams:
     def get(key, cast):
         return cast_value(key, values[key], cast)
 
-    eps = NoiseSpec(get("eps.family", _family), get("eps.scale", float))
-    eta = None
+    def noise(key):
+        family = get(key + ".family", NoiseFamily)
+        return get(key + ".scale", lambda text: NoiseSpec(family, float(text)))
+
+    eps, eta = noise("eps"), None
     if values.get("eta.family", "none").lower() not in ("none", ""):
         if "eta.scale" not in values:
             raise ConfigurationError("eta.family given without eta.scale")
-        eta = NoiseSpec(get("eta.family", _family), get("eta.scale", float))
+        eta = noise("eta")
     return ModelParams(get("theta", float), get("alpha", float), eps, eta)

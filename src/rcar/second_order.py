@@ -14,7 +14,7 @@ gives the recursion matrix of power p over the first r moments: column j
 is C(p, j) alpha^j C[:r, p - j] for j <= p and zero beyond
 (`recursion_matrix`). The second-order matrices are M = (p, r) = (2, 3)
 and N = (1, 3); the fourth-order module takes G = (2, 5) and H = (4, 5).
-The vectors U0, U1, U2 are the first three columns of T, cut to three rows.
+The vector U0 is the first column of T, cut to three rows.
 
 This module solves Lambda = (lambda_0, lambda_1, lambda_2) with
 lambda_a = E[eta_t^a X_t^2] from (I3 - M) Lambda = sigma2 U0 and evaluates
@@ -22,7 +22,8 @@ the autocovariance
 
     gamma_X(h) = sigma2 [ N^|h| (I3 - M)^(-1) U0 ]_1 = [ N^|h| Lambda ]_1
 
-by iterating v <- N v from v = Lambda.
+by iterating v <- N v from v = Lambda. The limits theta* = rho_X(1) and
+vartheta* = rho_X(2) have a closed form, `asymptotics.limits`.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from . import numerics
 from .errors import ConfigurationError, HypothesisError
 from .model import ModelParams
 
-#: largest |h| served by autocovariance(); beyond this the value is
-#: numerically zero for any admissible parameter set
+#: largest lag served by acvf(); beyond this the value is numerically zero
+#: for any admissible parameter set
 MAX_LAG = 1000
 
 #: side of the moment tables: eta powers 0..4 (moments tau_0..tau_8)
@@ -112,12 +113,9 @@ class SecondOrderTables:
     N: np.ndarray
     Lam: np.ndarray
     rho_M: float
-    sigma2: float
 
-    # the (1, eta, eta^2)-moment vectors are columns of T
+    # U0 = (1, 0, tau2), the first column of T
     U0 = property(lambda self: self.T[:3, 0])
-    U1 = property(lambda self: self.T[:3, 1])
-    U2 = property(lambda self: self.T[:3, 2])
 
     @property
     def lambda0(self) -> float:
@@ -141,8 +139,8 @@ def build_second_order(params: ModelParams) -> SecondOrderTables:
         raise HypothesisError(
             f"no second-order stationary solution (H3 violated): rho(M) = {rho:.6g}"
         )
-    sigma2 = params.sigma(2)
-    lam = numerics.solve(np.eye(3) - m, sigma2 * t[:3, 0], context="I3 - M")
+    lam = numerics.solve(np.eye(3) - m, params.sigma(2) * t[:3, 0],
+                         context="I3 - M")
     if lam[0] <= 1e-12:
         # 2 alpha tau2 = 1 slipped past validation: a deterministic process
         raise HypothesisError(
@@ -150,11 +148,14 @@ def build_second_order(params: ModelParams) -> SecondOrderTables:
         )
     return SecondOrderTables(T=t, C=c, M=m,
                              N=recursion_matrix(c, params.alpha, 1, 3),
-                             Lam=lam, rho_M=rho, sigma2=sigma2)
+                             Lam=lam, rho_M=rho)
 
 
-def _gammas(tables: SecondOrderTables, hmax: int) -> np.ndarray:
-    """gamma_X(0..hmax) from one iteration v <- N v started at Lambda."""
+def acvf(tables: SecondOrderTables, hmax: int = 10) -> np.ndarray:
+    """gamma_X(0..hmax) for 0 <= hmax <= MAX_LAG, from one iteration
+    v <- N v started at Lambda."""
+    if not 0 <= hmax <= MAX_LAG:
+        raise ConfigurationError(f"hmax must be in [0, {MAX_LAG}], got {hmax}")
     out = np.empty(hmax + 1)
     v = tables.Lam
     out[0] = v[0]
@@ -162,45 +163,3 @@ def _gammas(tables: SecondOrderTables, hmax: int) -> np.ndarray:
         v = tables.N @ v
         out[h] = v[0]
     return out
-
-
-def autocovariance(tables: SecondOrderTables, h: int) -> float:
-    """gamma_X(h), even in h, computed by the matrix formula."""
-    k = abs(int(h))
-    if k > MAX_LAG:
-        raise ValueError(f"lag |h| = {k} exceeds the supported maximum {MAX_LAG}")
-    return float(_gammas(tables, k)[k])
-
-
-@dataclass(frozen=True)
-class Acvf:
-    """Autocovariances over a lag range plus the two limiting correlations."""
-
-    values: np.ndarray  # gamma_X(0..hmax)
-    theta_star: float   # rho_X(1)
-    vartheta_star: float  # rho_X(2)
-
-    def to_dict(self) -> dict:
-        return {
-            "gamma": self.values.tolist(),
-            "theta_star": self.theta_star,
-            "vartheta_star": self.vartheta_star,
-        }
-
-
-def acvf(tables: SecondOrderTables, hmax: int = 10) -> Acvf:
-    """gamma_X(0..hmax) for 0 <= hmax <= MAX_LAG; the two correlations come
-    from lags 1 and 2 whatever hmax is."""
-    if not 0 <= hmax <= MAX_LAG:
-        raise ConfigurationError(f"hmax must be in [0, {MAX_LAG}], got {hmax}")
-    values = _gammas(tables, max(hmax, 2))
-    return Acvf(values=values[:hmax + 1],
-                theta_star=values[1] / values[0],
-                vartheta_star=values[2] / values[0])
-
-
-def eta_cross_moment(a: int, b: int, params: ModelParams) -> float:
-    """E[eta^a (theta + eta)^b], the entry C[a, b] of the moment table."""
-    if not (0 <= a < TABLE_SIZE and 0 <= b < TABLE_SIZE):
-        raise ValueError(f"eta_cross_moment indices out of range: a={a}, b={b}")
-    return float(moment_tables(params)[1][a, b])

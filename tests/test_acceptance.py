@@ -17,7 +17,7 @@ from rcar.fourth_order import build_fourth_order
 from rcar.harness import MCConfig, mixed_moment_oracle, run_experiment
 from rcar.model import ModelParams, NoiseFamily, NoiseSpec
 from rcar.numerics import spectral_radius
-from rcar.second_order import autocovariance, build_second_order
+from rcar.second_order import build_second_order
 from rcar.simulate import replicate_seed, simulate_with_noise
 
 from conftest import batch_se, random_admissible

@@ -10,7 +10,7 @@ from rcar.errors import PathologicalParamsError
 from rcar.fourth_order import build_fourth_order
 from rcar.harness import mixed_moment_oracle
 from rcar.model import ModelParams, NoiseFamily, NoiseSpec
-from rcar.second_order import autocovariance, build_second_order
+from rcar.second_order import acvf, build_second_order
 
 from conftest import random_admissible
 
@@ -81,11 +81,9 @@ class TestLimits:
             p = random_admissible(rng)
             so = build_second_order(p)
             lim = limits(p, so)
-            g0 = autocovariance(so, 0)
-            assert lim.theta_star == pytest.approx(
-                autocovariance(so, 1) / g0, rel=1e-10)
-            assert lim.vartheta_star == pytest.approx(
-                autocovariance(so, 2) / g0, rel=1e-10)
+            g0, g1, g2 = acvf(so, 2)
+            assert lim.theta_star == pytest.approx(g1 / g0, rel=1e-10)
+            assert lim.vartheta_star == pytest.approx(g2 / g0, rel=1e-10)
             assert lim.theta_star * (1 - 2 * p.alpha * p.tau(2)) == \
                 pytest.approx(p.theta, rel=1e-12)
             assert lim.sigma2_star == pytest.approx(
@@ -136,7 +134,7 @@ class TestOmegaSquared:
             w = omega_squared(p, so, fo)
             s4, t4 = p.sigma(4), p.tau(4)
             moments_form = w == pytest.approx(
-                s2 / so.lambda0 + t2 * fo.delta0 / so.lambda0**2, rel=1e-10)
+                s2 / so.lambda0 + t2 * fo.Delta[0] / so.lambda0**2, rel=1e-10)
             display_form = w == pytest.approx(
                 (1 - theta**2 - t2)
                 * (t2 * s4 * (theta**2 + t2 - 1)

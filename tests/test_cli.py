@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -7,14 +9,19 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rcar
+from rcar.asymptotics import limits
 from rcar.cli import main
 from rcar.errors import PathologicalParamsError
 from rcar.model import ModelParams, NoiseFamily, NoiseSpec, parse_noise
 from rcar.numerics import spectral_radius
-from rcar.second_order import stationarity_radii
+from rcar.second_order import build_second_order, stationarity_radii
 from rcar.simulate import ingest, simulate
+
+from conftest import random_admissible
 
 CHECK_ARGS = ["check", "--theta", "0.3", "--alpha", "0",
               "--eta", "gaussian:0.2", "--eps", "gaussian:1"]
@@ -121,6 +128,23 @@ class TestMoments:
         assert main(["moments", "--theta", "1.2", "--alpha", "0",
                      "--eps", "gaussian:1", "--eta", "gaussian:0.1"]) == 4
 
+    def test_limits_agree_with_variance_bitwise(self, capsys):
+        # theta* and vartheta* have one formula, asymptotics.limits, which
+        # both `rcar moments` and `rcar variance` print
+        rng = np.random.default_rng(1973)
+        for _ in range(500):
+            p = random_admissible(rng)
+            flags = ["--theta", repr(p.theta), "--alpha", repr(p.alpha),
+                     "--eps", f"{p.eps.family.value}:{p.eps.scale!r}",
+                     "--eta", f"{p.eta.family.value}:{p.eta.scale!r}"]
+            _, moments = run_json(capsys, ["moments", "--hmax", "0", *flags])
+            _, variance = run_json(capsys, ["variance", *flags])
+            lim = limits(p, build_second_order(p))
+            want = [lim.theta_star, lim.vartheta_star]
+            assert [moments["acvf"]["theta_star"],
+                    moments["acvf"]["vartheta_star"]] == want, p
+            assert [variance["theta_star"], variance["vartheta_star"]] == want, p
+
 
 class TestVariance:
     def test_keys_and_values(self, capsys):
@@ -220,6 +244,20 @@ class TestSimulateEstimateRoundTrip:
         out = tmp_path / "missing" / "series.csv"
         assert main(["simulate", *self.ARGS, "--n", "20", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("rcar: i/o error: ")
+
+    def test_family_flags_ignore_case_and_spaces(self, tmp_path, capsys):
+        path = tmp_path / "series.csv"
+        assert main(["simulate", *self.ARGS, "--n", "500", "--seed", "9",
+                     "--out", str(path)]) == 0
+        runs = [["--eps-family", "gaussian", "--eta-family", "laplace"],
+                ["--eps-family", "Gaussian", "--eta-family", " LAPLACE"]]
+        payloads = []
+        for flags in runs:
+            code, payload = run_json(capsys, ["estimate", "--in", str(path),
+                                              *flags])
+            assert code == 0
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
 
     def test_malformed_csv_exit3(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -479,9 +517,23 @@ class TestUsageErrors:
          "--eta-family"),
         (["test", "--in", MISSING, "--level", "2"], None, 2, "--level"),
         (["estimate", "--in", MISSING, "--level", "0"], None, 2, "--level"),
+        # values whose powers or moments overflow, and a non-finite scale
+        (["check", "--theta", "1e200", "--alpha", "0.5", "--eps", "gaussian:1",
+          "--eta", "gaussian:0.1"], None, 2, "theta"),
+        (["region", "--theta-range", "-1e100:1e100:1e100", "--alpha-range",
+          "0:1:0.5", "--eps", "gaussian:1", "--eta", "gaussian:0.1"], None, 2,
+         "--theta-range"),
+        (["check", "--theta", "0.3", "--alpha", "0.5", "--eps", "gaussian:1",
+          "--eta", "gaussian:1e100"], None, 2, "eta.scale"),
+        (["check", "--theta", "0.3", "--alpha", "0.5", "--eps", "laplace:1e100",
+          "--eta", "gaussian:0.1"], None, 2, "eps.scale"),
+        (["check", "--theta", "0.3", "--alpha", "0.5", "--eps", "gaussian:inf",
+          "--eta", "gaussian:0.1"], None, 2, "--eps"),
     ], ids=["hmax-1", "hmax0", "hmax1", "mu_key2", "mu_key9", "burn_in-3",
             "n0", "n1e6", "theta_abc", "eps_family_bogus", "estimate_eps_family",
-            "test_eta_family", "test_level2", "estimate_level0"])
+            "test_eta_family", "test_level2", "estimate_level0", "theta1e200",
+            "region_range1e100", "eta_gaussian1e100", "eps_laplace1e100",
+            "eps_gaussian_inf"])
     def test_no_traceback(self, tmp_path, capsys, argv, config, code, key):
         if config is not None:
             cfg = tmp_path / "run.cfg"
@@ -510,3 +562,44 @@ class TestUsageErrors:
         assert main(command) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and "RCAR_SEED" in err
+
+
+#: the values the fuzz test gives each numeric flag
+FUZZ_VALUES = (math.inf, -math.inf, math.nan, 1e300, -1e300, 1e-300, -1e-300,
+               0.0, -0.5, 0.3, 0.5, 1.0, 2.0)
+
+
+class TestNumericFlagFuzz:
+    """Any value of --theta, --alpha or a noise scale ends in a documented
+    exit code with at most one `rcar:` line on stderr; a stray numpy
+    warning fails the test (pytest turns RuntimeWarning into an error).
+    `simulate` is left out: on an explosive path it doubles its burn-in up
+    to 2^16 steps."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(command=st.sampled_from(["check", "moments", "variance", "region"]),
+           theta=st.sampled_from(FUZZ_VALUES), alpha=st.sampled_from(FUZZ_VALUES),
+           eps_scale=st.sampled_from(FUZZ_VALUES),
+           eta_scale=st.sampled_from(FUZZ_VALUES),
+           eps_family=st.sampled_from(NoiseFamily),
+           eta_family=st.sampled_from(NoiseFamily))
+    def test_exit_code_and_one_line(self, command, theta, alpha, eps_scale,
+                                    eta_scale, eps_family, eta_family):
+        if command == "region":
+            argv = [command, f"--theta-range={theta!r}:{theta!r}:1",
+                    f"--alpha-range={alpha!r}:{alpha!r}:1"]
+        else:
+            argv = [command, f"--theta={theta!r}", f"--alpha={alpha!r}"]
+        argv += [f"--eps={eps_family.value}:{eps_scale!r}",
+                 f"--eta={eta_family.value}:{eta_scale!r}"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3, 4, 5), argv
+        if code == 0:
+            assert err.getvalue() == "", argv
+            if command != "region":
+                json.loads(out.getvalue(), parse_constant=pytest.fail)
+        else:
+            assert err.getvalue().startswith("rcar: "), argv
+            assert err.getvalue().count("\n") == 1, (argv, err.getvalue())

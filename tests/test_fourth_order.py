@@ -83,7 +83,7 @@ class TestTables:
         so, fo = build_both(p)
         lam0 = 2.0 / (1 - 0.25)
         ref = (p.sigma(4) + 6 * 2.0 * 0.25 * lam0) / (1 - 0.5**4)
-        assert fo.delta0 == pytest.approx(ref, rel=1e-12)
+        assert fo.Delta[0] == pytest.approx(ref, rel=1e-12)
 
     def test_rho_h_uncorrelated(self):
         p = ModelParams(0.3, 0.0, GAUSS1, NoiseSpec(NoiseFamily.GAUSSIAN, 0.2))
@@ -94,7 +94,7 @@ class TestTables:
         for _ in range(20):
             p = random_admissible(rng)
             so, fo = build_both(p)
-            assert fo.delta0 >= so.lambda0**2
+            assert fo.Delta[0] >= so.lambda0**2
 
     def test_no_fourth_moments_rejected(self):
         p = ModelParams(0.9, 0.0, GAUSS1, NoiseSpec(NoiseFamily.GAUSSIAN, 0.15))

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from rcar.errors import ConfigurationError
-from rcar.estimate import REASONS
+from rcar.estimate import REASONS, correlation_test
 from rcar.fourth_order import build_fourth_order
 from rcar import harness
 from rcar.harness import MCConfig, mixed_moment_oracle, run_experiment
 from rcar.model import ModelParams, NoiseFamily, NoiseSpec
 from rcar.second_order import build_second_order
+from rcar.simulate import simulate
 
 GAUSS1 = NoiseSpec(NoiseFamily.GAUSSIAN, 1.0)
 AR1 = ModelParams(0.5, 0.0, GAUSS1, None)
@@ -40,6 +41,15 @@ class TestConfigValidation:
     def test_unknown_theta_source(self, source):
         with pytest.raises(ConfigurationError, match="theta_source"):
             cfg_for(AR1, experiment="size_power", theta_source=source)
+
+    def test_theta_source_rule_is_shared(self, params_accept):
+        # correlation_test and MCConfig read one rule with one message
+        traj = simulate(params_accept, 200, seed=12)
+        with pytest.raises(ValueError) as library:
+            correlation_test(traj, source="tilda")
+        with pytest.raises(ConfigurationError) as config:
+            cfg_for(AR1, experiment="size_power", theta_source="tilda")
+        assert str(config.value) == f"theta_source = tilda: {library.value}"
 
     @pytest.mark.parametrize("level", [0.0, -0.05, 1.5, float("nan")])
     def test_level_outside_unit_interval(self, level):
@@ -150,6 +160,34 @@ class TestSizePower:
                       experiment="size_power", alpha_grid=(0.0,))
         report = run_experiment(cfg)
         assert report.passes["h0_size"], report.empirical["rates"]
+
+    def test_one_pool_per_run(self, params_accept, monkeypatch):
+        # every (grid point, chunk) job goes through one map; a stand-in
+        # pool runs the map in this process and counts its constructions
+        pools = []
+
+        class CountingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        cfg = cfg_for(params_accept, n=60, replicates=600, burn_in=100,
+                      experiment="size_power", alpha_grid=(0.0, 0.3, -0.3))
+        serial = run_experiment(cfg).to_dict(include_replicates=True)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        pooled = run_experiment(dataclasses.replace(cfg, workers=2)).to_dict(
+            include_replicates=True)
+        assert pools == [2]
+        serial["config"].pop("workers"), pooled["config"].pop("workers")
+        assert pooled == serial
 
     def test_failures_counted_by_reason(self, params_accept):
         # at n = 60 some plug-in values psi0_hat come out negative

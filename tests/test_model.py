@@ -61,6 +61,48 @@ class TestNoiseMoments:
         with pytest.raises(ConfigurationError):
             parse_noise("weibull:1.0")
 
+    @pytest.mark.parametrize("text", ["gaussian", "Gaussian", " GAUSSIAN ",
+                                      "gaussian\t"])
+    def test_family_names_ignore_case_and_spaces(self, text):
+        assert NoiseFamily(text) is NoiseFamily.GAUSSIAN
+        assert NoiseSpec(text, 1.0) == GAUSS1
+        assert parse_noise(f"{text}:1") == GAUSS1
+        params = params_from_mapping({"theta": "0.3", "alpha": "0",
+                                      "eps.family": text, "eps.scale": "1"})
+        assert params.eps == GAUSS1
+
+    @pytest.mark.parametrize("text", ["gauss", "", "none"])
+    def test_unknown_family_name(self, text):
+        with pytest.raises(ValueError):
+            NoiseFamily(text)
+
+    @pytest.mark.parametrize("scale", [math.inf, math.nan, -1.0])
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(ConfigurationError, match="finite and > 0"):
+            NoiseSpec(NoiseFamily.GAUSSIAN, scale)
+
+    @pytest.mark.parametrize("family,scale,message", [
+        (NoiseFamily.GAUSSIAN, 1e100, "overflow"),   # s**4 raises
+        (NoiseFamily.GAUSSIAN, 1e77, "overflow"),    # 105 * s**4 is inf
+        (NoiseFamily.LAPLACE, 1e-300, "degenerate"),  # m2 underflows to 0
+        (NoiseFamily.GAUSSIAN, 1e-200, "degenerate"),  # m4 underflows to 0
+    ])
+    def test_scale_whose_moments_leave_the_floats(self, family, scale, message):
+        with pytest.raises(ConfigurationError, match=f"^eta.scale = .*{message}"):
+            ModelParams(0.3, 0.5, GAUSS1, NoiseSpec(family, scale))
+        with pytest.raises(ConfigurationError, match=f"^eps.scale = .*{message}"):
+            ModelParams(0.3, 0.5, NoiseSpec(family, scale), None)
+
+    @pytest.mark.parametrize("key", ["theta", "alpha"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 1e200, -1e39])
+    def test_theta_alpha_bounded(self, key, value):
+        # their eighth powers must be finite
+        kw = {"theta": 0.3, "alpha": 0.0, key: value}
+        with pytest.raises(ConfigurationError, match=f"^{key} = "):
+            ModelParams(eps=GAUSS1, **kw)
+        kw[key] = -1e38
+        ModelParams(eps=GAUSS1, **kw)
+
     def test_odd_moments_vanish(self):
         params = ModelParams(0.1, 0.2, GAUSS1, NoiseSpec(NoiseFamily.LAPLACE, 0.3))
         assert all(params.tau(k) == 0.0 for k in (1, 3, 5, 7))
@@ -80,13 +122,13 @@ class TestModelParams:
 
     def test_eta_none_is_classical_ar1(self):
         params = ModelParams(0.5, 0.0, GAUSS1, None)
-        assert not params.random_coefficient
+        assert params.eta is None
         assert params.tau(2) == 0.0
         assert params.tau(0) == 1.0
 
     def test_random_coefficient_has_positive_variance(self):
         params = ModelParams(0.5, 0.1, GAUSS1, NoiseSpec(NoiseFamily.UNIFORM, 0.4))
-        assert params.random_coefficient
+        assert params.eta is not None
         assert params.tau(2) > 0
 
     def test_noise_moments_resolved_once_per_noise(self, monkeypatch):
@@ -275,6 +317,13 @@ class TestLogMoment:
         near, near_bound = log_moment(eta_params(theta, 1e-9, NoiseFamily.UNIFORM, c))
         assert near_bound < 1e-10
         assert near == pytest.approx(value, abs=1e-12)
+
+    def test_uniform_alpha_below_the_trapezoid(self):
+        # the trapezoid's area 4 c (|alpha| c) underflows to 0: the law is
+        # uniform to double precision, and the closed form serves it
+        at_zero = log_moment(eta_params(0.3, 0.0, NoiseFamily.UNIFORM, 1e-20))
+        tiny = log_moment(eta_params(0.3, -1e-300, NoiseFamily.UNIFORM, 1e-20))
+        assert tiny == at_zero
 
     @pytest.mark.parametrize("theta,alpha,c", [
         (0.3, 0.5, 0.2), (-0.1, -0.9, 0.3), (0.7, 0.2, 0.05), (0.0, 1.0, 0.25)])

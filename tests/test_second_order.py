@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from rcar.errors import HypothesisError
+from rcar.errors import ConfigurationError, HypothesisError
 from rcar.model import ModelParams, NoiseFamily, NoiseSpec
-from rcar.second_order import (Acvf, acvf, autocovariance, build_second_order,
-                               m_matrix, eta_cross_moment)
+from rcar.second_order import (acvf, build_second_order, m_matrix,
+                               moment_tables)
 from rcar.simulate import simulate_with_noise
 
 from conftest import batch_se, random_admissible
@@ -35,8 +35,8 @@ class TestTables:
         so = build_second_order(params_accept)
         t2, t4 = params_accept.tau(2), params_accept.tau(4)
         assert np.array_equal(so.U0, [1.0, 0.0, t2])
-        assert np.array_equal(so.U1, [0.0, t2, 0.0])
-        assert np.array_equal(so.U2, [t2, 0.0, t4])
+        assert np.array_equal(so.T[:3, 1], [0.0, t2, 0.0])
+        assert np.array_equal(so.T[:3, 2], [t2, 0.0, t4])
 
     def test_m_matches_explicit_display(self, rng):
         for _ in range(20):
@@ -84,44 +84,41 @@ class TestTables:
 class TestAutocovariance:
     def test_lag_zero_is_lambda0(self, params_accept):
         so = build_second_order(params_accept)
-        assert autocovariance(so, 0) == so.lambda0
+        assert acvf(so, 0)[0] == so.lambda0
 
     def test_classical_ar1_lag2(self):
         p = ModelParams(0.5, 0.0, GAUSS1, None)
         so = build_second_order(p)
-        assert autocovariance(so, 2) == pytest.approx(
+        assert acvf(so, 2)[2] == pytest.approx(
             0.25 / (1 - 0.25), rel=1e-12)
 
     def test_ratio_matches_limit(self, params_accept):
         # gamma(1)/gamma(0) = theta/(1 - 2 alpha tau2) = 1/3 here
         so = build_second_order(params_accept)
-        ratio = autocovariance(so, 1) / autocovariance(so, 0)
-        assert ratio == pytest.approx(1.0 / 3.0, rel=1e-12)
+        g0, g1 = acvf(so, 1)
+        assert g1 / g0 == pytest.approx(1.0 / 3.0, rel=1e-12)
 
-    def test_even_and_dominated(self, rng):
+    def test_dominated_by_lag_zero(self, rng):
         for _ in range(10):
             p = random_admissible(rng)
-            so = build_second_order(p)
-            g0 = autocovariance(so, 0)
-            for h in range(-5, 6):
-                gh = autocovariance(so, h)
-                assert gh == autocovariance(so, -h)
-                assert abs(gh) <= g0 + 1e-12
+            g = acvf(build_second_order(p), 5)
+            assert np.all(np.abs(g) <= g[0] + 1e-12)
 
     def test_acvf_summary(self, params_accept):
         so = build_second_order(params_accept)
-        summary = acvf(so, hmax=4)
-        assert isinstance(summary, Acvf)
-        assert len(summary.values) == 5
-        assert summary.theta_star == pytest.approx(1 / 3, rel=1e-12)
+        values = acvf(so, hmax=4)
+        assert isinstance(values, np.ndarray)
+        assert len(values) == 5
+        assert values[1] / values[0] == pytest.approx(1 / 3, rel=1e-12)
 
     def test_one_iteration_serves_every_lag(self, rng):
-        # acvf and autocovariance read one iteration v <- N v from Lambda;
-        # each lag matches the explicit power N^h Lambda to round-off
+        # acvf reads one iteration v <- N v from Lambda, so a shorter range
+        # is a prefix of a longer one; each lag matches the explicit power
+        # N^h Lambda to round-off
         for _ in range(5):
             so = build_second_order(random_admissible(rng))
-            values = acvf(so, hmax=60).values
-            assert [autocovariance(so, h) for h in range(61)] == values.tolist()
+            values = acvf(so, hmax=60)
+            assert [acvf(so, h)[h] for h in range(61)] == values.tolist()
             for h in (0, 1, 2, 7, 60):
                 direct = (np.linalg.matrix_power(so.N, h) @ so.Lam)[0]
                 assert values[h] == pytest.approx(direct, rel=1e-13,
@@ -129,15 +126,16 @@ class TestAutocovariance:
 
     def test_lag_cap(self, params_accept):
         so = build_second_order(params_accept)
-        with pytest.raises(ValueError):
-            autocovariance(so, 1001)
+        assert len(acvf(so, 1000)) == 1001
+        with pytest.raises(ConfigurationError):
+            acvf(so, 1001)
 
     def test_toeplitz_psd(self, rng):
         # any valid autocovariance sequence has psd Toeplitz matrices
         for _ in range(10):
             p = random_admissible(rng)
             so = build_second_order(p)
-            g = [autocovariance(so, h) for h in range(7)]
+            g = acvf(so, 6)
             toeplitz = np.array([[g[abs(i - j)] for j in range(7)]
                                  for i in range(7)])
             assert np.linalg.eigvalsh(toeplitz).min() >= -1e-10 * g[0]
@@ -155,26 +153,30 @@ class TestLemma1:
 
 
 class TestEtaCrossMoment:
+    """C[a, b] = E[eta^a (theta + eta)^b], the cells of the moment table."""
+
     def test_corners(self, params_accept):
         t2 = params_accept.tau(2)
-        assert eta_cross_moment(0, 0, params_accept) == 1.0
-        assert eta_cross_moment(1, 1, params_accept) == pytest.approx(t2)
+        c = moment_tables(params_accept)[1]
+        assert c[0, 0] == 1.0
+        assert c[1, 1] == pytest.approx(t2)
 
     def test_high_order_cell(self, params_accept):
         th = params_accept.theta
         t2, t4, t6 = (params_accept.tau(k) for k in (2, 4, 6))
-        assert eta_cross_moment(2, 4, params_accept) == pytest.approx(
+        assert moment_tables(params_accept)[1][2, 4] == pytest.approx(
             th**4 * t2 + 6 * th**2 * t4 + t6, rel=1e-12)
 
     def test_all_cells_against_quadrature(self):
         p = ModelParams(0.4, 0.2, GAUSS1, NoiseSpec(NoiseFamily.GAUSSIAN, 0.3))
+        c = moment_tables(p)[1]
         sd = math.sqrt(0.3)
         x = np.linspace(-14 * sd, 14 * sd, 2_000_001)
         pdf = np.exp(-x * x / 0.6) / math.sqrt(0.6 * math.pi)
         for a in range(5):
             for b in range(5):
                 quad = np.trapezoid(x**a * (0.4 + x) ** b * pdf, x)
-                assert eta_cross_moment(a, b, p) == pytest.approx(
+                assert c[a, b] == pytest.approx(
                     quad, rel=1e-6, abs=1e-9), f"cell ({a},{b})"
 
     def test_table_cells_equal_the_term_by_term_sum(self, rng):
@@ -182,15 +184,12 @@ class TestEtaCrossMoment:
         # binomial expansion, the reference the moment matrices were built on
         for _ in range(20):
             p = random_admissible(rng)
+            c = moment_tables(p)[1]
             for a in range(5):
                 for b in range(5):
                     ref = sum(math.comb(b, j) * p.theta ** (b - j) * p.tau(a + j)
                               for j in range(b + 1))
-                    assert eta_cross_moment(a, b, p) == ref, (a, b, p)
-
-    def test_range_check(self, params_accept):
-        with pytest.raises(ValueError):
-            eta_cross_moment(5, 0, params_accept)
+                    assert c[a, b] == ref, (a, b, p)
 
 
 class TestMonteCarloAgreement:
