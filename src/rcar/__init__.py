@@ -20,11 +20,10 @@ from .harness import MCConfig, MCReport, mixed_moment_oracle, run_experiment
 from .model import (HypothesisReport, ModelParams, MomentSet, NoiseFamily,
                     NoiseSpec, check_hypotheses, noise_moments)
 from .second_order import SecondOrderTables, acvf, build_second_order
-from .simulate import (CoefficientPath, Trajectory, ingest, simulate,
-                       simulate_coefficients, write_csv)
+from .simulate import Trajectory, ingest, simulate, write_csv
 
 __all__ = [
-    "CoefficientPath", "ConfigurationError", "CovarianceStack",
+    "ConfigurationError", "CovarianceStack",
     "DegenerateDataError", "EstimationReport", "FourthOrderTables",
     "HypothesisError", "HypothesisReport", "LimitSet", "MCConfig", "MCReport",
     "MixedMomentKey", "ModelParams", "MomentSet", "NoiseFamily", "NoiseSpec",
@@ -35,6 +34,6 @@ __all__ = [
     "limits", "mixed_moment", "mixed_moment_oracle", "nicholls_quinn",
     "noise_moments", "omega_squared", "psi0_closed_form", "residual_variance",
     "run_experiment", "sample_mean", "sigma_psi", "simulate",
-    "simulate_coefficients", "theta_hat", "vartheta_hat",
+    "theta_hat", "vartheta_hat",
     "write_csv",
 ]

@@ -5,15 +5,18 @@ Assembles, purely from the parameters (never from data):
   - the limits theta_star = rho_X(1), vartheta_star = rho_X(2), gamma,
     and the residual-variance limit sigma2_star;
   - kappa2, the variance of sqrt(n) * sample mean;
-  - omega2, the variance of sqrt(n) (theta_hat - theta_star);
-  - the 7x7 martingale covariance SigmaML, its projection Sigma (2x2
-    covariance of the lag-1/lag-2 ratio estimators), and the delta-method
-    covariance Psi of the corrected estimators;
+  - the 7x7 martingale covariance SigmaML and its projection Sigma, the 2x2
+    covariance of the lag-1/lag-2 ratio estimators; omega2, the variance of
+    sqrt(n) (theta_hat - theta_star), is Sigma[0, 0];
+  - the delta-method covariance Psi of the corrected estimators;
   - the closed form psi0 (and its numerator psi00) used by the correlation
     test as a plug-in under the null.
 
 All of these are functions of (theta, alpha) and the noise moments only,
-entering through sigma2, sigma4 and tau2..tau8.
+entering through sigma2, sigma4 and tau2..tau8. Each variance has one
+computation: `omega_squared` and `sigma_psi` read the same Sigma, which does
+not need the correction map, so omega2 exists also where Psi does not; and
+`sigma_psi` takes kappa2 from `kappa_squared`.
 """
 
 from __future__ import annotations
@@ -82,17 +85,12 @@ def gammabar_matrix(so: SecondOrderTables) -> np.ndarray:
 
 def kappa_squared(params: ModelParams, so: SecondOrderTables) -> float:
     """Asymptotic variance of sqrt(n) * Xbar_n."""
-    return _kappa_squared(params, kbar_matrix(params), gammabar_matrix(so))
-
-
-def _kappa_squared(params: ModelParams, kbar: np.ndarray,
-                   gammabar: np.ndarray) -> float:
     den = 1.0 - params.theta - params.alpha * params.tau(2)
     if abs(den) < BOUNDARY_TOL:
         raise PathologicalParamsError(
             "theta + alpha*tau2 = 1: sample-mean variance denominator vanishes"
         )
-    quad = OMEGA3 @ (kbar * gammabar) @ OMEGA3
+    quad = OMEGA3 @ (kbar_matrix(params) * gammabar_matrix(so)) @ OMEGA3
     return float(quad / den**2)
 
 
@@ -139,14 +137,6 @@ def gamma6_matrix(so: SecondOrderTables, fo: FourthOrderTables) -> np.ndarray:
         [0, d2, 0, d3, d4, l2],
         [0, l0, 0, l1, l2, 1.0],
     ])
-
-
-def omega_squared(params: ModelParams, so: SecondOrderTables,
-                  fo: FourthOrderTables) -> float:
-    """Asymptotic variance of sqrt(n) (theta_hat_n - theta_star)."""
-    g1 = 1.0 - 2.0 * params.alpha * params.tau(2)
-    quad = OMEGA6 @ (k_matrix(params) * gamma6_matrix(so, fo)) @ OMEGA6
-    return float(quad / (so.lambda0**2 * g1**2))
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +303,6 @@ class CovarianceStack:
 
     kappa2: float
     omega2: float
-    Kbar: np.ndarray
-    Gammabar: np.ndarray
     K: np.ndarray
     Gamma: np.ndarray
     L: np.ndarray
@@ -326,31 +314,23 @@ class CovarianceStack:
     Psi: np.ndarray
     psi: float
     psi0: float
-    psi00: float
 
     def to_dict(self) -> dict:
         return {
             "kappa2": self.kappa2,
             "omega2": self.omega2,
-            "ell": self.ell,
             "Sigma": self.Sigma.tolist(),
             "Psi": self.Psi.tolist(),
             "psi": self.psi,
             "psi0": self.psi0,
-            "psi00": self.psi00,
         }
 
 
-def sigma_psi(params: ModelParams, so: SecondOrderTables,
-              fo: FourthOrderTables) -> CovarianceStack:
-    """Assemble the complete covariance stack.
-
-    Sigma = A SigmaML A^T is the covariance of the two ratio estimators;
-    Psi is its delta-method image under the correction map, evaluated at
-    (theta_star, vartheta_star). psi is the lower-right element of Psi and
-    psi0 its closed-form value at alpha = 0 (same theta and noise moments).
-    """
-    lim = limits(params, so)
+def _sigma_blocks(params: ModelParams, so: SecondOrderTables,
+                  fo: FourthOrderTables) -> dict:
+    """The stack's fields K to Sigma, keyed by field name: the martingale
+    blocks, SigmaML, and Sigma = A SigmaML A^T, the covariance of the two
+    ratio estimators. Nothing here reaches the correction map."""
     k, gamma6, l = k_matrix(params), gamma6_matrix(so, fo), l_matrix(params)
     mm = mixed_moment_table(params, so, fo)
     upsilon = upsilon_matrix(params, so, fo, mm)
@@ -369,43 +349,54 @@ def sigma_psi(params: ModelParams, so: SecondOrderTables,
     a[0, :6] = 1.0 / (l0 * g1)
     a[1, :6] = params.theta / (l0 * g1)
     a[1, 6] = 1.0 / l0
-    sigma = a @ sig_ml @ a.T
+    return {"K": k, "Gamma": gamma6, "L": l, "Upsilon": upsilon, "ell": ell,
+            "SigmaML": sig_ml, "A": a, "Sigma": a @ sig_ml @ a.T}
 
+
+def omega_squared(params: ModelParams, so: SecondOrderTables,
+                  fo: FourthOrderTables) -> float:
+    """Asymptotic variance of sqrt(n) (theta_hat_n - theta_star): the
+    Sigma[0, 0] of sigma_psi, defined also where the correction map is not."""
+    return float(_sigma_blocks(params, so, fo)["Sigma"][0, 0])
+
+
+def sigma_psi(params: ModelParams, so: SecondOrderTables,
+              fo: FourthOrderTables) -> CovarianceStack:
+    """Assemble the complete covariance stack.
+
+    Psi is the delta-method image of Sigma under the correction map,
+    evaluated at (theta_star, vartheta_star). psi is the lower-right element
+    of Psi and psi0 its closed-form value at alpha = 0 (same theta and noise
+    moments); a vanishing psi0 denominator raises PathologicalParamsError.
+    """
+    blocks = _sigma_blocks(params, so, fo)
+    lim = limits(params, so)
     jac = f_jacobian(lim.theta_star, lim.vartheta_star)
-    psi_mat = jac @ sigma @ jac.T
-
-    psi0, psi00 = psi0_closed_form(params.theta, params.tau(2), params.tau(4),
-                                   params.sigma(2), params.sigma(4))
-    kbar, gammabar = kbar_matrix(params), gammabar_matrix(so)
+    psi_mat = jac @ blocks["Sigma"] @ jac.T
+    psi0, _ = psi0_closed_form(params.theta, params.tau(2), params.tau(4),
+                               params.sigma(2), params.sigma(4))
+    if np.isnan(psi0):
+        raise PathologicalParamsError(
+            "psi0 denominator vanishes: theta near +/-1/sqrt(2) or fourth-moment "
+            "condition on the boundary"
+        )
     return CovarianceStack(
-        kappa2=_kappa_squared(params, kbar, gammabar),
-        omega2=float(sigma[0, 0]),
-        Kbar=kbar,
-        Gammabar=gammabar,
-        K=k,
-        Gamma=gamma6,
-        L=l,
-        Upsilon=upsilon,
-        ell=ell,
-        SigmaML=sig_ml,
-        A=a,
-        Sigma=sigma,
+        kappa2=kappa_squared(params, so),
+        omega2=float(blocks["Sigma"][0, 0]),
         Psi=psi_mat,
         psi=float(psi_mat[1, 1]),
         psi0=psi0,
-        psi00=psi00,
+        **blocks,
     )
 
 
-def psi0_closed_form(theta, tau2, tau4, sigma2, sigma4,
-                     check_denominator: bool = True):
+def psi0_closed_form(theta, tau2, tau4, sigma2, sigma4):
     """Closed form of the null value psi0 and its numerator psi00.
 
-    Requires theta^4 + 6 theta^2 tau2 + tau4 < 1 for psi0 to be meaningful;
-    raises PathologicalParamsError when the denominator vanishes (unless
-    check_denominator is False, in which case psi0 is returned as nan and
-    psi00, which stays well defined, is still exact). The arguments may be
-    same-shape arrays, evaluated elementwise; scalars give floats.
+    Requires theta^4 + 6 theta^2 tau2 + tau4 < 1 for psi0 to be meaningful.
+    psi0 is nan where its denominator vanishes or is not finite; psi00
+    stays well defined and exact. The arguments may be same-shape arrays,
+    evaluated elementwise; scalars give floats.
     """
     th2 = theta**2
     th4 = th2**2
@@ -422,14 +413,12 @@ def psi0_closed_form(theta, tau2, tau4, sigma2, sigma4,
     )
     root = 1.0 - 2.0 * th2
     moment_factor = th4 + 6 * th2 * tau2 + tau4 - 1.0
-    bad = (np.abs(root) < BOUNDARY_TOL) | (np.abs(moment_factor) < BOUNDARY_TOL)
-    if check_denominator and np.any(bad):
-        raise PathologicalParamsError(
-            "psi0 denominator vanishes: theta near +/-1/sqrt(2) or fourth-moment "
-            "condition on the boundary"
-        )
-    psi0 = np.divide(psi00, root**2 * sigma2**2 * moment_factor,
-                     out=np.full(np.shape(psi00), np.nan), where=~bad)
+    with np.errstate(all="ignore"):
+        den = root**2 * sigma2**2 * moment_factor
+        bad = ((np.abs(root) < BOUNDARY_TOL) | (np.abs(moment_factor) < BOUNDARY_TOL)
+               | ~np.isfinite(den))
+        psi0 = np.divide(psi00, den, out=np.full(np.shape(psi00), np.nan),
+                         where=~bad)
     if psi0.ndim == 0:
         return float(psi0), float(psi00)
     return psi0, psi00

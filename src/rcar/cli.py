@@ -171,27 +171,19 @@ def cmd_variance(args) -> dict:
     fo = fourth_order.build_fourth_order(params, so)
     lim = asymptotics.limits(params, so)
     stack = asymptotics.sigma_psi(params, so, fo)
-    return {
-        **lim.to_dict(),
-        "kappa2": stack.kappa2,
-        "omega2": stack.omega2,
-        "Sigma": stack.Sigma.tolist(),
-        "Psi": stack.Psi.tolist(),
-        "psi": stack.psi,
-        "psi0": stack.psi0,
-        "provenance": _provenance(params),
-    }
+    return {**lim.to_dict(), **stack.to_dict(), "provenance": _provenance(params)}
 
 
 def cmd_simulate(args) -> dict | Trajectory:
     params = _params_from_args(args)
-    traj = run_simulation(params, args.n, args.seed, args.burn_in)
+    seed = args.env_seed if args.seed is None else args.seed
+    traj = run_simulation(params, args.n, seed, args.burn_in)
     if args.format == "csv":
         return traj
     return {
         "t": list(range(traj.n + 1)),
         "x": traj.x.tolist(),
-        "provenance": _provenance(params, seed=args.seed,
+        "provenance": _provenance(params, seed=seed,
                                   n=args.n, burn_in=traj.burn_in),
     }
 
@@ -244,7 +236,7 @@ def cmd_mc(args) -> dict:
     if not experiment:
         raise ConfigurationError("no experiment given (flag or config key)")
 
-    settings = {"n": 1000, "replicates": 1000, "master_seed": _default_seed()}
+    settings = {"n": 1000, "replicates": 1000, "master_seed": args.env_seed}
     settings.update((key, model.cast_value(key, values[key], cast))
                     for key, cast in _MC_CASTS.items() if key in values)
     if args.seed is not None:
@@ -291,7 +283,10 @@ def cmd_region(args):
     return lambda fh: fh.write(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `rcar` parser, built on first use. Each subcommand sets `command`;
+    main runs the module's `cmd_<command>`."""
     parser = argparse.ArgumentParser(
         prog="rcar",
         description="Random-coefficient AR(1) with correlated coefficients: "
@@ -303,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="hypothesis report for a parameter set")
     _add_param_flags(p)
     _add_out_flag(p)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("moments", help="second/fourth-order moment tables")
     _add_param_flags(p)
@@ -311,24 +305,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hmax", type=int, default=10,
                    help="largest autocovariance lag, 0..1000 (default 10)")
     _add_out_flag(p)
-    p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("variance", help="asymptotic variances and covariances")
     _add_param_flags(p)
     _add_out_flag(p)
-    p.set_defaults(func=cmd_variance)
 
     p = sub.add_parser("simulate", help="simulate a trajectory to CSV")
     _add_param_flags(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None,
+                   help="trajectory seed (default RCAR_SEED, else 0)")
     p.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN)
     _add_out_flag(p, csv=True)
-    p.set_defaults(func=cmd_simulate)
 
-    for name, func, help_text in (
-        ("estimate", cmd_estimate, "full estimation report for a series"),
-        ("test", cmd_test, "correlation test for a series"),
+    for name, help_text in (
+        ("estimate", "full estimation report for a series"),
+        ("test", "correlation test for a series"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--in", dest="infile", required=True)
@@ -340,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eta-family", default="gaussian",
                        help="assumed coefficient-noise family for the plug-in")
         _add_out_flag(p)
-        p.set_defaults(func=func)
 
     p = sub.add_parser("mc", help="Monte Carlo experiment from a run file")
     p.add_argument("--experiment", choices=harness.EXPERIMENTS, default=None)
@@ -351,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keep-replicates", action="store_true",
                    help="include per-replicate values in the report")
     _add_out_flag(p)
-    p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("region", help="stationarity-condition grid to CSV")
     p.add_argument("--theta-range", required=True, metavar="LO:HI:STEP")
@@ -359,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True, metavar="FAMILY:SCALE")
     p.add_argument("--eta", required=True, metavar="FAMILY:SCALE")
     _add_out_flag(p, csv=True)
-    p.set_defaults(func=cmd_region)
 
     return parser
 
@@ -385,13 +374,17 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        # the parser's seed defaults read RCAR_SEED, which may be malformed
-        args = build_parser().parse_args(_join_range_flags(list(argv)))
+        # RCAR_SEED is read on every call; a malformed value is an error
+        # whatever the subcommand
+        args = build_parser().parse_args(
+            _join_range_flags(list(argv)),
+            argparse.Namespace(env_seed=_default_seed()))
         if args.format == "csv" and not args.has_csv:
             raise ConfigurationError(
                 "CSV output is restricted to grids and trajectories; this "
                 "subcommand emits JSON")
-        _emit(args.func(args), args.out)
+        # looked up at call time, so a cmd_* replaced on the module is honoured
+        _emit(globals()[f"cmd_{args.command}"](args), args.out)
         return 0
     except ConfigurationError as exc:
         print(f"rcar: configuration error: {exc}", file=sys.stderr)

@@ -149,7 +149,7 @@ def correlation_statistics(x: np.ndarray, level: float, source: str,
     tau4_bar = KURTOSIS_FACTOR[NoiseFamily(eta_family)] * tau2_bar**2
     theta_bar = out["theta_tilde"] if source == "tilde" else th
     psi0, _ = psi0_closed_form(theta_bar, tau2_bar, tau4_bar, sigma2_bar,
-                               sigma4_bar, check_denominator=False)
+                               sigma4_bar)
     reason = np.select(
         [out["reason"] != OK, ~ok_nq, np.isnan(psi0),
          ~(np.isfinite(psi0) & (psi0 > 0))],

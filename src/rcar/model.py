@@ -494,9 +494,8 @@ def check_hypotheses(params: ModelParams, mc_draws: int = 100_000,
     tau2, tau8 = params.tau(2), params.tau(8)
     sigma2, sigma4 = params.sigma(2), params.sigma(4)
     g1 = 1.0 - 2.0 * params.alpha * tau2
-    _, psi00 = asymptotics.psi0_closed_form(
-        params.theta, tau2, params.tau(4), sigma2, sigma4, check_denominator=False
-    )
+    _, psi00 = asymptotics.psi0_closed_form(params.theta, tau2, params.tau(4),
+                                            sigma2, sigma4)
     flags = DegeneracyFlags(
         two_alpha_tau2_one=two_alpha_tau2_one(params.alpha, tau2),
         sqrt2_theta_boundary=(

@@ -77,17 +77,12 @@ def _stream(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(mix64(seed, tag))))
 
 
-def _draw_eta(params: ModelParams, seed: int, size: int) -> np.ndarray:
-    """The first `size` coefficient-noise draws; zeros without eta noise."""
-    if params.eta is None:
-        return np.zeros(size)
-    return params.eta.sample(_stream(seed, _ETA_STREAM), size)
-
-
 def _draw_noise(params: ModelParams, seed: int, total: int):
-    """eta[0..total] and eps[0..total]; eps[0] precedes the recurrence."""
-    return (_draw_eta(params, seed, total + 1),
-            params.eps.sample(_stream(seed, _EPS_STREAM), total + 1))
+    """eta[0..total] and eps[0..total]; eps[0] precedes the recurrence and
+    eta is zeros without coefficient noise."""
+    eta = (np.zeros(total + 1) if params.eta is None
+           else params.eta.sample(_stream(seed, _ETA_STREAM), total + 1))
+    return eta, params.eps.sample(_stream(seed, _EPS_STREAM), total + 1)
 
 
 def _coefficients(params: ModelParams, eta: np.ndarray, out=None) -> np.ndarray:
@@ -116,14 +111,6 @@ class Trajectory:
             )
         if not np.all(np.isfinite(x)):
             raise DegenerateDataError("trajectory contains non-finite values")
-
-
-@dataclass(frozen=True)
-class CoefficientPath:
-    """theta_t for t = 1..n, aligned with the transitions X_{t-1} -> X_t."""
-
-    theta: np.ndarray
-    seed: int
 
 
 def _check_explosion(x: np.ndarray):
@@ -231,19 +218,6 @@ def simulate_block(params: ModelParams, n: int, master_seed: int,
     x = _simulate_rows(params, n, seeds, burn_in)[0]
     _check_explosion(x)
     return np.ascontiguousarray(x)
-
-
-def simulate_coefficients(params: ModelParams, n: int, seed: int) -> CoefficientPath:
-    """The coefficient process theta_t = theta + alpha*eta_{t-1} + eta_t.
-
-    Uses the same coefficient-noise stream as simulate(params, n, seed,
-    burn_in=0), so the returned values are exactly the coefficients that
-    trajectory applies.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    theta_t = _coefficients(params, _draw_eta(params, seed, n + 1))
-    return CoefficientPath(theta=theta_t, seed=seed)
 
 
 # ---------------------------------------------------------------------------

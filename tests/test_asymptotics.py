@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from rcar.asymptotics import (MixedMomentKey, ORACLE_MU_KEYS, kappa_squared,
-                              kbar_matrix, k_matrix, limits, mixed_moment,
-                              omega_squared, psi0_closed_form, sigma_psi)
+from rcar.asymptotics import (MixedMomentKey, ORACLE_MU_KEYS, gammabar_matrix,
+                              kappa_squared, kbar_matrix, k_matrix, limits,
+                              mixed_moment, omega_squared, psi0_closed_form,
+                              sigma_psi)
 from rcar.errors import PathologicalParamsError
 from rcar.fourth_order import build_fourth_order
 from rcar.harness import mixed_moment_oracle
@@ -117,6 +118,11 @@ class TestKappaSquared:
             kappa_squared(bad, so)
 
 
+def alpha0_moments_form(p, so, fo):
+    """omega2 at alpha = 0 from the moments: sigma2/lambda0 + tau2 E X^4/lambda0^2."""
+    return p.sigma(2) / so.lambda0 + p.tau(2) * fo.Delta[0] / so.lambda0**2
+
+
 class TestOmegaSquared:
     def test_classical_ar1(self):
         for theta in (0.2, -0.5, 0.7):
@@ -134,7 +140,7 @@ class TestOmegaSquared:
             w = omega_squared(p, so, fo)
             s4, t4 = p.sigma(4), p.tau(4)
             moments_form = w == pytest.approx(
-                s2 / so.lambda0 + t2 * fo.Delta[0] / so.lambda0**2, rel=1e-10)
+                alpha0_moments_form(p, so, fo), rel=1e-10)
             display_form = w == pytest.approx(
                 (1 - theta**2 - t2)
                 * (t2 * s4 * (theta**2 + t2 - 1)
@@ -142,6 +148,28 @@ class TestOmegaSquared:
                 / (s2**2 * (theta**4 + t4 + 6 * theta**2 * t2 - 1)),
                 rel=1e-10)
             assert moments_form and display_form
+
+    def test_defined_where_correction_map_is_not(self):
+        # the `rcar variance` exit-5 point: theta_star = 1/sqrt(2), where the
+        # correction map and psi0 are undefined but omega2 is not
+        p = gaussian_params(1 / math.sqrt(2), 0.0, 0.02)
+        so = build_second_order(p)
+        fo = build_fourth_order(p, so)
+        w = omega_squared(p, so, fo)
+        assert math.isfinite(w)
+        assert w == pytest.approx(alpha0_moments_form(p, so, fo), rel=1e-10)
+        with pytest.raises(PathologicalParamsError):
+            sigma_psi(p, so, fo)
+
+    def test_one_computation_bitwise(self):
+        # omega2 is Sigma[0, 0] and kappa2 is kappa_squared, read from one
+        # computation each, on every draw
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            p = random_admissible(rng)
+            so, fo, st = build_stack(p)
+            assert omega_squared(p, so, fo) == st.omega2 == st.Sigma[0, 0], p
+            assert kappa_squared(p, so) == st.kappa2, p
 
 
 class TestMixedMoments:
@@ -197,8 +225,8 @@ class TestCovarianceStack:
         for _ in range(10):
             p = random_admissible(rng, max_rho=0.9)
             so, fo, st = build_stack(p)
-            for mat in (st.Kbar, st.K, st.Gammabar, st.Gamma, st.SigmaML,
-                        st.Sigma, st.Psi):
+            for mat in (kbar_matrix(p), st.K, gammabar_matrix(so), st.Gamma,
+                        st.SigmaML, st.Sigma, st.Psi):
                 assert np.allclose(mat, mat.T, atol=1e-12)
             assert np.linalg.eigvalsh(st.Sigma).min() >= -1e-9
             assert np.linalg.eigvalsh(st.Psi).min() >= -1e-9
@@ -316,24 +344,29 @@ class TestPsi0ClosedForm:
             assert psi0 > 0
 
     def test_pathological_root(self):
-        with pytest.raises(PathologicalParamsError):
-            psi0_closed_form(1 / math.sqrt(2), 0.1, 0.03, 1.0, 3.0)
+        # theta = 1/sqrt(2) with alpha != 0: theta_star is away from the
+        # correction map's boundary, so the raise is psi0's
+        p = gaussian_params(1 / math.sqrt(2), 0.5, 0.02)
+        so = build_second_order(p)
+        fo = build_fourth_order(p, so)
+        with pytest.raises(PathologicalParamsError, match="psi0 denominator"):
+            sigma_psi(p, so, fo)
 
-    def test_check_disabled_returns_numerator(self):
-        psi0, psi00 = psi0_closed_form(1 / math.sqrt(2), 0.1, 0.03, 1.0, 3.0,
-                                       check_denominator=False)
+    def test_vanishing_denominator_gives_nan(self):
+        psi0, psi00 = psi0_closed_form(1 / math.sqrt(2), 0.1, 0.03, 1.0, 3.0)
         assert math.isnan(psi0) and math.isfinite(psi00)
+
+    def test_overflowing_denominator_gives_nan(self):
+        # theta^4 times sigma2^2 overflows; a RuntimeWarning would fail here
+        psi0, _ = psi0_closed_form(1e30, 1e-18, 1e-36, 2e40, 2.4e81)
+        assert math.isnan(psi0)
 
     def test_arrays_evaluate_elementwise(self):
         theta = np.array([0.2, 1 / math.sqrt(2), -0.4])
-        psi0, psi00 = psi0_closed_form(theta, 0.1, 0.03, 1.0, 3.0,
-                                       check_denominator=False)
+        psi0, psi00 = psi0_closed_form(theta, 0.1, 0.03, 1.0, 3.0)
         for i, th in enumerate(theta):
-            ref0, ref00 = psi0_closed_form(float(th), 0.1, 0.03, 1.0, 3.0,
-                                           check_denominator=False)
+            ref0, ref00 = psi0_closed_form(float(th), 0.1, 0.03, 1.0, 3.0)
             assert type(ref0) is float and type(ref00) is float
             assert psi00[i] == ref00
             assert psi0[i] == ref0 or (math.isnan(psi0[i]) and math.isnan(ref0))
         assert math.isnan(psi0[1]) and np.isfinite(psi0[[0, 2]]).all()
-        with pytest.raises(PathologicalParamsError):
-            psi0_closed_form(theta, 0.1, 0.03, 1.0, 3.0)

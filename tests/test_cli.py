@@ -9,13 +9,14 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rcar
-from rcar.asymptotics import limits
+from rcar.asymptotics import kappa_squared, limits, omega_squared
 from rcar.cli import main
 from rcar.errors import PathologicalParamsError
+from rcar.fourth_order import build_fourth_order
 from rcar.model import ModelParams, NoiseFamily, NoiseSpec, parse_noise
 from rcar.numerics import spectral_radius
 from rcar.second_order import build_second_order, stationarity_radii
@@ -160,6 +161,20 @@ class TestVariance:
         theta = 1 / math.sqrt(2)
         assert main(["variance", "--theta", repr(theta), "--alpha", "0",
                      "--eps", "gaussian:1", "--eta", "gaussian:0.02"]) == 5
+
+    def test_variances_agree_with_library_bitwise(self, capsys):
+        # the printed omega2 and kappa2 are the library's single computations
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            p = random_admissible(rng)
+            flags = ["--theta", repr(p.theta), "--alpha", repr(p.alpha),
+                     "--eps", f"{p.eps.family.value}:{p.eps.scale!r}",
+                     "--eta", f"{p.eta.family.value}:{p.eta.scale!r}"]
+            _, variance = run_json(capsys, ["variance", *flags])
+            so = build_second_order(p)
+            fo = build_fourth_order(p, so)
+            assert variance["omega2"] == omega_squared(p, so, fo), p
+            assert variance["kappa2"] == kappa_squared(p, so), p
 
 
 class TestSimulateEstimateRoundTrip:
@@ -577,6 +592,10 @@ class TestNumericFlagFuzz:
     to 2^16 steps."""
 
     @settings(max_examples=60, deadline=None)
+    # psi0's denominator overflows (theta^4 sigma2^2) on the report-only path
+    @example(command="check", theta=1e30, alpha=0.5, eps_scale=1e20,
+             eta_scale=1e-9, eps_family=NoiseFamily.LAPLACE,
+             eta_family=NoiseFamily.RADEMACHER)
     @given(command=st.sampled_from(["check", "moments", "variance", "region"]),
            theta=st.sampled_from(FUZZ_VALUES), alpha=st.sampled_from(FUZZ_VALUES),
            eps_scale=st.sampled_from(FUZZ_VALUES),

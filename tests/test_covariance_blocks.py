@@ -1,7 +1,7 @@
 """Entry-level validation of the asymptotic covariance blocks.
 
 The estimator numerators decompose into conditionally centered terms; every
-block of the covariance stack (K o Gamma, Kbar o Gammabar, (L o Upsilon)
+covariance block (K o Gamma, Kbar o Gammabar, (L o Upsilon)
 Omega6 and the scalar ell) is the stationary second-moment matrix of those
 terms. Estimating each moment directly from one long path with retained
 noise checks every entry of the assembled blocks on its own, which catches

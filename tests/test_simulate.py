@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from rcar.errors import DegenerateDataError, HypothesisError
 from rcar.model import ModelParams, NoiseFamily, NoiseSpec
 from rcar.second_order import build_second_order
-from rcar.simulate import (FORGET_TOL, CoefficientPath, Trajectory,
-                           _draw_noise, ingest, mix64, replicate_seed, simulate,
-                           simulate_block, simulate_coefficients,
+from rcar.simulate import (FORGET_TOL, Trajectory, _draw_noise, ingest, mix64,
+                           replicate_seed, simulate, simulate_block,
                            simulate_with_noise, write_csv)
 
 from conftest import batch_se
@@ -159,11 +158,17 @@ class TestFoldedRecurrence:
             assert np.array_equal(block[i], single.x)
 
 
+def coefficients(params, n, seed):
+    """theta_t for t = 1..n, from the retained eta of a path with no burn-in."""
+    _, eta, _ = simulate_with_noise(params, n, seed, burn_in=0)
+    return params.theta + params.alpha * eta[:-1] + eta[1:]
+
+
 class TestCoefficients:
     def test_autocovariances(self):
         params = ModelParams(0.3, 0.5, GAUSS1, NoiseSpec(NoiseFamily.GAUSSIAN, 0.1))
-        path = simulate_coefficients(params, 1_000_000, seed=17)
-        th = path.theta - path.theta.mean()
+        theta = coefficients(params, 1_000_000, seed=17)
+        th = theta - theta.mean()
         n = len(th)
         t2, al = 0.1, 0.5
         for lag, target in ((0, t2 * (1 + al**2)), (1, al * t2), (2, 0.0)):
@@ -172,25 +177,24 @@ class TestCoefficients:
 
     def test_uncorrelated_lag1(self):
         params = ModelParams(0.3, 0.0, GAUSS1, NoiseSpec(NoiseFamily.GAUSSIAN, 0.1))
-        path = simulate_coefficients(params, 1_000_000, seed=18)
-        th = path.theta - path.theta.mean()
+        theta = coefficients(params, 1_000_000, seed=18)
+        th = theta - theta.mean()
         prod = th[:-1] * th[1:]
         assert abs(prod.mean()) <= 3 * batch_se(prod)
 
     def test_aligned_with_trajectory(self, params_accept):
         n = 200
         traj, eta, eps = simulate_with_noise(params_accept, n, seed=55, burn_in=0)
-        path = simulate_coefficients(params_accept, n, seed=55)
-        th = (params_accept.theta + params_accept.alpha * eta[:-1] + eta[1:])
-        assert np.array_equal(path.theta, th)
+        # without a burn-in the retained noise is the head of each stream
+        head_eta, head_eps = _draw_noise(params_accept, 55, n)
+        assert np.array_equal(eta, head_eta) and np.array_equal(eps, head_eps)
+        th = coefficients(params_accept, n, seed=55)
         recon = th * traj.x[:-1] + eps[1:]
         assert np.allclose(recon, traj.x[1:], atol=0)
 
     def test_eta_none_constant(self):
-        path = simulate_coefficients(ModelParams(0.4, 0.0, GAUSS1, None),
-                                     50, seed=1)
-        assert isinstance(path, CoefficientPath)
-        assert np.array_equal(path.theta, np.full(50, 0.4))
+        theta = coefficients(ModelParams(0.4, 0.0, GAUSS1, None), 50, seed=1)
+        assert np.array_equal(theta, np.full(50, 0.4))
 
 
 class TestTrajectoryType:
