@@ -256,12 +256,12 @@ def mixed_moment_table(params: ModelParams, so: SecondOrderTables,
             for k in ORACLE_MU_KEYS[1:]}
 
 
-def upsilon_matrix(params: ModelParams, so: SecondOrderTables,
-                   fo: FourthOrderTables, mm: dict) -> np.ndarray:
-    """mm is the mixed_moment_table of the same arguments."""
+def upsilon_matrix(so: SecondOrderTables, fo: FourthOrderTables, mm: dict,
+                   ts: float) -> np.ndarray:
+    """mm is the mixed_moment_table and ts the limits(...).theta_star of
+    the same parameters and tables."""
     l0, l1, _ = so.Lam
     d0, d1, d2, d3, _ = fo.Delta
-    ts = limits(params, so).theta_star
     return np.array([
         [ts * l0, l0, 0, 0, 0, 0],
         [d0, d1, mm[0, 0, 0, 2, 2], mm[0, 1, 0, 2, 2], mm[1, 0, 0, 2, 2], mm[0, 0, 1, 1, 2]],
@@ -327,13 +327,13 @@ class CovarianceStack:
 
 
 def _sigma_blocks(params: ModelParams, so: SecondOrderTables,
-                  fo: FourthOrderTables) -> dict:
+                  fo: FourthOrderTables, theta_star: float) -> dict:
     """The stack's fields K to Sigma, keyed by field name: the martingale
     blocks, SigmaML, and Sigma = A SigmaML A^T, the covariance of the two
     ratio estimators. Nothing here reaches the correction map."""
     k, gamma6, l = k_matrix(params), gamma6_matrix(so, fo), l_matrix(params)
     mm = mixed_moment_table(params, so, fo)
-    upsilon = upsilon_matrix(params, so, fo, mm)
+    upsilon = upsilon_matrix(so, fo, mm, theta_star)
     ell = ell_scalar(params, so, fo, mm)
     lu = (l * upsilon) @ OMEGA6
 
@@ -357,7 +357,8 @@ def omega_squared(params: ModelParams, so: SecondOrderTables,
                   fo: FourthOrderTables) -> float:
     """Asymptotic variance of sqrt(n) (theta_hat_n - theta_star): the
     Sigma[0, 0] of sigma_psi, defined also where the correction map is not."""
-    return float(_sigma_blocks(params, so, fo)["Sigma"][0, 0])
+    ts = limits(params, so).theta_star
+    return float(_sigma_blocks(params, so, fo, ts)["Sigma"][0, 0])
 
 
 def sigma_psi(params: ModelParams, so: SecondOrderTables,
@@ -369,8 +370,8 @@ def sigma_psi(params: ModelParams, so: SecondOrderTables,
     of Psi and psi0 its closed-form value at alpha = 0 (same theta and noise
     moments); a vanishing psi0 denominator raises PathologicalParamsError.
     """
-    blocks = _sigma_blocks(params, so, fo)
     lim = limits(params, so)
+    blocks = _sigma_blocks(params, so, fo, lim.theta_star)
     jac = f_jacobian(lim.theta_star, lim.vartheta_star)
     psi_mat = jac @ blocks["Sigma"] @ jac.T
     psi0, _ = psi0_closed_form(params.theta, params.tau(2), params.tau(4),

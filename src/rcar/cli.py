@@ -315,7 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=None,
                    help="trajectory seed (default RCAR_SEED, else 0)")
-    p.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN)
+    p.add_argument("--burn-in", type=int, default=None,
+                   help="steps discarded before X_0, doubled until the start "
+                        "is forgotten (default: derived from the contraction "
+                        "rate E ln|theta_t|, or %d where that rate is not "
+                        "negative)" % DEFAULT_BURN_IN)
     _add_out_flag(p, csv=True)
 
     for name, help_text in (

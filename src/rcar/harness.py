@@ -3,11 +3,12 @@
 `run_experiment` is the one runner. Each experiment is a function from an
 MCConfig to its report fields: targets, empirical values, tolerances,
 passes, the reason codes of its replicates and, where kept, per-replicate
-values. The runner adds the config echo, the provenance and the replicate
-counts. The experiments: CLT/variance verification for the sample mean, the
-lag-1 ratio estimator and the corrected couple; test size/power curves over
-a grid of coefficient-correlation weights; rate-of-convergence checks on a
-single long path; and the brute-force mixed-moment oracle.
+values. The runner adds the config echo, the provenance, the replicate
+counts and the diagnostics (the burn-in start of each parameter point). The
+experiments: CLT/variance verification for the sample mean, the lag-1 ratio
+estimator and the corrected couple; test size/power curves over a grid of
+coefficient-correlation weights; rate-of-convergence checks on a single long
+path; and the brute-force mixed-moment oracle.
 
 Determinism: replicate r is seeded by mix64(master_seed, r) and computed
 independently, so an MCReport depends only on its MCConfig, never on worker
@@ -30,7 +31,7 @@ from .errors import ConfigurationError
 from .fourth_order import build_fourth_order
 from .model import ModelParams, NoiseFamily, cast_value
 from .second_order import build_second_order
-from .simulate import (DEFAULT_BURN_IN, GENERATOR_ID, replicate_seed,
+from .simulate import (GENERATOR_ID, burn_in_for, replicate_seed,
                        simulate_block, simulate_with_noise)
 
 #: replicates per work unit; results are invariant to this choice
@@ -58,7 +59,8 @@ class MCConfig:
     master_seed: int
     experiment: str
     level: float = 0.05
-    burn_in: int = DEFAULT_BURN_IN
+    #: None starts each parameter point at its derived `burn_in_for`
+    burn_in: int | None = None
     alpha_grid: tuple[float, ...] = ()
     mu_key: tuple[int, int, int, int, int] | None = None
     theta_source: str = "tilde"
@@ -75,7 +77,7 @@ class MCConfig:
                 "distributional experiments need at least 100 replicates")
         if self.n < 1:
             raise ConfigurationError(f"n must be >= 1, got {self.n}")
-        if self.burn_in < 0:
+        if self.burn_in is not None and self.burn_in < 0:
             raise ConfigurationError(f"burn_in must be >= 0, got {self.burn_in}")
         if self.mu_key is not None:
             try:
@@ -109,6 +111,7 @@ class MCReport:
     replicates_used: int
     status: str
     provenance: dict
+    diagnostics: dict
     per_replicate: dict = field(default_factory=dict)
 
     @property
@@ -127,6 +130,7 @@ class MCReport:
             "failed_by_reason": self.failed_by_reason,
             "replicates_used": self.replicates_used,
             "status": self.status,
+            "diagnostics": self.diagnostics,
             "provenance": self.provenance,
         }
         if include_replicates:
@@ -164,18 +168,29 @@ def _theta_targets(params: ModelParams) -> tuple[float, float]:
 # per-replicate statistics: simulation plus one estimator stage, by chunk
 
 
-def _chunk(stage, n: int, master_seed: int, burn_in: int, params: ModelParams,
+def _plan(cfg: MCConfig) -> list[tuple[ModelParams, int]]:
+    """The parameter points cfg's experiment simulates, each with its
+    burn-in start (cfg.burn_in, or the point's derived one): one point per
+    alpha_grid value for size_power, else cfg.params alone."""
+    points = ([dataclasses.replace(cfg.params, alpha=a) for a in cfg.alpha_grid]
+              if cfg.experiment == "size_power" else [cfg.params])
+    return [(p, burn_in_for(p) if cfg.burn_in is None else cfg.burn_in)
+            for p in points]
+
+
+def _chunk(stage, n: int, master_seed: int, params: ModelParams, burn_in: int,
            start: int, stop: int) -> dict:
     return stage(simulate_block(params, n, master_seed, range(start, stop), burn_in))
 
 
-def _gather(cfg: MCConfig, stage, points: list[ModelParams]) -> list[dict]:
-    """Run `stage` over fixed chunks of cfg's replicates at each parameter
-    set of points: one result per point, merged in index order. Every
-    (point, chunk) job goes through one map, so one pool at most."""
-    work = functools.partial(_chunk, stage, cfg.n, cfg.master_seed, cfg.burn_in)
+def _gather(cfg: MCConfig, stage, plan: list[tuple[ModelParams, int]]) -> list[dict]:
+    """Run `stage` over fixed chunks of cfg's replicates at each point of
+    plan: one result per point, merged in index order. Every (point, chunk)
+    job goes through one map, so one pool at most."""
+    work = functools.partial(_chunk, stage, cfg.n, cfg.master_seed)
     starts = range(0, cfg.replicates, CHUNK)
-    jobs = [(p, s, min(s + CHUNK, cfg.replicates)) for p in points for s in starts]
+    jobs = [(p, burn, s, min(s + CHUNK, cfg.replicates))
+            for p, burn in plan for s in starts]
     if cfg.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             parts = list(pool.map(work, *zip(*jobs)))
@@ -185,16 +200,16 @@ def _gather(cfg: MCConfig, stage, points: list[ModelParams]) -> list[dict]:
              for k in parts[i]} for i in range(0, len(parts), len(starts))]
 
 
-def _estimates(cfg: MCConfig, *keys: str):
+def _estimates(cfg: MCConfig, plan, *keys: str):
     """Reason codes, then the valid values of each ratio statistic in keys."""
-    res, = _gather(cfg, estimate.ratio_statistics, [cfg.params])
+    res, = _gather(cfg, estimate.ratio_statistics, plan)
     ok = res["reason"] == estimate.OK
     return (res["reason"], *(res[k][ok] for k in keys))
 
 
 # ---------------------------------------------------------------------------
-# experiments: each returns the fields of its MCReport that the runner does
-# not fill in, plus the replicates' reason codes
+# experiments: each maps an MCConfig and its _plan to the fields of its
+# MCReport that the runner does not fill in, plus the replicates' reason codes
 
 
 def _mean_se_var(values: np.ndarray) -> tuple[float, float, float]:
@@ -224,19 +239,19 @@ def _clt(values: np.ndarray, variance: float, reason: np.ndarray,
     }
 
 
-def _clt_mean(cfg: MCConfig) -> dict:
+def _clt_mean(cfg: MCConfig, plan) -> dict:
     """Empirical mean/variance of sqrt(n) Xbar_n against (0, kappa2)."""
     kappa2 = asymptotics.kappa_squared(cfg.params, build_second_order(cfg.params))
-    reason, xbar = _estimates(cfg, "xbar")
+    reason, xbar = _estimates(cfg, plan, "xbar")
     values = math.sqrt(cfg.n) * xbar
     return _clt(values, kappa2, reason, sqrt_n_xbar=values)
 
 
-def _clt_theta(cfg: MCConfig) -> dict:
+def _clt_theta(cfg: MCConfig, plan) -> dict:
     """sqrt(n)(theta_hat - theta_star) against N(0, omega2), plus the
     inconsistency exhibit (distance of mean theta_hat from theta vs theta_star)."""
     theta_star, omega2 = _theta_targets(cfg.params)
-    reason, th = _estimates(cfg, "theta_hat")
+    reason, th = _estimates(cfg, plan, "theta_hat")
     out = _clt(math.sqrt(cfg.n) * (th - theta_star), omega2, reason, theta_hat=th)
     mean_th, se_th, _ = _mean_se_var(th)
     out["targets"].update(theta_star=theta_star, theta=cfg.params.theta)
@@ -247,11 +262,11 @@ def _clt_theta(cfg: MCConfig) -> dict:
     return out
 
 
-def _clt_couple(cfg: MCConfig) -> dict:
+def _clt_couple(cfg: MCConfig, plan) -> dict:
     """Covariance of sqrt(n)(theta_tilde - theta, gamma_tilde - gamma) vs Psi."""
     psi = asymptotics.sigma_psi(cfg.params, *_tables(cfg.params)).Psi
     gamma = cfg.params.alpha * cfg.params.tau(2)
-    reason, tt, gg = _estimates(cfg, "theta_tilde", "gamma_tilde")
+    reason, tt, gg = _estimates(cfg, plan, "theta_tilde", "gamma_tilde")
     dev = np.vstack([tt - cfg.params.theta, gg - gamma]) * math.sqrt(cfg.n)
     emp_cov = np.cov(dev, ddof=1) if len(tt) > 1 else np.full((2, 2), math.nan)
     rel = np.abs(emp_cov - psi) / np.abs(psi)
@@ -265,7 +280,7 @@ def _clt_couple(cfg: MCConfig) -> dict:
     }
 
 
-def _size_power(cfg: MCConfig) -> dict:
+def _size_power(cfg: MCConfig, plan) -> dict:
     """Rejection rate of the correlation test at each grid point."""
     grid = cfg.alpha_grid
     # with no coefficient noise the plug-in takes the gaussian tau4 map
@@ -276,8 +291,7 @@ def _size_power(cfg: MCConfig) -> dict:
                               eps_family=cfg.params.eps.family)
 
     rates, ses, used, reasons = {}, {}, {}, []
-    results = _gather(cfg, stage, [dataclasses.replace(cfg.params, alpha=alpha)
-                                   for alpha in grid])
+    results = _gather(cfg, stage, plan)
     for alpha, res in zip(grid, results):
         reasons.append(res["reason"])
         ok = res["reason"] == estimate.OK
@@ -309,7 +323,7 @@ def _size_power(cfg: MCConfig) -> dict:
     }
 
 
-def _rates(cfg: MCConfig) -> dict:
+def _rates(cfg: MCConfig, plan) -> dict:
     """Log-averaged squared error of the running estimator on one long path.
 
     L_n = (1/ln n) sum_t (theta_hat_t - theta_star)^2 must approach omega2;
@@ -321,8 +335,9 @@ def _rates(cfg: MCConfig) -> dict:
     not affect the ln-averaged limit.
     """
     theta_star, omega2 = _theta_targets(cfg.params)
+    (_, burn_in), = plan
     x = simulate_with_noise(cfg.params, cfg.n, replicate_seed(cfg.master_seed, 0),
-                            cfg.burn_in)[0].x
+                            burn_in)[0].x
     # theta_hat_t for t = 1..n
     th_t = np.cumsum(x[:-1] * x[1:]) / np.cumsum(x[:-1] * x[:-1])
     sq = (th_t - theta_star) ** 2
@@ -345,7 +360,7 @@ def _rates(cfg: MCConfig) -> dict:
 
 
 def mixed_moment_oracle(key, params: ModelParams, n: int, seed: int,
-                        burn_in: int = DEFAULT_BURN_IN):
+                        burn_in: int | None = None):
     """Brute-force estimate of E[eta_{t-1}^a eta_t^b eps_t^c X_{t-1}^p X_t^q].
 
     Simulates one path of length n retaining the noise, averages the product
@@ -364,13 +379,13 @@ def mixed_moment_oracle(key, params: ModelParams, n: int, seed: int,
     return float(prod.mean()), float(means.std(ddof=1) / math.sqrt(len(means)))
 
 
-def _mixed_moment_oracle(cfg: MCConfig) -> dict:
+def _mixed_moment_oracle(cfg: MCConfig, plan) -> dict:
     """The oracle's estimate of mu_key against the moment pipeline's value."""
     key = asymptotics.MixedMomentKey(*cfg.mu_key)
     target = asymptotics.mixed_moment(key, cfg.params, *_tables(cfg.params))
+    (_, burn_in), = plan
     est, se = mixed_moment_oracle(key, cfg.params, cfg.n,
-                                  replicate_seed(cfg.master_seed, 0),
-                                  cfg.burn_in)
+                                  replicate_seed(cfg.master_seed, 0), burn_in)
     return {
         "targets": {"mu": target, "key": list(cfg.mu_key)},
         "empirical": {"mu": est, "se": se,
@@ -393,9 +408,11 @@ EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def run_experiment(cfg: MCConfig) -> MCReport:
-    """Run cfg's experiment; add the config echo, provenance and counts."""
+    """Run cfg's experiment; add the config echo, provenance, counts and
+    diagnostics."""
     from . import __version__
-    fields = _EXPERIMENTS[cfg.experiment](cfg)
+    plan = _plan(cfg)
+    fields = _EXPERIMENTS[cfg.experiment](cfg, plan)
     return MCReport(
         experiment=cfg.experiment,
         config={**dataclasses.asdict(cfg), "params": cfg.params.to_dict()},
@@ -403,4 +420,5 @@ def run_experiment(cfg: MCConfig) -> MCReport:
         provenance={"params": cfg.params.to_dict(),
                     "master_seed": cfg.master_seed,
                     "generator": GENERATOR_ID, "version": __version__},
+        diagnostics={"burn_in": [burn for _, burn in plan]},
         **fields)

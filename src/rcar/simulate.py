@@ -4,11 +4,13 @@ Randomness contract: replicate r of master seed s uses the 64-bit avalanche
 mix of (s, r); within one trajectory the coefficient noise and the innovation
 noise are two independent Philox streams derived from the trajectory seed, so
 the coefficient path is reproducible on its own. Each stream is drawn as one
-run of burn_in + n + 1 values and the retained segment is its tail, so the
-retained draws depend on the burn-in actually used: a different burn_in, or
-the automatic doubling below, shifts them (ROADMAP item 2). Everything is
-bitwise deterministic given (params, n, seed, burn_in) and independent of
-evaluation order or parallelism.
+run of n + 1 + burn_in values: its first n + 1 values are the retained noise,
+aligned with X_0..X_n, and the other burn_in values are the burn-in, placed
+before them in time. So the retained noise depends only on (seed, n), never
+on the burn-in, and a row whose burn-in doubles below keeps it; burn_in 0 is
+the head of each stream alone. Everything is bitwise deterministic given
+(params, n, seed, burn_in) and independent of evaluation order or
+parallelism.
 
 One kernel, `_recur`, runs the recurrence X_t = theta_t X_{t-1} + eps_t
 down the time axis of a (rows, T) block, vectorised across rows, and writes
@@ -23,31 +25,43 @@ The fold depends only on T, never on how rows are grouped, and moves a path
 by round-off only (about 1e-15 at n = 1e6).
 
 The recurrence starts at 0 and discards `burn_in` steps. The initial
-condition is forgotten exponentially fast, and the generator verifies it: a
-copy started at _TWIN_START on the same noise differs from the path after b
-steps by exactly _TWIN_START * |theta_1 ... theta_b|. Rows where that gap is
-1e-8 or more are simulated again with the burn-in doubled (up to 2**16).
+condition is forgotten exponentially fast, at the contraction rate
+E ln|theta_t| < 0 of (H1) (Brandt, "The stochastic equation
+Y_{n+1} = A_n Y_n + B_n with stationary coefficients", 1986), and the
+generator verifies it: a copy started at _TWIN_START on the same noise
+differs from the path after b steps by exactly _TWIN_START * |theta_1 ...
+theta_b|. Rows where that gap is 1e-8 or more are simulated again with the
+burn-in doubled (up to 2**16). burn_in None, the default everywhere, starts
+from `burn_in_for(params)`: _RATE_MARGIN times the steps the rate needs to
+shrink the gap below the tolerance, or DEFAULT_BURN_IN where the rate,
+with its error bound, is not negative.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateDataError, HypothesisError
-from .model import ModelParams
+from .model import ModelParams, log_moment
 
-GENERATOR_ID = f"numpy.random.Philox (numpy {np.__version__})"
+#: layout 2: the retained noise is the head of each stream, the burn-in after it
+GENERATOR_ID = f"numpy.random.Philox (numpy {np.__version__}), layout 2"
 
+#: the start where the contraction rate gives no bound
 DEFAULT_BURN_IN = 2000
 MAX_BURN_IN = 2**16
 FORGET_TOL = 1e-8
 EXPLOSION_LIMIT = 1e300
 
 _TWIN_START = 100.0
+#: derived burn-in over the steps a constant contraction would need; ln of the
+#: twin gap is a random walk, and the margin covers its spread for most rows
+_RATE_MARGIN = 2.0
 #: longest path the kernel runs as one sequential loop; longer ones are folded
 _FOLD = 2**14
 _MASK64 = (1 << 64) - 1
@@ -77,12 +91,34 @@ def _stream(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(mix64(seed, tag))))
 
 
-def _draw_noise(params: ModelParams, seed: int, total: int):
-    """eta[0..total] and eps[0..total]; eps[0] precedes the recurrence and
-    eta is zeros without coefficient noise."""
-    eta = (np.zeros(total + 1) if params.eta is None
-           else params.eta.sample(_stream(seed, _ETA_STREAM), total + 1))
-    return eta, params.eps.sample(_stream(seed, _EPS_STREAM), total + 1)
+def burn_in_for(params: ModelParams) -> int:
+    """The default burn-in of params: _RATE_MARGIN times the steps after
+    which the twin gap falls below FORGET_TOL if it contracts at the rate
+    E ln|theta_t| (taken at the top of its error bound), at least 1 and at
+    most MAX_BURN_IN; DEFAULT_BURN_IN where that rate is not negative."""
+    rate, err = log_moment(params)
+    if not rate + err < 0:
+        return DEFAULT_BURN_IN
+    steps = _RATE_MARGIN * math.log(_TWIN_START / FORGET_TOL) / -(rate + err)
+    return min(max(math.ceil(steps), 1), MAX_BURN_IN)
+
+
+def _draw_noise(params: ModelParams, seed: int, n: int, eta: np.ndarray,
+                eps: np.ndarray) -> None:
+    """Fill one row's eta and eps, burn + n + 1 values each in time order.
+
+    The first n + 1 draws of each stream fill the end (the retained noise,
+    aligned with X_0..X_n); the other burn draws fill the start. eps[0]
+    precedes the recurrence; eta is left as given (zeros) without
+    coefficient noise.
+    """
+    keep = n + 1
+    for spec, tag, out in ((params.eta, _ETA_STREAM, eta),
+                           (params.eps, _EPS_STREAM, eps)):
+        if spec is not None:
+            draw = spec.sample(_stream(seed, tag), len(out))
+            out[-keep:] = draw[:keep]
+            out[:-keep] = draw[keep:]
 
 
 def _coefficients(params: ModelParams, eta: np.ndarray, out=None) -> np.ndarray:
@@ -149,23 +185,26 @@ def _recur(c: np.ndarray, e: np.ndarray) -> None:
         c[..., t] = y
 
 
-def _simulate_rows(params: ModelParams, n: int, seeds: list, burn: int):
+def _simulate_rows(params: ModelParams, n: int, seeds: list, burn: int | None):
     """X_0..X_n for each trajectory seed, after a verified burn-in.
 
     Returns (x, burns, eta, eps): row i holds the path of seeds[i], the
-    burn-in it used and its retained noise. Rows whose initial condition is
-    not forgotten are simulated again, recursively, with the burn-in doubled.
+    burn-in it used and its retained noise. burn None is burn_in_for(params).
+    Rows whose initial condition is not forgotten are simulated again,
+    recursively, with the burn-in doubled.
     """
+    if burn is None:
+        burn = burn_in_for(params)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if burn < 0:
         raise ValueError("burn_in must be >= 0")
-    total = burn + n
-    eta = np.empty((len(seeds), total + 1))
-    eps = np.empty_like(eta)
+    shape = (len(seeds), burn + n + 1)
+    eta = np.zeros(shape) if params.eta is None else np.empty(shape)
+    eps = np.empty(shape)
     for i, seed in enumerate(seeds):
-        eta[i], eps[i] = _draw_noise(params, seed, total)
-    path = np.empty_like(eta)  # column 0 is the start, the rest coefficients
+        _draw_noise(params, seed, n, eta[i], eps[i])
+    path = np.empty_like(eps)  # column 0 is the start, the rest coefficients
     path[:, 0] = 0.0
     coef = _coefficients(params, eta, out=path[:, 1:])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -186,19 +225,21 @@ def _simulate_rows(params: ModelParams, n: int, seeds: list, burn: int):
 
 
 def simulate(params: ModelParams, n: int, seed: int,
-             burn_in: int = DEFAULT_BURN_IN) -> Trajectory:
-    """Simulate X_0..X_n after discarding a verified burn-in."""
+             burn_in: int | None = None) -> Trajectory:
+    """Simulate X_0..X_n after discarding a verified burn-in (None: the
+    derived start `burn_in_for(params)`)."""
     traj, _, _ = simulate_with_noise(params, n, seed, burn_in)
     return traj
 
 
 def simulate_with_noise(params: ModelParams, n: int, seed: int,
-                        burn_in: int = DEFAULT_BURN_IN):
+                        burn_in: int | None = None):
     """Like simulate(), also returning the retained noise.
 
     Returns (trajectory, eta, eps) where eta[t] and eps[t] are the draws
     aligned with X_t: the transition X_{t-1} -> X_t uses the coefficient
-    theta + alpha*eta[t-1] + eta[t] and the innovation eps[t].
+    theta + alpha*eta[t-1] + eta[t] and the innovation eps[t]. They are the
+    first n + 1 draws of each stream, whatever the burn-in.
     """
     x, burns, eta, eps = _simulate_rows(params, n, [seed], burn_in)
     _check_explosion(x)
@@ -207,7 +248,7 @@ def simulate_with_noise(params: ModelParams, n: int, seed: int,
 
 
 def simulate_block(params: ModelParams, n: int, master_seed: int,
-                   replicates, burn_in: int = DEFAULT_BURN_IN) -> np.ndarray:
+                   replicates, burn_in: int | None = None) -> np.ndarray:
     """Simulate one trajectory per replicate index, vectorized across rows.
 
     Row i holds X_0..X_n for replicate replicates[i], seeded independently

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rcar import asymptotics
 from rcar.asymptotics import (MixedMomentKey, ORACLE_MU_KEYS, gammabar_matrix,
                               kappa_squared, kbar_matrix, k_matrix, limits,
                               mixed_moment, omega_squared, psi0_closed_form,
@@ -239,6 +240,19 @@ class TestCovarianceStack:
             assert st.omega2 == pytest.approx(st.Sigma[0, 0], rel=1e-12)
             assert st.kappa2 == pytest.approx(kappa_squared(p, so), rel=1e-12)
             assert st.psi == st.Psi[1, 1]
+
+    def test_limits_computed_once(self, params_accept, monkeypatch):
+        # theta* reaches Upsilon from sigma_psi's own limits call
+        so = build_second_order(params_accept)
+        fo = build_fourth_order(params_accept, so)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return limits(*args)
+        monkeypatch.setattr(asymptotics, "limits", counted)
+        sigma_psi(params_accept, so, fo)
+        assert len(calls) == 1
 
     def test_zero_patterns(self, params_accept):
         kb = kbar_matrix(params_accept)

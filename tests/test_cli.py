@@ -20,7 +20,7 @@ from rcar.fourth_order import build_fourth_order
 from rcar.model import ModelParams, NoiseFamily, NoiseSpec, parse_noise
 from rcar.numerics import spectral_radius
 from rcar.second_order import build_second_order, stationarity_radii
-from rcar.simulate import ingest, simulate
+from rcar.simulate import burn_in_for, ingest, simulate
 
 from conftest import random_admissible
 
@@ -198,6 +198,15 @@ class TestSimulateEstimateRoundTrip:
         ref = correlation_test(direct, level=0.05)
         assert payload["statistic"] == ref.statistic
         assert payload["p_value"] == ref.p_value
+
+    def test_burn_in_default_is_derived(self, params_accept, capsys):
+        args = ["simulate", *self.ARGS, "--n", "50", "--seed", "4",
+                "--format", "json"]
+        for extra, burn in (([], burn_in_for(params_accept)),
+                            (["--burn-in", "2000"], 2000)):
+            code, payload = run_json(capsys, args + extra)
+            assert code == 0
+            assert payload["provenance"]["settings"]["burn_in"] == burn
 
     def test_estimate_report_fields(self, tmp_path, capsys):
         out = tmp_path / "series.csv"

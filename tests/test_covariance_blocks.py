@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from rcar.asymptotics import (ell_scalar, gamma6_matrix, gammabar_matrix,
-                              kbar_matrix, k_matrix, l_matrix,
+                              kbar_matrix, k_matrix, l_matrix, limits,
                               mixed_moment_table, sigma_psi, upsilon_matrix)
 from rcar.fourth_order import build_fourth_order
 from rcar.model import ModelParams, NoiseFamily, NoiseSpec
@@ -83,7 +83,8 @@ class TestBlockMoments:
                              f"lag-1 block ({i},{j})")
 
         mm = mixed_moment_table(p, so, fo)
-        lu = (l_matrix(p) * upsilon_matrix(p, so, fo, mm)) @ np.ones(6)
+        ts = limits(p, so).theta_star
+        lu = (l_matrix(p) * upsilon_matrix(so, fo, mm, ts)) @ np.ones(6)
         for i in range(6):
             assert_close(lu[i], d_lag1[i] * d_lag2, f"cross block ({i})")
 

@@ -267,13 +267,13 @@ def assert_row_matches_scalar_path(out, i, row, **test_args):
 class TestBatchKernel:
     N = 60
 
-    def block_with_every_reason(self, params_accept):
+    def block_with_every_reason(self, params_accept, source):
         """Rows: valid, all zero, geometric x_t = 2^(-t/2) (first ratio at
         1/sqrt(2)), alternating +/-1 (constant squares), and the first row
-        of a seeded search whose psi0_hat is negative."""
+        of a seeded search whose psi0_hat under `source` is negative."""
         found = simulate_block(params_accept, self.N, master_seed=2,
                                replicates=range(256))
-        reason = estimate.correlation_statistics(found, 0.05, "tilde", G, G)[
+        reason = estimate.correlation_statistics(found, 0.05, source, G, G)[
             "reason"]
         t = np.arange(self.N + 1.0)
         return np.vstack([
@@ -286,7 +286,7 @@ class TestBatchKernel:
 
     @pytest.mark.parametrize("source", ["tilde", "hat"])
     def test_reasons_and_scalar_agreement(self, params_accept, source):
-        block = self.block_with_every_reason(params_accept)
+        block = self.block_with_every_reason(params_accept, source)
         out = estimate.correlation_statistics(block, 0.05, source, G, G)
         assert out["reason"].tolist() == [
             estimate.OK, estimate.ZERO_WINDOW, estimate.MAP_BOUNDARY,
@@ -295,7 +295,7 @@ class TestBatchKernel:
             assert_row_matches_scalar_path(out, i, row, source=source)
 
     def test_ratio_stage_is_the_test_stage_prefix(self, params_accept):
-        block = self.block_with_every_reason(params_accept)
+        block = self.block_with_every_reason(params_accept, "tilde")
         ratios = estimate.ratio_statistics(block)
         tests = estimate.correlation_statistics(block, 0.05, "tilde", G, G)
         for key, value in ratios.items():

@@ -11,7 +11,7 @@ from rcar import harness
 from rcar.harness import MCConfig, mixed_moment_oracle, run_experiment
 from rcar.model import ModelParams, NoiseFamily, NoiseSpec
 from rcar.second_order import build_second_order
-from rcar.simulate import simulate
+from rcar.simulate import burn_in_for, simulate
 
 GAUSS1 = NoiseSpec(NoiseFamily.GAUSSIAN, 1.0)
 AR1 = ModelParams(0.5, 0.0, GAUSS1, None)
@@ -264,3 +264,16 @@ class TestReportShape:
         assert "generator" in payload["provenance"]
         assert "master_seed" in payload["provenance"]
         assert payload["provenance"]["params"]["theta"] == 0.3
+
+    def test_diagnostics_list_each_point_start(self, params_accept):
+        grid = (0.0, 0.5, -0.3)
+        cfg = cfg_for(params_accept, n=60, replicates=100,
+                      experiment="size_power", alpha_grid=grid)
+        payload = run_experiment(cfg).to_dict()
+        derived = [burn_in_for(dataclasses.replace(params_accept, alpha=a))
+                   for a in grid]
+        assert payload["config"]["burn_in"] is None
+        assert payload["diagnostics"] == {"burn_in": derived}
+        assert len(set(derived)) > 1  # each alpha has its own rate
+        given = run_experiment(dataclasses.replace(cfg, burn_in=7)).to_dict()
+        assert given["diagnostics"] == {"burn_in": [7, 7, 7]}

@@ -1,3 +1,4 @@
+import math
 import os
 import tempfile
 
@@ -7,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcar.errors import DegenerateDataError, HypothesisError
-from rcar.model import ModelParams, NoiseFamily, NoiseSpec
+from rcar.model import ModelParams, NoiseFamily, NoiseSpec, log_moment
 from rcar.second_order import build_second_order
-from rcar.simulate import (FORGET_TOL, Trajectory, _draw_noise, ingest, mix64,
-                           replicate_seed, simulate, simulate_block,
-                           simulate_with_noise, write_csv)
+from rcar.simulate import (DEFAULT_BURN_IN, FORGET_TOL, MAX_BURN_IN,
+                           Trajectory, _EPS_STREAM, _ETA_STREAM, _TWIN_START,
+                           _stream, burn_in_for, ingest, mix64, replicate_seed,
+                           simulate, simulate_block, simulate_with_noise,
+                           write_csv)
 
 from conftest import batch_se
 
@@ -20,10 +23,22 @@ GAUSS1 = NoiseSpec(NoiseFamily.GAUSSIAN, 1.0)
 SLOW = ModelParams(0.9, 0.3, GAUSS1, NoiseSpec(NoiseFamily.GAUSSIAN, 0.01))
 
 
+def stream_noise(params, seed, burn, n):
+    """eta and eps over the burn-in and X_0..X_n, in time order, from the
+    raw streams: the first n + 1 draws of each are the retained segment,
+    the next `burn` the burn-in before it."""
+    def ordered(spec, tag):
+        if spec is None:
+            return np.zeros(burn + n + 1)
+        draw = spec.sample(_stream(seed, tag), burn + n + 1)
+        return np.concatenate([draw[n + 1:], draw[:n + 1]])
+    return ordered(params.eta, _ETA_STREAM), ordered(params.eps, _EPS_STREAM)
+
+
 def sequential_path(params, seed, burn, n, start=0.0):
     """X_0..X_n by the plain Python-float recurrence on the simulator's
     noise, started at `start` `burn` steps before X_0."""
-    eta, eps = _draw_noise(params, seed, burn + n)
+    eta, eps = stream_noise(params, seed, burn, n)
     th = (params.theta + params.alpha * eta[:-1] + eta[1:]).tolist()
     e = eps.tolist()
     path = [start]
@@ -83,12 +98,13 @@ class TestStationaryBehavior:
 
     def test_initial_condition_forgotten(self, params_accept):
         # twin recurrences from 0 and 100 on the same noise coincide after
-        # the default burn-in
-        burn, n = 2000, 10
+        # the default burn-in, which is derived from the contraction rate
+        burn, n = burn_in_for(params_accept), 10
         y = sequential_path(params_accept, 123, burn, n)[0]
         z = sequential_path(params_accept, 123, burn, n, start=100.0)[0]
         assert abs(y - z) < 1e-8
-        assert simulate(params_accept, n, seed=123).x[0] == pytest.approx(y)
+        traj = simulate(params_accept, n, seed=123)
+        assert traj.burn_in == burn and traj.x[0] == pytest.approx(y)
 
     def test_replicate_cross_correlation_null(self, params_accept):
         n = 20_000
@@ -98,9 +114,58 @@ class TestStationaryBehavior:
         assert abs(corr) < 4 / np.sqrt(n)
 
     def test_explosive_process_rejected(self):
+        # the contraction rate ln 3 > 0 gives no derived start
         params = ModelParams(3.0, 0.0, GAUSS1, None)
+        assert burn_in_for(params) == DEFAULT_BURN_IN
         with pytest.raises(HypothesisError):
             simulate(params, 100, seed=1)
+
+
+class TestDerivedBurnIn:
+    def test_value_from_contraction_rate(self, params_accept):
+        # reference parameters: E ln|theta_t| = -1.354, so ~17 steps shrink
+        # the twin gap below the tolerance and the margin doubles that
+        rate, err = log_moment(params_accept)
+        steps = math.log(_TWIN_START / FORGET_TOL) / -(rate + err)
+        assert 17 < steps < 18
+        assert burn_in_for(params_accept) == math.ceil(2 * steps) == 35
+
+    @pytest.mark.parametrize("theta, burn", [(0.0, 1), (0.9999, MAX_BURN_IN)])
+    def test_floor_and_cap(self, theta, burn):
+        # eta none: the rate is ln|theta|, -inf at 0 and -1e-4 near 1
+        assert burn_in_for(ModelParams(theta, 0.0, GAUSS1, None)) == burn
+
+    def test_default_is_derived(self, params_accept):
+        burn = burn_in_for(params_accept)
+        derived = simulate(params_accept, 500, 9, burn_in=burn)
+        for traj in (simulate(params_accept, 500, 9),
+                     simulate(params_accept, 500, 9, None)):
+            assert traj.burn_in == burn
+            assert traj.x.tobytes() == derived.x.tobytes()
+        block = simulate_block(params_accept, 500, 9, range(3))
+        assert block.tobytes() == simulate_block(params_accept, 500, 9, range(3),
+                                                 burn).tobytes()
+
+    @pytest.mark.parametrize("params", [
+        ModelParams(0.3, 0.5, GAUSS1, NoiseSpec(NoiseFamily.GAUSSIAN, 0.1)),
+        ModelParams(-0.4, 0.2, NoiseSpec(NoiseFamily.LAPLACE, 0.7),
+                    NoiseSpec(NoiseFamily.UNIFORM, 0.5)),
+        ModelParams(0.6, -0.3, NoiseSpec(NoiseFamily.UNIFORM, 1.2),
+                    NoiseSpec(NoiseFamily.RADEMACHER, 0.3)),
+    ], ids=["gaussian", "laplace-uniform", "uniform-rademacher"])
+    def test_retained_noise_independent_of_burn_in(self, params):
+        n = 300
+        head = stream_noise(params, 21, 0, n)
+        for burn in (0, 1, None, DEFAULT_BURN_IN):
+            _, eta, eps = simulate_with_noise(params, n, 21, burn_in=burn)
+            assert eta.tobytes() == head[0].tobytes()
+            assert eps.tobytes() == head[1].tobytes()
+
+    def test_doubled_row_keeps_retained_noise(self):
+        traj, eta, eps = simulate_with_noise(SLOW, 300, seed=3, burn_in=5)
+        assert traj.burn_in > 5
+        _, eta0, eps0 = simulate_with_noise(SLOW, 300, seed=3, burn_in=0)
+        assert eta.tobytes() == eta0.tobytes() and eps.tobytes() == eps0.tobytes()
 
 
 class TestBurnInDoubling:
@@ -185,8 +250,8 @@ class TestCoefficients:
     def test_aligned_with_trajectory(self, params_accept):
         n = 200
         traj, eta, eps = simulate_with_noise(params_accept, n, seed=55, burn_in=0)
-        # without a burn-in the retained noise is the head of each stream
-        head_eta, head_eps = _draw_noise(params_accept, 55, n)
+        # the retained noise is the head of each stream
+        head_eta, head_eps = stream_noise(params_accept, 55, 0, n)
         assert np.array_equal(eta, head_eta) and np.array_equal(eps, head_eps)
         th = coefficients(params_accept, n, seed=55)
         recon = th * traj.x[:-1] + eps[1:]
