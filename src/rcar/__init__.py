@@ -12,9 +12,8 @@ from .asymptotics import (CovarianceStack, LimitSet, MixedMomentKey,
                           psi0_closed_form, sigma_psi)
 from .errors import (ConfigurationError, DegenerateDataError, HypothesisError,
                      NumericError, PathologicalParamsError, RcarError)
-from .estimate import (EstimationReport, correlation_test, f_map,
-                       nicholls_quinn, residual_variance, sample_mean,
-                       theta_hat, vartheta_hat)
+from .estimate import (EstimationReport, correlation_test, f_map, theta_hat,
+                       vartheta_hat)
 from .fourth_order import FourthOrderTables, build_fourth_order
 from .harness import MCConfig, MCReport, mixed_moment_oracle, run_experiment
 from .model import (HypothesisReport, ModelParams, MomentSet, NoiseFamily,
@@ -31,9 +30,7 @@ __all__ = [
     "SecondOrderTables", "Trajectory", "acvf",
     "build_fourth_order", "build_second_order", "check_hypotheses",
     "correlation_test", "f_map", "ingest", "kappa_squared",
-    "limits", "mixed_moment", "mixed_moment_oracle", "nicholls_quinn",
-    "noise_moments", "omega_squared", "psi0_closed_form", "residual_variance",
-    "run_experiment", "sample_mean", "sigma_psi", "simulate",
-    "theta_hat", "vartheta_hat",
-    "write_csv",
+    "limits", "mixed_moment", "mixed_moment_oracle", "noise_moments",
+    "omega_squared", "psi0_closed_form", "run_experiment", "sigma_psi",
+    "simulate", "theta_hat", "vartheta_hat", "write_csv",
 ]

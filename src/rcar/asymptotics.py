@@ -8,7 +8,8 @@ Assembles, purely from the parameters (never from data):
   - the 7x7 martingale covariance SigmaML and its projection Sigma, the 2x2
     covariance of the lag-1/lag-2 ratio estimators; omega2, the variance of
     sqrt(n) (theta_hat - theta_star), is Sigma[0, 0];
-  - the delta-method covariance Psi of the corrected estimators;
+  - the delta-method covariance Psi = J Sigma J^T of the corrected
+    estimators, J the Jacobian of the correction map (`f_jacobian`);
   - the closed form psi0 (and its numerator psi00) used by the correlation
     test as a plug-in under the null.
 
@@ -21,14 +22,13 @@ not need the correction map, so omega2 exists also where Psi does not; and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb
 from typing import ClassVar
 
 import numpy as np
 
 from .errors import PathologicalParamsError
-from .estimate import f_jacobian
 from .fourth_order import FourthOrderTables
 from .model import BOUNDARY_TOL, ModelParams
 from .second_order import SecondOrderTables
@@ -45,8 +45,7 @@ class LimitSet:
     sigma2_star: float
 
     def to_dict(self) -> dict:
-        return {"theta_star": self.theta_star, "vartheta_star": self.vartheta_star,
-                "gamma": self.gamma, "sigma2_star": self.sigma2_star}
+        return asdict(self)
 
 
 def limits(params: ModelParams, so: SecondOrderTables) -> LimitSet:
@@ -359,6 +358,20 @@ def omega_squared(params: ModelParams, so: SecondOrderTables,
     Sigma[0, 0] of sigma_psi, defined also where the correction map is not."""
     ts = limits(params, so).theta_star
     return float(_sigma_blocks(params, so, fo, ts)["Sigma"][0, 0])
+
+
+def f_jacobian(x: float, y: float) -> np.ndarray:
+    """Jacobian of the correction map (x, y) -> ((1-2y)x, y-x^2) / (1-2x^2)
+    (rows differentiate its components)."""
+    den = 1.0 - 2.0 * x * x
+    if not abs(den) >= BOUNDARY_TOL:  # nan fails too
+        raise PathologicalParamsError(
+            f"f_jacobian: correction map undefined: first argument {x:.6g} "
+            "is within 1e-9 of +/-1/sqrt(2)")
+    return np.array([
+        [(1.0 - 2.0 * y) * (1.0 + 2.0 * x * x) / den**2, -2.0 * x / den],
+        [-2.0 * x * (1.0 - 2.0 * y) / den**2, 1.0 / den],
+    ])
 
 
 def sigma_psi(params: ModelParams, so: SecondOrderTables,

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .asymptotics import psi0_closed_form
 from .errors import DegenerateDataError, PathologicalParamsError
 from .model import BOUNDARY_TOL, KURTOSIS_FACTOR, NoiseFamily
 from .numerics import chisq1_tail
@@ -138,8 +139,6 @@ def correlation_statistics(x: np.ndarray, level: float, source: str,
     CONSTANT_SQUARES, PSI0_DENOMINATOR or PSI0_NOT_POSITIVE. A row that is
     not OK has statistic and p_value nan and is not rejected.
     """
-    from .asymptotics import psi0_closed_form
-
     out = ratio_statistics(x)
     th = out["theta_hat"]
     resid = _residuals(x, th)
@@ -171,11 +170,6 @@ def correlation_statistics(x: np.ndarray, level: float, source: str,
 # scalar estimators: each a batch of one
 
 
-def sample_mean(traj: Trajectory) -> float:
-    """Mean of X_1..X_n (X_0 is excluded)."""
-    return float(ratio_statistics(traj.x[None, :])["xbar"][0])
-
-
 def _scalar_ratio(traj: Trajectory, lag: int, name: str) -> float:
     ratio, ok = _lag_ratio(traj.x[None, :], lag)
     _raise_for(OK if ok[0] else ZERO_WINDOW, name)
@@ -199,33 +193,6 @@ def f_map(x: float, y: float) -> tuple[float, float]:
     tt, gg, ok = _correct(np.array([x], dtype=float), np.array([y], dtype=float))
     _raise_for(OK if ok[0] else MAP_BOUNDARY, "f_map", theta_hat=x)
     return float(tt[0]), float(gg[0])
-
-
-def f_jacobian(x: float, y: float) -> np.ndarray:
-    """Jacobian of the correction map (rows differentiate its components)."""
-    den = 1.0 - 2.0 * x * x
-    _raise_for(OK if abs(den) >= BOUNDARY_TOL else MAP_BOUNDARY, "f_jacobian",
-               theta_hat=x)
-    return np.array([
-        [(1.0 - 2.0 * y) * (1.0 + 2.0 * x * x) / den**2, -2.0 * x / den],
-        [-2.0 * x * (1.0 - 2.0 * y) / den**2, 1.0 / den],
-    ])
-
-
-def residual_variance(traj: Trajectory, theta_used: float):
-    """Residuals e_t = X_t - theta_used X_{t-1} and their mean square."""
-    resid = _residuals(traj.x[None, :], np.array([theta_used], dtype=float))
-    return float(_mean_square(resid)[0]), resid[0]
-
-
-def nicholls_quinn(traj: Trajectory, residuals: np.ndarray):
-    """(tau2_bar, sigma2_bar) of the Nicholls-Quinn regression of the
-    squared residuals on X_{t-1}^2 (see _nicholls_quinn)."""
-    resid = np.asarray(residuals, dtype=float)[None, :]
-    tau2_bar, sigma2_bar, ok = _nicholls_quinn(traj.x[None, :], resid,
-                                               _mean_square(resid))
-    _raise_for(OK if ok[0] else CONSTANT_SQUARES, "nicholls_quinn")
-    return float(tau2_bar[0]), float(sigma2_bar[0])
 
 
 @dataclass(frozen=True)

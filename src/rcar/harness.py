@@ -21,12 +21,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import asymptotics, estimate
+from . import __version__, asymptotics, estimate
 from .errors import ConfigurationError
 from .fourth_order import build_fourth_order
 from .model import ModelParams, NoiseFamily, cast_value
@@ -49,6 +50,8 @@ RATES_PREFIX = 50
 MAX_FAILED_FRACTION = 0.01
 
 ORACLE_BATCHES = 100
+#: shortest path the mixed-moment oracle averages over
+ORACLE_MIN_N = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,11 @@ class MCConfig:
                     f"in 0..{asymptotics.MixedMomentKey.BOUNDS}") from None
         if self.experiment == "rates" and self.n < 100_000:
             raise ConfigurationError("rates experiment needs a path of n >= 1e5")
+        if self.experiment == "mixed_moment_oracle" and self.n < ORACLE_MIN_N:
+            raise ConfigurationError(
+                f"n must be >= 1e6 for mixed_moment_oracle, got {self.n}")
+        if self.workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
         cast_value("theta_source", self.theta_source, estimate.check_theta_source)
         cast_value("level", self.level, estimate.check_level)
         if self.experiment == "size_power" and 0.0 not in self.alpha_grid:
@@ -186,13 +194,15 @@ def _chunk(stage, n: int, master_seed: int, params: ModelParams, burn_in: int,
 def _gather(cfg: MCConfig, stage, plan: list[tuple[ModelParams, int]]) -> list[dict]:
     """Run `stage` over fixed chunks of cfg's replicates at each point of
     plan: one result per point, merged in index order. Every (point, chunk)
-    job goes through one map, so one pool at most."""
+    job goes through one map, so one pool at most, of no more processes than
+    there are jobs or CPUs."""
     work = functools.partial(_chunk, stage, cfg.n, cfg.master_seed)
     starts = range(0, cfg.replicates, CHUNK)
     jobs = [(p, burn, s, min(s + CHUNK, cfg.replicates))
             for p, burn in plan for s in starts]
-    if cfg.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    workers = min(cfg.workers, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(work, *zip(*jobs)))
     else:
         parts = [work(*job) for job in jobs]
@@ -359,16 +369,18 @@ def _rates(cfg: MCConfig, plan) -> dict:
     }
 
 
-def mixed_moment_oracle(key, params: ModelParams, n: int, seed: int,
+def mixed_moment_oracle(key: tuple[int, int, int, int, int],
+                        params: ModelParams, n: int, seed: int,
                         burn_in: int | None = None):
-    """Brute-force estimate of E[eta_{t-1}^a eta_t^b eps_t^c X_{t-1}^p X_t^q].
+    """Brute-force estimate of E[eta_{t-1}^a eta_t^b eps_t^c X_{t-1}^p X_t^q],
+    key the exponent tuple (a, b, c, p, q).
 
     Simulates one path of length n retaining the noise, averages the product
     over t = 1..n, and returns (estimate, batch-means standard error) with
     ORACLE_BATCHES batches; the batching absorbs the serial correlation.
     """
-    a, b, c, p, q = key if isinstance(key, tuple) else key.as_tuple()
-    if n < 1_000_000:
+    a, b, c, p, q = key
+    if n < ORACLE_MIN_N:
         raise ConfigurationError("mixed_moment_oracle needs n >= 1e6")
     traj, eta, eps = simulate_with_noise(params, n, seed, burn_in)
     x = traj.x
@@ -381,10 +393,10 @@ def mixed_moment_oracle(key, params: ModelParams, n: int, seed: int,
 
 def _mixed_moment_oracle(cfg: MCConfig, plan) -> dict:
     """The oracle's estimate of mu_key against the moment pipeline's value."""
-    key = asymptotics.MixedMomentKey(*cfg.mu_key)
-    target = asymptotics.mixed_moment(key, cfg.params, *_tables(cfg.params))
+    target = asymptotics.mixed_moment(asymptotics.MixedMomentKey(*cfg.mu_key),
+                                      cfg.params, *_tables(cfg.params))
     (_, burn_in), = plan
-    est, se = mixed_moment_oracle(key, cfg.params, cfg.n,
+    est, se = mixed_moment_oracle(cfg.mu_key, cfg.params, cfg.n,
                                   replicate_seed(cfg.master_seed, 0), burn_in)
     return {
         "targets": {"mu": target, "key": list(cfg.mu_key)},
@@ -410,7 +422,6 @@ EXPERIMENTS = tuple(_EXPERIMENTS)
 def run_experiment(cfg: MCConfig) -> MCReport:
     """Run cfg's experiment; add the config echo, provenance, counts and
     diagnostics."""
-    from . import __version__
     plan = _plan(cfg)
     fields = _EXPERIMENTS[cfg.experiment](cfg, plan)
     return MCReport(

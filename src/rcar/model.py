@@ -44,7 +44,8 @@ from .errors import ConfigurationError, PathologicalParamsError
 #: 2 alpha tau2 = 1 and sqrt(2) theta = +/-(1 - 2 alpha tau2)
 BOUNDARY_TOL = 1e-9
 
-#: threshold under which the psi0 numerator is flagged as vanishing
+#: threshold under which psi00 / sigma2^2, the psi0 numerator freed of the
+#: innovation scale, is flagged as vanishing
 PSI00_TOL = 1e-8
 
 #: bound on |theta| and |alpha|: they enter the moment and covariance
@@ -160,9 +161,15 @@ def noise_moments(spec: NoiseSpec) -> MomentSet:
         raise ConfigurationError("noise moments overflow") from None
 
 
+def spells_none(text: str) -> bool:
+    """Whether text spells "no noise": `none` in any case, or empty (spaces
+    around it ignored). `parse_noise` and run files share this rule."""
+    return text.strip().lower() in ("none", "")
+
+
 def parse_noise(text: str) -> NoiseSpec | None:
-    """Parse the CLI syntax 'family:scale'; 'none' means eta == 0."""
-    if text.strip().lower() in ("none", "zero", ""):
+    """Parse the CLI syntax 'family:scale'; None where `spells_none(text)`."""
+    if spells_none(text):
         return None
     try:
         fam, scale = text.split(":")
@@ -502,7 +509,7 @@ def check_hypotheses(params: ModelParams, mc_draws: int = 100_000,
             abs(math.sqrt(2) * params.theta - g1) < BOUNDARY_TOL
             or abs(math.sqrt(2) * params.theta + g1) < BOUNDARY_TOL
         ),
-        psi00_zero=abs(psi00) < PSI00_TOL,
+        psi00_zero=abs(psi00) / sigma2**2 < PSI00_TOL,
     )
 
     return HypothesisReport(
@@ -564,11 +571,11 @@ def params_from_mapping(values: dict[str, str]) -> ModelParams:
 
     def noise(key):
         family = get(key + ".family", NoiseFamily)
+        if key + ".scale" not in values:
+            raise ConfigurationError(f"{key}.family given without {key}.scale")
         return get(key + ".scale", lambda text: NoiseSpec(family, float(text)))
 
     eps, eta = noise("eps"), None
-    if values.get("eta.family", "none").lower() not in ("none", ""):
-        if "eta.scale" not in values:
-            raise ConfigurationError("eta.family given without eta.scale")
+    if not spells_none(values.get("eta.family", "none")):
         eta = noise("eta")
     return ModelParams(get("theta", float), get("alpha", float), eps, eta)

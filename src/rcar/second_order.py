@@ -141,11 +141,6 @@ def build_second_order(params: ModelParams) -> SecondOrderTables:
         )
     lam = numerics.solve(np.eye(3) - m, params.sigma(2) * t[:3, 0],
                          context="I3 - M")
-    if lam[0] <= 1e-12:
-        # 2 alpha tau2 = 1 slipped past validation: a deterministic process
-        raise HypothesisError(
-            f"degenerate second-order solution: gamma_X(0) = {lam[0]:.3e}"
-        )
     return SecondOrderTables(T=t, C=c, M=m,
                              N=recursion_matrix(c, params.alpha, 1, 3),
                              Lam=lam, rho_M=rho)

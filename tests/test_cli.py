@@ -177,6 +177,42 @@ class TestVariance:
             assert variance["kappa2"] == kappa_squared(p, so), p
 
 
+class TestNoiseScaleInvariance:
+    """The model is homogeneous in the innovation scale: scaling eps by c
+    scales X by c, kappa2 and sigma2_star by c^2 (the gaussian scale is the
+    variance, c^2 itself) and leaves the limits, the variances of the
+    ratio and corrected estimators and every check verdict unmoved."""
+
+    ARGS = ["--theta", "0.3", "--alpha", "0.5", "--eta", "gaussian:0.1"]
+    SCALES = (1e-13, 1e-5, 1.0, 1e6)
+
+    def run(self, capsys, command, scale):
+        code, payload = run_json(capsys, [command, *self.ARGS,
+                                          "--eps", f"gaussian:{scale!r}"])
+        assert code == 0, scale
+        return payload
+
+    def test_variance(self, capsys):
+        ref = self.run(capsys, "variance", 1.0)
+        for scale in self.SCALES:
+            got = self.run(capsys, "variance", scale)
+            for key in ("theta_star", "vartheta_star", "gamma", "omega2",
+                        "psi", "psi0"):
+                assert got[key] == pytest.approx(ref[key], rel=1e-12), (scale, key)
+            for key in ("Sigma", "Psi"):
+                np.testing.assert_allclose(got[key], ref[key], rtol=1e-12)
+            for key in ("kappa2", "sigma2_star"):
+                assert got[key] / scale == pytest.approx(ref[key], rel=1e-12), \
+                    (scale, key)
+
+    def test_check(self, capsys):
+        ref = self.run(capsys, "check", 1.0)
+        for scale in self.SCALES:
+            got = self.run(capsys, "check", scale)
+            assert got["excluded_degenerate"] == ref["excluded_degenerate"], scale
+            assert got["verdicts"] == ref["verdicts"], scale
+
+
 class TestSimulateEstimateRoundTrip:
     ARGS = ["--theta", "0.3", "--alpha", "0.5", "--eps", "gaussian:1",
             "--eta", "gaussian:0.1"]
@@ -553,11 +589,26 @@ class TestUsageErrors:
           "--eta", "gaussian:0.1"], None, 2, "eps.scale"),
         (["check", "--theta", "0.3", "--alpha", "0.5", "--eps", "gaussian:inf",
           "--eta", "gaussian:0.1"], None, 2, "--eps"),
+        # the oracle's path length is checked before the moments are solved
+        # (at these parameters H3 fails, which would exit 4)
+        (["mc", "--experiment", "mixed_moment_oracle"],
+         "theta=0.99\nalpha=0.9\neta.family=gaussian\neta.scale=0.5\n"
+         "n=1000\nreplicates=1\nmu_key=0,0,0,0,2\n", 2, "n must be >= 1e6"),
+        (["mc", "--experiment", "clt_couple", "--workers", "0"],
+         "n=50\nreplicates=100\n", 2, "workers"),
+        (["mc", "--experiment", "clt_couple", "--workers", "-3"],
+         "n=50\nreplicates=100\n", 2, "workers"),
+        # "no coefficient noise" is spelt `none` or empty, flag and file alike
+        (["check", "--theta", "0.3", "--alpha", "0", "--eps", "gaussian:1",
+          "--eta", "zero"], None, 2, "--eta"),
+        (["mc", "--experiment", "clt_couple"], "eta.family=zero\n", 2,
+         "eta.family = zero:"),
     ], ids=["hmax-1", "hmax0", "hmax1", "mu_key2", "mu_key9", "burn_in-3",
             "n0", "n1e6", "theta_abc", "eps_family_bogus", "estimate_eps_family",
             "test_eta_family", "test_level2", "estimate_level0", "theta1e200",
             "region_range1e100", "eta_gaussian1e100", "eps_laplace1e100",
-            "eps_gaussian_inf"])
+            "eps_gaussian_inf", "oracle_n1000", "workers0", "workers-3",
+            "eta_zero_flag", "eta_family_zero"])
     def test_no_traceback(self, tmp_path, capsys, argv, config, code, key):
         if config is not None:
             cfg = tmp_path / "run.cfg"

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import random_admissible
 from rcar import estimate
-from rcar.asymptotics import kappa_squared, limits, omega_squared
+from rcar.asymptotics import f_jacobian, kappa_squared, limits, omega_squared
 from rcar.errors import DegenerateDataError, PathologicalParamsError
-from rcar.estimate import (correlation_test, f_jacobian, f_map,
-                           nicholls_quinn, residual_variance, sample_mean,
-                           theta_hat, vartheta_hat)
+from rcar.estimate import correlation_test, f_map, theta_hat, vartheta_hat
 from rcar.fourth_order import build_fourth_order
 from rcar.model import ModelParams, NoiseFamily, NoiseSpec
 from rcar.second_order import build_second_order
@@ -25,6 +23,16 @@ def traj_of(values):
     return Trajectory(x=np.asarray(values, dtype=float), n=len(values) - 1)
 
 
+def block_of(values):
+    """The series as a block of one row, as the batch kernels take it."""
+    return np.asarray(values, dtype=float)[None, :]
+
+
+def residuals(values, theta_used):
+    """Residuals X_t - theta_used X_{t-1} of one series, as a block of one."""
+    return estimate._residuals(block_of(values), np.array([theta_used]))
+
+
 def gamma_zero_series(n=60):
     """Period-3 impulses: both lag products vanish, so gamma_tilde = 0."""
     x = np.zeros(n + 1)
@@ -34,8 +42,8 @@ def gamma_zero_series(n=60):
 
 class TestBasicEstimators:
     def test_sample_mean_excludes_x0(self):
-        assert sample_mean(traj_of([5, 1, 2, 3])) == 2.0
-        assert sample_mean(traj_of([0, 0, 0, 0])) == 0.0
+        block = np.array([[5, 1, 2, 3], [0, 0, 0, 0]], dtype=float)
+        assert estimate.ratio_statistics(block)["xbar"].tolist() == [2.0, 0.0]
 
     def test_theta_hat_constant_series(self):
         assert theta_hat(traj_of([1, 1, 1, 1])) == 1.0
@@ -62,8 +70,8 @@ class TestBasicEstimators:
         a, b = traj_of(x), traj_of(c * x)
         assert theta_hat(b) == pytest.approx(theta_hat(a), rel=1e-9)
         assert vartheta_hat(b) == pytest.approx(vartheta_hat(a), rel=1e-9)
-        s_a, _ = residual_variance(a, 0.4)
-        s_b, _ = residual_variance(b, 0.4)
+        s_a = estimate._mean_square(residuals(x, 0.4))[0]
+        s_b = estimate._mean_square(residuals(c * x, 0.4))[0]
         assert s_b == pytest.approx(c * c * s_a, rel=1e-9)
 
     def test_mean_clt_band(self):
@@ -71,7 +79,8 @@ class TestBasicEstimators:
         so = build_second_order(params)
         kappa2 = kappa_squared(params, so)
         traj = simulate(params, 100_000, seed=4)
-        assert abs(sample_mean(traj)) <= 4 * math.sqrt(kappa2 / traj.n)
+        xbar = estimate.ratio_statistics(block_of(traj.x))["xbar"][0]
+        assert abs(xbar) <= 4 * math.sqrt(kappa2 / traj.n)
 
     def test_theta_hat_converges_to_ratio_limit(self):
         # demonstrates the inconsistency: the limit is 1/3, not theta = 0.3
@@ -141,45 +150,47 @@ class TestCorrectionMap:
 class TestResidualsAndVarianceEstimators:
     def test_perfect_fit(self):
         x = 2.0 * 0.5 ** np.arange(6)
-        s2, resid = residual_variance(traj_of(x), 0.5)
-        assert s2 == 0.0
-        assert np.array_equal(resid, np.zeros(5))
+        resid = residuals(x, 0.5)
+        assert estimate._mean_square(resid)[0] == 0.0
+        assert np.array_equal(resid[0], np.zeros(5))
 
     def test_residuals_are_series_when_theta_zero(self):
         # residuals for t = 1..n are the values themselves
-        s2, resid = residual_variance(traj_of([1, 0, 1, 0]), 0.0)
-        assert np.array_equal(resid, [0.0, 1.0, 0.0])
-        assert s2 == pytest.approx(1 / 3)
+        resid = residuals([1, 0, 1, 0], 0.0)
+        assert np.array_equal(resid[0], [0.0, 1.0, 0.0])
+        assert estimate._mean_square(resid)[0] == pytest.approx(1 / 3)
 
     def test_sigma2_hat_limit_uncorrelated(self):
         # converges to sigma2 (1 - theta^2) / (1 - theta^2 - tau2)
         params = ModelParams(0.3, 0.0, GAUSS1, NoiseSpec(NoiseFamily.GAUSSIAN, 0.2))
         traj = simulate(params, 200_000, seed=31)
-        s2, _ = residual_variance(traj, theta_hat(traj))
         ref = (1 - 0.09) / (1 - 0.09 - 0.2)
-        assert s2 == pytest.approx(ref, rel=0.03)
+        assert correlation_test(traj).sigma2_hat == pytest.approx(ref, rel=0.03)
+
+    @staticmethod
+    def nicholls_quinn(values, resid):
+        resid = block_of(resid)
+        return estimate._nicholls_quinn(block_of(values), resid,
+                                        estimate._mean_square(resid))
 
     def test_constant_residuals(self):
-        traj = traj_of([1.0, 2.0, -1.0, 3.0])
-        tau2_bar, sigma2_bar = nicholls_quinn(traj, np.full(3, 1.5))
-        assert tau2_bar == 0.0
-        assert sigma2_bar == pytest.approx(1.5**2)
+        tau2_bar, sigma2_bar, ok = self.nicholls_quinn([1.0, 2.0, -1.0, 3.0],
+                                                       np.full(3, 1.5))
+        assert ok[0]
+        assert tau2_bar[0] == 0.0
+        assert sigma2_bar[0] == pytest.approx(1.5**2)
 
     def test_constant_regressor_rejected(self):
-        traj = traj_of([1.0, 1.0, 1.0, 1.0])
-        with pytest.raises(DegenerateDataError):
-            nicholls_quinn(traj, np.array([0.1, 0.2, 0.3]))
+        _, _, ok = self.nicholls_quinn([1.0, 1.0, 1.0, 1.0], [0.1, 0.2, 0.3])
+        assert not ok[0]
 
     def test_consistency_uncorrelated(self):
         # mean over replicates within 3 replicate standard errors of truth
         params = ModelParams(0.3, 0.0, GAUSS1, NoiseSpec(NoiseFamily.GAUSSIAN, 0.1))
         reps, n = 32, 100_000
         block = simulate_block(params, n, master_seed=77, replicates=range(reps))
-        tau2s, sigma2s = np.empty(reps), np.empty(reps)
-        for i in range(reps):
-            traj = Trajectory(x=block[i], n=n)
-            _, resid = residual_variance(traj, theta_hat(traj))
-            tau2s[i], sigma2s[i] = nicholls_quinn(traj, resid)
+        out = estimate.correlation_statistics(block, 0.05, "tilde", G, G)
+        tau2s, sigma2s = out["tau2_bar"], out["sigma2_bar"]
         assert abs(tau2s.mean() - 0.1) <= 3 * tau2s.std(ddof=1) / math.sqrt(reps)
         assert abs(sigma2s.mean() - 1.0) <= 3 * sigma2s.std(ddof=1) / math.sqrt(reps)
 
@@ -253,15 +264,10 @@ def assert_row_matches_scalar_path(out, i, row, **test_args):
     for key, value in report.items():
         if key in out:
             assert out[key][i] == value, key
-    assert sample_mean(traj) == out["xbar"][i]
     assert theta_hat(traj) == out["theta_hat"][i]
     assert vartheta_hat(traj) == out["vartheta_hat"][i]
     assert f_map(theta_hat(traj), vartheta_hat(traj)) \
         == (out["theta_tilde"][i], out["gamma_tilde"][i])
-    s2, resid = residual_variance(traj, theta_hat(traj))
-    assert s2 == out["sigma2_hat"][i]
-    assert nicholls_quinn(traj, resid) == (out["tau2_bar"][i],
-                                           out["sigma2_bar"][i])
 
 
 class TestBatchKernel:

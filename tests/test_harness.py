@@ -63,8 +63,12 @@ class TestConfigValidation:
          "needs mu_key"),
         (dict(mu_key=(9, 0, 0, 0, 0)), "^mu_key "),
         (dict(mu_key=(0, 0, 0, -1, 2)), "^mu_key "),
+        (dict(experiment="mixed_moment_oracle", n=999_999, replicates=1,
+              mu_key=(0, 0, 0, 0, 2)), "^n must be >= 1e6"),
+        (dict(workers=0), "^workers must be >= 1, got 0"),
+        (dict(workers=-3), "^workers must be >= 1, got -3"),
     ], ids=["grid_without_0", "short_test", "oracle_no_key", "key_above_range",
-            "key_below_range"])
+            "key_below_range", "oracle_short_path", "workers0", "workers-3"])
     def test_experiment_checks_run_at_config_time(self, kw, message):
         with pytest.raises(ConfigurationError, match=message):
             cfg_for(AR1, **kw)
@@ -128,6 +132,56 @@ class TestCltExperiments:
         assert a.targets["variance"] != b.targets["variance"]
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Puts a stand-in for ProcessPoolExecutor in the harness and returns the
+    list of the max_workers of each pool built; the stand-in runs the map in
+    this process, so no process is started."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+class TestWorkerPool:
+    # size_power at three grid points over two chunks each: six jobs
+    CFG = dict(n=60, replicates=600, burn_in=100, experiment="size_power",
+               alpha_grid=(0.0, 0.3, -0.3))
+
+    @pytest.mark.parametrize("workers,cpus,sizes", [
+        (100_000, 8, [6]),  # never more processes than jobs
+        (100_000, 2, [2]),  # nor than CPUs
+        (4, 8, [4]),
+        (100_000, 1, []),   # one process runs the jobs itself
+        (100_000, None, []),
+        (1, 8, []),
+    ])
+    def test_pool_size_is_bounded(self, params_accept, monkeypatch, pool_sizes,
+                                  workers, cpus, sizes):
+        cfg = cfg_for(params_accept, **self.CFG)
+        serial = run_experiment(cfg).to_dict(include_replicates=True)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        report = run_experiment(dataclasses.replace(cfg, workers=workers)
+                                ).to_dict(include_replicates=True)
+        assert pool_sizes == sizes
+        assert report.pop("config") == {**serial.pop("config"),
+                                         "workers": workers}
+        assert report == serial
+
+
 class TestSizePower:
     def test_needs_null_point(self, params_accept):
         with pytest.raises(ConfigurationError):
@@ -161,31 +215,17 @@ class TestSizePower:
         report = run_experiment(cfg)
         assert report.passes["h0_size"], report.empirical["rates"]
 
-    def test_one_pool_per_run(self, params_accept, monkeypatch):
-        # every (grid point, chunk) job goes through one map; a stand-in
-        # pool runs the map in this process and counts its constructions
-        pools = []
-
-        class CountingPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
+    def test_one_pool_per_run(self, params_accept, monkeypatch, pool_sizes):
+        # every (grid point, chunk) job goes through one map; the stand-in
+        # pool records its constructions
         cfg = cfg_for(params_accept, n=60, replicates=600, burn_in=100,
                       experiment="size_power", alpha_grid=(0.0, 0.3, -0.3))
         serial = run_experiment(cfg).to_dict(include_replicates=True)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        # the pool never outnumbers the CPUs; fix their count
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
         pooled = run_experiment(dataclasses.replace(cfg, workers=2)).to_dict(
             include_replicates=True)
-        assert pools == [2]
+        assert pool_sizes == [2]
         serial["config"].pop("workers"), pooled["config"].pop("workers")
         assert pooled == serial
 

@@ -420,6 +420,29 @@ class TestRunFile:
         params = params_from_mapping(load_run_file(path))
         assert params.eta is None
 
+    EPS = {"theta": "0.5", "alpha": "0", "eps.family": "gaussian",
+           "eps.scale": "1"}
+
+    @pytest.mark.parametrize("text", ["none", "None", "NONE", "", " none "])
+    def test_one_spelling_of_no_noise(self, text):
+        # the --eta flag and the run file read one rule
+        assert parse_noise(text) is None
+        assert params_from_mapping({**self.EPS, "eta.family": text}).eta is None
+
+    @pytest.mark.parametrize("text", ["zero", "nil"])
+    def test_other_spellings_are_rejected(self, text):
+        with pytest.raises(ConfigurationError, match="cannot parse noise spec"):
+            parse_noise(text)
+        # the family is read before eta.scale is asked for
+        with pytest.raises(ConfigurationError,
+                           match=f"^eta.family = {text}: .*not a valid"):
+            params_from_mapping({**self.EPS, "eta.family": text})
+
+    def test_eta_family_without_scale(self):
+        with pytest.raises(ConfigurationError,
+                           match="^eta.family given without eta.scale"):
+            params_from_mapping({**self.EPS, "eta.family": "uniform"})
+
     def test_missing_keys(self):
         with pytest.raises(ConfigurationError, match="missing"):
             params_from_mapping({"theta": "0.3"})
