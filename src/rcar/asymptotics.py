@@ -298,17 +298,11 @@ def ell_scalar(params: ModelParams, so: SecondOrderTables,
 
 @dataclass(frozen=True)
 class CovarianceStack:
-    """Every asymptotic-variance object, assembled once per parameter set."""
+    """The `rcar variance` payload of one parameter set, assembled once."""
 
+    limits: LimitSet
     kappa2: float
     omega2: float
-    K: np.ndarray
-    Gamma: np.ndarray
-    L: np.ndarray
-    Upsilon: np.ndarray
-    ell: float
-    SigmaML: np.ndarray
-    A: np.ndarray
     Sigma: np.ndarray
     Psi: np.ndarray
     psi: float
@@ -316,6 +310,7 @@ class CovarianceStack:
 
     def to_dict(self) -> dict:
         return {
+            **self.limits.to_dict(),
             "kappa2": self.kappa2,
             "omega2": self.omega2,
             "Sigma": self.Sigma.tolist(),
@@ -327,9 +322,9 @@ class CovarianceStack:
 
 def _sigma_blocks(params: ModelParams, so: SecondOrderTables,
                   fo: FourthOrderTables, theta_star: float) -> dict:
-    """The stack's fields K to Sigma, keyed by field name: the martingale
-    blocks, SigmaML, and Sigma = A SigmaML A^T, the covariance of the two
-    ratio estimators. Nothing here reaches the correction map."""
+    """The martingale blocks K, Gamma, L, Upsilon, ell, SigmaML and A, and
+    Sigma = A SigmaML A^T, the covariance of the two ratio estimators, keyed
+    by name. Nothing here reaches the correction map."""
     k, gamma6, l = k_matrix(params), gamma6_matrix(so, fo), l_matrix(params)
     mm = mixed_moment_table(params, so, fo)
     upsilon = upsilon_matrix(so, fo, mm, theta_star)
@@ -384,9 +379,9 @@ def sigma_psi(params: ModelParams, so: SecondOrderTables,
     moments); a vanishing psi0 denominator raises PathologicalParamsError.
     """
     lim = limits(params, so)
-    blocks = _sigma_blocks(params, so, fo, lim.theta_star)
+    sigma = _sigma_blocks(params, so, fo, lim.theta_star)["Sigma"]
     jac = f_jacobian(lim.theta_star, lim.vartheta_star)
-    psi_mat = jac @ blocks["Sigma"] @ jac.T
+    psi_mat = jac @ sigma @ jac.T
     psi0, _ = psi0_closed_form(params.theta, params.tau(2), params.tau(4),
                                params.sigma(2), params.sigma(4))
     if np.isnan(psi0):
@@ -395,12 +390,13 @@ def sigma_psi(params: ModelParams, so: SecondOrderTables,
             "condition on the boundary"
         )
     return CovarianceStack(
+        limits=lim,
         kappa2=kappa_squared(params, so),
-        omega2=float(blocks["Sigma"][0, 0]),
+        omega2=float(sigma[0, 0]),
+        Sigma=sigma,
         Psi=psi_mat,
         psi=float(psi_mat[1, 1]),
         psi0=psi0,
-        **blocks,
     )
 
 

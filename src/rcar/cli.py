@@ -3,10 +3,9 @@
 Subcommands: check, moments, variance, simulate, estimate, test, mc, region.
 JSON is the canonical output; CSV is used for trajectories and grids. Each
 command returns its result, a JSON payload or a CSV writer, and one emitter,
-`_emit`, writes it to `--out` or stdout. Exit codes: 0 success (a reader that
-closes stdout early is not an error), 1 i/o or numerical failure,
-2 usage/configuration error, 3 degenerate data, 4 hypothesis violation,
-5 pathological parameter set.
+`_emit`, writes it to `--out` or stdout. The exit code is 0 on success (a
+reader that closes stdout early is not an error), else the one `EXIT_TABLE`
+gives for the error.
 """
 
 from __future__ import annotations
@@ -28,10 +27,17 @@ from .errors import (ConfigurationError, DegenerateDataError, HypothesisError,
 from .simulate import (DEFAULT_BURN_IN, GENERATOR_ID, Trajectory, ingest,
                        simulate as run_simulation, write_csv, write_rows)
 
-EXIT_USAGE = 2
-EXIT_DEGENERATE = 3
-EXIT_HYPOTHESIS = 4
-EXIT_PATHOLOGICAL = 5
+#: the exit policy: an error takes the exit code and stderr label of the
+#: first row whose class it is an instance of
+EXIT_TABLE = (
+    (ConfigurationError, 2, "configuration error"),
+    (DegenerateDataError, 3, "degenerate data"),
+    (HypothesisError, 4, "hypothesis violation"),
+    (PathologicalParamsError, 5, "pathological parameters"),
+    (RcarError, 1, "error"),
+    (ValueError, 2, "error"),
+    (OSError, 1, "i/o error"),
+)
 
 
 def _default_seed() -> int:
@@ -92,25 +98,25 @@ def _emit(result, out: str | None) -> None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+def _parse_eps(text: str) -> model.NoiseSpec:
+    """The `--eps` noise spec; the innovations cannot be 'none'."""
+    spec = model.cast_value("--eps", text, model.parse_noise)
+    if spec is None:
+        raise ConfigurationError("eps noise cannot be 'none'")
+    return spec
+
+
 def _params_from_args(args) -> model.ModelParams:
     """Resolve parameters: run-file values first, CLI flags override."""
     values: dict[str, str] = {}
-    if getattr(args, "params_file", None):
-        file_values = model.load_run_file(args.params_file)
-        unknown = set(file_values) - set(model.PARAM_KEYS)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown keys in {args.params_file}: {', '.join(sorted(unknown))}"
-            )
-        values.update(file_values)
+    if args.params_file:
+        values.update(model.load_run_file(args.params_file))
     if args.theta is not None:
         values["theta"] = repr(args.theta)
     if args.alpha is not None:
         values["alpha"] = repr(args.alpha)
     if args.eps is not None:
-        spec = model.cast_value("--eps", args.eps, model.parse_noise)
-        if spec is None:
-            raise ConfigurationError("eps noise cannot be 'none'")
+        spec = _parse_eps(args.eps)
         values["eps.family"] = spec.family.value
         values["eps.scale"] = repr(spec.scale)
     if args.eta is not None:
@@ -169,9 +175,8 @@ def cmd_variance(args) -> dict:
     params = _params_from_args(args)
     so = second_order.build_second_order(params)
     fo = fourth_order.build_fourth_order(params, so)
-    lim = asymptotics.limits(params, so)
     stack = asymptotics.sigma_psi(params, so, fo)
-    return {**lim.to_dict(), **stack.to_dict(), "provenance": _provenance(params)}
+    return {**stack.to_dict(), "provenance": _provenance(params)}
 
 
 def cmd_simulate(args) -> dict | Trajectory:
@@ -221,16 +226,11 @@ _MC_CASTS = {
     "burn_in": int, "theta_source": str,
     "alpha_grid": _comma_list(float), "mu_key": _comma_list(int),
 }
-_MC_KEYS = set(model.PARAM_KEYS) | set(_MC_CASTS) | {"experiment"}
+_MC_KEYS = (*model.PARAM_KEYS, *_MC_CASTS, "experiment")
 
 
 def cmd_mc(args) -> dict:
-    values = model.load_run_file(args.config) if args.config else {}
-    unknown = set(values) - _MC_KEYS
-    if unknown:
-        raise ConfigurationError(
-            f"unknown keys in {args.config}: {', '.join(sorted(unknown))}"
-        )
+    values = model.load_run_file(args.config, _MC_KEYS) if args.config else {}
     params = model.params_from_mapping(values)
     experiment = args.experiment or values.get("experiment")
     if not experiment:
@@ -261,10 +261,8 @@ def _parse_range(flag: str, text: str) -> np.ndarray:
 
 
 def cmd_region(args):
-    eps = model.cast_value("--eps", args.eps, model.parse_noise)
+    eps = _parse_eps(args.eps)
     eta = model.cast_value("--eta", args.eta, model.parse_noise)
-    if eps is None:
-        raise ConfigurationError("eps noise cannot be 'none'")
     theta = _parse_range("--theta-range", args.theta_range)
     alpha = _parse_range("--alpha-range", args.alpha_range)
     # every point shares the noise, and so T; (0, 0) is never pathological
@@ -390,24 +388,11 @@ def main(argv=None) -> int:
         # looked up at call time, so a cmd_* replaced on the module is honoured
         _emit(globals()[f"cmd_{args.command}"](args), args.out)
         return 0
-    except ConfigurationError as exc:
-        print(f"rcar: configuration error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DegenerateDataError as exc:
-        print(f"rcar: degenerate data: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except HypothesisError as exc:
-        print(f"rcar: hypothesis violation: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except PathologicalParamsError as exc:
-        print(f"rcar: pathological parameters: {exc}", file=sys.stderr)
-        return EXIT_PATHOLOGICAL
-    except (RcarError, ValueError) as exc:
-        print(f"rcar: error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, RcarError) else EXIT_USAGE
-    except OSError as exc:
-        print(f"rcar: i/o error: {exc}", file=sys.stderr)
-        return 1
+    except tuple(cls for cls, _, _ in EXIT_TABLE) as exc:
+        code, label = next((code, label) for cls, code, label in EXIT_TABLE
+                           if isinstance(exc, cls))
+        print(f"rcar: {label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

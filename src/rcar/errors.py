@@ -1,7 +1,6 @@
 """Exception hierarchy shared by all rcar modules.
 
-The CLI maps these onto exit codes: ConfigurationError -> 2,
-DegenerateDataError -> 3, HypothesisError -> 4, PathologicalParamsError -> 5.
+`rcar.cli.EXIT_TABLE` maps these onto exit codes.
 """
 
 

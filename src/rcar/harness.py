@@ -274,8 +274,8 @@ def _clt_theta(cfg: MCConfig, plan) -> dict:
 
 def _clt_couple(cfg: MCConfig, plan) -> dict:
     """Covariance of sqrt(n)(theta_tilde - theta, gamma_tilde - gamma) vs Psi."""
-    psi = asymptotics.sigma_psi(cfg.params, *_tables(cfg.params)).Psi
-    gamma = cfg.params.alpha * cfg.params.tau(2)
+    stack = asymptotics.sigma_psi(cfg.params, *_tables(cfg.params))
+    psi, gamma = stack.Psi, stack.limits.gamma
     reason, tt, gg = _estimates(cfg, plan, "theta_tilde", "gamma_tilde")
     dev = np.vstack([tt - cfg.params.theta, gg - gamma]) * math.sqrt(cfg.n)
     emp_cov = np.cov(dev, ddof=1) if len(tt) > 1 else np.full((2, 2), math.nan)
@@ -424,9 +424,11 @@ def run_experiment(cfg: MCConfig) -> MCReport:
     diagnostics."""
     plan = _plan(cfg)
     fields = _EXPERIMENTS[cfg.experiment](cfg, plan)
+    config = {**dataclasses.asdict(cfg), "params": cfg.params.to_dict()}
+    del config["workers"]  # the report does not depend on it
     return MCReport(
         experiment=cfg.experiment,
-        config={**dataclasses.asdict(cfg), "params": cfg.params.to_dict()},
+        config=config,
         **_outcome(fields.pop("reason")),
         provenance={"params": cfg.params.to_dict(),
                     "master_seed": cfg.master_seed,

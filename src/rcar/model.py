@@ -171,8 +171,11 @@ def parse_noise(text: str) -> NoiseSpec | None:
     """Parse the CLI syntax 'family:scale'; None where `spells_none(text)`."""
     if spells_none(text):
         return None
+    if text.count(":") != 1:
+        raise ConfigurationError(
+            f"cannot parse noise spec {text!r}: expected family:scale")
+    fam, scale = text.split(":")
     try:
-        fam, scale = text.split(":")
         return NoiseSpec(fam, float(scale))
     except ValueError as exc:
         raise ConfigurationError(f"cannot parse noise spec {text!r}: {exc}") from exc
@@ -531,8 +534,12 @@ def check_hypotheses(params: ModelParams, mc_draws: int = 100_000,
 # flat key-value run files
 
 
-def load_run_file(path) -> dict[str, str]:
-    """Parse a flat `key = value` run file (# starts a comment)."""
+PARAM_KEYS = ("theta", "alpha", "eps.family", "eps.scale", "eta.family", "eta.scale")
+
+
+def load_run_file(path, keys=PARAM_KEYS) -> dict[str, str]:
+    """Parse a flat `key = value` run file (# starts a comment) whose keys
+    are all among `keys`."""
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -545,10 +552,11 @@ def load_run_file(path) -> dict[str, str]:
                 )
             key, value = line.split("=", 1)
             values[key.strip()] = value.strip().strip("\"'")
+    unknown = set(values) - set(keys)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown keys in {path}: {', '.join(sorted(unknown))}")
     return values
-
-
-PARAM_KEYS = ("theta", "alpha", "eps.family", "eps.scale", "eta.family", "eta.scale")
 
 
 def cast_value(key: str, text: str, cast):

@@ -131,11 +131,10 @@ def _coefficients(params: ModelParams, eta: np.ndarray, out=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A simulated or ingested series X_0..X_n with provenance."""
+    """A series X_0..X_n, simulated (with its burn-in) or ingested."""
 
     x: np.ndarray
     n: int
-    seed: int | None = None
     burn_in: int | None = None
 
     def __post_init__(self):
@@ -243,7 +242,7 @@ def simulate_with_noise(params: ModelParams, n: int, seed: int,
     """
     x, burns, eta, eps = _simulate_rows(params, n, [seed], burn_in)
     _check_explosion(x)
-    traj = Trajectory(x=x[0], n=n, seed=seed, burn_in=int(burns[0]))
+    traj = Trajectory(x=x[0], n=n, burn_in=int(burns[0]))
     return traj, eta[0], eps[0]
 
 

@@ -226,17 +226,22 @@ class TestCovarianceStack:
         for _ in range(10):
             p = random_admissible(rng, max_rho=0.9)
             so, fo, st = build_stack(p)
-            for mat in (kbar_matrix(p), st.K, gammabar_matrix(so), st.Gamma,
-                        st.SigmaML, st.Sigma, st.Psi):
+            assert st.limits == limits(p, so)
+            # the martingale blocks behind the stack's Sigma
+            b = asymptotics._sigma_blocks(p, so, fo, st.limits.theta_star)
+            assert np.array_equal(b["Sigma"], st.Sigma)
+            for mat in (kbar_matrix(p), b["K"], gammabar_matrix(so), b["Gamma"],
+                        b["SigmaML"], st.Sigma, st.Psi):
                 assert np.allclose(mat, mat.T, atol=1e-12)
             assert np.linalg.eigvalsh(st.Sigma).min() >= -1e-9
             assert np.linalg.eigvalsh(st.Psi).min() >= -1e-9
-            assert np.allclose(st.Sigma, st.A @ st.SigmaML @ st.A.T, atol=1e-12)
+            assert np.allclose(st.Sigma, b["A"] @ b["SigmaML"] @ b["A"].T,
+                               atol=1e-12)
             # block layout of the martingale covariance
-            assert np.allclose(st.SigmaML[:6, :6], st.K * st.Gamma, atol=0)
-            assert np.allclose(st.SigmaML[:6, 6],
-                               (st.L * st.Upsilon) @ np.ones(6), atol=0)
-            assert st.SigmaML[6, 6] == st.ell
+            assert np.allclose(b["SigmaML"][:6, :6], b["K"] * b["Gamma"], atol=0)
+            assert np.allclose(b["SigmaML"][:6, 6],
+                               (b["L"] * b["Upsilon"]) @ np.ones(6), atol=0)
+            assert b["SigmaML"][6, 6] == b["ell"]
             assert st.omega2 == pytest.approx(st.Sigma[0, 0], rel=1e-12)
             assert st.kappa2 == pytest.approx(kappa_squared(p, so), rel=1e-12)
             assert st.psi == st.Psi[1, 1]
@@ -295,12 +300,15 @@ class TestCovarianceStack:
             {2: p.sigma(2), 4: p.sigma(4)},
             {k: p.tau(k) for k in (2, 4, 6, 8)},
         )
-        _, _, st_a = build_stack(p)
-        _, _, st_b = build_stack(raw)
+        so_a, fo_a, st_a = build_stack(p)
+        so_b, fo_b, st_b = build_stack(raw)
         assert st_a.kappa2 == st_b.kappa2
         assert st_a.omega2 == st_b.omega2
         assert np.array_equal(st_a.Psi, st_b.Psi)
-        assert st_a.ell == st_b.ell
+        ts = st_a.limits.theta_star
+        assert st_b.limits.theta_star == ts
+        assert (asymptotics._sigma_blocks(p, so_a, fo_a, ts)["ell"]
+                == asymptotics._sigma_blocks(raw, so_b, fo_b, ts)["ell"])
 
     def test_eps_family_swap_preserves_sigma4_free_quantities(self):
         # kappa2 and the autocovariances involve eps only through sigma2

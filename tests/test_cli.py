@@ -13,9 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rcar
+from rcar import asymptotics, cli
 from rcar.asymptotics import kappa_squared, limits, omega_squared
 from rcar.cli import main
-from rcar.errors import PathologicalParamsError
+from rcar.errors import NumericError, PathologicalParamsError
 from rcar.fourth_order import build_fourth_order
 from rcar.model import ModelParams, NoiseFamily, NoiseSpec, parse_noise
 from rcar.numerics import spectral_radius
@@ -154,8 +155,21 @@ class TestVariance:
             "--eps", "gaussian:1", "--eta", "gaussian:0.1"])
         assert code == 0
         assert payload["theta_star"] == pytest.approx(1 / 3, rel=1e-12)
-        for key in ("vartheta_star", "kappa2", "omega2", "Sigma", "Psi", "psi0"):
-            assert key in payload
+        assert list(payload) == ["theta_star", "vartheta_star", "gamma",
+                                 "sigma2_star", "kappa2", "omega2", "Sigma",
+                                 "Psi", "psi", "psi0", "provenance"]
+
+    def test_limits_computed_once(self, capsys, monkeypatch):
+        # the payload is one covariance stack, which carries its limits
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return limits(*args)
+        monkeypatch.setattr(asymptotics, "limits", counted)
+        assert main(["variance", "--theta", "0.3", "--alpha", "0.5",
+                     "--eps", "gaussian:1", "--eta", "gaussian:0.1"]) == 0
+        assert len(calls) == 1
 
     def test_pathological_exit5(self):
         theta = 1 / math.sqrt(2)
@@ -376,11 +390,12 @@ class TestMc:
             "eta.family = gaussian\neta.scale = 0.1\nn = 400\n"
             "replicates = 600\nmaster_seed = 4\n"
         )
-        _, a = run_json(capsys, ["mc", "--experiment", "clt_theta",
-                                 "--config", str(cfg), "--workers", "1"])
-        _, b = run_json(capsys, ["mc", "--experiment", "clt_theta",
-                                 "--config", str(cfg), "--workers", "2"])
-        assert a["empirical"] == b["empirical"]
+        outputs = []
+        for workers in ("1", "2"):
+            assert main(["mc", "--experiment", "clt_theta", "--config",
+                         str(cfg), "--workers", workers]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.toml"
@@ -598,9 +613,15 @@ class TestUsageErrors:
          "n=50\nreplicates=100\n", 2, "workers"),
         (["mc", "--experiment", "clt_couple", "--workers", "-3"],
          "n=50\nreplicates=100\n", 2, "workers"),
-        # "no coefficient noise" is spelt `none` or empty, flag and file alike
+        # "no coefficient noise" is spelt `none` or empty, flag and file
+        # alike; a key ending in a newline is the whole message
         (["check", "--theta", "0.3", "--alpha", "0", "--eps", "gaussian:1",
-          "--eta", "zero"], None, 2, "--eta"),
+          "--eta", "zero"], None, 2,
+         "--eta = zero: cannot parse noise spec 'zero': expected family:scale\n"),
+        (["check", "--theta", "0.3", "--alpha", "0", "--eps", "gaussian:1:2",
+          "--eta", "gaussian:0.1"], None, 2,
+         "--eps = gaussian:1:2: cannot parse noise spec 'gaussian:1:2': "
+         "expected family:scale\n"),
         (["mc", "--experiment", "clt_couple"], "eta.family=zero\n", 2,
          "eta.family = zero:"),
     ], ids=["hmax-1", "hmax0", "hmax1", "mu_key2", "mu_key9", "burn_in-3",
@@ -608,7 +629,7 @@ class TestUsageErrors:
             "test_eta_family", "test_level2", "estimate_level0", "theta1e200",
             "region_range1e100", "eta_gaussian1e100", "eps_laplace1e100",
             "eps_gaussian_inf", "oracle_n1000", "workers0", "workers-3",
-            "eta_zero_flag", "eta_family_zero"])
+            "eta_zero_flag", "eps_two_colons", "eta_family_zero"])
     def test_no_traceback(self, tmp_path, capsys, argv, config, code, key):
         if config is not None:
             cfg = tmp_path / "run.cfg"
@@ -616,7 +637,9 @@ class TestUsageErrors:
             argv = argv + ["--config", str(cfg)]
         assert main(argv) == code
         out, err = capsys.readouterr()
-        if code:
+        if code and key.endswith("\n"):
+            assert err == f"rcar: configuration error: {key}"
+        elif code:
             assert err.startswith(f"rcar: configuration error: {key} "), err
         else:
             assert err == ""
@@ -624,6 +647,37 @@ class TestUsageErrors:
             acvf = json.loads(out)["acvf"]
             assert len(acvf["gamma"]) == hmax + 1
             assert acvf["theta_star"] == pytest.approx(1 / 3, rel=1e-12)
+
+    REFERENCE = ["--theta", "0.3", "--alpha", "0.5", "--eps", "gaussian:1",
+                 "--eta", "gaussian:0.1"]
+
+    @pytest.mark.parametrize("argv,code,label", [
+        (["simulate", *REFERENCE, "--n", "0"], 2, "error"),
+        (["estimate", "--in", "bad.csv"], 3, "degenerate data"),
+        (["variance", *REFERENCE[2:], "--theta", "3"], 4,
+         "hypothesis violation"),
+        (["variance", *REFERENCE[4:], "--theta", repr(1 / math.sqrt(2)),
+          "--alpha", "0"], 5, "pathological parameters"),
+        (["variance", *REFERENCE, "--out", MISSING], 1, "i/o error"),
+    ], ids=["value", "degenerate", "hypothesis", "pathological", "io"])
+    def test_exit_table_rows(self, tmp_path, monkeypatch, capsys, argv, code,
+                             label):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.csv").write_text("t,x\n0,1\n1,abc\n")
+        assert main(argv) == code
+        assert capsys.readouterr().err.startswith(f"rcar: {label}: ")
+
+    @pytest.mark.parametrize("error,code", [
+        (NumericError("boom"), 1),
+        # an OSError that is also a ValueError takes the earlier row
+        (io.UnsupportedOperation("boom"), 2),
+    ], ids=["numeric", "unsupported_operation"])
+    def test_exit_table_order(self, monkeypatch, capsys, error, code):
+        def fail(args):
+            raise error
+        monkeypatch.setattr(cli, "cmd_check", fail)
+        assert main(CHECK_ARGS) == code
+        assert capsys.readouterr().err == "rcar: error: boom\n"
 
     @pytest.mark.parametrize("command", [
         ["check", "--theta", "0.3", "--alpha", "0", "--eps", "gaussian:1",

@@ -2,7 +2,9 @@
 asymptotics -> estimate -> harness/cli. Theory never imports inference, and
 no import is deferred into a function to break a cycle, except the one in
 `model.check_hypotheses`: it reads the moment and variance layers above
-`model`, and stays there because the benchmark's tracer patches it there."""
+`model`, and stays there because the benchmark's tracer patches it there.
+Every name a module imports is read there, so a deleted use leaves no
+import behind."""
 
 import ast
 from pathlib import Path
@@ -103,3 +105,34 @@ def test_the_one_function_level_import():
     deferred = {edge for edge in package_imports() if edge[1] is not None}
     assert deferred == {("model", "check_hypotheses", "second_order"),
                         ("model", "check_hypotheses", "asymptotics")}
+
+
+def unused_imports(tree: ast.Module) -> set[str]:
+    """The names a module's import statements bind that it never reads; a
+    name listed in `__all__` counts as read (a re-export)."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return bound - read
+
+
+def test_unused_imports_are_found():
+    tree = ast.parse("import os, numpy as np\nfrom a.b import c, d as e\n"
+                     "from __future__ import annotations\n"
+                     "__all__ = ['c']\nnp.zeros(os.sep)\n")
+    assert unused_imports(tree) == {"e"}
+
+
+def test_every_import_is_used():
+    unused = {name: names for name in sorted(MODULES | {"__init__"})
+              if (names := unused_imports(ast.parse(
+                  (PACKAGE / f"{name}.py").read_text(encoding="utf-8"))))}
+    assert unused == {}
