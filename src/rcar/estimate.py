@@ -85,7 +85,8 @@ def _correct(th: np.ndarray, vt: np.ndarray):
 
 def _residuals(x: np.ndarray, theta_used: np.ndarray) -> np.ndarray:
     """e_t = X_t - theta_used X_{t-1}, t = 1..n."""
-    return x[:, 1:] - theta_used[:, None] * x[:, :-1]
+    resid = np.multiply(theta_used[:, None], x[:, :-1])
+    return np.subtract(x[:, 1:], resid, out=resid)
 
 
 def _mean_square(resid: np.ndarray) -> np.ndarray:
@@ -100,14 +101,14 @@ def _nicholls_quinn(x: np.ndarray, resid: np.ndarray, sigma2_hat: np.ndarray):
     (tau2_bar, sigma2_bar, ok): the slope estimates the coefficient-noise
     variance, sigma2_bar = sigma2_hat - Zbar * tau2_bar removes the inflation
     the raw residual variance inherits from the random coefficient, and ok
-    is False where Z is constant.
+    is False where Z is constant. Overwrites resid with its squares.
     """
-    z = x[:, :-1] ** 2
-    zbar = z.mean(axis=1)
-    zc = z - zbar[:, None]
+    zc = np.square(x[:, :-1])
+    zbar = zc.mean(axis=1)
+    np.subtract(zc, zbar[:, None], out=zc)
     den = _dot_rows(zc, zc)
     ok = den > 0
-    tau2_bar = np.divide(_dot_rows(zc, resid**2), den,
+    tau2_bar = np.divide(_dot_rows(zc, np.square(resid, out=resid)), den,
                          out=np.full(len(x), np.nan), where=ok)
     return tau2_bar, sigma2_hat - zbar * tau2_bar, ok
 

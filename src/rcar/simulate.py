@@ -3,7 +3,15 @@
 Randomness contract: replicate r of master seed s uses the 64-bit avalanche
 mix of (s, r); within one trajectory the coefficient noise and the innovation
 noise are two independent Philox streams derived from the trajectory seed, so
-the coefficient path is reproducible on its own. Each stream is drawn as one
+the coefficient path is reproducible on its own. The stream with tag g of
+trajectory seed e is Philox with a zero counter and the key
+SeedSequence(mix64(e, g)).generate_state(2, np.uint64). The keys of a block
+are derived per block, by one vectorised pass of SeedSequence's hash that
+equals it bit for bit, and one bit generator is re-keyed for each stream
+(Philox is counter-based, so a key and a zero counter fix the stream;
+Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", 2011). No
+stream changed when keys stopped being built one SeedSequence at a time, so
+GENERATOR_ID did not change either. Each stream is drawn as one
 run of n + 1 + burn_in values: its first n + 1 values are the retained noise,
 aligned with X_0..X_n, and the other burn_in values are the burn-in, placed
 before them in time. So the retained noise depends only on (seed, n), never
@@ -69,11 +77,12 @@ _ETA_STREAM = 0xE7A
 _EPS_STREAM = 0xE95
 
 
-def mix64(a: int, b: int) -> int:
+def mix64(a, b):
     """Avalanche mix of two 64-bit values (splitmix64 finalizer).
 
     The stream offset is (b + 1) so that (0, 0) does not sit on the
-    finalizer's zero fixed point.
+    finalizer's zero fixed point. Also takes numpy uint64 arrays (b among
+    them), on which the same steps wrap modulo 2**64.
     """
     z = (a + (b + 1) * 0x9E3779B97F4A7C15) & _MASK64
     z ^= z >> 30
@@ -87,8 +96,56 @@ def replicate_seed(master_seed: int, replicate: int) -> int:
     return mix64(master_seed & _MASK64, replicate)
 
 
-def _stream(seed: int, tag: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(mix64(seed, tag))))
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The (xor, multiplier) pairs of `count` successive hash steps, as
+    uint32 columns: step k xors with h_k, multiplies by h_{k+1} = h_k * mult."""
+    h = [init]
+    for _ in range(count):
+        h.append(h[-1] * mult & 0xFFFFFFFF)
+    return np.array([h[:-1], h[1:]], dtype=np.uint32)[:, :, None]
+
+
+# numpy's SeedSequence (pool of four uint32 words; O'Neill's seed_seq_fe):
+# its entropy hash runs 4 + 12 steps, its output hash one step per word
+_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_WORD_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 4)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+#: per source word of the pool mix: the other words, in order, and the
+#: hash steps the mix spends on them
+_POOL_MIX = [([d for d in range(4) if d != s], _POOL_HASH[:, 4 + 3 * s:7 + 3 * s])
+             for s in range(4)]
+_STREAM_TAGS = np.array([_ETA_STREAM, _EPS_STREAM], dtype=np.uint64)
+
+
+def _hashmix(v: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    v = v ^ steps[0]
+    v *= steps[1]
+    v ^= v >> np.uint32(16)
+    return v
+
+
+def _philox_keys(entropy: np.ndarray) -> np.ndarray:
+    """The Philox key of each uint64 entropy: an array of shape
+    entropy.shape + (2,), equal to SeedSequence(e).generate_state(2,
+    np.uint64) for every entry e.
+
+    SeedSequence reads e as its low and high 32-bit words, one word below
+    2**32; its unused pool words hash a 0, so a high word of 0 and a missing
+    one give the same pool. Every entry runs the same fixed steps, so the
+    whole array is hashed at once.
+    """
+    e = entropy.ravel()
+    pool = np.zeros((4, e.size), dtype=np.uint32)
+    pool[0], pool[1] = e & 0xFFFFFFFF, e >> 32
+    pool = _hashmix(pool, _POOL_HASH[:, :4])
+    for s, (dst, steps) in enumerate(_POOL_MIX):
+        mixed = pool[dst] * _MIX_L
+        mixed -= _hashmix(pool[s], steps) * _MIX_R
+        mixed ^= mixed >> np.uint32(16)
+        pool[dst] = mixed
+    w = _hashmix(pool, _WORD_HASH).astype(np.uint64)
+    keys = np.stack([w[0] | w[1] << 32, w[2] | w[3] << 32], axis=-1)
+    return keys.reshape(*entropy.shape, 2)
 
 
 def burn_in_for(params: ModelParams) -> int:
@@ -103,22 +160,34 @@ def burn_in_for(params: ModelParams) -> int:
     return min(max(math.ceil(steps), 1), MAX_BURN_IN)
 
 
-def _draw_noise(params: ModelParams, seed: int, n: int, eta: np.ndarray,
-                eps: np.ndarray) -> None:
-    """Fill one row's eta and eps, burn + n + 1 values each in time order.
+def _block_noise(params: ModelParams, seeds: list, n: int, burn: int):
+    """eta and eps of each trajectory seed, burn + n + 1 values per row in
+    time order.
 
-    The first n + 1 draws of each stream fill the end (the retained noise,
-    aligned with X_0..X_n); the other burn draws fill the start. eps[0]
-    precedes the recurrence; eta is left as given (zeros) without
-    coefficient noise.
+    Each stream is one draw from Philox keyed by its SeedSequence(mix64(seed,
+    tag)) with a zero counter, made by re-keying one bit generator. The
+    first n + 1 draws fill the end of the row (the retained noise, aligned
+    with X_0..X_n); the other burn draws fill the start. eps[:, 0] precedes
+    the recurrence; eta is zeros without coefficient noise.
     """
-    keep = n + 1
-    for spec, tag, out in ((params.eta, _ETA_STREAM, eta),
-                           (params.eps, _EPS_STREAM, eps)):
-        if spec is not None:
-            draw = spec.sample(_stream(seed, tag), len(out))
-            out[-keep:] = draw[:keep]
-            out[:-keep] = draw[keep:]
+    shape, keep = (len(seeds), burn + n + 1), n + 1
+    eta = np.zeros(shape) if params.eta is None else np.empty(shape)
+    eps = np.empty(shape)
+    entropy = mix64(np.array([s & _MASK64 for s in seeds], dtype=np.uint64)[:, None],
+                    _STREAM_TAGS)
+    rng = np.random.Generator(np.random.Philox(0))
+    for i, row_keys in enumerate(_philox_keys(entropy).tolist()):
+        for spec, key, out in zip((params.eta, params.eps), row_keys, (eta[i], eps[i])):
+            if spec is not None:
+                rng.bit_generator.state = {
+                    "bit_generator": "Philox",
+                    "state": {"counter": [0, 0, 0, 0], "key": key},
+                    "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                    "has_uint32": 0, "uinteger": 0}
+                draw = spec.sample(rng, shape[1])
+                out[-keep:] = draw[:keep]
+                out[:-keep] = draw[keep:]
+    return eta, eps
 
 
 def _coefficients(params: ModelParams, eta: np.ndarray, out=None) -> np.ndarray:
@@ -149,7 +218,8 @@ class Trajectory:
 
 
 def _check_explosion(x: np.ndarray):
-    if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > EXPLOSION_LIMIT:
+    # one reduction: nan propagates through the max, inf exceeds the limit
+    if not np.max(np.abs(x), initial=0.0) <= EXPLOSION_LIMIT:
         raise HypothesisError(
             "trajectory exploded (|X_t| > 1e300); the log-moment stationarity "
             "condition (H1) is likely violated"
@@ -198,11 +268,7 @@ def _simulate_rows(params: ModelParams, n: int, seeds: list, burn: int | None):
         raise ValueError(f"n must be >= 1, got {n}")
     if burn < 0:
         raise ValueError("burn_in must be >= 0")
-    shape = (len(seeds), burn + n + 1)
-    eta = np.zeros(shape) if params.eta is None else np.empty(shape)
-    eps = np.empty(shape)
-    for i, seed in enumerate(seeds):
-        _draw_noise(params, seed, n, eta[i], eps[i])
+    eta, eps = _block_noise(params, seeds, n, burn)
     path = np.empty_like(eps)  # column 0 is the start, the rest coefficients
     path[:, 0] = 0.0
     coef = _coefficients(params, eta, out=path[:, 1:])

@@ -10,17 +10,24 @@ from hypothesis import strategies as st
 from rcar.errors import DegenerateDataError, HypothesisError
 from rcar.model import ModelParams, NoiseFamily, NoiseSpec, log_moment
 from rcar.second_order import build_second_order
-from rcar.simulate import (DEFAULT_BURN_IN, FORGET_TOL, MAX_BURN_IN,
-                           Trajectory, _EPS_STREAM, _ETA_STREAM, _TWIN_START,
-                           _stream, burn_in_for, ingest, mix64, replicate_seed,
-                           simulate, simulate_block, simulate_with_noise,
-                           write_csv)
+from rcar.simulate import (DEFAULT_BURN_IN, EXPLOSION_LIMIT, FORGET_TOL,
+                           MAX_BURN_IN, Trajectory, _EPS_STREAM, _ETA_STREAM,
+                           _TWIN_START, _check_explosion, _block_noise,
+                           _philox_keys, burn_in_for, ingest, mix64,
+                           replicate_seed, simulate, simulate_block,
+                           simulate_with_noise, write_csv)
 
 from conftest import batch_se
 
 GAUSS1 = NoiseSpec(NoiseFamily.GAUSSIAN, 1.0)
 #: slowly forgetting: the default check doubles a burn-in of 5 several times
 SLOW = ModelParams(0.9, 0.3, GAUSS1, NoiseSpec(NoiseFamily.GAUSSIAN, 0.01))
+
+
+def _stream(seed, tag):
+    """numpy's own generator for a stream: the oracle the simulator's
+    re-keyed bit generator must reproduce."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(mix64(seed, tag))))
 
 
 def stream_noise(params, seed, burn, n):
@@ -86,6 +93,47 @@ class TestDeterminism:
         seeds = {replicate_seed(42, r) for r in range(10_000)}
         assert len(seeds) == 10_000
         assert mix64(0, 0) != 0
+
+
+class TestKeyedStreams:
+    def test_keys_equal_seed_sequence(self):
+        # SeedSequence hashes one uint32 word below 2**32 and two above
+        draws = np.random.default_rng(2024).integers(0, 2**64, 2000, dtype=np.uint64)
+        entropy = draws.tolist() + [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        keys = _philox_keys(np.array(entropy, dtype=np.uint64))
+        assert keys.shape == (len(entropy), 2) and keys.dtype == np.uint64
+        for e, key in zip(entropy, keys):
+            assert np.array_equal(
+                key, np.random.SeedSequence(e).generate_state(2, np.uint64)), e
+
+    @pytest.mark.parametrize("eps, eta", [
+        (GAUSS1, NoiseSpec(NoiseFamily.GAUSSIAN, 0.1)),
+        (NoiseSpec(NoiseFamily.LAPLACE, 0.7), NoiseSpec(NoiseFamily.LAPLACE, 0.2)),
+        (NoiseSpec(NoiseFamily.UNIFORM, 1.2), NoiseSpec(NoiseFamily.UNIFORM, 0.3)),
+        (NoiseSpec(NoiseFamily.RADEMACHER, 1.0), NoiseSpec(NoiseFamily.RADEMACHER, 0.3)),
+        (GAUSS1, None),
+    ], ids=["gaussian", "laplace", "uniform", "rademacher", "eta-none"])
+    def test_block_rows_equal_oracle_streams(self, eps, eta):
+        params = ModelParams(0.3, 0.2, eps, eta)
+        seeds = [replicate_seed(9, r) for r in range(4)] + [-5, 2**64 + 3]
+        n, burn = 101, 17
+        block_eta, block_eps = _block_noise(params, seeds, n, burn)
+        for i, seed in enumerate(seeds):
+            eta_i, eps_i = stream_noise(params, seed, burn, n)
+            assert block_eta[i].tobytes() == eta_i.tobytes()
+            assert block_eps[i].tobytes() == eps_i.tobytes()
+
+    def test_empty_block(self, params_accept):
+        block = simulate_block(params_accept, 40, master_seed=1, replicates=[])
+        assert block.shape == (0, 41)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2 * EXPLOSION_LIMIT])
+    def test_explosion_check_rejects_row(self, bad):
+        x = np.zeros((3, 5))
+        _check_explosion(x)
+        x[1, 2] = bad
+        with pytest.raises(HypothesisError):
+            _check_explosion(x)
 
 
 class TestStationaryBehavior:
