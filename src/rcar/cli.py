@@ -314,10 +314,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="trajectory seed (default RCAR_SEED, else 0)")
     p.add_argument("--burn-in", type=int, default=None,
-                   help="steps discarded before X_0, doubled until the start "
-                        "is forgotten (default: derived from the contraction "
-                        "rate E ln|theta_t|, or %d where that rate is not "
-                        "negative)" % DEFAULT_BURN_IN)
+                   help="steps discarded before X_0, drawn from streams of "
+                        "their own and doubled until the start is forgotten; "
+                        "a path is the prefix of any longer one at the same "
+                        "seed, bitwise while burn-in + n <= 16384, else to "
+                        "round-off (default: derived from the rate E ln|theta_t|, "
+                        "or %d where it is not negative)" % DEFAULT_BURN_IN)
     _add_out_flag(p, csv=True)
 
     for name, help_text in (

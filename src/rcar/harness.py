@@ -100,6 +100,8 @@ class MCConfig:
         cast_value("level", self.level, estimate.check_level)
         if self.experiment == "size_power" and 0.0 not in self.alpha_grid:
             raise ConfigurationError("alpha_grid must contain the null point 0")
+        if len(set(self.alpha_grid)) < len(self.alpha_grid):
+            raise ConfigurationError(f"alpha_grid repeats a value: {self.alpha_grid}")
         if self.experiment == "size_power" and self.n < estimate.MIN_TEST_LENGTH:
             raise ConfigurationError(
                 f"size_power needs n >= {estimate.MIN_TEST_LENGTH}")

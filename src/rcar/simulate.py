@@ -2,23 +2,24 @@
 
 Randomness contract: replicate r of master seed s uses the 64-bit avalanche
 mix of (s, r); within one trajectory the coefficient noise and the innovation
-noise are two independent Philox streams derived from the trajectory seed, so
-the coefficient path is reproducible on its own. The stream with tag g of
+noise come from independent Philox streams derived from the trajectory seed,
+so the coefficient path is reproducible on its own. The stream with tag g of
 trajectory seed e is Philox with a zero counter and the key
 SeedSequence(mix64(e, g)).generate_state(2, np.uint64). The keys of a block
 are derived per block, by one vectorised pass of SeedSequence's hash that
 equals it bit for bit, and one bit generator is re-keyed for each stream
 (Philox is counter-based, so a key and a zero counter fix the stream;
-Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", 2011). No
-stream changed when keys stopped being built one SeedSequence at a time, so
-GENERATOR_ID did not change either. Each stream is drawn as one
-run of n + 1 + burn_in values: its first n + 1 values are the retained noise,
-aligned with X_0..X_n, and the other burn_in values are the burn-in, placed
-before them in time. So the retained noise depends only on (seed, n), never
-on the burn-in, and a row whose burn-in doubles below keeps it; burn_in 0 is
-the head of each stream alone. Everything is bitwise deterministic given
-(params, n, seed, burn_in) and independent of evaluation order or
-parallelism.
+Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", 2011).
+Layout 3: the retained noise, aligned with X_0..X_n, is the first n + 1
+draws of the two retained streams, and the burn-in is drawn from two
+streams of its own, backward in time (draw k is the noise k + 1 steps
+before X_0). So no noise depends on n, nor retained noise on the burn-in: a
+row whose burn-in doubles below keeps the nearer half, and burn_in 0 reads
+the retained streams alone. At a given (seed, burn_in), X_0..X_n is the
+prefix of X_0..X_n' for any n' >= n: bitwise while the burn-in used plus n'
+is at most _FOLD, to round-off (under 1e-15 at n' = 1e6) past it.
+Everything is bitwise deterministic given (params, n, seed, burn_in) and
+independent of evaluation order or parallelism.
 
 One kernel, `_recur`, runs the recurrence X_t = theta_t X_{t-1} + eps_t
 down the time axis of a (rows, T) block, vectorised across rows, and writes
@@ -57,8 +58,8 @@ import numpy as np
 from .errors import DegenerateDataError, HypothesisError
 from .model import ModelParams, log_moment
 
-#: layout 2: the retained noise is the head of each stream, the burn-in after it
-GENERATOR_ID = f"numpy.random.Philox (numpy {np.__version__}), layout 2"
+#: layout 3: the burn-in has streams of its own, laid backward from X_0
+GENERATOR_ID = f"numpy.random.Philox (numpy {np.__version__}), layout 3"
 
 #: the start where the contraction rate gives no bound
 DEFAULT_BURN_IN = 2000
@@ -75,6 +76,8 @@ _FOLD = 2**14
 _MASK64 = (1 << 64) - 1
 _ETA_STREAM = 0xE7A
 _EPS_STREAM = 0xE95
+_ETA_BURN = 0xB7A
+_EPS_BURN = 0xB95
 
 
 def mix64(a, b):
@@ -114,7 +117,7 @@ _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 #: hash steps the mix spends on them
 _POOL_MIX = [([d for d in range(4) if d != s], _POOL_HASH[:, 4 + 3 * s:7 + 3 * s])
              for s in range(4)]
-_STREAM_TAGS = np.array([_ETA_STREAM, _EPS_STREAM], dtype=np.uint64)
+_STREAM_TAGS = np.array([_ETA_STREAM, _EPS_STREAM, _ETA_BURN, _EPS_BURN], dtype=np.uint64)
 
 
 def _hashmix(v: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -164,29 +167,28 @@ def _block_noise(params: ModelParams, seeds: list, n: int, burn: int):
     """eta and eps of each trajectory seed, burn + n + 1 values per row in
     time order.
 
-    Each stream is one draw from Philox keyed by its SeedSequence(mix64(seed,
+    Each segment is one draw from Philox keyed by its SeedSequence(mix64(seed,
     tag)) with a zero counter, made by re-keying one bit generator. The
-    first n + 1 draws fill the end of the row (the retained noise, aligned
-    with X_0..X_n); the other burn draws fill the start. eps[:, 0] precedes
-    the recurrence; eta is zeros without coefficient noise.
+    retained tags fill the last n + 1 columns, aligned with X_0..X_n; draw k
+    of a burn-in tag fills the column k + 1 steps before X_0. eps[:, 0]
+    precedes the recurrence; eta is zeros without coefficient noise.
     """
-    shape, keep = (len(seeds), burn + n + 1), n + 1
+    shape = (len(seeds), burn + n + 1)
     eta = np.zeros(shape) if params.eta is None else np.empty(shape)
     eps = np.empty(shape)
     entropy = mix64(np.array([s & _MASK64 for s in seeds], dtype=np.uint64)[:, None],
                     _STREAM_TAGS)
     rng = np.random.Generator(np.random.Philox(0))
     for i, row_keys in enumerate(_philox_keys(entropy).tolist()):
-        for spec, key, out in zip((params.eta, params.eps), row_keys, (eta[i], eps[i])):
-            if spec is not None:
+        segments = (eta[i, burn:], eps[i, burn:], eta[i, :burn][::-1], eps[i, :burn][::-1])
+        for spec, key, out in zip((params.eta, params.eps) * 2, row_keys, segments):
+            if spec is not None and out.size:
                 rng.bit_generator.state = {
                     "bit_generator": "Philox",
                     "state": {"counter": [0, 0, 0, 0], "key": key},
                     "buffer": [0, 0, 0, 0], "buffer_pos": 4,
                     "has_uint32": 0, "uinteger": 0}
-                draw = spec.sample(rng, shape[1])
-                out[-keep:] = draw[:keep]
-                out[:-keep] = draw[keep:]
+                out[:] = spec.sample(rng, out.size)
     return eta, eps
 
 
@@ -250,8 +252,10 @@ def _recur(c: np.ndarray, e: np.ndarray) -> None:
         return
     y = np.zeros(c.shape[:-1])
     for t in range(steps):
-        y = c[..., t] * y + e[..., t]
-        c[..., t] = y
+        col = c[..., t]
+        col *= y
+        col += e[..., t]
+        y = col
 
 
 def _simulate_rows(params: ModelParams, n: int, seeds: list, burn: int | None):
@@ -284,8 +288,8 @@ def _simulate_rows(params: ModelParams, n: int, seeds: list, burn: int | None):
                 f"initial condition not forgotten after burn-in {burn}; "
                 "the process is at or beyond the stationarity boundary"
             )
-        x[slow], burns[slow], eta[slow], eps[slow] = _simulate_rows(
-            params, n, [seeds[i] for i in slow], min(2 * burn, MAX_BURN_IN))
+        x[slow], burns[slow] = _simulate_rows(
+            params, n, [seeds[i] for i in slow], min(2 * burn, MAX_BURN_IN))[:2]
     return x, burns, eta, eps
 
 
@@ -304,7 +308,7 @@ def simulate_with_noise(params: ModelParams, n: int, seed: int,
     Returns (trajectory, eta, eps) where eta[t] and eps[t] are the draws
     aligned with X_t: the transition X_{t-1} -> X_t uses the coefficient
     theta + alpha*eta[t-1] + eta[t] and the innovation eps[t]. They are the
-    first n + 1 draws of each stream, whatever the burn-in.
+    first n + 1 draws of each retained stream, whatever the burn-in.
     """
     x, burns, eta, eps = _simulate_rows(params, n, [seed], burn_in)
     _check_explosion(x)

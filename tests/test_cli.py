@@ -549,6 +549,16 @@ class TestUsageErrors:
             "rcar: configuration error: CSV output is restricted to grids and "
             "trajectories; this subcommand emits JSON\n")
 
+    @pytest.mark.parametrize("grid", ["0,0,0.5", "0,-0.0,0.5"])
+    def test_repeated_alpha_grid_exit2(self, tmp_path, monkeypatch, capsys, grid):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.MC_PARAMS + f"n=200\nreplicates=100\nalpha_grid={grid}\n")
+        monkeypatch.setattr("rcar.harness.run_experiment",
+                            lambda cfg: pytest.fail("the experiment ran"))
+        assert main(["mc", "--experiment", "size_power", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "rcar: configuration error: alpha_grid repeats a value")
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -73,6 +73,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match=message):
             cfg_for(AR1, **kw)
 
+    @pytest.mark.parametrize("grid", [(0.0, 0.0, 0.5), (0.0, -0.0, 0.5)],
+                             ids=["repeat", "signed_zero"])
+    def test_repeated_alpha_grid_value(self, grid):
+        # a repeat would be simulated and counted twice under one rates key
+        with pytest.raises(ConfigurationError, match="^alpha_grid repeats a value"):
+            cfg_for(AR1, experiment="size_power", alpha_grid=grid)
+
 
 class TestCltExperiments:
     def test_ar1_variance_reproduced(self):

@@ -11,7 +11,8 @@ from rcar.errors import DegenerateDataError, HypothesisError
 from rcar.model import ModelParams, NoiseFamily, NoiseSpec, log_moment
 from rcar.second_order import build_second_order
 from rcar.simulate import (DEFAULT_BURN_IN, EXPLOSION_LIMIT, FORGET_TOL,
-                           MAX_BURN_IN, Trajectory, _EPS_STREAM, _ETA_STREAM,
+                           GENERATOR_ID, MAX_BURN_IN, Trajectory, _EPS_BURN,
+                           _EPS_STREAM, _ETA_BURN, _ETA_STREAM, _FOLD,
                            _TWIN_START, _check_explosion, _block_noise,
                            _philox_keys, burn_in_for, ingest, mix64,
                            replicate_seed, simulate, simulate_block,
@@ -32,14 +33,15 @@ def _stream(seed, tag):
 
 def stream_noise(params, seed, burn, n):
     """eta and eps over the burn-in and X_0..X_n, in time order, from the
-    raw streams: the first n + 1 draws of each are the retained segment,
-    the next `burn` the burn-in before it."""
-    def ordered(spec, tag):
+    raw streams: the first `burn` draws of the burn-in tags, reversed, then
+    the first n + 1 draws of the retained tags."""
+    def ordered(spec, tag, burn_tag):
         if spec is None:
             return np.zeros(burn + n + 1)
-        draw = spec.sample(_stream(seed, tag), burn + n + 1)
-        return np.concatenate([draw[n + 1:], draw[:n + 1]])
-    return ordered(params.eta, _ETA_STREAM), ordered(params.eps, _EPS_STREAM)
+        before = spec.sample(_stream(seed, burn_tag), burn)[::-1]
+        return np.concatenate([before, spec.sample(_stream(seed, tag), n + 1)])
+    return (ordered(params.eta, _ETA_STREAM, _ETA_BURN),
+            ordered(params.eps, _EPS_STREAM, _EPS_BURN))
 
 
 def sequential_path(params, seed, burn, n, start=0.0):
@@ -134,6 +136,72 @@ class TestKeyedStreams:
         x[1, 2] = bad
         with pytest.raises(HypothesisError):
             _check_explosion(x)
+
+
+FAMILY_PARAMS = [
+    ModelParams(0.3, 0.4, GAUSS1, NoiseSpec(NoiseFamily.GAUSSIAN, 0.1)),
+    ModelParams(-0.4, 0.2, NoiseSpec(NoiseFamily.LAPLACE, 0.7),
+                NoiseSpec(NoiseFamily.LAPLACE, 0.2)),
+    ModelParams(0.6, -0.3, NoiseSpec(NoiseFamily.UNIFORM, 1.2),
+                NoiseSpec(NoiseFamily.UNIFORM, 0.3)),
+    ModelParams(0.3, 0.5, NoiseSpec(NoiseFamily.RADEMACHER, 1.0),
+                NoiseSpec(NoiseFamily.RADEMACHER, 0.3)),
+    ModelParams(0.5, 0.0, GAUSS1, None),
+]
+FAMILY_IDS = ["gaussian", "laplace", "uniform", "rademacher", "eta-none"]
+
+
+class TestStreamLayout:
+    # layout 3: the burn-in has streams of its own, laid backward from X_0,
+    # so nothing in a path depends on n
+    def test_generator_id(self):
+        assert GENERATOR_ID.endswith("layout 3")
+
+    @pytest.mark.parametrize("params", FAMILY_PARAMS, ids=FAMILY_IDS)
+    @pytest.mark.parametrize("burn_in", [None, 13, 0])
+    def test_path_is_prefix_of_longer_path(self, params, burn_in):
+        n = 100
+        short = simulate(params, n, seed=7, burn_in=burn_in)
+        unfolded = simulate(params, 3 * n, seed=7, burn_in=burn_in)
+        assert unfolded.burn_in == short.burn_in
+        assert unfolded.x[:n + 1].tobytes() == short.x.tobytes()
+        folded = simulate(params, _FOLD + 500, seed=7, burn_in=burn_in)
+        assert np.max(np.abs(folded.x[:n + 1] - short.x)) <= 1e-13
+        block = simulate_block(params, n, master_seed=2, replicates=range(4),
+                               burn_in=burn_in)
+        longer = simulate_block(params, 3 * n, master_seed=2, replicates=range(4),
+                                burn_in=burn_in)
+        assert longer[:, :n + 1].tobytes() == block.tobytes()
+
+    @pytest.mark.parametrize("params", FAMILY_PARAMS, ids=FAMILY_IDS)
+    def test_doubled_burn_in_keeps_nearer_half(self, params):
+        seeds, n, burn = [replicate_seed(9, r) for r in range(3)] + [-5], 40, 17
+        near = _block_noise(params, seeds, n, burn)
+        far = _block_noise(params, seeds, n, 2 * burn)
+        for a, b in zip(far, near):
+            assert a[:, burn:].tobytes() == b.tobytes()
+
+    def test_doubling_row_keeps_nearer_half(self):
+        traj = simulate(SLOW, 300, seed=3, burn_in=5)
+        assert traj.burn_in >= 10
+        burn, near = 5, _block_noise(SLOW, [3], 300, 5)
+        while burn < traj.burn_in:
+            far = _block_noise(SLOW, [3], 300, 2 * burn)
+            for a, b in zip(far, near):
+                assert a[:, burn:].tobytes() == b.tobytes()
+            burn, near = 2 * burn, far
+        assert np.array_equal(traj.x, sequential_path(SLOW, 3, traj.burn_in, 300))
+
+    @pytest.mark.parametrize("family", list(NoiseFamily), ids=lambda f: f.value)
+    @pytest.mark.parametrize("a, b", [(0, 7), (1, 1000), (17, 101), (1001, 3)])
+    def test_split_draw_equals_one_draw(self, family, a, b):
+        # numpy behaviour that the prefix property rests on, pinned here:
+        # sample(a + b) is sample(a) followed by sample(b) on one generator
+        spec = NoiseSpec(family, 0.7)
+        whole = spec.sample(_stream(11, _EPS_STREAM), a + b)
+        rng = _stream(11, _EPS_STREAM)
+        parts = np.concatenate([spec.sample(rng, a), spec.sample(rng, b)])
+        assert parts.tobytes() == whole.tobytes()
 
 
 class TestStationaryBehavior:
