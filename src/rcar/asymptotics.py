@@ -348,11 +348,14 @@ def _sigma_blocks(params: ModelParams, so: SecondOrderTables,
 
 
 def omega_squared(params: ModelParams, so: SecondOrderTables,
-                  fo: FourthOrderTables) -> float:
+                  fo: FourthOrderTables, theta_star: float | None = None) -> float:
     """Asymptotic variance of sqrt(n) (theta_hat_n - theta_star): the
-    Sigma[0, 0] of sigma_psi, defined also where the correction map is not."""
-    ts = limits(params, so).theta_star
-    return float(_sigma_blocks(params, so, fo, ts)["Sigma"][0, 0])
+    Sigma[0, 0] of sigma_psi, defined also where the correction map is not.
+    theta_star, if given, is limits(params, so).theta_star, already known
+    to the caller."""
+    if theta_star is None:
+        theta_star = limits(params, so).theta_star
+    return float(_sigma_blocks(params, so, fo, theta_star)["Sigma"][0, 0])
 
 
 def f_jacobian(x: float, y: float) -> np.ndarray:

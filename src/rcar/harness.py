@@ -14,6 +14,11 @@ Determinism: replicate r is seeded by mix64(master_seed, r) and computed
 independently, so an MCReport depends only on its MCConfig, never on worker
 count or chunk layout. Theoretical targets are recomputed from the moment
 pipeline at report time, building only the tables an experiment needs.
+
+Memory: replicates run in jobs of at most CHUNK rows, sized so that the
+three (rows, burn + n + 1) float64 arrays a job holds at most fit
+BLOCK_BYTES. A job's working set is max(BLOCK_BYTES, one row's working
+set), so it stays flat as n grows until one row exceeds the budget.
 """
 
 from __future__ import annotations
@@ -32,11 +37,14 @@ from .errors import ConfigurationError
 from .fourth_order import build_fourth_order
 from .model import ModelParams, NoiseFamily, cast_value
 from .second_order import build_second_order
-from .simulate import (GENERATOR_ID, burn_in_for, replicate_seed,
+from .simulate import (GENERATOR_ID, burn_in_for, replicate_seed, simulate,
                        simulate_block, simulate_with_noise)
 
-#: replicates per work unit; results are invariant to this choice
+#: replicates per work unit at most; results are invariant to this choice
 CHUNK = 512
+#: bytes of (rows, burn + n + 1) float64 arrays one work unit may hold; its
+#: rows are sized from this, so memory stays flat as n grows
+BLOCK_BYTES = 30 * 2**20
 
 #: relative tolerance on empirical variances at R ~ 2000 (sampling error of a
 #: variance is ~ sqrt(2/R) ~ 3.2%, leaving headroom for finite-n bias)
@@ -170,8 +178,8 @@ def _tables(params: ModelParams):
 def _theta_targets(params: ModelParams) -> tuple[float, float]:
     """theta_star, the limit of theta_hat, and omega2, its CLT variance."""
     so, fo = _tables(params)
-    return (asymptotics.limits(params, so).theta_star,
-            asymptotics.omega_squared(params, so, fo))
+    theta_star = asymptotics.limits(params, so).theta_star
+    return theta_star, asymptotics.omega_squared(params, so, fo, theta_star)
 
 
 # ---------------------------------------------------------------------------
@@ -193,23 +201,36 @@ def _chunk(stage, n: int, master_seed: int, params: ModelParams, burn_in: int,
     return stage(simulate_block(params, n, master_seed, range(start, stop), burn_in))
 
 
+def _job_rows(n: int, burn: int) -> int:
+    """Replicates per job at a point of burn-in start burn: as many as fit
+    BLOCK_BYTES at three float64 arrays of burn + n + 1 values per row, at
+    least 1 and at most CHUNK. Three is the most a job holds at once: the
+    simulator's two buffers plus, on a folded path, the fold's running
+    products, or the path plus the two temporaries of
+    `estimate.correlation_statistics`."""
+    return max(1, min(CHUNK, BLOCK_BYTES // (24 * (burn + n + 1))))
+
+
 def _gather(cfg: MCConfig, stage, plan: list[tuple[ModelParams, int]]) -> list[dict]:
-    """Run `stage` over fixed chunks of cfg's replicates at each point of
-    plan: one result per point, merged in index order. Every (point, chunk)
-    job goes through one map, so one pool at most, of no more processes than
-    there are jobs or CPUs."""
+    """Run `stage` over chunks of cfg's replicates at each point of plan,
+    `_job_rows` replicates each: one result per point, merged in index
+    order. Every (point, chunk) job goes through one map, so one pool at
+    most, of no more processes than there are jobs or CPUs."""
     work = functools.partial(_chunk, stage, cfg.n, cfg.master_seed)
-    starts = range(0, cfg.replicates, CHUNK)
-    jobs = [(p, burn, s, min(s + CHUNK, cfg.replicates))
-            for p, burn in plan for s in starts]
+    points = [[(p, burn, s, min(s + rows, cfg.replicates))
+               for s in range(0, cfg.replicates, rows)]
+              for p, burn in plan for rows in [_job_rows(cfg.n, burn)]]
+    jobs = [job for point in points for job in point]
     workers = min(cfg.workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(work, *zip(*jobs)))
     else:
         parts = [work(*job) for job in jobs]
-    return [{k: np.concatenate([p[k] for p in parts[i:i + len(starts)]])
-             for k in parts[i]} for i in range(0, len(parts), len(starts))]
+    parts = iter(parts)
+    by_point = ([next(parts) for _ in point] for point in points)
+    return [{k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
+            for chunks in by_point]
 
 
 def _estimates(cfg: MCConfig, plan, *keys: str):
@@ -348,8 +369,7 @@ def _rates(cfg: MCConfig, plan) -> dict:
     """
     theta_star, omega2 = _theta_targets(cfg.params)
     (_, burn_in), = plan
-    x = simulate_with_noise(cfg.params, cfg.n, replicate_seed(cfg.master_seed, 0),
-                            burn_in)[0].x
+    x = simulate(cfg.params, cfg.n, replicate_seed(cfg.master_seed, 0), burn_in).x
     # theta_hat_t for t = 1..n
     th_t = np.cumsum(x[:-1] * x[1:]) / np.cumsum(x[:-1] * x[:-1])
     sq = (th_t - theta_star) ** 2

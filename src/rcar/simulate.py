@@ -33,6 +33,16 @@ side and are stitched with the cumulative products of their coefficients.
 The fold depends only on T, never on how rows are grouped, and moves a path
 by round-off only (about 1e-15 at n = 1e6).
 
+Memory: a block of T = burn + n + 1 columns holds two (rows, T) float64
+arrays, the eta and the eps noise. The coefficients, and then the path,
+overwrite the eta noise in place (right to left in slabs of at most _SLAB
+values, bitwise equal to the out-of-place sum), and `simulate_block` returns
+the view [:, burn:] of that buffer, not a copy. A folded path adds one
+(rows, T) array of running products. Only `simulate_with_noise` keeps a
+copy of the retained eta. The Monte Carlo harness sizes the rows of each
+block from a byte budget, so a block's working set is at most max(budget,
+one row's working set), whatever n is.
+
 The recurrence starts at 0 and discards `burn_in` steps. The initial
 condition is forgotten exponentially fast, at the contraction rate
 E ln|theta_t| < 0 of (H1) (Brandt, "The stochastic equation
@@ -73,6 +83,9 @@ _TWIN_START = 100.0
 _RATE_MARGIN = 2.0
 #: longest path the kernel runs as one sequential loop; longer ones are folded
 _FOLD = 2**14
+#: values per slab (512 KiB) when the coefficients are written over the eta
+#: noise
+_SLAB = 2**16
 _MASK64 = (1 << 64) - 1
 _ETA_STREAM = 0xE7A
 _EPS_STREAM = 0xE95
@@ -192,12 +205,23 @@ def _block_noise(params: ModelParams, seeds: list, n: int, burn: int):
     return eta, eps
 
 
-def _coefficients(params: ModelParams, eta: np.ndarray, out=None) -> np.ndarray:
-    """theta + alpha*eta[t-1] + eta[t] for each t >= 1 along the last axis."""
-    out = np.multiply(params.alpha, eta[..., :-1], out=out)
-    out += params.theta
-    out += eta[..., 1:]
-    return out
+def _coefficients(params: ModelParams, eta: np.ndarray) -> None:
+    """Overwrite eta[:, t] with theta + alpha*eta[t-1] + eta[t] for each
+    t >= 1, leaving column 0.
+
+    Column slabs of at most _SLAB values go right to left, so each slab
+    reads eta[t-1] before the slab to its left is overwritten; one slab is
+    the only extra memory.
+    """
+    rows, cols = eta.shape
+    width = max(1, _SLAB // max(1, rows))
+    tmp = np.empty((rows, min(width, cols)))
+    for stop in range(cols, 1, -width):
+        start = max(stop - width, 1)
+        part = np.multiply(params.alpha, eta[:, start - 1:stop - 1],
+                           out=tmp[:, :stop - start])
+        part += params.theta
+        np.add(part, eta[:, start:stop], out=eta[:, start:stop])
 
 
 @dataclass(frozen=True)
@@ -258,13 +282,16 @@ def _recur(c: np.ndarray, e: np.ndarray) -> None:
         y = col
 
 
-def _simulate_rows(params: ModelParams, n: int, seeds: list, burn: int | None):
+def _simulate_rows(params: ModelParams, n: int, seeds: list, burn: int | None,
+                   retain: bool = False):
     """X_0..X_n for each trajectory seed, after a verified burn-in.
 
     Returns (x, burns, eta, eps): row i holds the path of seeds[i], the
-    burn-in it used and its retained noise. burn None is burn_in_for(params).
-    Rows whose initial condition is not forgotten are simulated again,
-    recursively, with the burn-in doubled.
+    burn-in it used and, if retain, its retained noise (else eta and eps are
+    None); x is a view of the eta buffer, which the coefficients and then
+    the path overwrite. burn None is burn_in_for(params). Rows whose initial
+    condition is not forgotten are simulated again, recursively, with the
+    burn-in doubled.
     """
     if burn is None:
         burn = burn_in_for(params)
@@ -272,14 +299,16 @@ def _simulate_rows(params: ModelParams, n: int, seeds: list, burn: int | None):
         raise ValueError(f"n must be >= 1, got {n}")
     if burn < 0:
         raise ValueError("burn_in must be >= 0")
-    eta, eps = _block_noise(params, seeds, n, burn)
-    path = np.empty_like(eps)  # column 0 is the start, the rest coefficients
-    path[:, 0] = 0.0
-    coef = _coefficients(params, eta, out=path[:, 1:])
+    path, eps = _block_noise(params, seeds, n, burn)
+    kept = (path[:, burn:].copy(), eps[:, burn:]) if retain else (None, None)
+    _coefficients(params, path)
+    path[:, 0] = 0.0  # the start; the other columns are coefficients
+    coef = path[:, 1:]
     with np.errstate(over="ignore", invalid="ignore"):
         gap = _TWIN_START * np.abs(np.prod(coef[:, :burn], axis=1))
         _recur(coef, eps[:, 1:])
-    x, eta, eps = path[:, burn:], eta[:, burn:], eps[:, burn:]
+    del eps  # freed before any doubled rows are simulated
+    x = path[:, burn:]
     burns = np.full(len(seeds), burn)
     slow = np.flatnonzero(~(gap < FORGET_TOL)) if burn else []
     if len(slow):
@@ -290,15 +319,16 @@ def _simulate_rows(params: ModelParams, n: int, seeds: list, burn: int | None):
             )
         x[slow], burns[slow] = _simulate_rows(
             params, n, [seeds[i] for i in slow], min(2 * burn, MAX_BURN_IN))[:2]
-    return x, burns, eta, eps
+    return (x, burns, *kept)
 
 
 def simulate(params: ModelParams, n: int, seed: int,
              burn_in: int | None = None) -> Trajectory:
     """Simulate X_0..X_n after discarding a verified burn-in (None: the
     derived start `burn_in_for(params)`)."""
-    traj, _, _ = simulate_with_noise(params, n, seed, burn_in)
-    return traj
+    x, burns, _, _ = _simulate_rows(params, n, [seed], burn_in)
+    _check_explosion(x)
+    return Trajectory(x=x[0], n=n, burn_in=int(burns[0]))
 
 
 def simulate_with_noise(params: ModelParams, n: int, seed: int,
@@ -310,7 +340,7 @@ def simulate_with_noise(params: ModelParams, n: int, seed: int,
     theta + alpha*eta[t-1] + eta[t] and the innovation eps[t]. They are the
     first n + 1 draws of each retained stream, whatever the burn-in.
     """
-    x, burns, eta, eps = _simulate_rows(params, n, [seed], burn_in)
+    x, burns, eta, eps = _simulate_rows(params, n, [seed], burn_in, retain=True)
     _check_explosion(x)
     traj = Trajectory(x=x[0], n=n, burn_in=int(burns[0]))
     return traj, eta[0], eps[0]
@@ -322,12 +352,14 @@ def simulate_block(params: ModelParams, n: int, master_seed: int,
 
     Row i holds X_0..X_n for replicate replicates[i], seeded independently
     via replicate_seed(master_seed, r); the result does not depend on how
-    replicates are grouped into blocks.
+    replicates are grouped into blocks. It is a view, with a row stride of
+    burn + n + 1 values, of the one (rows, burn + n + 1) buffer the block
+    keeps; the burn-in columns stay allocated while the view lives.
     """
     seeds = [replicate_seed(master_seed, r) for r in replicates]
     x = _simulate_rows(params, n, seeds, burn_in)[0]
     _check_explosion(x)
-    return np.ascontiguousarray(x)
+    return x
 
 
 # ---------------------------------------------------------------------------

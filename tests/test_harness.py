@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rcar.asymptotics import limits, omega_squared
 from rcar.errors import ConfigurationError
 from rcar.estimate import REASONS, correlation_test
 from rcar.fourth_order import build_fourth_order
@@ -184,6 +186,53 @@ class TestWorkerPool:
                                 ).to_dict(include_replicates=True)
         assert pool_sizes == sizes
         assert report == serial
+
+
+class TestJobBudget:
+    """Each job's rows are sized from harness.BLOCK_BYTES; no byte of a
+    report depends on it, and a job's memory does not grow with n."""
+
+    N, BURN = 300, 40
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("kw", [dict(experiment="clt_theta"),
+                                    dict(experiment="size_power",
+                                         alpha_grid=(0.0, 0.5))],
+                             ids=["clt_theta", "size_power"])
+    def test_determinism_across_budgets(self, params_accept, monkeypatch,
+                                        kw, rows):
+        # 7 does not divide 100, so the last job is a short one
+        cfg = cfg_for(params_accept, n=self.N, replicates=100,
+                      burn_in=self.BURN, **kw)
+        default = run_experiment(cfg).to_dict(include_replicates=True)
+        monkeypatch.setattr(harness, "BLOCK_BYTES",
+                            rows * 24 * (self.BURN + self.N + 1))
+        assert harness._job_rows(self.N, self.BURN) == rows
+        assert run_experiment(cfg).to_dict(include_replicates=True) == default
+
+    def test_peak_memory_flat_in_n(self, params_accept, monkeypatch):
+        # size_power holds the most per job: the path and the two
+        # temporaries of its correlation statistics
+        budget = 2 << 20
+        monkeypatch.setattr(harness, "BLOCK_BYTES", budget)
+        cfg = cfg_for(params_accept, n=60, replicates=100,
+                      experiment="size_power", alpha_grid=(0.0,))
+        run_experiment(cfg)  # lazy imports and caches stay out of the trace
+        for n in (500, 5000):
+            tracemalloc.start()
+            try:
+                run_experiment(dataclasses.replace(cfg, n=n))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.25 * budget, (n, peak)
+
+    def test_theta_targets_read_one_limit(self, params_accept):
+        for p in (AR1, params_accept):
+            so = build_second_order(p)
+            fo = build_fourth_order(p, so)
+            assert harness._theta_targets(p) == (limits(p, so).theta_star,
+                                                 omega_squared(p, so, fo))
 
 
 class TestSizePower:

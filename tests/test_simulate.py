@@ -1,6 +1,7 @@
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from rcar.model import ModelParams, NoiseFamily, NoiseSpec, log_moment
 from rcar.second_order import build_second_order
 from rcar.simulate import (DEFAULT_BURN_IN, EXPLOSION_LIMIT, FORGET_TOL,
                            GENERATOR_ID, MAX_BURN_IN, Trajectory, _EPS_BURN,
-                           _EPS_STREAM, _ETA_BURN, _ETA_STREAM, _FOLD,
+                           _EPS_STREAM, _ETA_BURN, _ETA_STREAM, _FOLD, _SLAB,
                            _TWIN_START, _check_explosion, _block_noise,
                            _philox_keys, burn_in_for, ingest, mix64,
                            replicate_seed, simulate, simulate_block,
@@ -337,6 +338,38 @@ class TestFoldedRecurrence:
         for i, r in enumerate(range(2, 5)):
             single = simulate(params_accept, n, seed=replicate_seed(5, r))
             assert np.array_equal(block[i], single.x)
+
+
+class TestBlockBuffers:
+    """The coefficients, then the path, overwrite the eta noise in place,
+    so a block holds two (rows, burn + n + 1) arrays and returns a view."""
+
+    def test_rows_across_coefficient_slabs_are_sequential(self, params_accept):
+        # 40 rows give slabs of _SLAB // 40 columns, and n spans several
+        n = 3 * (_SLAB // 40) + 5
+        block = simulate_block(params_accept, n, master_seed=6,
+                               replicates=range(40))
+        for r in (0, 17, 39):
+            seed = replicate_seed(6, r)
+            # the burn-in a row ends with does not depend on n
+            burn = simulate(params_accept, 10, seed=seed).burn_in
+            assert np.array_equal(block[r],
+                                  sequential_path(params_accept, seed, burn, n))
+
+    def test_block_holds_two_arrays(self, params_accept):
+        rows, n = 64, 4000
+        buffer = 8 * rows * (burn_in_for(params_accept) + n + 1)
+        simulate_block(params_accept, 10, 1, range(2))  # imports stay untraced
+        tracemalloc.start()
+        try:
+            block = simulate_block(params_accept, n, 1, range(rows))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert block.shape == (rows, n + 1)
+        assert np.shares_memory(block, block.base)
+        # the noise buffers, one slab and the per-row streams
+        assert peak < 2.5 * buffer and held < 1.05 * buffer
 
 
 def coefficients(params, n, seed):
