@@ -37,6 +37,7 @@ EXIT_TABLE = (
     (RcarError, 1, "error"),
     (ValueError, 2, "error"),
     (OSError, 1, "i/o error"),
+    (MemoryError, 1, "out of memory"),
 )
 
 

@@ -205,9 +205,9 @@ def _job_rows(n: int, burn: int) -> int:
     """Replicates per job at a point of burn-in start burn: as many as fit
     BLOCK_BYTES at three float64 arrays of burn + n + 1 values per row, at
     least 1 and at most CHUNK. Three is the most a job holds at once: the
-    simulator's two buffers plus, on a folded path, the fold's running
-    products, or the path plus the two temporaries of
-    `estimate.correlation_statistics`."""
+    simulator's two buffers plus one row while the coefficients are written
+    or, on a folded path, the fold's running products, or the path plus the
+    two temporaries of `estimate.correlation_statistics`."""
     return max(1, min(CHUNK, BLOCK_BYTES // (24 * (burn + n + 1))))
 
 

@@ -35,13 +35,13 @@ by round-off only (about 1e-15 at n = 1e6).
 
 Memory: a block of T = burn + n + 1 columns holds two (rows, T) float64
 arrays, the eta and the eps noise. The coefficients, and then the path,
-overwrite the eta noise in place (right to left in slabs of at most _SLAB
-values, bitwise equal to the out-of-place sum), and `simulate_block` returns
-the view [:, burn:] of that buffer, not a copy. A folded path adds one
-(rows, T) array of running products. Only `simulate_with_noise` keeps a
-copy of the retained eta. The Monte Carlo harness sizes the rows of each
-block from a byte budget, so a block's working set is at most max(budget,
-one row's working set), whatever n is.
+overwrite the eta noise in place (the coefficients one row at a time, with
+one row of scratch), and `simulate_block` returns the view [:, burn:] of
+that buffer, not a copy. A folded path adds one (rows, T) array of running
+products. Only `simulate_with_noise` keeps a copy of the retained eta. The
+Monte Carlo harness sizes the rows of each block from a byte budget, so a
+block's working set is at most max(budget, one row's working set), whatever
+n is.
 
 The recurrence starts at 0 and discards `burn_in` steps. The initial
 condition is forgotten exponentially fast, at the contraction rate
@@ -83,9 +83,6 @@ _TWIN_START = 100.0
 _RATE_MARGIN = 2.0
 #: longest path the kernel runs as one sequential loop; longer ones are folded
 _FOLD = 2**14
-#: values per slab (512 KiB) when the coefficients are written over the eta
-#: noise
-_SLAB = 2**16
 _MASK64 = (1 << 64) - 1
 _ETA_STREAM = 0xE7A
 _EPS_STREAM = 0xE95
@@ -207,21 +204,12 @@ def _block_noise(params: ModelParams, seeds: list, n: int, burn: int):
 
 def _coefficients(params: ModelParams, eta: np.ndarray) -> None:
     """Overwrite eta[:, t] with theta + alpha*eta[t-1] + eta[t] for each
-    t >= 1, leaving column 0.
-
-    Column slabs of at most _SLAB values go right to left, so each slab
-    reads eta[t-1] before the slab to its left is overwritten; one slab is
-    the only extra memory.
-    """
-    rows, cols = eta.shape
-    width = max(1, _SLAB // max(1, rows))
-    tmp = np.empty((rows, min(width, cols)))
-    for stop in range(cols, 1, -width):
-        start = max(stop - width, 1)
-        part = np.multiply(params.alpha, eta[:, start - 1:stop - 1],
-                           out=tmp[:, :stop - start])
-        part += params.theta
-        np.add(part, eta[:, start:stop], out=eta[:, start:stop])
+    t >= 1, leaving column 0; one row at a time, so one row is the only
+    extra memory."""
+    for row in eta:
+        step = params.alpha * row[:-1]
+        step += params.theta
+        row[1:] += step
 
 
 @dataclass(frozen=True)
@@ -244,8 +232,9 @@ class Trajectory:
 
 
 def _check_explosion(x: np.ndarray):
-    # one reduction: nan propagates through the max, inf exceeds the limit
-    if not np.max(np.abs(x), initial=0.0) <= EXPLOSION_LIMIT:
+    # two reductions and no temporary: a nan fails both comparisons
+    if not (x.max(initial=0.0) <= EXPLOSION_LIMIT
+            and x.min(initial=0.0) >= -EXPLOSION_LIMIT):
         raise HypothesisError(
             "trajectory exploded (|X_t| > 1e300); the log-moment stationarity "
             "condition (H1) is likely violated"
@@ -291,7 +280,7 @@ def _simulate_rows(params: ModelParams, n: int, seeds: list, burn: int | None,
     None); x is a view of the eta buffer, which the coefficients and then
     the path overwrite. burn None is burn_in_for(params). Rows whose initial
     condition is not forgotten are simulated again, recursively, with the
-    burn-in doubled.
+    burn-in doubled; then a path past EXPLOSION_LIMIT raises HypothesisError.
     """
     if burn is None:
         burn = burn_in_for(params)
@@ -319,6 +308,7 @@ def _simulate_rows(params: ModelParams, n: int, seeds: list, burn: int | None,
             )
         x[slow], burns[slow] = _simulate_rows(
             params, n, [seeds[i] for i in slow], min(2 * burn, MAX_BURN_IN))[:2]
+    _check_explosion(x)
     return (x, burns, *kept)
 
 
@@ -327,7 +317,6 @@ def simulate(params: ModelParams, n: int, seed: int,
     """Simulate X_0..X_n after discarding a verified burn-in (None: the
     derived start `burn_in_for(params)`)."""
     x, burns, _, _ = _simulate_rows(params, n, [seed], burn_in)
-    _check_explosion(x)
     return Trajectory(x=x[0], n=n, burn_in=int(burns[0]))
 
 
@@ -341,7 +330,6 @@ def simulate_with_noise(params: ModelParams, n: int, seed: int,
     first n + 1 draws of each retained stream, whatever the burn-in.
     """
     x, burns, eta, eps = _simulate_rows(params, n, [seed], burn_in, retain=True)
-    _check_explosion(x)
     traj = Trajectory(x=x[0], n=n, burn_in=int(burns[0]))
     return traj, eta[0], eps[0]
 
@@ -357,9 +345,7 @@ def simulate_block(params: ModelParams, n: int, master_seed: int,
     keeps; the burn-in columns stay allocated while the view lives.
     """
     seeds = [replicate_seed(master_seed, r) for r in replicates]
-    x = _simulate_rows(params, n, seeds, burn_in)[0]
-    _check_explosion(x)
-    return x
+    return _simulate_rows(params, n, seeds, burn_in)[0]
 
 
 # ---------------------------------------------------------------------------

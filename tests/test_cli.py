@@ -689,6 +689,16 @@ class TestUsageErrors:
         assert main(CHECK_ARGS) == code
         assert capsys.readouterr().err == "rcar: error: boom\n"
 
+    def test_out_of_memory_exits_1(self, monkeypatch, capsys):
+        # raised, never allocated: an overcommitting host may grant a huge
+        # allocation lazily
+        def fail(args):
+            raise MemoryError("Unable to allocate 14.9 GiB for an array")
+        monkeypatch.setattr(cli, "cmd_check", fail)
+        assert main(CHECK_ARGS) == 1
+        assert capsys.readouterr().err == (
+            "rcar: out of memory: Unable to allocate 14.9 GiB for an array\n")
+
     @pytest.mark.parametrize("command", [
         ["check", "--theta", "0.3", "--alpha", "0", "--eps", "gaussian:1",
          "--eta", "gaussian:0.2"],

@@ -13,7 +13,7 @@ from rcar.model import ModelParams, NoiseFamily, NoiseSpec, log_moment
 from rcar.second_order import build_second_order
 from rcar.simulate import (DEFAULT_BURN_IN, EXPLOSION_LIMIT, FORGET_TOL,
                            GENERATOR_ID, MAX_BURN_IN, Trajectory, _EPS_BURN,
-                           _EPS_STREAM, _ETA_BURN, _ETA_STREAM, _FOLD, _SLAB,
+                           _EPS_STREAM, _ETA_BURN, _ETA_STREAM, _FOLD,
                            _TWIN_START, _check_explosion, _block_noise,
                            _philox_keys, burn_in_for, ingest, mix64,
                            replicate_seed, simulate, simulate_block,
@@ -237,6 +237,17 @@ class TestStationaryBehavior:
         with pytest.raises(HypothesisError):
             simulate(params, 100, seed=1)
 
+    @pytest.mark.parametrize("run", [
+        lambda p: simulate(p, 1000, seed=1, burn_in=0),
+        lambda p: simulate_with_noise(p, 1000, seed=1, burn_in=0),
+        lambda p: simulate_block(p, 1000, master_seed=1, replicates=range(3),
+                                 burn_in=0),
+    ], ids=["simulate", "simulate_with_noise", "simulate_block"])
+    def test_explosion_rejected_at_every_entry_point(self, run):
+        # burn-in 0 skips the twin check, so 3^1000 reaches the explosion check
+        with pytest.raises(HypothesisError, match="exploded"):
+            run(ModelParams(3.0, 0.0, GAUSS1, None))
+
 
 class TestDerivedBurnIn:
     def test_value_from_contraction_rate(self, params_accept):
@@ -345,8 +356,8 @@ class TestBlockBuffers:
     so a block holds two (rows, burn + n + 1) arrays and returns a view."""
 
     def test_rows_across_coefficient_slabs_are_sequential(self, params_accept):
-        # 40 rows give slabs of _SLAB // 40 columns, and n spans several
-        n = 3 * (_SLAB // 40) + 5
+        # 40 long rows, each as the sequential recurrence gives it
+        n = 3 * (2**16 // 40) + 5
         block = simulate_block(params_accept, n, master_seed=6,
                                replicates=range(40))
         for r in (0, 17, 39):
