@@ -302,7 +302,11 @@ def _clt_couple(cfg: MCConfig, plan) -> dict:
     reason, tt, gg = _estimates(cfg, plan, "theta_tilde", "gamma_tilde")
     dev = np.vstack([tt - cfg.params.theta, gg - gamma]) * math.sqrt(cfg.n)
     emp_cov = np.cov(dev, ddof=1) if len(tt) > 1 else np.full((2, 2), math.nan)
-    rel = np.abs(emp_cov - psi) / np.abs(psi)
+    # an entry whose target is 0 (the off-diagonal at theta 0) is taken on
+    # the scale sqrt(Psi_ii Psi_jj)
+    diag = psi.diagonal()
+    scale = np.where(psi != 0, np.abs(psi), np.sqrt(np.outer(diag, diag)))
+    rel = np.abs(emp_cov - psi) / scale
     return {
         "targets": {"Psi": psi.tolist(), "theta": cfg.params.theta, "gamma": gamma},
         "empirical": {"covariance": emp_cov.tolist(), "max_rel_err": float(rel.max())},

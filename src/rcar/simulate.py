@@ -4,13 +4,12 @@ Randomness contract: replicate r of master seed s uses the 64-bit avalanche
 mix of (s, r); within one trajectory the coefficient noise and the innovation
 noise come from independent Philox streams derived from the trajectory seed,
 so the coefficient path is reproducible on its own. The stream with tag g of
-trajectory seed e is Philox with a zero counter and the key
-SeedSequence(mix64(e, g)).generate_state(2, np.uint64). The keys of a block
-are derived per block, by one vectorised pass of SeedSequence's hash that
-equals it bit for bit, and one bit generator is re-keyed for each stream
-(Philox is counter-based, so a key and a zero counter fix the stream;
-Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", 2011).
-Layout 3: the retained noise, aligned with X_0..X_n, is the first n + 1
+trajectory seed e is numpy's Generator(Philox(key=mix64(e, g))): the key
+words (mix64(e, g), 0) at counter 0. Philox is counter-based, so any key
+and a zero counter fix an independent stream (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", 2011), and one bit generator is
+re-keyed for each stream of a block.
+Layout 4: the retained noise, aligned with X_0..X_n, is the first n + 1
 draws of the two retained streams, and the burn-in is drawn from two
 streams of its own, backward in time (draw k is the noise k + 1 steps
 before X_0). So no noise depends on n, nor retained noise on the burn-in: a
@@ -68,8 +67,9 @@ import numpy as np
 from .errors import DegenerateDataError, HypothesisError
 from .model import ModelParams, log_moment
 
-#: layout 3: the burn-in has streams of its own, laid backward from X_0
-GENERATOR_ID = f"numpy.random.Philox (numpy {np.__version__}), layout 3"
+#: layout 4: key (mix64(seed, tag), 0); the burn-in has streams of its own,
+#: laid backward from X_0
+GENERATOR_ID = f"numpy.random.Philox (numpy {np.__version__}), layout 4"
 
 #: the start where the contraction rate gives no bound
 DEFAULT_BURN_IN = 2000
@@ -88,6 +88,7 @@ _ETA_STREAM = 0xE7A
 _EPS_STREAM = 0xE95
 _ETA_BURN = 0xB7A
 _EPS_BURN = 0xB95
+_STREAM_TAGS = np.array([_ETA_STREAM, _EPS_STREAM, _ETA_BURN, _EPS_BURN], dtype=np.uint64)
 
 
 def mix64(a, b):
@@ -109,58 +110,6 @@ def replicate_seed(master_seed: int, replicate: int) -> int:
     return mix64(master_seed & _MASK64, replicate)
 
 
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """The (xor, multiplier) pairs of `count` successive hash steps, as
-    uint32 columns: step k xors with h_k, multiplies by h_{k+1} = h_k * mult."""
-    h = [init]
-    for _ in range(count):
-        h.append(h[-1] * mult & 0xFFFFFFFF)
-    return np.array([h[:-1], h[1:]], dtype=np.uint32)[:, :, None]
-
-
-# numpy's SeedSequence (pool of four uint32 words; O'Neill's seed_seq_fe):
-# its entropy hash runs 4 + 12 steps, its output hash one step per word
-_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
-_WORD_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 4)
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-#: per source word of the pool mix: the other words, in order, and the
-#: hash steps the mix spends on them
-_POOL_MIX = [([d for d in range(4) if d != s], _POOL_HASH[:, 4 + 3 * s:7 + 3 * s])
-             for s in range(4)]
-_STREAM_TAGS = np.array([_ETA_STREAM, _EPS_STREAM, _ETA_BURN, _EPS_BURN], dtype=np.uint64)
-
-
-def _hashmix(v: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    v = v ^ steps[0]
-    v *= steps[1]
-    v ^= v >> np.uint32(16)
-    return v
-
-
-def _philox_keys(entropy: np.ndarray) -> np.ndarray:
-    """The Philox key of each uint64 entropy: an array of shape
-    entropy.shape + (2,), equal to SeedSequence(e).generate_state(2,
-    np.uint64) for every entry e.
-
-    SeedSequence reads e as its low and high 32-bit words, one word below
-    2**32; its unused pool words hash a 0, so a high word of 0 and a missing
-    one give the same pool. Every entry runs the same fixed steps, so the
-    whole array is hashed at once.
-    """
-    e = entropy.ravel()
-    pool = np.zeros((4, e.size), dtype=np.uint32)
-    pool[0], pool[1] = e & 0xFFFFFFFF, e >> 32
-    pool = _hashmix(pool, _POOL_HASH[:, :4])
-    for s, (dst, steps) in enumerate(_POOL_MIX):
-        mixed = pool[dst] * _MIX_L
-        mixed -= _hashmix(pool[s], steps) * _MIX_R
-        mixed ^= mixed >> np.uint32(16)
-        pool[dst] = mixed
-    w = _hashmix(pool, _WORD_HASH).astype(np.uint64)
-    keys = np.stack([w[0] | w[1] << 32, w[2] | w[3] << 32], axis=-1)
-    return keys.reshape(*entropy.shape, 2)
-
-
 def burn_in_for(params: ModelParams) -> int:
     """The default burn-in of params: _RATE_MARGIN times the steps after
     which the twin gap falls below FORGET_TOL if it contracts at the rate
@@ -177,8 +126,8 @@ def _block_noise(params: ModelParams, seeds: list, n: int, burn: int):
     """eta and eps of each trajectory seed, burn + n + 1 values per row in
     time order.
 
-    Each segment is one draw from Philox keyed by its SeedSequence(mix64(seed,
-    tag)) with a zero counter, made by re-keying one bit generator. The
+    Each segment is one draw from Philox with the key (mix64(seed, tag), 0)
+    and a zero counter, made by re-keying one bit generator. The
     retained tags fill the last n + 1 columns, aligned with X_0..X_n; draw k
     of a burn-in tag fills the column k + 1 steps before X_0. eps[:, 0]
     precedes the recurrence; eta is zeros without coefficient noise.
@@ -186,16 +135,17 @@ def _block_noise(params: ModelParams, seeds: list, n: int, burn: int):
     shape = (len(seeds), burn + n + 1)
     eta = np.zeros(shape) if params.eta is None else np.empty(shape)
     eps = np.empty(shape)
-    entropy = mix64(np.array([s & _MASK64 for s in seeds], dtype=np.uint64)[:, None],
-                    _STREAM_TAGS)
+    keys = mix64(np.array([s & _MASK64 for s in seeds], dtype=np.uint64)[:, None],
+                 _STREAM_TAGS)
     rng = np.random.Generator(np.random.Philox(0))
-    for i, row_keys in enumerate(_philox_keys(entropy).tolist()):
+    # Python ints: the setter takes them exactly and faster than array rows
+    for i, row_keys in enumerate(keys.tolist()):
         segments = (eta[i, burn:], eps[i, burn:], eta[i, :burn][::-1], eps[i, :burn][::-1])
         for spec, key, out in zip((params.eta, params.eps) * 2, row_keys, segments):
             if spec is not None and out.size:
                 rng.bit_generator.state = {
                     "bit_generator": "Philox",
-                    "state": {"counter": [0, 0, 0, 0], "key": key},
+                    "state": {"counter": [0, 0, 0, 0], "key": [key, 0]},
                     "buffer": [0, 0, 0, 0], "buffer_pos": 4,
                     "has_uint32": 0, "uinteger": 0}
                 out[:] = spec.sample(rng, out.size)

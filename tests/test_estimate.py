@@ -274,9 +274,12 @@ class TestBatchKernel:
     N = 60
 
     def block_with_every_reason(self, params_accept, source):
-        """Rows: valid, all zero, geometric x_t = 2^(-t/2) (first ratio at
-        1/sqrt(2)), alternating +/-1 (constant squares), and the first row
-        of a seeded search whose psi0_hat under `source` is negative."""
+        """Rows: the first valid row of a seeded block, all zero, geometric
+        x_t = 2^(-t/2) (first ratio at 1/sqrt(2)), alternating +/-1
+        (constant squares), and sin(1.3 t) with every odd term scaled by
+        1.5, whose psi0_hat is negative under either source (-10.1 tilde,
+        -0.35 hat) while its ratio stage is valid; no row but the first
+        depends on a random stream."""
         found = simulate_block(params_accept, self.N, master_seed=2,
                                replicates=range(256))
         reason = estimate.correlation_statistics(found, 0.05, source, G, G)[
@@ -287,7 +290,7 @@ class TestBatchKernel:
             np.zeros(self.N + 1),
             2.0 ** (-t / 2),
             (-1.0) ** t,
-            found[np.flatnonzero(reason == estimate.PSI0_NOT_POSITIVE)[0]],
+            np.sin(1.3 * t) * (1 + 0.5 * (t % 2)),
         ])
 
     @pytest.mark.parametrize("source", ["tilde", "hat"])
