@@ -317,10 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burn-in", type=int, default=None,
                    help="steps discarded before X_0, drawn from streams of "
                         "their own and doubled until the start is forgotten; "
-                        "a path is the prefix of any longer one at the same "
-                        "seed, bitwise while burn-in + n <= 16384, else to "
-                        "round-off (default: derived from the rate E ln|theta_t|, "
-                        "or %d where it is not negative)" % DEFAULT_BURN_IN)
+                        "at one seed and burn-in, a path is bitwise the prefix "
+                        "of every longer one (default: derived from the rate "
+                        "E ln|theta_t|, or %d where it is not negative)"
+                        % DEFAULT_BURN_IN)
     _add_out_flag(p, csv=True)
 
     for name, help_text in (

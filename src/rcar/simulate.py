@@ -14,9 +14,9 @@ draws of the two retained streams, and the burn-in is drawn from two
 streams of its own, backward in time (draw k is the noise k + 1 steps
 before X_0). So no noise depends on n, nor retained noise on the burn-in: a
 row whose burn-in doubles below keeps the nearer half, and burn_in 0 reads
-the retained streams alone. At a given (seed, burn_in), X_0..X_n is the
-prefix of X_0..X_n' for any n' >= n: bitwise while the burn-in used plus n'
-is at most _FOLD, to round-off (under 1e-15 at n' = 1e6) past it.
+the retained streams alone. At a given (seed, burn_in), X_0..X_n is bitwise
+the prefix of X_0..X_n' for every n' >= n, and the first _FOLD steps of
+every path, burn-in included, are the sequential recurrence.
 Everything is bitwise deterministic given (params, n, seed, burn_in) and
 independent of evaluation order or parallelism.
 
@@ -24,23 +24,22 @@ One kernel, `_recur`, runs the recurrence X_t = theta_t X_{t-1} + eps_t
 down the time axis of a (rows, T) block, vectorised across rows, and writes
 the path over the coefficients. `simulate_block` runs many rows;
 `simulate_with_noise` and `simulate` run one, so a block row equals the
-scalar path bit for bit. Paths of at most _FOLD steps are the plain
-sequential recurrence. A longer path is folded, because a first-order
-linear recurrence is a scan (Blelloch, "Prefix sums and their
-applications", 1990): ceil(T / _FOLD) equal segments run from 0 side by
-side and are stitched with the cumulative products of their coefficients.
-The fold depends only on T, never on how rows are grouped, and moves a path
-by round-off only (about 1e-15 at n = 1e6).
+scalar path bit for bit. A path of more than _FOLD steps is folded, as a
+first-order linear recurrence is a scan (Blelloch, "Prefix sums and their
+applications", 1990): cut every _FOLD steps from its first step, its pieces
+run from 0 side by side and are stitched with the running products of their
+coefficients. A longer path only adds pieces, whatever the grouping of rows,
+and the fold moves a path by round-off only (about 1e-15 at n = 1e6).
 
 Memory: a block of T = burn + n + 1 columns holds two (rows, T) float64
 arrays, the eta and the eps noise. The coefficients, and then the path,
 overwrite the eta noise in place (the coefficients one row at a time, with
 one row of scratch), and `simulate_block` returns the view [:, burn:] of
-that buffer, not a copy. A folded path adds one (rows, T) array of running
-products. Only `simulate_with_noise` keeps a copy of the retained eta. The
-Monte Carlo harness sizes the rows of each block from a byte budget, so a
-block's working set is at most max(budget, one row's working set), whatever
-n is.
+that buffer, not a copy. A folded path adds one (rows, burn + n - _FOLD)
+array of running products. Only `simulate_with_noise` keeps a copy of the
+retained eta. The Monte Carlo harness sizes the rows of each block from a
+byte budget, so a block's working set is at most max(budget, one row's
+working set), whatever n is.
 
 The recurrence starts at 0 and discards `burn_in` steps. The initial
 condition is forgotten exponentially fast, at the contraction rate
@@ -59,6 +58,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -81,8 +81,8 @@ _TWIN_START = 100.0
 #: derived burn-in over the steps a constant contraction would need; ln of the
 #: twin gap is a random walk, and the margin covers its spread for most rows
 _RATE_MARGIN = 2.0
-#: longest path the kernel runs as one sequential loop; longer ones are folded
-_FOLD = 2**14
+#: steps per fold segment; a path of at most _FOLD steps is not folded
+_FOLD = 2**13
 _MASK64 = (1 << 64) - 1
 _ETA_STREAM = 0xE7A
 _EPS_STREAM = 0xE95
@@ -107,7 +107,7 @@ def mix64(a, b):
 
 
 def replicate_seed(master_seed: int, replicate: int) -> int:
-    return mix64(master_seed & _MASK64, replicate)
+    return mix64(operator.index(master_seed) & _MASK64, operator.index(replicate))
 
 
 def burn_in_for(params: ModelParams) -> int:
@@ -135,8 +135,8 @@ def _block_noise(params: ModelParams, seeds: list, n: int, burn: int):
     shape = (len(seeds), burn + n + 1)
     eta = np.zeros(shape) if params.eta is None else np.empty(shape)
     eps = np.empty(shape)
-    keys = mix64(np.array([s & _MASK64 for s in seeds], dtype=np.uint64)[:, None],
-                 _STREAM_TAGS)
+    words = [operator.index(s) & _MASK64 for s in seeds]
+    keys = mix64(np.array(words, dtype=np.uint64)[:, None], _STREAM_TAGS)
     rng = np.random.Generator(np.random.Philox(0))
     # Python ints: the setter takes them exactly and faster than array rows
     for i, row_keys in enumerate(keys.tolist()):
@@ -194,24 +194,24 @@ def _check_explosion(x: np.ndarray):
 def _recur(c: np.ndarray, e: np.ndarray) -> None:
     """Overwrite c with y_t = c_t y_{t-1} + e_t along the last axis, y_{-1} = 0.
 
-    Leading axes are independent rows. More than _FOLD steps are folded:
-    the head and the k segments are run from 0, then segment j gets its
-    running coefficient product times the value carried out of segment j-1.
+    Leading axes are independent rows. More than _FOLD steps are cut every
+    _FOLD steps from the first; the pieces run from 0 side by side, and each
+    after the first adds its running coefficient product times the value
+    carried out of the one before. So the first _FOLD steps are the
+    sequential recurrence, and a path is bitwise the prefix of any longer one.
     """
     steps = c.shape[-1]
     if steps > _FOLD:
-        k = -(-steps // _FOLD)
-        width = steps // k
-        head = steps - k * width
-        _recur(c[..., :head], e[..., :head])
-        # splitting the last axis is a view, so the runs below write into c
-        seg = c[..., head:].reshape(*c.shape[:-1], k, width)
-        gain = np.cumprod(seg, axis=-1)
-        _recur(seg, e[..., head:].reshape(seg.shape))
-        carry = c[..., head - 1] if head else np.zeros(c.shape[:-1])
-        for j in range(k):
-            seg[..., j, :] += gain[..., j, :] * carry[..., None]
-            carry = seg[..., j, -1]
+        gain = np.empty((*c.shape[:-1], steps - _FOLD))
+        for s in range(_FOLD, steps, _FOLD):
+            np.cumprod(c[..., s:s + _FOLD], axis=-1, out=gain[..., s - _FOLD:s])
+        cut = steps - steps % _FOLD
+        # splitting the last axis is a view, so the run writes into c
+        seg = c[..., :cut].reshape(*c.shape[:-1], -1, _FOLD)
+        _recur(seg, e[..., :cut].reshape(seg.shape))
+        _recur(c[..., cut:], e[..., cut:])
+        for s in range(_FOLD, steps, _FOLD):
+            c[..., s:s + _FOLD] += gain[..., s - _FOLD:s] * c[..., s - 1, None]
         return
     y = np.zeros(c.shape[:-1])
     for t in range(steps):

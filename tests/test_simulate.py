@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcar.errors import DegenerateDataError, HypothesisError
+from rcar.harness import MCConfig, run_experiment
 from rcar.model import ModelParams, NoiseFamily, NoiseSpec, log_moment
 from rcar.second_order import build_second_order
 from rcar.simulate import (DEFAULT_BURN_IN, EXPLOSION_LIMIT, FORGET_TOL,
@@ -86,6 +87,24 @@ class TestDeterminism:
             simulate_block(params_accept, 200, master_seed=3, replicates=range(5, 8)),
         ])
         assert np.array_equal(whole, parts)
+
+    def test_numpy_integer_seeds(self, params_accept):
+        # numpy scalars and index arrays seed exactly as Python ints do
+        base = simulate(params_accept, 50, seed=5).x
+        for seed in (np.int64(5), np.uint64(5)):
+            assert simulate(params_accept, 50, seed).x.tobytes() == base.tobytes()
+        block = simulate_block(params_accept, 50, 7, range(3))
+        for master in (7, np.int64(7), np.uint64(7)):
+            rows = simulate_block(params_accept, 50, master, np.arange(3))
+            assert rows.tobytes() == block.tobytes()
+        with pytest.raises(TypeError):
+            simulate(params_accept, 50, seed=5.0)
+        cfg = dict(params=params_accept, n=200, replicates=100,
+                   experiment="clt_theta")
+        want = run_experiment(MCConfig(master_seed=3, **cfg))
+        got = run_experiment(MCConfig(master_seed=np.int64(3), **cfg))
+        assert (got.to_dict(include_replicates=True)
+                == want.to_dict(include_replicates=True))
 
     @pytest.mark.parametrize("n, burn_in", [(0, 10), (10, -1)])
     def test_bad_lengths_rejected(self, params_accept, n, burn_in):
@@ -174,7 +193,11 @@ class TestStreamLayout:
         assert unfolded.burn_in == short.burn_in
         assert unfolded.x[:n + 1].tobytes() == short.x.tobytes()
         folded = simulate(params, _FOLD + 500, seed=7, burn_in=burn_in)
-        assert np.max(np.abs(folded.x[:n + 1] - short.x)) <= 1e-13
+        assert folded.x[:n + 1].tobytes() == short.x.tobytes()
+        # two folded lengths with different segment counts and tails
+        two = simulate(params, 2 * _FOLD + 7, seed=7, burn_in=burn_in)
+        five = simulate(params, 5 * _FOLD + 100, seed=7, burn_in=burn_in)
+        assert five.x[:2 * _FOLD + 8].tobytes() == two.x.tobytes()
         block = simulate_block(params, n, master_seed=2, replicates=range(4),
                                burn_in=burn_in)
         longer = simulate_block(params, 3 * n, master_seed=2, replicates=range(4),
@@ -334,28 +357,40 @@ class TestBurnInDoubling:
 
 
 class TestFoldedRecurrence:
-    # a path of burn_in + n > 2**14 steps is folded into segments run side
-    # by side; shorter paths are the plain sequential recurrence
-    @pytest.mark.parametrize("burn_in, n", [(0, 1), (2000, 10), (0, 2**14),
-                                            (2000, 2**14 - 2000)])
+    # a path of burn_in + n > _FOLD steps is cut every _FOLD steps from its
+    # first step into pieces run side by side; shorter paths are the plain
+    # sequential recurrence
+    @pytest.mark.parametrize("burn_in, n", [(0, 1), (2000, 10), (0, _FOLD),
+                                            (2000, _FOLD - 2000)])
     def test_unfolded_path_is_sequential(self, params_accept, burn_in, n):
         traj = simulate(params_accept, n, seed=8, burn_in=burn_in)
         assert np.array_equal(traj.x, sequential_path(params_accept, 8, burn_in, n))
 
     @pytest.mark.parametrize("burn_in", [0, 2000])
     def test_folded_path_within_roundoff(self, params_accept, burn_in):
-        n = 50_003  # four segments after a three-step head
+        n = 50_003  # six segments and a tail of 851 + burn_in steps
         traj = simulate(params_accept, n, seed=8, burn_in=burn_in)
         ref = sequential_path(params_accept, 8, burn_in, n)
         assert np.max(np.abs(traj.x - ref)) <= 1e-13
 
+    @pytest.mark.parametrize("burn_in", [0, 2000])
+    def test_folded_head_is_sequential(self, params_accept, burn_in):
+        n = 3 * _FOLD + 11
+        traj = simulate(params_accept, n, seed=8, burn_in=burn_in)
+        head = sequential_path(params_accept, 8, burn_in, _FOLD - burn_in)
+        assert traj.x[:_FOLD - burn_in + 1].tobytes() == head.tobytes()
+
     def test_folded_block_rows_match_scalar(self, params_accept):
-        n = 31_005  # three segments after a two-step head
-        block = simulate_block(params_accept, n, master_seed=5,
-                               replicates=range(2, 5))
-        for i, r in enumerate(range(2, 5)):
-            single = simulate(params_accept, n, seed=replicate_seed(5, r))
-            assert np.array_equal(block[i], single.x)
+        # three segments and a ragged tail, then three segments and an
+        # empty tail: burn-in plus n is 3 * _FOLD
+        burn = burn_in_for(params_accept)
+        for n in (31_005, 3 * _FOLD - burn):
+            block = simulate_block(params_accept, n, master_seed=5,
+                                   replicates=range(2, 5))
+            for i, r in enumerate(range(2, 5)):
+                single = simulate(params_accept, n, seed=replicate_seed(5, r))
+                assert single.burn_in == burn
+                assert np.array_equal(block[i], single.x)
 
 
 class TestBlockBuffers:
@@ -386,7 +421,8 @@ class TestBlockBuffers:
             tracemalloc.stop()
         assert block.shape == (rows, n + 1)
         assert np.shares_memory(block, block.base)
-        # the noise buffers, one slab and the per-row streams
+        # the noise buffers, one row of coefficient scratch and the
+        # per-row streams
         assert peak < 2.5 * buffer and held < 1.05 * buffer
 
 
