@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -78,6 +79,8 @@ class MCConfig:
     workers: int = 1
 
     def __post_init__(self):
+        # a numpy integer seed is kept as a Python int, which JSON can echo
+        object.__setattr__(self, "master_seed", operator.index(self.master_seed))
         if self.experiment not in EXPERIMENTS:
             raise ConfigurationError(
                 f"unknown experiment {self.experiment!r}; pick one of {EXPERIMENTS}"
@@ -206,7 +209,7 @@ def _job_rows(n: int, burn: int) -> int:
     BLOCK_BYTES at three float64 arrays of burn + n + 1 values per row, at
     least 1 and at most CHUNK. Three is the most a job holds at once: the
     simulator's two buffers plus one row while the coefficients are written
-    or the fold's (rows, burn + n - _FOLD) running products, or the path
+    or the fold's (rows, n - _FOLD) running products of X_1..X_n, or the path
     plus the two temporaries of `estimate.correlation_statistics`."""
     return max(1, min(CHUNK, BLOCK_BYTES // (24 * (burn + n + 1))))
 

@@ -15,41 +15,39 @@ streams of its own, backward in time (draw k is the noise k + 1 steps
 before X_0). So no noise depends on n, nor retained noise on the burn-in: a
 row whose burn-in doubles below keeps the nearer half, and burn_in 0 reads
 the retained streams alone. At a given (seed, burn_in), X_0..X_n is bitwise
-the prefix of X_0..X_n' for every n' >= n, and the first _FOLD steps of
-every path, burn-in included, are the sequential recurrence.
+the prefix of X_0..X_n' for every n' >= n; X_0 is the burn-in run from 0,
+and X_0..X_{_FOLD} are the sequential recurrence from X_0.
 Everything is bitwise deterministic given (params, n, seed, burn_in) and
 independent of evaluation order or parallelism.
 
 One kernel, `_recur`, runs the recurrence X_t = theta_t X_{t-1} + eps_t
 down the time axis of a (rows, T) block, vectorised across rows, and writes
-the path over the coefficients. `simulate_block` runs many rows;
-`simulate_with_noise` and `simulate` run one, so a block row equals the
-scalar path bit for bit. A path of more than _FOLD steps is folded, as a
-first-order linear recurrence is a scan (Blelloch, "Prefix sums and their
-applications", 1990): cut every _FOLD steps from its first step, its pieces
-run from 0 side by side and are stitched with the running products of their
-coefficients. A longer path only adds pieces, whatever the grouping of rows,
-and the fold moves a path by round-off only (about 1e-15 at n = 1e6).
+the path over the coefficients: the burn-in from 0 to X_0, then X_1..X_n
+from X_0. `simulate_block` runs many rows; `simulate` and
+`simulate_with_noise` run one, so a block row equals the scalar path bit for
+bit. Each stage of more than _FOLD steps is folded, as a first-order linear
+recurrence is a scan (Blelloch, "Prefix sums and their applications",
+1990): cut every _FOLD steps from its first step, its pieces run side by
+side and are stitched with the running products of their coefficients. A
+longer path only adds pieces, and the fold moves a path by round-off only
+(about 1e-15 at n = 1e6).
 
 Memory: a block of T = burn + n + 1 columns holds two (rows, T) float64
 arrays, the eta and the eps noise. The coefficients, and then the path,
 overwrite the eta noise in place (the coefficients one row at a time, with
 one row of scratch), and `simulate_block` returns the view [:, burn:] of
-that buffer, not a copy. A folded path adds one (rows, burn + n - _FOLD)
-array of running products. Only `simulate_with_noise` keeps a copy of the
-retained eta. The Monte Carlo harness sizes the rows of each block from a
-byte budget, so a block's working set is at most max(budget, one row's
-working set), whatever n is.
+that buffer, not a copy. Folding X_1..X_n adds one (rows, n - _FOLD) array
+of running products. Only `simulate_with_noise` copies the retained eta.
 
-The recurrence starts at 0 and discards `burn_in` steps. The initial
-condition is forgotten exponentially fast, at the contraction rate
-E ln|theta_t| < 0 of (H1) (Brandt, "The stochastic equation
-Y_{n+1} = A_n Y_n + B_n with stationary coefficients", 1986), and the
-generator verifies it: a copy started at _TWIN_START on the same noise
-differs from the path after b steps by exactly _TWIN_START * |theta_1 ...
-theta_b|. Rows where that gap is 1e-8 or more are simulated again with the
-burn-in doubled (up to 2**16). burn_in None, the default everywhere, starts
-from `burn_in_for(params)`: _RATE_MARGIN times the steps the rate needs to
+Stage 1 starts at 0 and runs `burn_in` steps. The initial condition is
+forgotten exponentially fast, at the contraction rate E ln|theta_t| < 0 of
+(H1) (Brandt, "The stochastic equation Y_{n+1} = A_n Y_n + B_n with
+stationary coefficients", 1986), and the generator verifies it: a copy
+started at _TWIN_START on the same noise differs from the path after b
+steps by exactly _TWIN_START * |theta_1 ... theta_b|. Rows where that gap
+is 1e-8 or more redraw their burn-in at twice the length (up to 2**16) and
+rerun stage 1 alone. burn_in None, the default everywhere, starts from
+`burn_in_for(params)`: _RATE_MARGIN times the steps the rate needs to
 shrink the gap below the tolerance, or DEFAULT_BURN_IN where the rate,
 with its error bound, is not negative.
 """
@@ -191,14 +189,14 @@ def _check_explosion(x: np.ndarray):
         )
 
 
-def _recur(c: np.ndarray, e: np.ndarray) -> None:
-    """Overwrite c with y_t = c_t y_{t-1} + e_t along the last axis, y_{-1} = 0.
+def _recur(c: np.ndarray, e: np.ndarray, y=0.0) -> None:
+    """Overwrite c with y_t = c_t y_{t-1} + e_t along the last axis, y_{-1} = y.
 
     Leading axes are independent rows. More than _FOLD steps are cut every
-    _FOLD steps from the first; the pieces run from 0 side by side, and each
-    after the first adds its running coefficient product times the value
-    carried out of the one before. So the first _FOLD steps are the
-    sequential recurrence, and a path is bitwise the prefix of any longer one.
+    _FOLD steps from the first; the pieces run side by side, the first from
+    y and the rest from 0, and each after the first adds its running
+    coefficient product times the value carried out of the one before. So
+    the first _FOLD steps are the sequential recurrence.
     """
     steps = c.shape[-1]
     if steps > _FOLD:
@@ -208,12 +206,13 @@ def _recur(c: np.ndarray, e: np.ndarray) -> None:
         cut = steps - steps % _FOLD
         # splitting the last axis is a view, so the run writes into c
         seg = c[..., :cut].reshape(*c.shape[:-1], -1, _FOLD)
-        _recur(seg, e[..., :cut].reshape(seg.shape))
+        start = np.zeros(seg.shape[:-1])
+        start[..., 0] = y
+        _recur(seg, e[..., :cut].reshape(seg.shape), start)
         _recur(c[..., cut:], e[..., cut:])
         for s in range(_FOLD, steps, _FOLD):
             c[..., s:s + _FOLD] += gain[..., s - _FOLD:s] * c[..., s - 1, None]
         return
-    y = np.zeros(c.shape[:-1])
     for t in range(steps):
         col = c[..., t]
         col *= y
@@ -229,8 +228,8 @@ def _simulate_rows(params: ModelParams, n: int, seeds: list, burn: int | None,
     burn-in it used and, if retain, its retained noise (else eta and eps are
     None); x is a view of the eta buffer, which the coefficients and then
     the path overwrite. burn None is burn_in_for(params). Rows whose initial
-    condition is not forgotten are simulated again, recursively, with the
-    burn-in doubled; then a path past EXPLOSION_LIMIT raises HypothesisError.
+    condition is not forgotten rerun only their burn-in, redrawn at twice the
+    length; then a path past EXPLOSION_LIMIT raises HypothesisError.
     """
     if burn is None:
         burn = burn_in_for(params)
@@ -242,22 +241,24 @@ def _simulate_rows(params: ModelParams, n: int, seeds: list, burn: int | None,
     kept = (path[:, burn:].copy(), eps[:, burn:]) if retain else (None, None)
     _coefficients(params, path)
     path[:, 0] = 0.0  # the start; the other columns are coefficients
-    coef = path[:, 1:]
+    x, burns = path[:, burn:], np.full(len(seeds), burn)
+    slow, b, c, e = np.arange(len(seeds)), burn, path, eps
     with np.errstate(over="ignore", invalid="ignore"):
-        gap = _TWIN_START * np.abs(np.prod(coef[:, :burn], axis=1))
-        _recur(coef, eps[:, 1:])
-    del eps  # freed before any doubled rows are simulated
-    x = path[:, burn:]
-    burns = np.full(len(seeds), burn)
-    slow = np.flatnonzero(~(gap < FORGET_TOL)) if burn else []
-    if len(slow):
-        if burn >= MAX_BURN_IN:
-            raise HypothesisError(
-                f"initial condition not forgotten after burn-in {burn}; "
-                "the process is at or beyond the stationarity boundary"
-            )
-        x[slow], burns[slow] = _simulate_rows(
-            params, n, [seeds[i] for i in slow], min(2 * burn, MAX_BURN_IN))[:2]
+        while True:  # stage 1: the slow rows' b burn-in steps, 0 to X_0
+            gap = _TWIN_START * np.abs(np.prod(c[:, 1:b + 1], axis=1))
+            _recur(c[:, 1:b + 1], e[:, 1:b + 1])
+            x[slow, 0], burns[slow] = c[:, b], b
+            slow = slow[~(gap < FORGET_TOL)] if b else []
+            if not len(slow):
+                break
+            if b >= MAX_BURN_IN:
+                raise HypothesisError(
+                    f"initial condition not forgotten after burn-in {b}; "
+                    "the process is at or beyond the stationarity boundary")
+            b = min(2 * b, MAX_BURN_IN)
+            c, e = _block_noise(params, [seeds[i] for i in slow], 0, b)
+            _coefficients(params, c)
+        _recur(x[:, 1:], eps[:, burn + 1:], x[:, 0])  # stage 2, once per row
     _check_explosion(x)
     return (x, burns, *kept)
 

@@ -303,6 +303,17 @@ class TestBatchKernel:
         for i, row in enumerate(block):
             assert_row_matches_scalar_path(out, i, row, source=source)
 
+    def test_statistic_scale(self, params_accept):
+        # the statistic is n gamma_tilde^2 / psi0_hat, with n the number of
+        # steps (one less than the columns), from the fields of one report
+        block = simulate_block(params_accept, self.N, master_seed=3,
+                               replicates=range(16))
+        out = estimate.correlation_statistics(block, 0.05, "tilde", G, G)
+        ok = out["reason"] == estimate.OK
+        assert ok.sum() >= 8
+        want = self.N * out["gamma_tilde"][ok]**2 / out["psi0_hat"][ok]
+        np.testing.assert_array_equal(out["statistic"][ok], want)
+
     def test_ratio_stage_is_the_test_stage_prefix(self, params_accept):
         block = self.block_with_every_reason(params_accept, "tilde")
         ratios = estimate.ratio_statistics(block)

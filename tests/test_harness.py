@@ -356,6 +356,13 @@ class TestMixedMomentOracle:
 
 
 class TestReportShape:
+    def test_mean_se_var_known_answer(self):
+        # mean 25 / 5 = 5; squared deviations 9, 1, 1, 0, 25 sum to 36, so
+        # the variance (ddof 1) is 9, the sd 3 and the se of the mean 3 / sqrt(5)
+        values = np.array([2.0, 4.0, 4.0, 5.0, 10.0])
+        assert harness._mean_se_var(values) == (5.0, 3 / math.sqrt(5), 9.0)
+        assert all(math.isnan(v) for v in harness._mean_se_var(values[:1]))
+
     def test_status_threshold(self):
         from rcar.harness import _status
         assert _status(0, 1000) == "ok"

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import tempfile
@@ -105,6 +106,8 @@ class TestDeterminism:
         got = run_experiment(MCConfig(master_seed=np.int64(3), **cfg))
         assert (got.to_dict(include_replicates=True)
                 == want.to_dict(include_replicates=True))
+        # the echoed seed is a Python int, so both reports are JSON
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 
     @pytest.mark.parametrize("n, burn_in", [(0, 10), (10, -1)])
     def test_bad_lengths_rejected(self, params_accept, n, burn_in):
@@ -338,6 +341,23 @@ class TestBurnInDoubling:
                    - sequential_path(SLOW, 3, burn, 300)[0])
             assert bool(abs(gap) < FORGET_TOL) is forgotten
 
+    def test_doubled_row_redraws_only_its_burn_in(self, monkeypatch):
+        drawn, sample = [], NoiseSpec.sample
+
+        def counting(spec, rng, size):
+            drawn.append(size)
+            return sample(spec, rng, size)
+
+        monkeypatch.setattr(NoiseSpec, "sample", counting)
+        traj = simulate(SLOW, 10_000, seed=3, burn_in=5)
+        assert traj.burn_in == 320
+        # eta and eps: n + 1 retained values once, the burn-in at 5 and at
+        # each of its six doublings to 320, and X_0's retained value again
+        # with each doubling: 2(n + 1) + 2(5 + 10 + ... + 320) + 2 * 6
+        assert sum(drawn) == 2 * 10_001 + 2 * (5 * (2**7 - 1)) + 2 * 6 == 21_284
+        head = sequential_path(SLOW, 3, 320, _FOLD)
+        assert traj.x[:_FOLD + 1].tobytes() == head.tobytes()
+
     def test_block_rows_match_scalar(self):
         # at burn-in 6 the rows stop doubling at different burn-ins
         block = simulate_block(SLOW, 300, master_seed=4, replicates=range(8),
@@ -357,34 +377,36 @@ class TestBurnInDoubling:
 
 
 class TestFoldedRecurrence:
-    # a path of burn_in + n > _FOLD steps is cut every _FOLD steps from its
-    # first step into pieces run side by side; shorter paths are the plain
-    # sequential recurrence
+    # the burn-in runs from 0 to X_0, then X_1..X_n from X_0; a stage of
+    # more than _FOLD steps is cut every _FOLD steps from its first step
+    # (X_1 for the kept path) into pieces run side by side, and shorter
+    # stages are the plain sequential recurrence
     @pytest.mark.parametrize("burn_in, n", [(0, 1), (2000, 10), (0, _FOLD),
-                                            (2000, _FOLD - 2000)])
+                                            (2000, _FOLD - 2000), (2000, _FOLD)])
     def test_unfolded_path_is_sequential(self, params_accept, burn_in, n):
         traj = simulate(params_accept, n, seed=8, burn_in=burn_in)
         assert np.array_equal(traj.x, sequential_path(params_accept, 8, burn_in, n))
 
     @pytest.mark.parametrize("burn_in", [0, 2000])
     def test_folded_path_within_roundoff(self, params_accept, burn_in):
-        n = 50_003  # six segments and a tail of 851 + burn_in steps
+        n = 50_003  # six segments and a tail of 851 steps
         traj = simulate(params_accept, n, seed=8, burn_in=burn_in)
         ref = sequential_path(params_accept, 8, burn_in, n)
         assert np.max(np.abs(traj.x - ref)) <= 1e-13
 
-    @pytest.mark.parametrize("burn_in", [0, 2000])
+    @pytest.mark.parametrize("burn_in", [0, 35, 2000])
     def test_folded_head_is_sequential(self, params_accept, burn_in):
+        # the cuts count from X_1 whatever the burn-in
         n = 3 * _FOLD + 11
         traj = simulate(params_accept, n, seed=8, burn_in=burn_in)
-        head = sequential_path(params_accept, 8, burn_in, _FOLD - burn_in)
-        assert traj.x[:_FOLD - burn_in + 1].tobytes() == head.tobytes()
+        head = sequential_path(params_accept, 8, burn_in, _FOLD)
+        assert traj.x[:_FOLD + 1].tobytes() == head.tobytes()
 
     def test_folded_block_rows_match_scalar(self, params_accept):
         # three segments and a ragged tail, then three segments and an
-        # empty tail: burn-in plus n is 3 * _FOLD
+        # empty tail: n is 3 * _FOLD
         burn = burn_in_for(params_accept)
-        for n in (31_005, 3 * _FOLD - burn):
+        for n in (31_005, 3 * _FOLD):
             block = simulate_block(params_accept, n, master_seed=5,
                                    replicates=range(2, 5))
             for i, r in enumerate(range(2, 5)):
@@ -397,7 +419,7 @@ class TestBlockBuffers:
     """The coefficients, then the path, overwrite the eta noise in place,
     so a block holds two (rows, burn + n + 1) arrays and returns a view."""
 
-    def test_rows_across_coefficient_slabs_are_sequential(self, params_accept):
+    def test_long_block_rows_are_sequential(self, params_accept):
         # 40 long rows, each as the sequential recurrence gives it
         n = 3 * (2**16 // 40) + 5
         block = simulate_block(params_accept, n, master_seed=6,
