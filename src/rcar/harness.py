@@ -15,10 +15,11 @@ independently, so an MCReport depends only on its MCConfig, never on worker
 count or chunk layout. Theoretical targets are recomputed from the moment
 pipeline at report time, building only the tables an experiment needs.
 
-Memory: replicates run in jobs of at most CHUNK rows, sized so that the
-three (rows, burn + n + 1) float64 arrays a job holds at most fit
-BLOCK_BYTES. A job's working set is max(BLOCK_BYTES, one row's working
-set), so it stays flat as n grows until one row exceeds the budget.
+Memory: a job runs one range of replicates at all k points of the plan, on
+noise drawn once at the plan's longest burn-in b. It holds at most k + 2
+(rows, b + n + 1) float64 arrays and CHUNK paths, its rows sized to fit
+BLOCK_BYTES, so its working set is max(BLOCK_BYTES, one row's working set)
+and stays flat as n grows until one row exceeds the budget.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from .errors import ConfigurationError
 from .fourth_order import build_fourth_order
 from .model import ModelParams, NoiseFamily, cast_value
 from .second_order import build_second_order
-from .simulate import (GENERATOR_ID, burn_in_for, replicate_seed, simulate,
-                       simulate_block, simulate_with_noise)
+from .simulate import (GENERATOR_ID, block_noise, burn_in_for, replicate_seed,
+                       simulate, simulate_block, simulate_with_noise)
 
 #: replicates per work unit at most; results are invariant to this choice
 CHUNK = 512
@@ -51,6 +52,10 @@ BLOCK_BYTES = 30 * 2**20
 #: variance is ~ sqrt(2/R) ~ 3.2%, leaving headroom for finite-n bias)
 VARIANCE_RTOL = 0.10
 COUPLE_RTOL = 0.15
+
+#: size_power's h0_size band and power_dominates_h0 margin, in binomial se
+SIZE_BAND_SE = 3
+POWER_SEPARATION_SE = 5
 
 #: start-up prefix excluded from the running-estimator rate statistics
 RATES_PREFIX = 50
@@ -199,41 +204,49 @@ def _plan(cfg: MCConfig) -> list[tuple[ModelParams, int]]:
             for p in points]
 
 
-def _chunk(stage, n: int, master_seed: int, params: ModelParams, burn_in: int,
-           start: int, stop: int) -> dict:
-    return stage(simulate_block(params, n, master_seed, range(start, stop), burn_in))
+def _chunk(stage, n: int, master_seed: int, plan, start: int, stop: int) -> list:
+    """`stage` of replicates start..stop-1 at each point of plan, on noise
+    drawn once at the longest burn-in: each point but the last overwrites a
+    copy of eta, the last eta itself. Each path goes once it is staged."""
+    first = plan[0][0]
+    if any((p.eta, p.eps) != (first.eta, first.eps) for p, _ in plan):
+        raise ValueError("the points of a plan must share their eta and eps specs")
+    reps = range(start, stop)
+    eta, eps = block_noise(first, n, master_seed, reps, max(b for _, b in plan))
+    paths = [simulate_block(p, n, master_seed, reps, burn,
+                            (eta.copy() if i < len(plan) - 1 else eta, eps))
+             for i, (p, burn) in enumerate(plan)]
+    del eta, eps
+    return [stage(paths.pop(0)) for _ in plan]
 
 
-def _job_rows(n: int, burn: int) -> int:
-    """Replicates per job at a point of burn-in start burn: as many as fit
-    BLOCK_BYTES at three float64 arrays of burn + n + 1 values per row, at
-    least 1 and at most CHUNK. Three is the most a job holds at once: the
-    simulator's two buffers plus one row while the coefficients are written
-    or the fold's (rows, n - _FOLD) running products of X_1..X_n, or the path
-    plus the two temporaries of `estimate.correlation_statistics`."""
-    return max(1, min(CHUNK, BLOCK_BYTES // (24 * (burn + n + 1))))
+def _job_rows(n: int, burn: int, points: int = 1) -> int:
+    """Replicates per job of `points` plan points at longest burn-in burn:
+    as many as fit BLOCK_BYTES at points + 2 float64 arrays of burn + n + 1
+    values per row, at least 1 and at most CHUNK paths. That is the most a
+    job holds: the noise, the paths and one row of coefficient scratch or
+    the fold's (rows, n - _FOLD) running products, or the paths and the two
+    temporaries of `estimate.correlation_statistics`."""
+    return max(1, min(CHUNK // points, BLOCK_BYTES // (8 * (points + 2) * (burn + n + 1))))
 
 
 def _gather(cfg: MCConfig, stage, plan: list[tuple[ModelParams, int]]) -> list[dict]:
-    """Run `stage` over chunks of cfg's replicates at each point of plan,
-    `_job_rows` replicates each: one result per point, merged in index
-    order. Every (point, chunk) job goes through one map, so one pool at
-    most, of no more processes than there are jobs or CPUs."""
-    work = functools.partial(_chunk, stage, cfg.n, cfg.master_seed)
-    points = [[(p, burn, s, min(s + rows, cfg.replicates))
-               for s in range(0, cfg.replicates, rows)]
-              for p, burn in plan for rows in [_job_rows(cfg.n, burn)]]
-    jobs = [job for point in points for job in point]
-    workers = min(cfg.workers, len(jobs), os.cpu_count() or 1)
+    """Run `stage` over jobs of `_job_rows` of cfg's replicates, each job at
+    every point of plan: one result per point, merged in index order. Every
+    job goes through one map, so one pool at most, of no more processes
+    than there are jobs or CPUs."""
+    rows = _job_rows(cfg.n, max(burn for _, burn in plan), len(plan))
+    starts = range(0, cfg.replicates, rows)
+    stops = [min(s + rows, cfg.replicates) for s in starts]
+    work = functools.partial(_chunk, stage, cfg.n, cfg.master_seed, plan)
+    workers = min(cfg.workers, len(starts), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(work, *zip(*jobs)))
+            parts = list(pool.map(work, starts, stops))
     else:
-        parts = [work(*job) for job in jobs]
-    parts = iter(parts)
-    by_point = ([next(parts) for _ in point] for point in points)
+        parts = list(map(work, starts, stops))
     return [{k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
-            for chunks in by_point]
+            for chunks in zip(*parts)]
 
 
 def _estimates(cfg: MCConfig, plan, *keys: str):
@@ -343,7 +356,7 @@ def _size_power(cfg: MCConfig, plan) -> dict:
     sorted_abs = sorted(grid, key=abs)
     monotone = all(rates[a] <= rates[b] + 2 * math.hypot(ses[a], ses[b])
                    for a, b in zip(sorted_abs, sorted_abs[1:]))
-    binom_band = 3 * math.sqrt(cfg.level * (1 - cfg.level) / max(used[0.0], 1))
+    band = SIZE_BAND_SE * math.sqrt(cfg.level * (1 - cfg.level) / max(used[0.0], 1))
     return {
         "targets": {"h0_rate": cfg.level, "alpha_grid": list(grid)},
         "empirical": {
@@ -352,11 +365,11 @@ def _size_power(cfg: MCConfig, plan) -> dict:
             "replicates_used": {str(a): used[a] for a in grid},
             "monotone_in_abs_alpha": monotone,
         },
-        "tolerances": {"h0_band": f"level +/- {binom_band:.4f} (3 binomial se)"},
+        "tolerances": {"h0_band": f"level +/- {band:.4f} ({SIZE_BAND_SE} binomial se)"},
         "passes": {
-            "h0_size": abs(h0_rate - cfg.level) <= binom_band,
+            "h0_size": abs(h0_rate - cfg.level) <= band,
             "power_dominates_h0": all(
-                rates[a] - h0_rate > 5 * math.hypot(ses[a], h0_se)
+                rates[a] - h0_rate > POWER_SEPARATION_SE * math.hypot(ses[a], h0_se)
                 for a in grid if a != 0.0),
         },
         "reason": np.concatenate(reasons),

@@ -221,15 +221,16 @@ def _recur(c: np.ndarray, e: np.ndarray, y=0.0) -> None:
 
 
 def _simulate_rows(params: ModelParams, n: int, seeds: list, burn: int | None,
-                   retain: bool = False):
+                   retain: bool = False, noise=None):
     """X_0..X_n for each trajectory seed, after a verified burn-in.
 
     Returns (x, burns, eta, eps): row i holds the path of seeds[i], the
     burn-in it used and, if retain, its retained noise (else eta and eps are
     None); x is a view of the eta buffer, which the coefficients and then
-    the path overwrite. burn None is burn_in_for(params). Rows whose initial
-    condition is not forgotten rerun only their burn-in, redrawn at twice the
-    length; then a path past EXPLOSION_LIMIT raises HypothesisError.
+    the path overwrite. burn None is burn_in_for(params); given noise, its
+    last burn + n + 1 columns are read. Rows whose initial condition is not
+    forgotten rerun only their burn-in, redrawn at twice the length; then a
+    path past EXPLOSION_LIMIT raises HypothesisError.
     """
     if burn is None:
         burn = burn_in_for(params)
@@ -237,7 +238,10 @@ def _simulate_rows(params: ModelParams, n: int, seeds: list, burn: int | None,
         raise ValueError(f"n must be >= 1, got {n}")
     if burn < 0:
         raise ValueError("burn_in must be >= 0")
-    path, eps = _block_noise(params, seeds, n, burn)
+    noise = _block_noise(params, seeds, n, burn) if noise is None else noise
+    if any(len(b) != len(seeds) or b.shape[1] <= burn + n for b in noise):
+        raise ValueError(f"noise must hold {len(seeds)} rows of burn + n + 1 values")
+    path, eps = (b[:, b.shape[1] - burn - n - 1:] for b in noise)
     kept = (path[:, burn:].copy(), eps[:, burn:]) if retain else (None, None)
     _coefficients(params, path)
     path[:, 0] = 0.0  # the start; the other columns are coefficients
@@ -285,18 +289,25 @@ def simulate_with_noise(params: ModelParams, n: int, seed: int,
     return traj, eta[0], eps[0]
 
 
+def block_noise(params: ModelParams, n: int, master_seed: int, replicates, burn: int):
+    """The (eta, eps) `simulate_block` draws for these replicates at burn-in
+    burn; their last b + n + 1 columns are its noise at any b <= burn."""
+    seeds = [replicate_seed(master_seed, r) for r in replicates]
+    return _block_noise(params, seeds, n, burn)
+
+
 def simulate_block(params: ModelParams, n: int, master_seed: int,
-                   replicates, burn_in: int | None = None) -> np.ndarray:
+                   replicates, burn_in: int | None = None, noise=None) -> np.ndarray:
     """Simulate one trajectory per replicate index, vectorized across rows.
 
     Row i holds X_0..X_n for replicate replicates[i], seeded independently
     via replicate_seed(master_seed, r); the result does not depend on how
-    replicates are grouped into blocks. It is a view, with a row stride of
-    burn + n + 1 values, of the one (rows, burn + n + 1) buffer the block
-    keeps; the burn-in columns stay allocated while the view lives.
+    replicates are grouped into blocks. Given noise, `block_noise` of these
+    replicates at a burn-in >= burn_in, only doubled rows draw. The result
+    is a view of the eta buffer it overwrites, burn-in columns included.
     """
     seeds = [replicate_seed(master_seed, r) for r in replicates]
-    return _simulate_rows(params, n, seeds, burn_in)[0]
+    return _simulate_rows(params, n, seeds, burn_in, noise=noise)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,13 @@ import pytest
 
 from rcar.asymptotics import limits, omega_squared
 from rcar.errors import ConfigurationError
-from rcar.estimate import REASONS, correlation_test
+from rcar.estimate import OK, REASONS, correlation_test
 from rcar.fourth_order import build_fourth_order
 from rcar import harness
 from rcar.harness import MCConfig, mixed_moment_oracle, run_experiment
 from rcar.model import ModelParams, NoiseFamily, NoiseSpec
 from rcar.second_order import build_second_order
-from rcar.simulate import burn_in_for, simulate
+from rcar.simulate import Trajectory, burn_in_for, simulate, simulate_block
 
 GAUSS1 = NoiseSpec(NoiseFamily.GAUSSIAN, 1.0)
 AR1 = ModelParams(0.5, 0.0, GAUSS1, None)
@@ -184,12 +184,14 @@ def pool_sizes(monkeypatch):
 
 
 class TestWorkerPool:
-    # size_power at three grid points over two chunks each: six jobs
+    # size_power at three grid points; a job covers all three, at
+    # min(CHUNK // 3, BLOCK_BYTES // (8 * 5 * 161)) = min(170, 195) = 170
+    # replicates, so 600 replicates make ceil(600 / 170) = 4 jobs
     CFG = dict(n=60, replicates=600, burn_in=100, experiment="size_power",
                alpha_grid=(0.0, 0.3, -0.3))
 
     @pytest.mark.parametrize("workers,cpus,sizes", [
-        (100_000, 8, [6]),  # never more processes than jobs
+        (100_000, 8, [4]),  # never more processes than jobs
         (100_000, 2, [2]),  # nor than CPUs
         (4, 8, [4]),
         (100_000, 1, []),   # one process runs the jobs itself
@@ -230,12 +232,13 @@ class TestJobBudget:
         assert run_experiment(cfg).to_dict(include_replicates=True) == default
 
     def test_peak_memory_flat_in_n(self, params_accept, monkeypatch):
-        # size_power holds the most per job: the path and the two
-        # temporaries of its correlation statistics
+        # size_power holds the most per job: a path per grid point and the
+        # shared noise, or the paths and the two temporaries of its
+        # correlation statistics; the grid's burn-ins differ
         budget = 2 << 20
         monkeypatch.setattr(harness, "BLOCK_BYTES", budget)
         cfg = cfg_for(params_accept, n=60, replicates=100,
-                      experiment="size_power", alpha_grid=(0.0,))
+                      experiment="size_power", alpha_grid=(0.0, 0.5, -0.3))
         run_experiment(cfg)  # lazy imports and caches stay out of the trace
         for n in (500, 5000):
             tracemalloc.start()
@@ -252,6 +255,132 @@ class TestJobBudget:
             fo = build_fourth_order(p, so)
             assert harness._theta_targets(p) == (limits(p, so).theta_star,
                                                  omega_squared(p, so, fo))
+
+
+def per_point_gather(cfg, stage, plan):
+    """The gather a job per (grid point, chunk) made: each point simulates
+    its own chunks of `_job_rows(n, burn)` replicates, drawing its own
+    noise."""
+    out = []
+    for p, burn in plan:
+        rows = harness._job_rows(cfg.n, burn)
+        chunks = [stage(simulate_block(p, cfg.n, cfg.master_seed,
+                                       range(a, min(a + rows, cfg.replicates)),
+                                       burn))
+                  for a in range(0, cfg.replicates, rows)]
+        out.append({k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]})
+    return out
+
+
+SLOW = ModelParams(0.9, 0.3, GAUSS1, NoiseSpec(NoiseFamily.GAUSSIAN, 0.01))
+
+
+class TestSharedNoise:
+    """A size_power job draws its replicates' noise once for every grid
+    point; each point's paths, and so the report, are bitwise those of a
+    job per (point, chunk)."""
+
+    CASES = {
+        "derived_burn_ins": (None, dict(alpha_grid=(0.0, 0.5, -0.3))),
+        "given_burn_in": (None, dict(alpha_grid=(0.0, 0.5, -0.3), burn_in=7)),
+        # both points' rows double from 5 and redraw their own burn-in
+        "doubled_rows": (SLOW, dict(alpha_grid=(0.0, 0.3), burn_in=5)),
+        "eta_none": (ModelParams(0.5, 0.0, GAUSS1, None),
+                     dict(alpha_grid=(0.0, 0.5))),
+        "folded": (None, dict(alpha_grid=(0.0, 0.5, -0.3), n=9000,
+                              replicates=100)),
+    }
+
+    def cfg(self, params_accept, case):
+        params, kw = self.CASES[case]
+        base = dict(n=300, replicates=300, experiment="size_power")
+        return cfg_for(params or params_accept, **{**base, **kw})
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_paths_equal_per_point_jobs(self, params_accept, monkeypatch, case):
+        cfg = self.cfg(params_accept, case)
+        plan = harness._plan(cfg)
+        if case == "derived_burn_ins":
+            assert len({burn for _, burn in plan}) == 3
+        # 7 rows a job, so the last job is a short one
+        monkeypatch.setattr(harness, "CHUNK", 7 * len(plan))
+
+        def keep(x):
+            return {"x": x.copy()}
+
+        shared = harness._gather(cfg, keep, plan)
+        for got, want in zip(shared, per_point_gather(cfg, keep, plan), strict=True):
+            assert np.array_equal(got["x"], want["x"])
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_report_equals_per_point_jobs(self, params_accept, monkeypatch, case):
+        cfg = self.cfg(params_accept, case)
+        report = run_experiment(cfg).to_dict(include_replicates=True)
+        monkeypatch.setattr(harness, "_gather", per_point_gather)
+        assert run_experiment(cfg).to_dict(include_replicates=True) == report
+
+    def test_noise_drawn_once_per_replicate(self, params_accept, monkeypatch):
+        # each replicate draws its retained and burn-in eta and eps once, four
+        # calls, for the three grid points; a job per point made twelve
+        calls = []
+        sample = NoiseSpec.sample
+
+        def counted(self, rng, size):
+            calls.append(size)
+            return sample(self, rng, size)
+
+        monkeypatch.setattr(NoiseSpec, "sample", counted)
+        cfg = cfg_for(params_accept, n=60, replicates=100,
+                      experiment="size_power", alpha_grid=(0.0, 0.5, -0.3))
+        run_experiment(cfg)
+        assert len(calls) == 4 * 100
+
+    def test_points_must_share_noise_specs(self, params_accept):
+        other = dataclasses.replace(params_accept, eps=NoiseSpec(
+            NoiseFamily.GAUSSIAN, 2.0))
+        with pytest.raises(ValueError, match="share their eta and eps"):
+            harness._chunk(harness.estimate.ratio_statistics, 60, 1,
+                           [(params_accept, 5), (other, 5)], 0, 3)
+
+
+class TestSizePowerBands:
+    """`_size_power` on fixed reject vectors (`harness._gather` replaced), so
+    each band has an exact verdict. At level 0.05 and R 10^4 the binomial se
+    of the null rate is sqrt(0.05 * 0.95 / 10^4) = 0.0021794."""
+
+    R = 10_000
+
+    def run(self, params_accept, monkeypatch, counts):
+        def fixed(cfg, stage, plan):
+            return [{"reason": np.full(self.R, OK),
+                     "reject": np.arange(self.R) < counts[a]}
+                    for a in cfg.alpha_grid]
+
+        monkeypatch.setattr(harness, "_gather", fixed)
+        return run_experiment(cfg_for(params_accept, n=60, replicates=self.R,
+                                      experiment="size_power",
+                                      alpha_grid=tuple(counts)))
+
+    # the band is 3 se = 0.0065383: rates 0.0435 and 0.0565 sit inside it,
+    # 0.0434 and 0.0566 outside
+    @pytest.mark.parametrize("rejected,inside", [
+        (435, True), (434, False), (565, True), (566, False)])
+    def test_h0_band_at_three_se(self, params_accept, monkeypatch,
+                                 rejected, inside):
+        report = self.run(params_accept, monkeypatch, {0.0: rejected})
+        assert report.passes["h0_size"] is inside
+        assert report.tolerances["h0_band"] == "level +/- 0.0065 (3 binomial se)"
+
+    # against the null at 0.05, a rate of 0.0666 has se 0.0024933, and its
+    # separation 0.0166 clears 5 * hypot(0.0024933, 0.0021794) = 0.016558;
+    # 0.0665 (se 0.0024915) falls short of 5 * 0.0033102 = 0.016551
+    @pytest.mark.parametrize("rejected,dominates", [(666, True), (665, False)])
+    def test_power_separation_at_five_se(self, params_accept, monkeypatch,
+                                         rejected, dominates):
+        report = self.run(params_accept, monkeypatch,
+                          {0.0: 500, 0.5: rejected})
+        assert report.passes["h0_size"]
+        assert report.passes["power_dominates_h0"] is dominates
 
 
 class TestSizePower:
@@ -288,8 +417,8 @@ class TestSizePower:
         assert report.passes["h0_size"], report.empirical["rates"]
 
     def test_one_pool_per_run(self, params_accept, monkeypatch, pool_sizes):
-        # every (grid point, chunk) job goes through one map; the stand-in
-        # pool records its constructions
+        # every job, each covering all grid points, goes through one map;
+        # the stand-in pool records its constructions
         cfg = cfg_for(params_accept, n=60, replicates=600, burn_in=100,
                       experiment="size_power", alpha_grid=(0.0, 0.3, -0.3))
         serial = run_experiment(cfg).to_dict(include_replicates=True)
@@ -341,6 +470,21 @@ class TestMixedMomentOracle:
         est, se = mixed_moment_oracle((1, 0, 0, 2, 0), params_accept,
                                       1_000_000, seed=10)
         assert abs(est - so.Lam[1]) <= 3 * se
+
+    def test_batch_means_se_known_answer(self, params_accept, monkeypatch):
+        # X_1..X_n hold j in batch j of 10^4 steps, so the 100 batch means
+        # are 0, 1, ..., 99: their mean is 49.5, their variance (ddof 1)
+        # 100 * 101 / 12, and the se of the mean sqrt(101 / 12) = 2.9011
+        n = 1_000_000
+        x = np.concatenate([[0.0], np.repeat(np.arange(100.0), n // 100)])
+
+        def built(params, n, seed, burn_in):
+            return Trajectory(x=x, n=n), np.zeros(n + 1), np.zeros(n + 1)
+
+        monkeypatch.setattr(harness, "simulate_with_noise", built)
+        est, se = mixed_moment_oracle((0, 0, 0, 0, 1), params_accept, n, seed=1)
+        assert est == 49.5
+        assert se == pytest.approx(math.sqrt(101 / 12), rel=1e-12)
 
     def test_requires_long_path(self, params_accept):
         with pytest.raises(ConfigurationError):

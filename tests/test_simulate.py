@@ -17,7 +17,7 @@ from rcar.simulate import (DEFAULT_BURN_IN, EXPLOSION_LIMIT, FORGET_TOL,
                            GENERATOR_ID, MAX_BURN_IN, Trajectory, _EPS_BURN,
                            _EPS_STREAM, _ETA_BURN, _ETA_STREAM, _FOLD,
                            _TWIN_START, _check_explosion, _block_noise,
-                           burn_in_for, ingest, mix64,
+                           block_noise, burn_in_for, ingest, mix64,
                            replicate_seed, simulate, simulate_block,
                            simulate_with_noise, write_csv)
 
@@ -446,6 +446,23 @@ class TestBlockBuffers:
         # the noise buffers, one row of coefficient scratch and the
         # per-row streams
         assert peak < 2.5 * buffer and held < 1.05 * buffer
+
+
+    def test_given_noise_is_overwritten_not_drawn(self, params_accept,
+                                                  monkeypatch):
+        # noise drawn at a longer burn-in serves a shorter one: its last
+        # burn + n + 1 columns are the shorter draw, so the path is bitwise
+        # the one drawn for it, written over the given eta
+        n, burn, reps = 300, 20, range(5, 12)
+        want = simulate_block(params_accept, n, 4, reps, burn)
+        eta, eps = block_noise(params_accept, n, 4, reps, 3 * burn)
+        monkeypatch.setattr(NoiseSpec, "sample",
+                            lambda *args: pytest.fail("noise drawn"))
+        got = simulate_block(params_accept, n, 4, reps, burn, (eta, eps))
+        assert np.array_equal(got, want) and np.shares_memory(got, eta)
+        for n_, rows in ((n + 1, reps), (n, range(6))):
+            with pytest.raises(ValueError, match="^noise must hold"):
+                simulate_block(params_accept, n_, 4, rows, 3 * burn, (eta, eps))
 
 
 def coefficients(params, n, seed):
