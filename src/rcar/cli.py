@@ -11,6 +11,7 @@ gives for the error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -24,8 +25,13 @@ from . import estimate as est
 from . import fourth_order, model, second_order
 from .errors import (ConfigurationError, DegenerateDataError, HypothesisError,
                      PathologicalParamsError, RcarError)
-from .simulate import (DEFAULT_BURN_IN, GENERATOR_ID, Trajectory, ingest,
-                       simulate as run_simulation, write_csv, write_rows)
+from .simulate import (DEFAULT_BURN_IN, GENERATOR_ID, ingest,
+                       simulate_blocks as run_simulation, write_csv, write_rows)
+
+# `write_csv` has no caller here, since `rcar simulate` writes its time
+# blocks as they come; it is re-exported because the benchmark's tracer
+# wraps `cli.write_csv` (tests/test_bench_names.py pins the name)
+__all__ = ["main", "write_csv"]
 
 #: the exit policy: an error takes the exit code and stderr label of the
 #: first row whose class it is an instance of
@@ -72,23 +78,50 @@ def _null_non_finite(obj):
     return obj
 
 
+@contextlib.contextmanager
+def _replacing(out: str):
+    """A text stream whose bytes replace the file `out` once the block ends.
+
+    They go to a temporary sibling file, which `os.replace` moves over
+    `out` on success and which is removed on any error, so a failed run
+    leaves no partial file and an existing `out` as it was. A path that
+    exists and is not a regular file (a device, a pipe) is written in place.
+    """
+    target = os.path.realpath(out)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(out, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        return
+    head, name = os.path.split(target)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        fh = open(tmp, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        exc.filename = out  # name the output, not its temporary sibling
+        raise
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def _emit(result, out: str | None) -> None:
     """Write a command's result to the file `out`, or to stdout if None.
 
     The result is a JSON payload (a dict, written as strict JSON: an
-    undefined or infinite value is null), a trajectory (the `t,x` CSV) or a
-    function that writes a CSV table to a text stream. A reader that closes
-    stdout early ends the output quietly.
+    undefined or infinite value is null) or a function that writes a CSV
+    table to a text stream. A reader that closes stdout early ends the
+    output quietly.
     """
-    if isinstance(result, Trajectory):
-        if out:
-            return write_csv(result, out)
-        result = functools.partial(write_rows, x=result.x)
-    elif isinstance(result, dict):
+    if isinstance(result, dict):
         text = json.dumps(_null_non_finite(result), indent=2, allow_nan=False)
         result = lambda fh: fh.write(text + "\n")
     if out:
-        with open(out, "w", newline="", encoding="utf-8") as fh:
+        with _replacing(out) as fh:
             result(fh)
     else:
         try:
@@ -180,17 +213,20 @@ def cmd_variance(args) -> dict:
     return {**stack.to_dict(), "provenance": _provenance(params)}
 
 
-def cmd_simulate(args) -> dict | Trajectory:
+def cmd_simulate(args):
     params = _params_from_args(args)
     seed = args.env_seed if args.seed is None else args.seed
-    traj = run_simulation(params, args.n, seed, args.burn_in)
+    path = run_simulation(params, args.n, seed, args.burn_in)
     if args.format == "csv":
-        return traj
+        # each time block is written as it comes
+        return functools.partial(write_rows,
+                                 blocks=(x for x, _, _ in path.blocks))
+    x, = path.collect()
     return {
-        "t": list(range(traj.n + 1)),
-        "x": traj.x.tolist(),
+        "t": list(range(path.n + 1)),
+        "x": x.tolist(),
         "provenance": _provenance(params, seed=seed,
-                                  n=args.n, burn_in=traj.burn_in),
+                                  n=args.n, burn_in=path.burn_in),
     }
 
 

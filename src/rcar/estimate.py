@@ -26,6 +26,8 @@ from .numerics import chisq1_tail
 from .simulate import Trajectory
 
 MIN_TEST_LENGTH = 50
+#: steps per block of the residual sums of `correlation_statistics`
+_STAT_BLOCK = 1 << 18
 
 #: reason codes of the batch statistics, in the order they are checked: a
 #: row carries the first that applies, OK when none does
@@ -89,28 +91,57 @@ def _residuals(x: np.ndarray, theta_used: np.ndarray) -> np.ndarray:
     return np.subtract(x[:, 1:], resid, out=resid)
 
 
-def _mean_square(resid: np.ndarray) -> np.ndarray:
-    return _dot_rows(resid, resid) / resid.shape[1]
+def _fold(parts):
+    """The sum of the arrays parts yields, added in order; a lone part is
+    returned as it is."""
+    total = None
+    for part in parts:
+        total = part if total is None else total + part
+    return total
 
 
-def _nicholls_quinn(x: np.ndarray, resid: np.ndarray, sigma2_hat: np.ndarray):
-    """Regression of squared residuals on the lagged squared series.
-
-    The conditional variance of X_t given the past is sigma2 + tau2 X_{t-1}^2,
-    so residual t is paired with the regressor Z = X_{t-1}^2. Returns
-    (tau2_bar, sigma2_bar, ok): the slope estimates the coefficient-noise
-    variance, sigma2_bar = sigma2_hat - Zbar * tau2_bar removes the inflation
-    the raw residual variance inherits from the random coefficient, and ok
-    is False where Z is constant. Overwrites resid with its squares.
-    """
+def _block_sums(x: np.ndarray, theta_used: np.ndarray, zbar=None):
+    """Per row of a column block, the sums of e_t^2, (Z - zbar)^2 and
+    (Z - zbar) e_t^2 over its steps, stacked, and zbar: as given, or the
+    block's own mean of Z where it is the whole series. The temporaries go
+    with the call."""
+    resid = _residuals(x, theta_used)
     zc = np.square(x[:, :-1])
-    zbar = zc.mean(axis=1)
+    if zbar is None:
+        zbar = zc.mean(axis=1)
     np.subtract(zc, zbar[:, None], out=zc)
-    den = _dot_rows(zc, zc)
+    return np.array([_dot_rows(resid, resid), _dot_rows(zc, zc),
+                     _dot_rows(zc, np.square(resid, out=resid))]), zbar
+
+
+def _nicholls_quinn(x: np.ndarray, theta_used: np.ndarray):
+    """The residual variance, and the regression of squared residuals on the
+    lagged squared series.
+
+    The residuals are e_t = X_t - theta_used X_{t-1}, t = 1..n. The
+    conditional variance of X_t given the past is sigma2 + tau2 X_{t-1}^2,
+    so residual t is paired with the regressor Z = X_{t-1}^2. Returns
+    (sigma2_hat, tau2_bar, sigma2_bar, ok): the mean squared residual, the
+    slope (it estimates the coefficient-noise variance), sigma2_bar =
+    sigma2_hat - Zbar * tau2_bar (it removes the inflation the raw residual
+    variance inherits from the random coefficient), and ok, False where Z
+    is constant. The sums run over blocks of _STAT_BLOCK steps, so a long
+    series needs two (rows, _STAT_BLOCK) temporaries beyond itself; a
+    series of at most _STAT_BLOCK steps is one block, summed as one array
+    in one pass.
+    """
+    n = x.shape[1] - 1
+    blocks = [x[:, a:a + _STAT_BLOCK + 1] for a in range(0, n, _STAT_BLOCK)]
+    if len(blocks) == 1:
+        (squares, den, num), zbar = _block_sums(x, theta_used)
+    else:  # Zbar first, then the sums around it
+        zbar = _fold(np.square(b[:, :-1]).sum(axis=1) for b in blocks) / n
+        squares, den, num = _fold(_block_sums(b, theta_used, zbar)[0]
+                                  for b in blocks)
+    sigma2_hat = squares / n
     ok = den > 0
-    tau2_bar = np.divide(_dot_rows(zc, np.square(resid, out=resid)), den,
-                         out=np.full(len(x), np.nan), where=ok)
-    return tau2_bar, sigma2_hat - zbar * tau2_bar, ok
+    tau2_bar = np.divide(num, den, out=np.full(len(x), np.nan), where=ok)
+    return sigma2_hat, tau2_bar, sigma2_hat - zbar * tau2_bar, ok
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +173,7 @@ def correlation_statistics(x: np.ndarray, level: float, source: str,
     """
     out = ratio_statistics(x)
     th = out["theta_hat"]
-    resid = _residuals(x, th)
-    sigma2_hat = _mean_square(resid)
-    tau2_bar, sigma2_bar, ok_nq = _nicholls_quinn(x, resid, sigma2_hat)
+    sigma2_hat, tau2_bar, sigma2_bar, ok_nq = _nicholls_quinn(x, th)
     sigma4_bar = KURTOSIS_FACTOR[NoiseFamily(eps_family)] * sigma2_bar**2
     tau4_bar = KURTOSIS_FACTOR[NoiseFamily(eta_family)] * tau2_bar**2
     theta_bar = out["theta_tilde"] if source == "tilde" else th

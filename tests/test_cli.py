@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
@@ -314,10 +315,51 @@ class TestSimulateEstimateRoundTrip:
         assert first in (b"t,x\r\n", b"{\n")
         assert err == b""
 
+    @pytest.mark.parametrize("error, code, label", [
+        (None, 4, "hypothesis violation"),  # inf noise: the path explodes
+        (MemoryError("Unable to allocate 64.0 KiB"), 1, "out of memory"),
+        (OSError(28, "No space left on device"), 1, "i/o error"),
+    ], ids=["explosion", "memory", "io"])
+    def test_failure_after_a_written_block_leaves_no_file(
+            self, tmp_path, monkeypatch, capsys, error, code, label):
+        sim = importlib.import_module("rcar.simulate")
+        monkeypatch.setattr(sim, "_TIME_BLOCK", sim._FOLD)
+        sample, calls, written = NoiseSpec.sample, [], []
+
+        def failing(spec, rng, size):
+            calls.append(size)
+            if calls.count(sim._FOLD) <= 2:  # X_0 and the first block
+                return sample(spec, rng, size)
+            written.append(sum(p.stat().st_size for p in tmp_path.glob(".*.tmp")))
+            if error is None:
+                return np.full(size, np.inf)
+            raise error
+
+        monkeypatch.setattr(NoiseSpec, "sample", failing)
+        out = tmp_path / "series.csv"
+        argv = ["simulate", *self.ARGS, "--n", str(3 * sim._FOLD),
+                "--seed", "1", "--out", str(out)]
+        assert main(argv) == code
+        assert capsys.readouterr().err.startswith(f"rcar: {label}: ")
+        assert written[0] > 0 and list(tmp_path.iterdir()) == []
+        # a file already at --out stays as it was
+        out.write_text("kept\n")
+        calls.clear()
+        assert main(argv) == code
+        assert list(tmp_path.iterdir()) == [out] and out.read_text() == "kept\n"
+
+    def test_out_that_is_not_a_file_is_written_in_place(self, capsys):
+        assert main(CHECK_ARGS + ["--out", os.devnull]) == 0
+        assert not os.path.isfile(os.devnull)
+        assert capsys.readouterr() == ("", "")
+
     def test_failed_out_write_is_an_io_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "series.csv"
         assert main(["simulate", *self.ARGS, "--n", "20", "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("rcar: i/o error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("rcar: i/o error: ")
+        # the error names the output, not the sibling it is written through
+        assert err.rstrip().endswith(f"'{out}'")
 
     def test_family_flags_ignore_case_and_spaces(self, tmp_path, capsys):
         path = tmp_path / "series.csv"

@@ -33,6 +33,13 @@ def residuals(values, theta_used):
     return estimate._residuals(block_of(values), np.array([theta_used]))
 
 
+def nicholls_quinn(values, theta_used):
+    """(sigma2_hat, tau2_bar, sigma2_bar, ok) of one series, whose residuals
+    are X_t - theta_used X_{t-1}."""
+    out = estimate._nicholls_quinn(block_of(values), np.array([theta_used]))
+    return [v[0] for v in out]
+
+
 def gamma_zero_series(n=60):
     """Period-3 impulses: both lag products vanish, so gamma_tilde = 0."""
     x = np.zeros(n + 1)
@@ -70,8 +77,8 @@ class TestBasicEstimators:
         a, b = traj_of(x), traj_of(c * x)
         assert theta_hat(b) == pytest.approx(theta_hat(a), rel=1e-9)
         assert vartheta_hat(b) == pytest.approx(vartheta_hat(a), rel=1e-9)
-        s_a = estimate._mean_square(residuals(x, 0.4))[0]
-        s_b = estimate._mean_square(residuals(c * x, 0.4))[0]
+        s_a = nicholls_quinn(x, 0.4)[0]
+        s_b = nicholls_quinn(c * x, 0.4)[0]
         assert s_b == pytest.approx(c * c * s_a, rel=1e-9)
 
     def test_mean_clt_band(self):
@@ -151,14 +158,14 @@ class TestResidualsAndVarianceEstimators:
     def test_perfect_fit(self):
         x = 2.0 * 0.5 ** np.arange(6)
         resid = residuals(x, 0.5)
-        assert estimate._mean_square(resid)[0] == 0.0
+        assert nicholls_quinn(x, 0.5)[0] == 0.0
         assert np.array_equal(resid[0], np.zeros(5))
 
     def test_residuals_are_series_when_theta_zero(self):
         # residuals for t = 1..n are the values themselves
         resid = residuals([1, 0, 1, 0], 0.0)
         assert np.array_equal(resid[0], [0.0, 1.0, 0.0])
-        assert estimate._mean_square(resid)[0] == pytest.approx(1 / 3)
+        assert nicholls_quinn([1, 0, 1, 0], 0.0)[0] == pytest.approx(1 / 3)
 
     def test_sigma2_hat_limit_uncorrelated(self):
         # converges to sigma2 (1 - theta^2) / (1 - theta^2 - tau2)
@@ -167,22 +174,16 @@ class TestResidualsAndVarianceEstimators:
         ref = (1 - 0.09) / (1 - 0.09 - 0.2)
         assert correlation_test(traj).sigma2_hat == pytest.approx(ref, rel=0.03)
 
-    @staticmethod
-    def nicholls_quinn(values, resid):
-        resid = block_of(resid)
-        return estimate._nicholls_quinn(block_of(values), resid,
-                                        estimate._mean_square(resid))
-
     def test_constant_residuals(self):
-        tau2_bar, sigma2_bar, ok = self.nicholls_quinn([1.0, 2.0, -1.0, 3.0],
-                                                       np.full(3, 1.5))
-        assert ok[0]
-        assert tau2_bar[0] == 0.0
-        assert sigma2_bar[0] == pytest.approx(1.5**2)
+        # theta 1 leaves the residual 1.5 at every step; the regressor
+        # 1, 6.25, 16 has the mean 7.75, so every term is exact
+        _, tau2_bar, sigma2_bar, ok = nicholls_quinn([1.0, 2.5, 4.0, 5.5], 1.0)
+        assert ok
+        assert tau2_bar == 0.0
+        assert sigma2_bar == pytest.approx(1.5**2)
 
     def test_constant_regressor_rejected(self):
-        _, _, ok = self.nicholls_quinn([1.0, 1.0, 1.0, 1.0], [0.1, 0.2, 0.3])
-        assert not ok[0]
+        assert not nicholls_quinn([1.0, 1.0, 1.0, 1.0], 0.3)[3]
 
     def test_consistency_uncorrelated(self):
         # mean over replicates within 3 replicate standard errors of truth
@@ -335,3 +336,44 @@ class TestBatchKernel:
         out = estimate.correlation_statistics(block, **args)
         for i, row in enumerate(block):
             assert_row_matches_scalar_path(out, i, row, **args)
+
+
+def whole_row_sums(x, theta_used):
+    """sigma2_hat, tau2_bar and sigma2_bar by the formulas over whole rows:
+    one residual array, one regressor array, each summed at once."""
+    resid = np.subtract(x[:, 1:], theta_used[:, None] * x[:, :-1])
+    sigma2_hat = np.einsum("ij,ij->i", resid, resid) / resid.shape[1]
+    zc = np.square(x[:, :-1])
+    zbar = zc.mean(axis=1)
+    zc -= zbar[:, None]
+    tau2_bar = (np.einsum("ij,ij->i", zc, np.square(resid))
+                / np.einsum("ij,ij->i", zc, zc))
+    return {"sigma2_hat": sigma2_hat, "tau2_bar": tau2_bar,
+            "sigma2_bar": sigma2_hat - zbar * tau2_bar}
+
+
+class TestStatisticsBlocks:
+    """The residual and Nicholls-Quinn sums run over blocks of _STAT_BLOCK
+    steps; a row of one block is summed as the whole row."""
+
+    @pytest.fixture
+    def block(self, params_accept):
+        return simulate_block(params_accept, 3000, master_seed=4,
+                              replicates=range(6))
+
+    def test_one_block_is_the_whole_row(self, block):
+        assert block.shape[1] - 1 <= estimate._STAT_BLOCK
+        out = estimate.correlation_statistics(block, 0.05, "tilde", G, G)
+        for key, want in whole_row_sums(block, out["theta_hat"]).items():
+            assert out[key].tobytes() == want.tobytes(), key
+
+    @pytest.mark.parametrize("steps", [256, 1000, 2999])
+    def test_blocks_move_by_roundoff(self, monkeypatch, block, steps):
+        whole = estimate.correlation_statistics(block, 0.05, "tilde", G, G)
+        ref = {**whole, **whole_row_sums(block, whole["theta_hat"])}
+        monkeypatch.setattr(estimate, "_STAT_BLOCK", steps)
+        out = estimate.correlation_statistics(block, 0.05, "tilde", G, G)
+        assert (out["reason"] == estimate.OK).all()
+        for key, want in ref.items():
+            np.testing.assert_allclose(out[key], want, rtol=1e-12, atol=0,
+                                       err_msg=key)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -9,19 +10,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rcar import cli
 from rcar.errors import DegenerateDataError, HypothesisError
+from rcar.estimate import correlation_test
 from rcar.harness import MCConfig, run_experiment
 from rcar.model import ModelParams, NoiseFamily, NoiseSpec, log_moment
 from rcar.second_order import build_second_order
 from rcar.simulate import (DEFAULT_BURN_IN, EXPLOSION_LIMIT, FORGET_TOL,
                            GENERATOR_ID, MAX_BURN_IN, Trajectory, _EPS_BURN,
                            _EPS_STREAM, _ETA_BURN, _ETA_STREAM, _FOLD,
-                           _TWIN_START, _check_explosion, _block_noise,
-                           block_noise, burn_in_for, ingest, mix64,
+                           _TIME_BLOCK, _TWIN_START, _check_explosion,
+                           _block_noise, _simulate_rows, block_noise,
+                           burn_in_for, ingest, mix64,
                            replicate_seed, simulate, simulate_block,
                            simulate_with_noise, write_csv)
 
 from conftest import batch_se
+
+#: the module, for patching its constants (`rcar.simulate` is the function)
+SIM = importlib.import_module("rcar.simulate")
 
 GAUSS1 = NoiseSpec(NoiseFamily.GAUSSIAN, 1.0)
 #: slowly forgetting: the default check doubles a burn-in of 5 several times
@@ -465,6 +472,131 @@ class TestBlockBuffers:
                 simulate_block(params_accept, n_, 4, rows, 3 * burn, (eta, eps))
 
 
+def simulate_argv(params, n, seed, burn_in, out):
+    """`rcar simulate` of params to the file out."""
+    def flag(spec):
+        return "none" if spec is None else f"{spec.family.value}:{spec.scale!r}"
+    argv = ["simulate", f"--theta={params.theta!r}", f"--alpha={params.alpha!r}",
+            f"--eps={flag(params.eps)}", f"--eta={flag(params.eta)}",
+            "--n", str(n), "--seed", str(seed), "--out", str(out)]
+    return argv + ([] if burn_in is None else ["--burn-in", str(burn_in)])
+
+
+#: n against the time block b: one step short of it, one block, one step
+#: past it, and two blocks, a segment and a ragged tail
+N_OF_BLOCK = {"b-1": lambda b: b - 1, "b": lambda b: b, "b+1": lambda b: b + 1,
+              "2b+fold+3": lambda b: 2 * b + _FOLD + 3}
+
+
+class TestTimeBlocks:
+    """`rcar simulate`, `simulate` and `simulate_with_noise` run X_1..X_n
+    in time blocks of whole fold segments counted from X_1, with the two
+    retained streams open across blocks; no byte depends on the block
+    size."""
+
+    @staticmethod
+    def outputs(params, n, seed, burn_in, path, noise):
+        """The CSV bytes `rcar simulate` writes and the path `simulate`
+        gives; with noise, also simulate_with_noise's path, eta and eps."""
+        assert cli.main(simulate_argv(params, n, seed, burn_in, path)) == 0
+        out = [path.read_bytes(), simulate(params, n, seed, burn_in).x.tobytes()]
+        if noise:
+            out += [a.tobytes() for a in simulate_with_noise(params, n, seed, burn_in)[1:]]
+        return out
+
+    def check(self, monkeypatch, tmp_path, params, n, seed, burn_in, block,
+              noise=False):
+        # the default block holds every path here: the path run whole
+        assert n <= _TIME_BLOCK
+        want = self.outputs(params, n, seed, burn_in, tmp_path / "whole.csv", noise)
+        row = _simulate_rows(params, n, [seed], burn_in)[0][0]
+        assert want[1] == row.tobytes()  # the block simulator's row
+        monkeypatch.setattr(SIM, "_TIME_BLOCK", block)
+        got = self.outputs(params, n, seed, burn_in, tmp_path / "blocks.csv", noise)
+        assert got == want
+
+    @pytest.mark.parametrize("block", [_FOLD, 2 * _FOLD], ids=["fold", "2fold"])
+    @pytest.mark.parametrize("n_of", N_OF_BLOCK.values(), ids=N_OF_BLOCK.keys())
+    def test_block_size_leaves_no_trace(self, monkeypatch, tmp_path,
+                                        params_accept, block, n_of):
+        self.check(monkeypatch, tmp_path, params_accept, n_of(block), 5, None,
+                   block)
+
+    @pytest.mark.parametrize("params, seed, burn_in", [
+        (FAMILY_PARAMS[0], 5, 0),
+        (FAMILY_PARAMS[0], 5, None),
+        (SLOW, 3, 5),  # doubles six times, to 320
+    ], ids=["burn-0", "derived", "doubled"])
+    def test_burn_in_leaves_no_trace(self, monkeypatch, tmp_path, params, seed,
+                                     burn_in):
+        self.check(monkeypatch, tmp_path, params, 2 * _FOLD + 3, seed, burn_in,
+                   _FOLD)
+
+    @pytest.mark.parametrize("params", FAMILY_PARAMS, ids=FAMILY_IDS)
+    def test_noise_drawn_in_pieces_is_one_draw(self, monkeypatch, tmp_path,
+                                               params):
+        # each block draws the next piece of each open retained stream
+        self.check(monkeypatch, tmp_path, params, 2 * _FOLD + 3, 5, None, _FOLD,
+                   noise=True)
+
+    def test_doubled_row_draws_each_value_once(self, monkeypatch):
+        drawn, sample = [], NoiseSpec.sample
+
+        def counting(spec, rng, size):
+            drawn.append(size)
+            return sample(spec, rng, size)
+
+        monkeypatch.setattr(NoiseSpec, "sample", counting)
+        monkeypatch.setattr(SIM, "_TIME_BLOCK", _FOLD)
+        traj = simulate(SLOW, 10_000, seed=3, burn_in=5)
+        # as in one block: X_0's retained values drawn in stage 1 once, and
+        # again with each doubling; X_1..X_n in two blocks
+        assert traj.burn_in == 320 and sum(drawn) == 21_284
+        assert drawn[-4:] == [_FOLD, _FOLD, 10_000 - _FOLD, 10_000 - _FOLD]
+
+
+class TestSeriesMemory:
+    """`rcar simulate` holds one time block and one write batch; `ingest`
+    and the correlation test hold the series and one parse or statistics
+    block. The block constants are patched small, so two n tell growth
+    from a fixed allowance."""
+
+    @staticmethod
+    def traced_peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_simulate_to_csv_flat_in_n(self, monkeypatch, tmp_path,
+                                       params_accept):
+        monkeypatch.setattr(SIM, "_TIME_BLOCK", _FOLD)
+        monkeypatch.setattr(SIM, "_WRITE_BLOCK", 1024)
+        cli.main(simulate_argv(params_accept, 10, 1, None, tmp_path / "s.csv"))
+        peaks = []
+        for n in (2 * _FOLD, 8 * _FOLD):
+            argv = simulate_argv(params_accept, n, 1, None, tmp_path / "s.csv")
+            peaks.append(self.traced_peak(lambda: cli.main(argv)))
+        # a path held whole would add 8 bytes a step, 384 KiB in all
+        assert abs(peaks[1] - peaks[0]) < 16 * 1024
+
+    def test_ingest_and_test_hold_the_series_and_one_block(self, monkeypatch,
+                                                           tmp_path,
+                                                           params_accept):
+        monkeypatch.setattr(SIM, "_PARSE_BLOCK", 256)
+        monkeypatch.setattr(importlib.import_module("rcar.estimate"),
+                            "_STAT_BLOCK", 4096)
+        for n in (2 * _FOLD, 8 * _FOLD):
+            path = tmp_path / f"{n}.csv"
+            write_csv(simulate(params_accept, n, seed=1), path)
+            peak = self.traced_peak(lambda: correlation_test(ingest(path)))
+            # the series, 8 (n + 1) bytes, and a fixed allowance for one
+            # parse block and three statistics blocks
+            assert peak <= 8 * (n + 1) + 256 * 1024, n
+
+
 def coefficients(params, n, seed):
     """theta_t for t = 1..n, from the retained eta of a path with no burn-in."""
     _, eta, _ = simulate_with_noise(params, n, seed, burn_in=0)
@@ -502,6 +634,62 @@ class TestCoefficients:
     def test_eta_none_constant(self):
         theta = coefficients(ModelParams(0.4, 0.0, GAUSS1, None), 50, seed=1)
         assert np.array_equal(theta, np.full(50, 0.4))
+
+
+def numbered_rows(ts) -> str:
+    return "".join(f"{t},{t * 0.5}\n" for t in ts)
+
+
+class TestBlockedIngest:
+    """`ingest` parses _PARSE_BLOCK lines at a time into one array; every
+    error names the line it named when the file was parsed whole."""
+
+    @pytest.fixture(autouse=True)
+    def four_line_blocks(self, monkeypatch):
+        monkeypatch.setattr(SIM, "_PARSE_BLOCK", 4)
+
+    @pytest.mark.parametrize("text, match", [
+        # the fourth block
+        ("t,x\n" + numbered_rows(range(13)) + "13,oops\n" + numbered_rows(range(14, 20)),
+         r":15: expected an integer index and a float, got '13,oops'"),
+        # the first line of the second block
+        ("t,x\n" + numbered_rows(range(4)) + numbered_rows(range(5, 9)),
+         r":6: index 5 breaks the contiguous sequence \(expected 4\)"),
+        # blank lines fill blocks but take no index
+        ("t,x\n0,1\n\n1,2\n\n\n2,3\n3,4\n\n\n\n\n4,oops\n5,1\n",
+         r":13: expected an integer index and a float, got '4,oops'"),
+        ("t,x\n0,1\n\n\n\n1,2\n\n3,3\n",
+         r":8: index 3 breaks the contiguous sequence \(expected 2\)"),
+        # a last line without a newline
+        ("t,x\n0,1\n1,2\n2,3\n3,4\n4,5\n5,x",
+         r":7: expected an integer index and a float, got '5,x'"),
+        ("t,x\n0,1\n1,2\n2,3\n3,4\n4,5\n6,6",
+         r":7: index 6 breaks the contiguous sequence \(expected 5\)"),
+        ("t,x\n" + numbered_rows(range(9)) + "9,nan\n", r":11: non-finite value"),
+    ], ids=["later-block", "block-boundary", "blank-lines", "blank-gap",
+            "no-newline-cell", "no-newline-gap", "non-finite"])
+    def test_error_names_the_line(self, tmp_path, text, match):
+        path = tmp_path / "s.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(DegenerateDataError, match=match):
+            ingest(path)
+
+    @pytest.mark.parametrize("text", [
+        "t,x\n0,1.5\n\n1,-2\n2,0.25",  # no newline at the end
+        "t,x\r0,1.5\r1,-2\r\r2,0.25\r",  # lone CRs: no newline to count
+    ], ids=["no-final-newline", "lone-cr"])
+    def test_line_ends(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_bytes(text.encode())
+        traj = ingest(path)
+        assert np.array_equal(traj.x, [1.5, -2.0, 0.25]) and traj.n == 2
+
+    def test_rows_across_blocks(self, tmp_path, params_accept):
+        traj = simulate(params_accept, 101, seed=2)
+        path = tmp_path / "s.csv"
+        write_csv(traj, path)
+        back = ingest(path).x
+        assert back.tobytes() == traj.x.tobytes() and back.flags.owndata
 
 
 class TestTrajectoryType:
