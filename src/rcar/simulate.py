@@ -44,6 +44,19 @@ burn-in it holds about four _TIME_BLOCK arrays, about 8 MB, whatever n is:
 `simulate_with_noise` copy each into preallocated (n + 1) arrays. `ingest`
 parses a CSV a block of lines at a time into one float array.
 
+CSV: `write_rows` prints each value as "%.17g" does, _WRITE_BLOCK rows at a
+time in numpy. For 1e-4 <= |x| < 1e16, which %.17g prints without an
+exponent, the 17 significant digits of x = m 2**e are m 5**(16 - k)
+2**(e + 16 - k) with k = floor(log10 |x|), computed exactly in two uint64
+limbs and rounded half to even, which is how dtoa rounds the exact binary
+value (Gay, "Correctly rounded binary-decimal and decimal-binary
+conversions", 1990); they are laid out as %g lays them out: the point
+after digit k, or `0.` and -k - 1 zeros before the digits where k < 0, and
+no trailing zeros after the point. So the digits and the bytes are those of
+%.17g. The other rows, 0, |x| < 1e-4 (subnormals among them), |x| >= 1e16
+and non-finite values (about 70 rows in 10**6 of a stationary series), go
+through %.17g one by one.
+
 Stage 1 starts at 0 and runs `burn_in` steps. The initial condition is
 forgotten exponentially fast, at the contraction rate E ln|theta_t| < 0 of
 (H1) (Brandt, "The stochastic equation Y_{n+1} = A_n Y_n + B_n with
@@ -439,8 +452,176 @@ _CSV_ROWS = np.dtype([("t", "<i8"), ("x", "<f8")])
 _WRITE_BLOCK = 1 << 13
 #: lines per parse of `ingest`
 _PARSE_BLOCK = 1 << 13
-#: rows per parse when a rejected file is searched for its faulty line
+#: rows per parse when a rejected block is searched for its faulty line
 _LOCATE_BLOCK = 1 << 10
+
+#: the |x| that `_format_rows` formats in numpy; %.17g prints them (and
+#: those up to 1e17) without an exponent
+_FIXED_MIN, _FIXED_MAX = 1e-4, 1e16
+#: the decimal exponents k = floor(log10 |x|) of the domain
+_K_MIN, _K_MAX = -4, 15
+_U4, _U8 = np.dtype("<u4"), np.dtype("<u8")
+#: 10**j for j = _K_MIN.._K_MAX + 1 as doubles; each is at or above the
+#: exact power, so a double |x| >= _POW10[j] exactly when |x| >= 10**j
+_POW10 = np.array([float(f"1e{j}") for j in range(_K_MIN, _K_MAX + 2)])
+#: 5**(16 - k), below 2**50, split into its high and low 32-bit halves
+_POW5 = np.array([5 ** (16 - k) for k in range(_K_MIN, _K_MAX + 1)], dtype=np.uint64)
+_POW5_HI, _POW5_LO = _POW5 >> np.uint64(32), _POW5 & np.uint64(0xFFFFFFFF)
+
+
+def _digit_tables():
+    """Lookup words of the 4-digit groups g = 0..9999: g's ASCII digits at
+    the odd bytes of a '<u8' word (the even bytes hold the decimal point),
+    as a '<u4' word, and as a '<u4' word with its leading zeros NUL ('0'
+    for 0); and the place 1..4 of g's last nonzero digit (negative for 0)."""
+    g = np.arange(10_000, dtype=np.int64)
+    digits = np.empty((10_000, 4), np.uint8)
+    top = np.empty_like(digits)
+    last = np.full(10_000, -16, dtype=np.int8)
+    for i, scale in enumerate((1000, 100, 10, 1)):
+        digit = g // scale % 10
+        digits[:, i] = digit + 48
+        top[:, i] = np.where(g >= scale, digit + 48, 0)
+        last[digit != 0] = i + 1
+    top[0, 3] = 48
+    spaced = np.zeros((10_000, 8), np.uint8)
+    spaced[:, 1::2] = digits
+    return (spaced.view(_U8)[:, 0], digits.view(_U4)[:, 0],
+            top.view(_U4)[:, 0], last)
+
+
+_SPACED, _INDEX, _INDEX_TOP, _GROUP_LAST = _digit_tables()
+
+
+def _layout_tables():
+    """The constant bytes of the value field, by exponent k and whether a
+    point shows: ',', the `0.000` prefix of k < 0 and the point after
+    digit k (5 words: the head, then the 4 group words); and, by the last
+    digit kept, the mask that keeps digits 1..16 up to it (4 words)."""
+    k = np.arange(_K_MIN, _K_MAX + 1)[:, None, None]
+    shows = np.arange(2)[None, :, None]
+    fill = np.zeros((len(k), 2, 40), np.uint8)
+    fill[..., 0] = 44
+    fill[..., 2:4] = np.where(k < 0, [48, 46], 0)
+    fill[..., 4:7] = np.where(np.arange(3) < -k - 1, 48, 0)
+    # the point after digit i, i = 0..15, is the even byte before digit i + 1
+    fill[..., 8::2] = np.where((np.arange(16) == k) & (shows == 1), 46, 0)
+    keep = np.zeros((17, 32), np.uint8)
+    keep[:, 1::2] = np.where(np.arange(1, 17) <= np.arange(17)[:, None], 0xFF, 0)
+    return fill.view(_U8).reshape(-1, 5), keep.view(_U8)
+
+
+_FILL, _KEEP = _layout_tables()
+
+
+def _significand(x: np.ndarray):
+    """(d, k) for each x = m 2**e (53-bit m) of the domain: k = floor(log10
+    |x|) and d the 17 significant digits as an integer 10**16 <= d < 10**17,
+    so that %.17g prints x as d 10**(k - 16).
+
+    d is m 5**(16 - k) 2**(e + 16 - k) rounded half to even, as dtoa
+    rounds: the product is exact in two uint64 limbs and the power of two
+    is a right shift of 2..50 bits, m being shifted left 4 bits first. It
+    never rounds up to 10**17, since a double below 10**(k + 1) is more
+    than 5e-18 of it below.
+    """
+    bits = x.view(np.uint64)
+    exp = (bits >> np.uint64(52) & np.uint64(0x7FF)).astype(np.int64)
+    # floor(log10 2**(exp - 1023)), exact for |exp - 1023| < 1100 (Adams,
+    # "Ryu: fast float-to-string conversion", 2018); x is 2**(exp - 1023)
+    # to under twice that, so k is it or it plus one
+    k = (exp - 1023) * 78913 >> 18
+    k += np.abs(x) >= _POW10[k + 1 - _K_MIN]
+    m = (bits & np.uint64((1 << 52) - 1) | np.uint64(1 << 52)) << np.uint64(4)
+    shift = (k - exp + (1075 + 4 - 16)).astype(np.uint64)
+    m_hi, m_lo = m >> np.uint64(32), m & np.uint64(0xFFFFFFFF)
+    p_hi, p_lo = _POW5_HI[k - _K_MIN], _POW5_LO[k - _K_MIN]
+    lo = m_lo * p_lo
+    mid = m_hi * p_lo + m_lo * p_hi
+    low = lo + (mid << np.uint64(32))
+    high = m_hi * p_hi + (mid >> np.uint64(32)) + (low < lo)
+    d = high << (np.uint64(64) - shift) | low >> shift
+    rest = low & ((np.uint64(1) << shift) - np.uint64(1))
+    half = np.uint64(1) << (shift - np.uint64(1))
+    d += (rest > half) | (rest == half) & (d & np.uint64(1) == np.uint64(1))
+    return d, k
+
+
+def _value_words(x: np.ndarray):
+    """The value field of each row, x in the domain: a head word (',', the
+    sign, the `0.000` prefix of k < 0, the first digit) and four words of
+    digits 1..16, each at an odd byte, the even byte before it holding the
+    point where it follows the digit before. The digits after the point
+    stop at the last nonzero one; those before it all stay."""
+    d, k = _significand(x)
+    top = d // np.uint64(10 ** 8)
+    low = (d - top * np.uint64(10 ** 8)).astype(np.int64)
+    top = top.astype(np.int64)
+    lead = top // 10 ** 8
+    top -= lead * 10 ** 8
+    groups = np.empty((len(x), 4), np.int64)
+    groups[:, 0], groups[:, 1] = np.divmod(top, 10 ** 4)
+    groups[:, 2], groups[:, 3] = np.divmod(low, 10 ** 4)
+    # digit 16 is 0 on these rows alone; on them the digits after the
+    # point may stop early
+    short = np.flatnonzero(groups[:, 3] % 10 == 0)
+    last = np.full(len(x), 16, dtype=np.int64)
+    ends = _GROUP_LAST[groups[short]] + np.arange(0, 16, 4, dtype=np.int64)
+    last[short] = np.maximum(ends.max(axis=1), 0)
+    fill = np.take(_FILL, (k - _K_MIN) * 2 + (last > k), axis=0)
+    head = (x.view(np.uint64) >> np.uint64(63)) * np.uint64(ord("-") << 8)
+    head |= (lead.astype(np.uint64) + np.uint64(48)) << np.uint64(56)
+    head |= fill[:, 0]
+    words = np.take(_SPACED, groups)
+    words[short] &= np.take(_KEEP, np.maximum(k[short], last[short]), axis=0)
+    words |= fill[:, 1:]
+    return head, words
+
+
+def _index_words(out: np.ndarray, t0: int) -> None:
+    """Write t = t0, t0 + 1, ... into out, one row of 4-digit '<u4' words
+    each, the most significant first, with leading zeros NUL."""
+    n, width = out.shape
+    t = np.arange(t0, t0 + n, dtype=np.int64)
+    for j in range(width):
+        scale = 10 ** (4 * (width - 1 - j))
+        group = t // scale % 10 ** 4
+        # t is sorted: rows before `first` have no digit in this word (the
+        # last word writes t = 0 as '0'), rows from `full` on have one
+        # before it
+        first, full = (min(max(v - t0, 0), n)
+                       for v in (scale if scale > 1 else 0, scale * 10 ** 4))
+        out[:first, j] = 0
+        out[first:full, j] = _INDEX_TOP[group[first:full]]
+        out[full:, j] = _INDEX[group[full:]]
+
+
+def _format_rows(x: np.ndarray, t0: int) -> str:
+    """The CSV rows `t,x_t` of x, t from t0, each `"%d,%.17g\r\n" % (t, x_t)`.
+
+    Each row is first a fixed-width record whose unused bytes are NUL: the
+    index words, the value field and CRLF. Deleting the NULs leaves the
+    rows. A value outside the domain leaves a marker in its field that its
+    own %.17g replaces.
+    """
+    fixed = (np.abs(x) >= _FIXED_MIN) & (np.abs(x) < _FIXED_MAX)
+    fallback = np.flatnonzero(~fixed)
+    width = -(-len(str(t0 + len(x) - 1)) // 4)
+    rows = np.empty(len(x), [("t", _U4, (width,)), ("head", _U8),
+                             ("digits", _U8, (4,)), ("end", "<u2")])
+    _index_words(rows["t"], t0)
+    rows["head"], rows["digits"] = _value_words(np.where(fixed, x, 1.0))
+    rows["end"] = 0x0A0D
+    rows["head"][fallback] = 0x012C  # ',' and the marker
+    rows["digits"][fallback] = 0
+    text = rows.tobytes().translate(None, b"\0").decode("ascii")
+    if not fallback.size:
+        return text
+    pieces = text.split("\x01")
+    out = [pieces[0]]
+    for value, piece in zip(x[fallback].tolist(), pieces[1:]):
+        out += ("%.17g" % value, piece)
+    return "".join(out)
 
 
 def write_rows(fh, blocks) -> None:
@@ -448,17 +629,18 @@ def write_rows(fh, blocks) -> None:
     x_1, ... being the values of the arrays `blocks` yields in turn.
 
     Lines end in CRLF and values carry 17 significant digits, byte for byte
-    what `csv.writer` gives for rows `(t, f"{x_t:.17g}")`.
+    what `csv.writer` gives for rows `(t, f"{x_t:.17g}")`. `_format_rows`
+    formats _WRITE_BLOCK rows at a time: exact integer arithmetic gives the
+    digits %.17g gives for 1e-4 <= |x| < 1e16 (see the module docstring),
+    and the other values go through %.17g itself.
     """
     fh.write("t,x\r\n")
     t = 0
     for x in blocks:
+        x = np.ascontiguousarray(x, dtype=np.float64)
         for start in range(0, len(x), _WRITE_BLOCK):
-            rows = x[start:start + _WRITE_BLOCK].tolist()
-            cells = [None] * (2 * len(rows))
-            cells[0::2] = range(t, t + len(rows))
-            cells[1::2] = rows
-            fh.write(("%d,%.17g\r\n" * len(rows)) % tuple(cells))
+            rows = x[start:start + _WRITE_BLOCK]
+            fh.write(_format_rows(rows, t))
             t += len(rows)
 
 
@@ -505,29 +687,31 @@ def _line_fault(line: str, start: int) -> str | None:
     return _value_fault(rows, start)
 
 
-def _locate(path, reason: str) -> DegenerateDataError:
-    """The error naming the first faulty line of a file `ingest` rejected.
+def _locate(path, lines: list, lineno: int, start: int,
+            reason: str) -> DegenerateDataError:
+    """The error naming the first faulty line of a block `ingest` rejected.
 
-    Walks the non-empty lines after the header in blocks through the same
-    parse and checks, then line by line within the first block that fails.
-    Falls back to the rejection's `reason` if no line is pinned.
+    lines is the block as read, its first line being line `lineno` of the
+    input and its first row expected at index `start`. Walks its non-empty
+    lines _LOCATE_BLOCK at a time through the same parse and checks, then
+    line by line within the first that fails; the input is not read again,
+    so a pipe is searched as a file is. Falls back to the rejection's
+    `reason` if no line is pinned.
     """
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        numbered = ((lineno, line) for lineno, line in enumerate(fh, start=1)
-                    if lineno > 1 and line != "\n")
-        start = 0
-        while block := list(itertools.islice(numbered, _LOCATE_BLOCK)):
-            lines = [line for _, line in block]
-            try:
-                clean = _value_fault(_parse_rows(lines), start) is None
-            except ValueError:
-                clean = False
-            if not clean:
-                for offset, (lineno, line) in enumerate(block):
-                    why = _line_fault(line, start + offset)
-                    if why:
-                        return DegenerateDataError(f"{path}:{lineno}: {why}")
-            start += len(block)
+    numbered = [(lineno + i, line) for i, line in enumerate(lines) if line != "\n"]
+    for first in range(0, len(numbered), _LOCATE_BLOCK):
+        block = numbered[first:first + _LOCATE_BLOCK]
+        try:
+            clean = _value_fault(_parse_rows([line for _, line in block]),
+                                 start) is None
+        except ValueError:
+            clean = False
+        if not clean:
+            for offset, (number, line) in enumerate(block):
+                why = _line_fault(line, start + offset)
+                if why:
+                    return DegenerateDataError(f"{path}:{number}: {why}")
+        start += len(block)
     return DegenerateDataError(f"{path}: {reason}")
 
 
@@ -541,7 +725,7 @@ def _newlines(path) -> int:
 
 
 def ingest(path) -> Trajectory:
-    """Read a trajectory CSV; errors name the offending line.
+    """Read a trajectory CSV; errors name the offending line, a pipe's too.
 
     The data lines are parsed _PARSE_BLOCK at a time into one float array:
     every row ends a line, so a file's newline count bounds the rows, and
@@ -557,14 +741,16 @@ def ingest(path) -> Trajectory:
             raise DegenerateDataError(
                 f"{path}: expected header 't,x', got {header.rstrip()!r}"
             )
+        lineno = 2  # of the first line of the next block, empty lines counted
         while lines := list(itertools.islice(fh, _PARSE_BLOCK)):
             try:
                 block = _parse_rows(lines)
             except ValueError as exc:
-                raise _locate(path, str(exc)) from None
+                raise _locate(path, lines, lineno, rows, str(exc)) from None
             fault = _value_fault(block, rows)
             if fault is not None:
-                raise _locate(path, fault)
+                raise _locate(path, lines, lineno, rows, fault)
+            lineno += len(lines)
             if rows + len(block) > len(x):
                 x.resize(2 * (rows + len(block)), refcheck=False)
             x[rows:rows + len(block)] = block["x"]

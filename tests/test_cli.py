@@ -290,9 +290,10 @@ class TestSimulateEstimateRoundTrip:
         path.write_text("t,x\n" + "\n".join(f"{t},1.0" for t in range(80)) + "\n")
         assert main(["estimate", "--in", str(path)]) == 3
 
-    def test_stdout_matches_out_file(self, tmp_path, capsysbinary):
+    @pytest.mark.parametrize("n", [200, 20_000])
+    def test_stdout_matches_out_file(self, tmp_path, capsysbinary, n):
         out = tmp_path / "series.csv"
-        args = ["simulate", *self.ARGS, "--n", "200", "--seed", "3"]
+        args = ["simulate", *self.ARGS, "--n", str(n), "--seed", "3"]
         assert main(args + ["--out", str(out)]) == 0
         assert main(args) == 0
         assert capsysbinary.readouterr().out == out.read_bytes()

@@ -1,9 +1,13 @@
+import contextlib
 import importlib
+import io
 import json
 import math
 import os
 import tempfile
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -706,8 +710,70 @@ FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [-0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
      np.finfo(float).max, -np.finfo(float).max])
 
+_POWERS = np.array([float(f"1e{j}") for j in range(-5, 18)])
+#: values where the writer's exact arithmetic could go wrong: powers of ten
+#: and their neighbours, the edges of its domain 1e-4 <= |x| < 1e16, every
+#: binade in it, exact ties of the 17th digit, and values outside it
+WRITER_EDGES = np.concatenate([
+    _POWERS, np.nextafter(_POWERS, 0), np.nextafter(_POWERS, np.inf),
+    2.0 ** np.arange(-15, 55),
+    2.0 ** 50 + np.arange(8) + 0.25, 2.0 ** 50 + np.arange(8) + 0.75,
+    2.0 ** 52 + np.arange(8) * 0.5,
+    [0.0, 5e-324, 2.2250738585072009e-308, np.finfo(float).max,
+     0.5, 0.1, 100.0, 1234.5, 0.00012, 9999999999999998.0]])
+WRITER_EDGES = np.concatenate([WRITER_EDGES, -WRITER_EDGES])
+
+
+def csv_reference(values) -> str:
+    """What `write_rows` writes for values: %.17g a row."""
+    return "t,x\r\n" + "".join("%d,%.17g\r\n" % row for row in enumerate(values))
+
 
 class TestCsvInterchange:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(FLOATS | st.sampled_from([math.nan, math.inf, -math.inf]),
+                    max_size=40), st.integers(1, 9))
+    def test_writer_bytes_any_double(self, values, size):
+        fh = io.StringIO(newline="")
+        with mock.patch.object(SIM, "_WRITE_BLOCK", 3):
+            SIM.write_rows(fh, [np.array(values[i:i + size], dtype=float)
+                                for i in range(0, len(values), size)])
+        assert fh.getvalue() == csv_reference(values)
+
+    def test_writer_bytes_edges(self, monkeypatch):
+        # blocks of 97 rows, and indices that cross 9 -> 10, 99 -> 100 and
+        # 9999 -> 10000 inside a block
+        monkeypatch.setattr(SIM, "_WRITE_BLOCK", 97)
+        x = np.resize(WRITER_EDGES, 10_050)
+        fh = io.StringIO(newline="")
+        SIM.write_rows(fh, [x[:5000], x[5000:]])
+        assert fh.getvalue() == csv_reference(x.tolist())
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_pipe_error_names_the_line(self, tmp_path):
+        text = ("t,x\n" + numbered_rows(range(14999)) + "14999,oops\n"
+                + numbered_rows(range(15000, 20000))).encode()
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text)
+        message = r":15001: expected an integer index and a float, got '14999,oops'$"
+        with pytest.raises(DegenerateDataError, match=message):
+            ingest(path)
+
+        def feed(fd):
+            with contextlib.suppress(BrokenPipeError), open(fd, "wb") as fh:
+                fh.write(text)
+
+        read, write = os.pipe()
+        writer = threading.Thread(target=feed, args=(write,))
+        writer.start()
+        try:
+            with pytest.raises(DegenerateDataError, match=message):
+                ingest(f"/dev/fd/{read}")
+        finally:
+            os.close(read)  # a writer still blocked on a full pipe gets EPIPE
+            writer.join(timeout=60)
+        assert not writer.is_alive()
+
     def test_golden_bytes(self, tmp_path):
         path = tmp_path / "s.csv"
         write_csv(Trajectory(x=np.array([1.5, -0.1, 5e-324]), n=2), path)
