@@ -290,13 +290,21 @@ class TestSimulateEstimateRoundTrip:
         path.write_text("t,x\n" + "\n".join(f"{t},1.0" for t in range(80)) + "\n")
         assert main(["estimate", "--in", str(path)]) == 3
 
-    @pytest.mark.parametrize("n", [200, 20_000])
-    def test_stdout_matches_out_file(self, tmp_path, capsysbinary, n):
+    def stdout_and_out_file(self, tmp_path, capsysbinary, n):
         out = tmp_path / "series.csv"
         args = ["simulate", *self.ARGS, "--n", str(n), "--seed", "3"]
         assert main(args + ["--out", str(out)]) == 0
         assert main(args) == 0
-        assert capsysbinary.readouterr().out == out.read_bytes()
+        return capsysbinary.readouterr().out, out.read_bytes()
+
+    def test_stdout_matches_out_file(self, tmp_path, capsysbinary):
+        got, want = self.stdout_and_out_file(tmp_path, capsysbinary, 200)
+        assert got == want
+
+    def test_stdout_matches_out_file_across_time_blocks(self, tmp_path,
+                                                        capsysbinary):
+        got, want = self.stdout_and_out_file(tmp_path, capsysbinary, 20_000)
+        assert got == want
 
     @pytest.mark.parametrize("fmt,n", [("csv", 200_000), ("json", 20_000)])
     def test_closed_stdout_pipe_is_quiet(self, fmt, n):
