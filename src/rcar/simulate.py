@@ -21,9 +21,11 @@ Everything is bitwise deterministic given (params, n, seed, burn_in) and
 independent of evaluation order or parallelism.
 
 One kernel, `_recur`, runs the recurrence X_t = theta_t X_{t-1} + eps_t
-down the time axis of a (rows, T) block, vectorised across rows, and writes
-the path over the coefficients: the burn-in from 0 to X_0, then X_1..X_n
-from X_0. `simulate_block` runs many rows; `simulate_blocks` runs one, and
+down the time axis of a (rows, T) block and writes the path over the
+coefficients: the burn-in from 0 to X_0, then X_1..X_n from X_0. Several
+rows run vectorised, over time-major column views; one row runs in Python
+floats over memoryviews, the same multiply, then add, written back at
+once. `simulate_block` runs many rows; `simulate_blocks` runs one, and
 `simulate`, `simulate_with_noise` and `rcar simulate` read it, so a block
 row equals the scalar path bit for bit. Each stage of more than _FOLD steps
 is folded, as a first-order linear recurrence is a scan (Blelloch, "Prefix
@@ -72,6 +74,7 @@ with its error bound, is not negative.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -226,22 +229,35 @@ def _check_explosion(x: np.ndarray):
 def _recur(c: np.ndarray, e: np.ndarray, y=0.0, stitch: bool = False) -> None:
     """Overwrite c with y_t = c_t y_{t-1} + e_t along the last axis, y_{-1} = y.
 
-    Leading axes are independent rows. More than _FOLD steps are cut every
-    _FOLD steps from the first; the pieces run side by side, the first from
-    y and the rest from 0, and each after the first adds its running
-    coefficient product times the value carried out of the one before. So
-    the first _FOLD steps are the sequential recurrence. With stitch, the
-    first piece too runs from 0 and adds its running product times y: a
-    path run in blocks of whole pieces, each block after the first
-    stitched, is bitwise the path run whole.
+    Leading axes are independent rows; a leading axis of length 1 is
+    dropped. More than _FOLD steps are cut every _FOLD steps from the
+    first; the pieces run side by side, the first from y and the rest from
+    0, and each after the first adds its running coefficient product times
+    the value carried out of the one before. So the first _FOLD steps are
+    the sequential recurrence. With stitch, the first piece too runs from 0
+    and adds its running product times y: a path run in blocks of whole
+    pieces, each block after the first stitched, is bitwise the path run
+    whole.
+
+    The sequential recurrence is the same IEEE multiply, then add, for
+    every shape: one row runs in Python floats over memoryviews and is
+    written back at once, more rows run over time-major column views.
     """
+    while c.ndim > 1 and len(c) == 1:
+        c, e, y = c[0], e[0], np.broadcast_to(y, c.shape[:-1])[0]
     steps = c.shape[-1]
     if steps <= _FOLD and not stitch:
-        for t in range(steps):
-            col = c[..., t]
-            col *= y
-            col += e[..., t]
-            y = col
+        if c.ndim == 1:
+            def run(y):
+                for ct, et in zip(memoryview(c), memoryview(e)):
+                    y = ct * y + et
+                    yield y
+            c[:] = np.fromiter(run(float(y)), float, count=steps)
+            return
+        for ct, et in zip(np.moveaxis(c, -1, 0), np.moveaxis(e, -1, 0)):
+            ct *= y
+            ct += et
+            y = ct
         return
     first = 0 if stitch else _FOLD  # the first piece that is stitched
     gain = np.empty((*c.shape[:-1], steps - first))
@@ -394,7 +410,7 @@ def _stage2(params: ModelParams, n: int, x: np.ndarray, head, streams, retain):
         eta = c[0, 1:].copy() if retain else c[0, -1:].copy()
         _coefficients(params, c)
         with np.errstate(over="ignore", invalid="ignore"):
-            _recur(c[:, 1:], eps[None], x[-1], stitch=s > 1)
+            _recur(c[0, 1:], eps, x[-1], stitch=s > 1)
         x = c[0, 1:]
         _check_explosion(x)
         yield (x, eta, eps) if retain else (x, None, None)
@@ -490,9 +506,6 @@ def _digit_tables():
             top.view(_U4)[:, 0], last)
 
 
-_SPACED, _INDEX, _INDEX_TOP, _GROUP_LAST = _digit_tables()
-
-
 def _layout_tables():
     """The constant bytes of the value field, by exponent k and whether a
     point shows: ',', the `0.000` prefix of k < 0 and the point after
@@ -511,7 +524,12 @@ def _layout_tables():
     return fill.view(_U8).reshape(-1, 5), keep.view(_U8)
 
 
-_FILL, _KEEP = _layout_tables()
+@functools.cache
+def _tables() -> tuple:
+    """The lookup tables of `_format_rows`, those of `_digit_tables` and
+    then of `_layout_tables`, built on its first call: a process that
+    writes no CSV builds none."""
+    return _digit_tables() + _layout_tables()
 
 
 def _significand(x: np.ndarray):
@@ -554,6 +572,7 @@ def _value_words(x: np.ndarray):
     point where it follows the digit before. The digits after the point
     stop at the last nonzero one; those before it all stay."""
     d, k = _significand(x)
+    spaced, _, _, group_last, fills, keep = _tables()
     top = d // np.uint64(10 ** 8)
     low = (d - top * np.uint64(10 ** 8)).astype(np.int64)
     top = top.astype(np.int64)
@@ -566,14 +585,14 @@ def _value_words(x: np.ndarray):
     # point may stop early
     short = np.flatnonzero(groups[:, 3] % 10 == 0)
     last = np.full(len(x), 16, dtype=np.int64)
-    ends = _GROUP_LAST[groups[short]] + np.arange(0, 16, 4, dtype=np.int64)
+    ends = group_last[groups[short]] + np.arange(0, 16, 4, dtype=np.int64)
     last[short] = np.maximum(ends.max(axis=1), 0)
-    fill = np.take(_FILL, (k - _K_MIN) * 2 + (last > k), axis=0)
+    fill = np.take(fills, (k - _K_MIN) * 2 + (last > k), axis=0)
     head = (x.view(np.uint64) >> np.uint64(63)) * np.uint64(ord("-") << 8)
     head |= (lead.astype(np.uint64) + np.uint64(48)) << np.uint64(56)
     head |= fill[:, 0]
-    words = np.take(_SPACED, groups)
-    words[short] &= np.take(_KEEP, np.maximum(k[short], last[short]), axis=0)
+    words = np.take(spaced, groups)
+    words[short] &= np.take(keep, np.maximum(k[short], last[short]), axis=0)
     words |= fill[:, 1:]
     return head, words
 
@@ -582,6 +601,7 @@ def _index_words(out: np.ndarray, t0: int) -> None:
     """Write t = t0, t0 + 1, ... into out, one row of 4-digit '<u4' words
     each, the most significant first, with leading zeros NUL."""
     n, width = out.shape
+    _, index, index_top, *_ = _tables()
     t = np.arange(t0, t0 + n, dtype=np.int64)
     for j in range(width):
         scale = 10 ** (4 * (width - 1 - j))
@@ -592,8 +612,8 @@ def _index_words(out: np.ndarray, t0: int) -> None:
         first, full = (min(max(v - t0, 0), n)
                        for v in (scale if scale > 1 else 0, scale * 10 ** 4))
         out[:first, j] = 0
-        out[first:full, j] = _INDEX_TOP[group[first:full]]
-        out[full:, j] = _INDEX[group[full:]]
+        out[first:full, j] = index_top[group[first:full]]
+        out[full:, j] = index[group[full:]]
 
 
 def _format_rows(x: np.ndarray, t0: int) -> str:

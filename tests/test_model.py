@@ -229,6 +229,17 @@ class TestCheckHypotheses:
         report = check_hypotheses(params, mc_draws=10_000)
         assert report.excluded_degenerate.sqrt2_theta_boundary
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+    def test_sqrt2_boundary_flag_both_branches(self, sign):
+        # the flag marks sqrt(2) theta = +-g1, g1 = 1 - 2 alpha tau2: here
+        # g1 = 1 - 2 * 0.5 * 0.1 = 0.9; a step of 1e-6 off it clears it
+        eta = NoiseSpec(NoiseFamily.GAUSSIAN, 0.1)
+        g1 = 1.0 - 2.0 * 0.5 * 0.1
+        for offset, flagged in ((0.0, True), (1e-6, False)):
+            params = ModelParams(sign * g1 / math.sqrt(2) + offset, 0.5, GAUSS1, eta)
+            report = check_hypotheses(params)
+            assert report.excluded_degenerate.sqrt2_theta_boundary is flagged
+
     def test_determinism(self):
         params = ModelParams(0.2, 0.3, GAUSS1, NoiseSpec(NoiseFamily.GAUSSIAN, 0.1))
         a = check_hypotheses(params, mc_draws=10_000, seed=5)

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -24,7 +26,7 @@ from rcar.simulate import (DEFAULT_BURN_IN, EXPLOSION_LIMIT, FORGET_TOL,
                            GENERATOR_ID, MAX_BURN_IN, Trajectory, _EPS_BURN,
                            _EPS_STREAM, _ETA_BURN, _ETA_STREAM, _FOLD,
                            _TIME_BLOCK, _TWIN_START, _check_explosion,
-                           _block_noise, _simulate_rows, block_noise,
+                           _block_noise, _recur, _simulate_rows, block_noise,
                            burn_in_for, ingest, mix64,
                            replicate_seed, simulate, simulate_block,
                            simulate_with_noise, write_csv)
@@ -62,15 +64,22 @@ def stream_noise(params, seed, burn, n):
             ordered(params.eps, _EPS_STREAM, _EPS_BURN))
 
 
+def python_recurrence(c, e, y) -> list:
+    """y_t = c_t y_{t-1} + e_t for each pair of c and e, y_{-1} = y, in
+    Python floats: the bitwise reference of the recurrence."""
+    out = []
+    for ct, et in zip(c, e):
+        y = ct * y + et
+        out.append(y)
+    return out
+
+
 def sequential_path(params, seed, burn, n, start=0.0):
     """X_0..X_n by the plain Python-float recurrence on the simulator's
     noise, started at `start` `burn` steps before X_0."""
     eta, eps = stream_noise(params, seed, burn, n)
     th = (params.theta + params.alpha * eta[:-1] + eta[1:]).tolist()
-    e = eps.tolist()
-    path = [start]
-    for s in range(1, burn + n + 1):
-        path.append(th[s - 1] * path[-1] + e[s])
+    path = [start, *python_recurrence(th, eps[1:].tolist(), start)]
     return np.array(path[burn:])
 
 
@@ -426,6 +435,56 @@ class TestFoldedRecurrence:
                 assert np.array_equal(block[i], single.x)
 
 
+#: steps around the fold: none, one, a segment short of one step, a
+#: segment, one step past it, and two segments and a ragged tail
+KERNEL_STEPS = [0, 1, _FOLD - 1, _FOLD, _FOLD + 1, 2 * _FOLD + 7]
+
+
+def kernel_rows(steps):
+    """(c, e, y) of four rows: ordinary values, then a coefficient of inf,
+    a first product past 1e308 and an innovation of nan, each halfway."""
+    rng = np.random.default_rng(steps)
+    c = rng.uniform(-1.0, 1.0, (4, steps))
+    e = rng.normal(size=(4, steps))
+    y = np.array([0.7, -2.5, 1e200, 3.0])
+    if steps:
+        c[1, steps // 2] = math.inf
+        c[2, 0] = -1e200
+        e[3, steps // 2] = math.nan
+    return c, e, y
+
+
+class TestRecurrenceKernel:
+    """`_recur` runs one row in Python floats and more rows over numpy
+    column views; both are the same multiply, then add, so a row is bitwise
+    the same whatever the shape it comes in."""
+
+    @pytest.mark.parametrize("stitch", [False, True], ids=["whole", "stitched"])
+    @pytest.mark.parametrize("steps", KERNEL_STEPS)
+    def test_row_bitwise_in_every_shape(self, steps, stitch):
+        c, e, y = kernel_rows(steps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = c.copy()
+            _recur(block, e, y, stitch)
+            for i in range(len(c)):
+                row = c[i].copy()
+                _recur(row, e[i], y[i], stitch)
+                one = c[i:i + 1].copy()
+                _recur(one, e[i:i + 1], y[i:i + 1], stitch)
+                assert row.tobytes() == one[0].tobytes() == block[i].tobytes(), i
+                if not stitch:
+                    # the first _FOLD steps are the sequential recurrence
+                    head = python_recurrence(c[i, :_FOLD].tolist(),
+                                             e[i, :_FOLD].tolist(), float(y[i]))
+                    assert row[:_FOLD].tobytes() == np.array(head, float).tobytes(), i
+        if steps and not stitch:
+            # row 2 overflows at its first step, in Python floats as in numpy
+            # under np.errstate (CPython raises no OverflowError for a
+            # product); rows 1 and 3 reach inf and nan
+            assert block[2, 0] == -math.inf and np.isinf(block[1, steps // 2])
+            assert np.isnan(block[3, steps // 2:]).all()
+
+
 class TestBlockBuffers:
     """The coefficients, then the path, overwrite the eta noise in place,
     so a block holds two (rows, burn + n + 1) arrays and returns a view."""
@@ -585,6 +644,16 @@ class TestSeriesMemory:
             peaks.append(self.traced_peak(lambda: cli.main(argv)))
         # a path held whole would add 8 bytes a step, 384 KiB in all
         assert abs(peaks[1] - peaks[0]) < 16 * 1024
+
+    def test_single_row_holds_no_object_per_step(self, params_accept):
+        # a path of at most _FOLD steps runs in Python floats written back
+        # at once: per step its peak holds the path twice (the result and
+        # the block it is run in), eps and one temporary, 8 bytes each, and
+        # no Python float (24 bytes and a pointer)
+        simulate(params_accept, 10, seed=1)
+        half, whole = (self.traced_peak(lambda: simulate(params_accept, n, seed=1))
+                       for n in (_FOLD // 2, _FOLD))
+        assert whole - half <= (2 * 8 + 2 * 8 + 4) * (_FOLD - _FOLD // 2)
 
     def test_ingest_and_test_hold_the_series_and_one_block(self, monkeypatch,
                                                            tmp_path,
@@ -779,6 +848,24 @@ class TestCsvInterchange:
         write_csv(Trajectory(x=np.array([1.5, -0.1, 5e-324]), n=2), path)
         assert path.read_bytes() == (b"t,x\r\n0,1.5\r\n1,-0.10000000000000001\r\n"
                                      b"2,4.9406564584124654e-324\r\n")
+
+    def test_tables_built_on_first_write(self):
+        # a fresh interpreter that imports rcar and runs `rcar check` has
+        # built no CSV lookup table; its first write builds them
+        script = "\n".join([
+            "import contextlib, io, sys, numpy, rcar.cli",
+            "SIM = sys.modules['rcar.simulate']",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert rcar.cli.main(['check', '--theta', '0.3', '--alpha', '0.5',",
+            "                          '--eps', 'gaussian:1', '--eta', 'gaussian:0.1']) == 0",
+            "before = SIM._tables.cache_info().currsize",
+            "SIM.write_rows(io.StringIO(), [numpy.ones(3)])",
+            "print(before, SIM._tables.cache_info().currsize)",
+        ])
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(SIM.__file__)))
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True, timeout=60).stdout
+        assert out.split() == ["0", "1"]
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(FLOATS, min_size=2, max_size=40))
