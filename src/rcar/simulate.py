@@ -21,11 +21,10 @@ Everything is bitwise deterministic given (params, n, seed, burn_in) and
 independent of evaluation order or parallelism.
 
 One kernel, `_recur`, runs the recurrence X_t = theta_t X_{t-1} + eps_t
-down the time axis of a (rows, T) block and writes the path over the
-coefficients: the burn-in from 0 to X_0, then X_1..X_n from X_0. Several
-rows run vectorised, over time-major column views; one row runs in Python
-floats over memoryviews, the same multiply, then add, written back at
-once. `simulate_block` runs many rows; `simulate_blocks` runs one, and
+down the time axis of a (rows, T) block, vectorised across rows, and writes
+the path over the coefficients: the burn-in from 0 to X_0, then X_1..X_n
+from X_0, one multiply, then one add, a step over time-major column views.
+`simulate_block` runs many rows; `simulate_blocks` runs one, and
 `simulate`, `simulate_with_noise` and `rcar simulate` read it, so a block
 row equals the scalar path bit for bit. Each stage of more than _FOLD steps
 is folded, as a first-order linear recurrence is a scan (Blelloch, "Prefix
@@ -229,31 +228,24 @@ def _check_explosion(x: np.ndarray):
 def _recur(c: np.ndarray, e: np.ndarray, y=0.0, stitch: bool = False) -> None:
     """Overwrite c with y_t = c_t y_{t-1} + e_t along the last axis, y_{-1} = y.
 
-    Leading axes are independent rows; a leading axis of length 1 is
-    dropped. More than _FOLD steps are cut every _FOLD steps from the
-    first; the pieces run side by side, the first from y and the rest from
-    0, and each after the first adds its running coefficient product times
-    the value carried out of the one before. So the first _FOLD steps are
-    the sequential recurrence. With stitch, the first piece too runs from 0
-    and adds its running product times y: a path run in blocks of whole
-    pieces, each block after the first stitched, is bitwise the path run
-    whole.
+    Leading axes, at least one, are independent rows. More than _FOLD steps
+    are cut every _FOLD steps from the first; the pieces run side by side,
+    the first from y and the rest from 0, and each after the first adds its
+    running coefficient product times the value carried out of the one
+    before. So the first _FOLD steps are the sequential recurrence. With
+    stitch, the first piece too runs from 0 and adds its running product
+    times y: a path run in blocks of whole pieces, each block after the
+    first stitched, is bitwise the path run whole.
 
-    The sequential recurrence is the same IEEE multiply, then add, for
-    every shape: one row runs in Python floats over memoryviews and is
-    written back at once, more rows run over time-major column views.
+    The sequential loop steps through time-major column views, one multiply
+    and one add per step whatever the shape. The pieces of a single row
+    arrive as a (1, pieces, _FOLD) array whose leading axis is dropped, so
+    each step works on one (pieces,) view.
     """
-    while c.ndim > 1 and len(c) == 1:
+    if c.ndim > 2 and len(c) == 1:
         c, e, y = c[0], e[0], np.broadcast_to(y, c.shape[:-1])[0]
     steps = c.shape[-1]
     if steps <= _FOLD and not stitch:
-        if c.ndim == 1:
-            def run(y):
-                for ct, et in zip(memoryview(c), memoryview(e)):
-                    y = ct * y + et
-                    yield y
-            c[:] = np.fromiter(run(float(y)), float, count=steps)
-            return
         for ct, et in zip(np.moveaxis(c, -1, 0), np.moveaxis(e, -1, 0)):
             ct *= y
             ct += et
@@ -410,7 +402,7 @@ def _stage2(params: ModelParams, n: int, x: np.ndarray, head, streams, retain):
         eta = c[0, 1:].copy() if retain else c[0, -1:].copy()
         _coefficients(params, c)
         with np.errstate(over="ignore", invalid="ignore"):
-            _recur(c[0, 1:], eps, x[-1], stitch=s > 1)
+            _recur(c[:, 1:], eps[None], x[-1], stitch=s > 1)
         x = c[0, 1:]
         _check_explosion(x)
         yield (x, eta, eps) if retain else (x, None, None)
@@ -485,11 +477,13 @@ _POW5 = np.array([5 ** (16 - k) for k in range(_K_MIN, _K_MAX + 1)], dtype=np.ui
 _POW5_HI, _POW5_LO = _POW5 >> np.uint64(32), _POW5 & np.uint64(0xFFFFFFFF)
 
 
+@functools.cache
 def _digit_tables():
     """Lookup words of the 4-digit groups g = 0..9999: g's ASCII digits at
     the odd bytes of a '<u8' word (the even bytes hold the decimal point),
     as a '<u4' word, and as a '<u4' word with its leading zeros NUL ('0'
-    for 0); and the place 1..4 of g's last nonzero digit (negative for 0)."""
+    for 0); and the place 1..4 of g's last nonzero digit (negative for 0).
+    Built on the first call, so a process that writes no CSV builds none."""
     g = np.arange(10_000, dtype=np.int64)
     digits = np.empty((10_000, 4), np.uint8)
     top = np.empty_like(digits)
@@ -506,11 +500,13 @@ def _digit_tables():
             top.view(_U4)[:, 0], last)
 
 
+@functools.cache
 def _layout_tables():
     """The constant bytes of the value field, by exponent k and whether a
     point shows: ',', the `0.000` prefix of k < 0 and the point after
     digit k (5 words: the head, then the 4 group words); and, by the last
-    digit kept, the mask that keeps digits 1..16 up to it (4 words)."""
+    digit kept, the mask that keeps digits 1..16 up to it (4 words).
+    Built on the first call, as `_digit_tables` is."""
     k = np.arange(_K_MIN, _K_MAX + 1)[:, None, None]
     shows = np.arange(2)[None, :, None]
     fill = np.zeros((len(k), 2, 40), np.uint8)
@@ -522,14 +518,6 @@ def _layout_tables():
     keep = np.zeros((17, 32), np.uint8)
     keep[:, 1::2] = np.where(np.arange(1, 17) <= np.arange(17)[:, None], 0xFF, 0)
     return fill.view(_U8).reshape(-1, 5), keep.view(_U8)
-
-
-@functools.cache
-def _tables() -> tuple:
-    """The lookup tables of `_format_rows`, those of `_digit_tables` and
-    then of `_layout_tables`, built on its first call: a process that
-    writes no CSV builds none."""
-    return _digit_tables() + _layout_tables()
 
 
 def _significand(x: np.ndarray):
@@ -572,7 +560,8 @@ def _value_words(x: np.ndarray):
     point where it follows the digit before. The digits after the point
     stop at the last nonzero one; those before it all stay."""
     d, k = _significand(x)
-    spaced, _, _, group_last, fills, keep = _tables()
+    spaced, _, _, group_last = _digit_tables()
+    fills, keep = _layout_tables()
     top = d // np.uint64(10 ** 8)
     low = (d - top * np.uint64(10 ** 8)).astype(np.int64)
     top = top.astype(np.int64)
@@ -601,7 +590,7 @@ def _index_words(out: np.ndarray, t0: int) -> None:
     """Write t = t0, t0 + 1, ... into out, one row of 4-digit '<u4' words
     each, the most significant first, with leading zeros NUL."""
     n, width = out.shape
-    _, index, index_top, *_ = _tables()
+    _, index, index_top, _ = _digit_tables()
     t = np.arange(t0, t0 + n, dtype=np.int64)
     for j in range(width):
         scale = 10 ** (4 * (width - 1 - j))

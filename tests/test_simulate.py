@@ -455,9 +455,9 @@ def kernel_rows(steps):
 
 
 class TestRecurrenceKernel:
-    """`_recur` runs one row in Python floats and more rows over numpy
-    column views; both are the same multiply, then add, so a row is bitwise
-    the same whatever the shape it comes in."""
+    """`_recur` runs one multiply, then one add, a step over time-major
+    column views, so a row is bitwise the same alone, in a block, and as
+    the Python-float recurrence."""
 
     @pytest.mark.parametrize("stitch", [False, True], ids=["whole", "stitched"])
     @pytest.mark.parametrize("steps", KERNEL_STEPS)
@@ -467,20 +467,19 @@ class TestRecurrenceKernel:
             block = c.copy()
             _recur(block, e, y, stitch)
             for i in range(len(c)):
-                row = c[i].copy()
-                _recur(row, e[i], y[i], stitch)
-                one = c[i:i + 1].copy()
-                _recur(one, e[i:i + 1], y[i:i + 1], stitch)
-                assert row.tobytes() == one[0].tobytes() == block[i].tobytes(), i
+                for start in (y[i], y[i:i + 1]):  # as stage 2 and a block pass it
+                    row = c[i:i + 1].copy()
+                    _recur(row, e[i:i + 1], start, stitch)
+                    assert row.tobytes() == block[i].tobytes(), i
                 if not stitch:
                     # the first _FOLD steps are the sequential recurrence
                     head = python_recurrence(c[i, :_FOLD].tolist(),
                                              e[i, :_FOLD].tolist(), float(y[i]))
-                    assert row[:_FOLD].tobytes() == np.array(head, float).tobytes(), i
+                    assert row[0, :_FOLD].tobytes() == np.array(head, float).tobytes(), i
         if steps and not stitch:
-            # row 2 overflows at its first step, in Python floats as in numpy
-            # under np.errstate (CPython raises no OverflowError for a
-            # product); rows 1 and 3 reach inf and nan
+            # row 2 overflows at its first step, in numpy under np.errstate
+            # as in the Python-float reference above (CPython raises no
+            # OverflowError for a product); rows 1 and 3 reach inf and nan
             assert block[2, 0] == -math.inf and np.isinf(block[1, steps // 2])
             assert np.isnan(block[3, steps // 2:]).all()
 
@@ -646,14 +645,14 @@ class TestSeriesMemory:
         assert abs(peaks[1] - peaks[0]) < 16 * 1024
 
     def test_single_row_holds_no_object_per_step(self, params_accept):
-        # a path of at most _FOLD steps runs in Python floats written back
-        # at once: per step its peak holds the path twice (the result and
-        # the block it is run in), eps and one temporary, 8 bytes each, and
-        # no Python float (24 bytes and a pointer)
+        # per step the peak of a path of at most _FOLD steps holds the path
+        # twice (the result and the block it is run in), eps and one
+        # temporary, 8 bytes each; a Python float kept per step would add
+        # 24 bytes and a pointer
         simulate(params_accept, 10, seed=1)
         half, whole = (self.traced_peak(lambda: simulate(params_accept, n, seed=1))
                        for n in (_FOLD // 2, _FOLD))
-        assert whole - half <= (2 * 8 + 2 * 8 + 4) * (_FOLD - _FOLD // 2)
+        assert whole - half < (4 * 8 + 24) * (_FOLD - _FOLD // 2)
 
     def test_ingest_and_test_hold_the_series_and_one_block(self, monkeypatch,
                                                            tmp_path,
@@ -858,14 +857,15 @@ class TestCsvInterchange:
             "with contextlib.redirect_stdout(io.StringIO()):",
             "    assert rcar.cli.main(['check', '--theta', '0.3', '--alpha', '0.5',",
             "                          '--eps', 'gaussian:1', '--eta', 'gaussian:0.1']) == 0",
-            "before = SIM._tables.cache_info().currsize",
+            "tables = SIM._digit_tables, SIM._layout_tables",
+            "before = [f.cache_info().currsize for f in tables]",
             "SIM.write_rows(io.StringIO(), [numpy.ones(3)])",
-            "print(before, SIM._tables.cache_info().currsize)",
+            "print(*before, *(f.cache_info().currsize for f in tables))",
         ])
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(SIM.__file__)))
         out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                              capture_output=True, text=True, timeout=60).stdout
-        assert out.split() == ["0", "1"]
+        assert out.split() == ["0", "0", "1", "1"]
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(FLOATS, min_size=2, max_size=40))
