@@ -207,14 +207,15 @@ def _plan(cfg: MCConfig) -> list[tuple[ModelParams, int]]:
 def _chunk(stage, n: int, master_seed: int, plan, start: int, stop: int) -> list:
     """`stage` of replicates start..stop-1 at each point of plan, on noise
     drawn once at the longest burn-in: each point but the last overwrites a
-    copy of eta, the last eta itself. Each path goes once it is staged."""
+    copy of eta, the last eta itself, and all go on from the same stream
+    states past the first time block. Each path goes once it is staged."""
     first = plan[0][0]
     if any((p.eta, p.eps) != (first.eta, first.eps) for p, _ in plan):
         raise ValueError("the points of a plan must share their eta and eps specs")
     reps = range(start, stop)
-    eta, eps = block_noise(first, n, master_seed, reps, max(b for _, b in plan))
+    eta, eps, states = block_noise(first, n, master_seed, reps, max(b for _, b in plan))
     paths = [simulate_block(p, n, master_seed, reps, burn,
-                            (eta.copy() if i < len(plan) - 1 else eta, eps))
+                            (eta.copy() if i < len(plan) - 1 else eta, eps, states))
              for i, (p, burn) in enumerate(plan)]
     del eta, eps
     return [stage(paths.pop(0)) for _ in plan]
@@ -223,10 +224,10 @@ def _chunk(stage, n: int, master_seed: int, plan, start: int, stop: int) -> list
 def _job_rows(n: int, burn: int, points: int = 1) -> int:
     """Replicates per job of `points` plan points at longest burn-in burn:
     as many as fit BLOCK_BYTES at points + 2 float64 arrays of burn + n + 1
-    values per row, at least 1 and at most CHUNK paths. That is the most a
-    job holds: the noise, the paths and one row of coefficient scratch or
-    the fold's (rows, n - _FOLD) running products, or the paths and the two
-    temporaries of `estimate.correlation_statistics`."""
+    values per row, at least 1 and at most CHUNK paths. That bounds what a
+    job holds: the noise of the first time block, the paths and one row of
+    coefficient scratch or one later time block's buffers, or the paths and
+    the two temporaries of `estimate.correlation_statistics`."""
     return max(1, min(CHUNK // points, BLOCK_BYTES // (8 * (points + 2) * (burn + n + 1))))
 
 

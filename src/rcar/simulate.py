@@ -7,8 +7,8 @@ so the coefficient path is reproducible on its own. The stream with tag g of
 trajectory seed e is numpy's Generator(Philox(key=mix64(e, g))): the key
 words (mix64(e, g), 0) at counter 0. Philox is counter-based, so any key
 and a zero counter fix an independent stream (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", 2011), and one bit generator is
-re-keyed for each stream of a block.
+random numbers: as easy as 1, 2, 3", 2011) that goes on from any saved
+state: one bit generator is set to each stream's state in turn.
 Layout 4: the retained noise, aligned with X_0..X_n, is the first n + 1
 draws of the two retained streams, and the burn-in is drawn from two
 streams of its own, backward in time (draw k is the noise k + 1 steps
@@ -24,26 +24,27 @@ One kernel, `_recur`, runs the recurrence X_t = theta_t X_{t-1} + eps_t
 down the time axis of a (rows, T) block, vectorised across rows, and writes
 the path over the coefficients: the burn-in from 0 to X_0, then X_1..X_n
 from X_0, one multiply, then one add, a step over time-major column views.
-`simulate_block` runs many rows; `simulate_blocks` runs one, and
-`simulate`, `simulate_with_noise` and `rcar simulate` read it, so a block
-row equals the scalar path bit for bit. Each stage of more than _FOLD steps
-is folded, as a first-order linear recurrence is a scan (Blelloch, "Prefix
-sums and their applications", 1990): cut every _FOLD steps from its first
-step, its pieces run side by side and are stitched with the running
-products of their coefficients. A longer path only adds pieces, and the
-fold moves a path by round-off only (about 1e-15 at n = 1e6).
+One driver, `_simulate_rows`, runs every path: `simulate_block` many rows,
+`simulate_blocks` one, which `simulate`, `simulate_with_noise` and `rcar
+simulate` read, so a block row equals the scalar path bit for bit. Each
+stage of more than _FOLD steps is folded, as a first-order linear
+recurrence is a scan (Blelloch, "Prefix sums and their applications",
+1990): cut every _FOLD steps from its first step, its pieces run side by
+side and are stitched with the running products of their coefficients. A
+longer path only adds pieces, and the fold moves a path by round-off only
+(about 1e-15 at n = 1e6).
 
-Memory: a block of T = burn + n + 1 columns holds two (rows, T) float64
-arrays, the eta and the eps noise. The coefficients, and then the path,
-overwrite the eta noise in place (the coefficients one row at a time, with
-one row of scratch), and `simulate_block` returns the view [:, burn:] of
-that buffer, not a copy. Folding X_1..X_n adds one (rows, n - _FOLD) array
-of running products. A single path runs X_1..X_n in time blocks of
-_TIME_BLOCK steps instead, each cut on the same segments, so beyond its
-burn-in it holds about four _TIME_BLOCK arrays, about 8 MB, whatever n is:
-`rcar simulate` writes each block as it comes, and `simulate` and
-`simulate_with_noise` copy each into preallocated (n + 1) arrays. `ingest`
-parses a CSV a block of lines at a time into one float array.
+Memory: the burn-in and X_0..X_m, m = min(n, _TIME_BLOCK), run over two
+(rows, burn + m + 1) float64 arrays, the eta and the eps noise; the
+coefficients, and then the path, overwrite the eta noise in place (one row
+at a time, with one row of scratch). X_{m+1}..X_n follow in time blocks of
+_TIME_BLOCK steps, cut on the same segments, each row's retained streams
+going on from their saved states. So a path needs about four time blocks
+of working memory, about 8 MB a row, whatever n is: `rcar simulate` writes
+each block as it comes, and `simulate_block` returns the view [:, burn:]
+of the first buffer where that is the whole path, else copies the blocks
+into one (rows, n + 1) array, as `simulate` and `simulate_with_noise` do.
+`ingest` parses a CSV a block of lines at a time into one float array.
 
 CSV: `write_rows` prints each value as "%.17g" does, _WRITE_BLOCK rows at a
 time in numpy. For 1e-4 <= |x| < 1e16, which %.17g prints without an
@@ -103,7 +104,7 @@ _TWIN_START = 100.0
 _RATE_MARGIN = 2.0
 #: steps per fold segment; a path of at most _FOLD steps is not folded
 _FOLD = 2**13
-#: steps per time block of `simulate_blocks`: whole fold segments
+#: steps per time block of `_simulate_rows`: whole fold segments
 _TIME_BLOCK = 32 * _FOLD
 _MASK64 = (1 << 64) - 1
 _ETA_STREAM = 0xE7A
@@ -152,37 +153,46 @@ def _stream_keys(seeds) -> list:
     return mix64(np.array(words, dtype=np.uint64)[:, None], _STREAM_TAGS).tolist()
 
 
-def _draw(spec, rng: np.random.Generator, size: int) -> np.ndarray:
-    """The next size values of noise spec from rng; zeros without noise."""
-    return np.zeros(size) if spec is None else spec.sample(rng, size)
+def _fill(rng, specs, states, outs, save: bool = False) -> list:
+    """Write into each out the next out.size values of its spec, drawn from
+    its Philox state on rng's bit generator, set to each state in turn; a
+    missing spec leaves its out as it is. Returns the state each stream is
+    left in where save and it has a spec, else None in its slot."""
+    after = []
+    for spec, state, out in zip(specs, states, outs):
+        if spec is not None:
+            rng.bit_generator.state = state
+            out[:] = spec.sample(rng, out.size)
+        after.append(rng.bit_generator.state if save and spec is not None else None)
+    return after
 
 
 def _block_noise(params: ModelParams, seeds: list, n: int, burn: int):
-    """eta and eps of each trajectory seed, burn + n + 1 values per row in
-    time order.
+    """eta, eps and stream states of each trajectory seed: burn + m + 1
+    values per row in time order, m = min(n, _TIME_BLOCK), the burn-in and
+    the first time block.
 
-    Each segment is one draw from Philox with the key (mix64(seed, tag), 0)
-    and a zero counter, made by re-keying one bit generator. The
-    retained tags fill the last n + 1 columns, aligned with X_0..X_n (none
-    at n = -1, which draws the burn-in alone); draw k of a burn-in tag fills
-    the column k + 1 steps before X_0. eps[:, 0] precedes the recurrence;
-    eta is zeros without coefficient noise.
+    Each stream is one draw from Philox with the key (mix64(seed, tag), 0)
+    and a zero counter. The retained tags fill the last m + 1 columns,
+    aligned with X_0..X_m; draw k of a burn-in tag fills the column k + 1
+    steps before X_0. eps[:, 0] precedes the recurrence; eta is zeros
+    without coefficient noise. Where n > m, states holds each row's [eta,
+    eps] states after its retained draws, for the later blocks; else None.
     """
-    shape = (len(seeds), burn + n + 1)
+    m = min(n, _TIME_BLOCK)
+    shape = (len(seeds), burn + m + 1)
     eta = np.zeros(shape) if params.eta is None else np.empty(shape)
     eps = np.empty(shape)
+    specs, states = (params.eta, params.eps), []
     rng = np.random.Generator(np.random.Philox(0))
-    for i, row_keys in enumerate(_stream_keys(seeds)):
-        segments = (eta[i, burn:], eps[i, burn:], eta[i, :burn][::-1], eps[i, :burn][::-1])
-        for spec, key, out in zip((params.eta, params.eps) * 2, row_keys, segments):
-            if spec is not None and out.size:
-                rng.bit_generator.state = {
-                    "bit_generator": "Philox",
-                    "state": {"counter": [0, 0, 0, 0], "key": [key, 0]},
-                    "buffer": [0, 0, 0, 0], "buffer_pos": 4,
-                    "has_uint32": 0, "uinteger": 0}
-                out[:] = spec.sample(rng, out.size)
-    return eta, eps
+    for i, keys in enumerate(_stream_keys(seeds)):
+        starts = [{"bit_generator": "Philox", "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                   "state": {"counter": [0, 0, 0, 0], "key": [key, 0]},
+                   "has_uint32": 0, "uinteger": 0} for key in keys]
+        states.append(_fill(rng, specs, starts[:2], (eta[i, burn:], eps[i, burn:]), n > m))
+        if burn:
+            _fill(rng, specs, starts[2:], (eta[i, :burn][::-1], eps[i, :burn][::-1]))
+    return eta, eps, states if n > m else None
 
 
 def _coefficients(params: ModelParams, eta: np.ndarray) -> None:
@@ -270,18 +280,6 @@ def _recur(c: np.ndarray, e: np.ndarray, y=0.0, stitch: bool = False) -> None:
         c[..., s:s + _FOLD] += gain[..., s - first:s - first + _FOLD] * carried
 
 
-def _resolve_burn(params: ModelParams, n: int, burn: int | None) -> int:
-    """burn, or burn_in_for(params) where it is None, once n and the
-    burn-in are checked."""
-    if burn is None:
-        burn = burn_in_for(params)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if burn < 0:
-        raise ValueError("burn_in must be >= 0")
-    return burn
-
-
 def _burn_in(params: ModelParams, seeds: list, path: np.ndarray,
              eps: np.ndarray, burn: int) -> np.ndarray:
     """Stage 1, in place: each row's burn-in from 0 into X_0 = path[:, burn].
@@ -307,105 +305,100 @@ def _burn_in(params: ModelParams, seeds: list, path: np.ndarray,
                     f"initial condition not forgotten after burn-in {b}; "
                     "the process is at or beyond the stationarity boundary")
             b = min(2 * b, MAX_BURN_IN)
-            c, e = _block_noise(params, [seeds[i] for i in slow], 0, b)
+            c, e, _ = _block_noise(params, [seeds[i] for i in slow], 0, b)
             _coefficients(params, c)
-
-
-def _simulate_rows(params: ModelParams, n: int, seeds: list, burn: int | None,
-                   noise=None):
-    """X_0..X_n for each trajectory seed, after a verified burn-in.
-
-    Returns (x, burns): row i holds the path of seeds[i] and the burn-in it
-    used; x is a view of the eta buffer, which the coefficients and then the
-    path overwrite. burn None is burn_in_for(params); given noise, its last
-    burn + n + 1 columns are read. A path past EXPLOSION_LIMIT raises
-    HypothesisError.
-    """
-    burn = _resolve_burn(params, n, burn)
-    noise = _block_noise(params, seeds, n, burn) if noise is None else noise
-    if any(len(b) != len(seeds) or b.shape[1] <= burn + n for b in noise):
-        raise ValueError(f"noise must hold {len(seeds)} rows of burn + n + 1 values")
-    path, eps = (b[:, b.shape[1] - burn - n - 1:] for b in noise)
-    _coefficients(params, path)
-    burns = _burn_in(params, seeds, path, eps, burn)
-    x = path[:, burn:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        _recur(x[:, 1:], eps[:, burn + 1:], x[:, 0])  # stage 2, once per row
-    _check_explosion(x)
-    return x, burns
 
 
 @dataclass(frozen=True)
 class PathBlocks:
-    """One path whose burn-in has run; iterating `blocks` simulates the rest.
-
-    `blocks` yields (x, eta, eps) for consecutive times, first X_0 alone and
-    then X_1..X_n in time blocks of _TIME_BLOCK steps: the path and, where
-    the noise is retained, the retained eta and eps aligned with it (else
-    None). A block past EXPLOSION_LIMIT raises HypothesisError when it is
-    reached.
-    """
+    """Paths whose burn-in and first time block have run: `blocks` yields
+    (x, eta, eps) for consecutive times, X_0..X_m, m = min(n, _TIME_BLOCK),
+    then X_{m+1}..X_n in blocks of _TIME_BLOCK steps, simulating each when
+    it is reached (a block past EXPLOSION_LIMIT raises HypothesisError):
+    the paths and, where the noise is retained, the retained eta and eps
+    aligned with them (else None), time along the last axis."""
 
     n: int
-    burn_in: int
+    burn_in: int | np.ndarray
     blocks: Iterator
 
     def collect(self) -> list:
-        """[x], or [x, eta, eps] where the noise is retained: the blocks
-        written into preallocated (n + 1) arrays."""
+        """[x], or [x, eta, eps] where the noise is retained: a lone block
+        as it is, else the blocks written into preallocated arrays of n + 1
+        steps."""
         out, t = None, 0
         for block in self.blocks:
+            block = [b for b in block if b is not None]
             if out is None:
-                out = [np.empty(self.n + 1) for b in block if b is not None]
+                if block[0].shape[-1] == self.n + 1:
+                    return block
+                out = [np.empty((*b.shape[:-1], self.n + 1)) for b in block]
             for buf, values in zip(out, block):
-                buf[t:t + len(values)] = values
-            t += len(block[0])
+                buf[..., t:t + values.shape[-1]] = values
+            t += block[0].shape[-1]
         return out
+
+
+def _simulate_rows(params: ModelParams, n: int, seeds: list, burn: int | None,
+                   noise=None, retain: bool = False) -> Iterator:
+    """X_0..X_n for each trajectory seed after a verified burn-in, the one
+    driver of every path: yields the burn-in each row used once stage 1 and
+    the first time block have run, then the blocks of `PathBlocks`.
+
+    Stage 1 and X_1..X_m run in place over the `_block_noise` buffer, whose
+    eta the coefficients and then the paths overwrite. Each later block
+    continues every row's retained streams from their saved states and
+    stitches its first segment onto the X the block before ends with, as
+    the fold does, so no byte depends on _TIME_BLOCK. burn None is
+    burn_in_for(params). Given noise, `_block_noise` of these seeds at this
+    n and a burn-in >= burn, its last burn + m + 1 columns are overwritten.
+    retain keeps the retained noise of each block.
+    """
+    burn, m = burn_in_for(params) if burn is None else burn, min(n, _TIME_BLOCK)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if burn < 0:
+        raise ValueError("burn_in must be >= 0")
+    c, e, states = _block_noise(params, seeds, n, burn) if noise is None else noise
+    if any(len(b) != len(seeds) or b.shape[1] <= burn + m for b in (c, e)) or (
+            (states is None) != (n == m)):
+        raise ValueError(f"noise must hold {len(seeds)} rows of burn + m + 1 values")
+    c, e = (b[:, b.shape[1] - burn - m - 1:] for b in (c, e))
+    kept, eta = c[:, burn:].copy() if retain else None, c[:, -1].copy()
+    _coefficients(params, c)
+    burns = _burn_in(params, seeds, c, e, burn)
+    x, e = c[:, burn:], e[:, burn:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        _recur(x[:, 1:], e[:, 1:], x[:, 0])
+    _check_explosion(x)
+    yield burns
+    rng, specs = np.random.Generator(np.random.Philox(0)), (params.eta, params.eps)
+    for s in range(m + 1, n + 1, _TIME_BLOCK):  # X_s.. is the next block
+        yield x, kept, e if retain else None
+        width = min(_TIME_BLOCK, n + 1 - s)
+        shape = (len(seeds), width + 1)
+        c = np.zeros(shape) if params.eta is None else np.empty(shape)
+        e = np.empty((len(seeds), width))
+        c[:, 0] = eta  # the coefficient of X_s reads eta_{s-1}
+        states = [_fill(rng, specs, row, (c[i, 1:], e[i]), s + width <= n)
+                  for i, row in enumerate(states)]
+        kept, eta = c[:, 1:].copy() if retain else None, c[:, -1].copy()
+        _coefficients(params, c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _recur(c[:, 1:], e, x[:, -1], stitch=True)
+        x = c[:, 1:]
+        _check_explosion(x)
+    yield x, kept, e if retain else None
 
 
 def simulate_blocks(params: ModelParams, n: int, seed: int,
                     burn_in: int | None = None, retain: bool = False) -> PathBlocks:
-    """Run the burn-in of one path (stage 1) and return it with X_1..X_n to
-    come in time blocks, so the path needs one block of working memory.
-
-    The blocks are whole _FOLD segments counted from X_1. The two retained
-    streams stay open across blocks, and each block goes on from the X and
-    the eta that the one before ends with and stitches its first segment
-    onto that X as the fold stitches it, so the blocks are bitwise the path
-    run whole: `simulate_block`'s row of the same seed. retain keeps the
-    retained noise of each block.
-    """
-    burn = _resolve_burn(params, n, burn_in)
-    streams = [np.random.Generator(np.random.Philox(key=key))
-               for key in _stream_keys([seed])[0][:2]]
-    c, e = np.empty((1, burn + 1)), np.empty((1, burn + 1))
-    c[:, :burn], e[:, :burn] = _block_noise(params, [seed], -1, burn)
-    c[:, burn], e[:, burn] = (_draw(spec, rng, 1) for spec, rng
-                              in zip((params.eta, params.eps), streams))
-    head = (c[0, burn:].copy(), e[0, burn:])  # X_0's eta and eps
-    _coefficients(params, c)
-    burns = _burn_in(params, [seed], c, e, burn)
-    return PathBlocks(n, int(burns[0]),
-                      _stage2(params, n, c[0, burn:], head, streams, retain))
-
-
-def _stage2(params: ModelParams, n: int, x: np.ndarray, head, streams, retain):
-    """The blocks of `PathBlocks`, from X_0 (x) and its retained noise."""
-    eta, eps = head
-    _check_explosion(x)
-    yield (x, eta, eps) if retain else (x, None, None)
-    for s in range(1, n + 1, _TIME_BLOCK):
-        c = np.empty((1, min(_TIME_BLOCK, n + 1 - s) + 1))
-        c[0, 0] = eta[-1]  # the coefficient of X_s reads eta_{s-1}
-        c[0, 1:] = _draw(params.eta, streams[0], c.shape[1] - 1)
-        eps = _draw(params.eps, streams[1], c.shape[1] - 1)
-        eta = c[0, 1:].copy() if retain else c[0, -1:].copy()
-        _coefficients(params, c)
-        with np.errstate(over="ignore", invalid="ignore"):
-            _recur(c[:, 1:], eps[None], x[-1], stitch=s > 1)
-        x = c[0, 1:]
-        _check_explosion(x)
-        yield (x, eta, eps) if retain else (x, None, None)
+    """`_simulate_rows` of one seed, each block that path alone, so it runs
+    in a few time blocks of memory whatever n is. retain keeps the retained
+    noise of each block."""
+    rows = _simulate_rows(params, n, [seed], burn_in, retain=retain)
+    return PathBlocks(n, int(next(rows)[0]),
+                      (tuple(b if b is None else b[0] for b in block) for block in rows))
 
 
 def simulate(params: ModelParams, n: int, seed: int,
@@ -432,8 +425,9 @@ def simulate_with_noise(params: ModelParams, n: int, seed: int,
 
 
 def block_noise(params: ModelParams, n: int, master_seed: int, replicates, burn: int):
-    """The (eta, eps) `simulate_block` draws for these replicates at burn-in
-    burn; their last b + n + 1 columns are its noise at any b <= burn."""
+    """The (eta, eps, states) `simulate_block` draws for these replicates at
+    burn-in burn (see `_block_noise`): it reads the last b + m + 1 columns
+    of eta and eps at any b <= burn, and continues the states."""
     seeds = [replicate_seed(master_seed, r) for r in replicates]
     return _block_noise(params, seeds, n, burn)
 
@@ -445,11 +439,13 @@ def simulate_block(params: ModelParams, n: int, master_seed: int,
     Row i holds X_0..X_n for replicate replicates[i], seeded independently
     via replicate_seed(master_seed, r); the result does not depend on how
     replicates are grouped into blocks. Given noise, `block_noise` of these
-    replicates at a burn-in >= burn_in, only doubled rows draw. The result
-    is a view of the eta buffer it overwrites, burn-in columns included.
+    replicates at this n and a burn-in >= burn_in, only doubled rows and
+    later time blocks draw. Where n <= _TIME_BLOCK the result is a view of
+    the eta buffer it overwrites, burn-in columns included.
     """
     seeds = [replicate_seed(master_seed, r) for r in replicates]
-    return _simulate_rows(params, n, seeds, burn_in, noise)[0]
+    rows = _simulate_rows(params, n, seeds, burn_in, noise)
+    return PathBlocks(n, next(rows), rows).collect()[0]
 
 
 # ---------------------------------------------------------------------------

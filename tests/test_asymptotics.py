@@ -329,6 +329,16 @@ class TestCovarianceStack:
         with pytest.raises(PathologicalParamsError):
             sigma_psi(p, so, fo)
 
+    def test_theta_star_at_the_boundary_trips_f_jacobian(self):
+        # theta = 0.9/sqrt(2) puts theta* at 1/sqrt(2) to the last bit, while
+        # theta itself is far from psi0's root, so the correction map's own
+        # guard is the one that raises
+        p = gaussian_params(0.9 / math.sqrt(2), 0.5, 0.1)
+        so = build_second_order(p)
+        assert asymptotics.limits(p, so).theta_star == 0.7071067811865475
+        with pytest.raises(PathologicalParamsError, match="^f_jacobian"):
+            sigma_psi(p, so, build_fourth_order(p, so))
+
 
 class TestPsi0ClosedForm:
     def test_theta_zero_reduction_symbolic(self):

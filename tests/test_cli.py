@@ -177,6 +177,13 @@ class TestVariance:
         assert main(["variance", "--theta", repr(theta), "--alpha", "0",
                      "--eps", "gaussian:1", "--eta", "gaussian:0.02"]) == 5
 
+    def test_theta_star_at_the_boundary_exits_5(self, capsys):
+        # theta* = 1/sqrt(2) with theta away from it: `f_jacobian` raises
+        theta = 0.9 / math.sqrt(2)
+        assert main(["variance", "--theta", repr(theta), "--alpha", "0.5",
+                     "--eps", "gaussian:1", "--eta", "gaussian:0.1"]) == 5
+        assert "f_jacobian" in capsys.readouterr().err
+
     def test_variances_agree_with_library_bitwise(self, capsys):
         # the printed omega2 and kappa2 are the library's single computations
         rng = np.random.default_rng(5)

@@ -291,6 +291,15 @@ class TestLogMoment:
         assert log_moment(ModelParams(-0.5, 0.3, GAUSS1, None)) == (math.log(0.5), 0.0)
         assert log_moment(ModelParams(0.0, 0.3, GAUSS1, None)) == (-math.inf, 0.0)
 
+    def test_tail_term_dominates_far_from_the_support(self):
+        # at theta 1e30 the integrand is smooth and the rule exact to
+        # round-off, so the bound is the truncated tail: |theta| times the
+        # gaussian mass beyond the cut at 12 sd
+        value, bound = log_moment(
+            ModelParams(1e30, 0.5, GAUSS1, NoiseSpec(NoiseFamily.GAUSSIAN, 0.1)))
+        assert value == pytest.approx(math.log(1e30), rel=1e-15)
+        assert bound >= 1e30 * math.erfc(12 / math.sqrt(2))
+
     @pytest.mark.parametrize("theta,alpha,c", [
         (0.3, 0.5, 0.2), (-0.7, -0.8, 0.05), (0.1, 2.0, 0.3)])
     def test_rademacher_atoms(self, theta, alpha, c):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import importlib
 import io
 import json
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcar import cli
+from rcar import cli, harness
 from rcar.errors import DegenerateDataError, HypothesisError
 from rcar.estimate import correlation_test
 from rcar.harness import MCConfig, run_experiment
@@ -169,7 +170,7 @@ class TestKeyedStreams:
         params = ModelParams(0.3, 0.2, eps, eta)
         seeds = [replicate_seed(9, r) for r in range(4)] + [-5, 2**64 + 3]
         n, burn = 101, 17
-        block_eta, block_eps = _block_noise(params, seeds, n, burn)
+        block_eta, block_eps, _ = _block_noise(params, seeds, n, burn)
         for i, seed in enumerate(seeds):
             eta_i, eps_i = stream_noise(params, seed, burn, n)
             assert block_eta[i].tobytes() == eta_i.tobytes()
@@ -230,17 +231,17 @@ class TestStreamLayout:
     @pytest.mark.parametrize("params", FAMILY_PARAMS, ids=FAMILY_IDS)
     def test_doubled_burn_in_keeps_nearer_half(self, params):
         seeds, n, burn = [replicate_seed(9, r) for r in range(3)] + [-5], 40, 17
-        near = _block_noise(params, seeds, n, burn)
-        far = _block_noise(params, seeds, n, 2 * burn)
+        near = _block_noise(params, seeds, n, burn)[:2]
+        far = _block_noise(params, seeds, n, 2 * burn)[:2]
         for a, b in zip(far, near):
             assert a[:, burn:].tobytes() == b.tobytes()
 
     def test_doubling_row_keeps_nearer_half(self):
         traj = simulate(SLOW, 300, seed=3, burn_in=5)
         assert traj.burn_in >= 10
-        burn, near = 5, _block_noise(SLOW, [3], 300, 5)
+        burn, near = 5, _block_noise(SLOW, [3], 300, 5)[:2]
         while burn < traj.burn_in:
-            far = _block_noise(SLOW, [3], 300, 2 * burn)
+            far = _block_noise(SLOW, [3], 300, 2 * burn)[:2]
             for a, b in zip(far, near):
                 assert a[:, burn:].tobytes() == b.tobytes()
             burn, near = 2 * burn, far
@@ -524,14 +525,15 @@ class TestBlockBuffers:
         # the one drawn for it, written over the given eta
         n, burn, reps = 300, 20, range(5, 12)
         want = simulate_block(params_accept, n, 4, reps, burn)
-        eta, eps = block_noise(params_accept, n, 4, reps, 3 * burn)
+        eta, eps, states = block_noise(params_accept, n, 4, reps, 3 * burn)
         monkeypatch.setattr(NoiseSpec, "sample",
                             lambda *args: pytest.fail("noise drawn"))
-        got = simulate_block(params_accept, n, 4, reps, burn, (eta, eps))
+        got = simulate_block(params_accept, n, 4, reps, burn, (eta, eps, states))
         assert np.array_equal(got, want) and np.shares_memory(got, eta)
         for n_, rows in ((n + 1, reps), (n, range(6))):
             with pytest.raises(ValueError, match="^noise must hold"):
-                simulate_block(params_accept, n_, 4, rows, 3 * burn, (eta, eps))
+                simulate_block(params_accept, n_, 4, rows, 3 * burn,
+                               (eta, eps, states))
 
 
 def simulate_argv(params, n, seed, burn_in, out):
@@ -551,30 +553,38 @@ N_OF_BLOCK = {"b-1": lambda b: b - 1, "b": lambda b: b, "b+1": lambda b: b + 1,
 
 
 class TestTimeBlocks:
-    """`rcar simulate`, `simulate` and `simulate_with_noise` run X_1..X_n
-    in time blocks of whole fold segments counted from X_1, with the two
-    retained streams open across blocks; no byte depends on the block
-    size."""
+    """Every path runs X_1..X_n in time blocks of whole fold segments
+    counted from X_1, each row's two retained streams going on from their
+    saved states; no byte depends on the block size."""
 
     @staticmethod
-    def outputs(params, n, seed, burn_in, path, noise):
+    def outputs(params, n, seed, burn_in, path, noise, rows):
         """The CSV bytes `rcar simulate` writes and the path `simulate`
-        gives; with noise, also simulate_with_noise's path, eta and eps."""
+        gives; with noise, also simulate_with_noise's path, eta and eps;
+        with rows, also a 3-row `simulate_block` and the paths of a harness
+        job at two alpha points on shared noise."""
         assert cli.main(simulate_argv(params, n, seed, burn_in, path)) == 0
         out = [path.read_bytes(), simulate(params, n, seed, burn_in).x.tobytes()]
         if noise:
             out += [a.tobytes() for a in simulate_with_noise(params, n, seed, burn_in)[1:]]
+        if rows:
+            out.append(simulate_block(params, n, seed, range(3), burn_in).tobytes())
+            points = [params, dataclasses.replace(params, alpha=-params.alpha / 2)]
+            plan = [(p, burn_in_for(p) if burn_in is None else burn_in) for p in points]
+            out += harness._chunk(np.ndarray.tobytes, n, seed, plan, 1, 4)
         return out
 
     def check(self, monkeypatch, tmp_path, params, n, seed, burn_in, block,
-              noise=False):
+              noise=False, rows=False):
         # the default block holds every path here: the path run whole
         assert n <= _TIME_BLOCK
-        want = self.outputs(params, n, seed, burn_in, tmp_path / "whole.csv", noise)
-        row = _simulate_rows(params, n, [seed], burn_in)[0][0]
-        assert want[1] == row.tobytes()  # the block simulator's row
+        want = self.outputs(params, n, seed, burn_in, tmp_path / "whole.csv",
+                            noise, rows)
+        _, (paths, _, _) = _simulate_rows(params, n, [seed], burn_in)
+        assert want[1] == paths[0].tobytes()  # the block simulator's row
         monkeypatch.setattr(SIM, "_TIME_BLOCK", block)
-        got = self.outputs(params, n, seed, burn_in, tmp_path / "blocks.csv", noise)
+        got = self.outputs(params, n, seed, burn_in, tmp_path / "blocks.csv",
+                           noise, rows)
         assert got == want
 
     @pytest.mark.parametrize("block", [_FOLD, 2 * _FOLD], ids=["fold", "2fold"])
@@ -601,6 +611,14 @@ class TestTimeBlocks:
         self.check(monkeypatch, tmp_path, params, 2 * _FOLD + 3, 5, None, _FOLD,
                    noise=True)
 
+    @pytest.mark.parametrize("params", FAMILY_PARAMS, ids=FAMILY_IDS)
+    def test_rows_past_a_block_leave_no_trace(self, monkeypatch, tmp_path,
+                                              params):
+        # each row goes on from its own saved states, an eta-none row's
+        # eta slot empty, and both plan points from those of one draw
+        self.check(monkeypatch, tmp_path, params, 2 * _FOLD + 7, 5, None, _FOLD,
+                   rows=True)
+
     def test_doubled_row_draws_each_value_once(self, monkeypatch):
         drawn, sample = [], NoiseSpec.sample
 
@@ -611,10 +629,13 @@ class TestTimeBlocks:
         monkeypatch.setattr(NoiseSpec, "sample", counting)
         monkeypatch.setattr(SIM, "_TIME_BLOCK", _FOLD)
         traj = simulate(SLOW, 10_000, seed=3, burn_in=5)
-        # as in one block: X_0's retained values drawn in stage 1 once, and
-        # again with each doubling; X_1..X_n in two blocks
+        # as in one block: X_0..X_m's retained values and the burn-in of 5
+        # drawn once, X_0's again with each doubling, and X_{m+1}..X_n
+        # continued from the saved stream states, m = _FOLD
+        doublings = [[1, 1, 5 * 2**k, 5 * 2**k] for k in range(1, 7)]
         assert traj.burn_in == 320 and sum(drawn) == 21_284
-        assert drawn[-4:] == [_FOLD, _FOLD, 10_000 - _FOLD, 10_000 - _FOLD]
+        assert drawn == [_FOLD + 1, _FOLD + 1, 5, 5, *sum(doublings, []),
+                         10_000 - _FOLD, 10_000 - _FOLD]
 
 
 class TestSeriesMemory:
@@ -643,6 +664,17 @@ class TestSeriesMemory:
             peaks.append(self.traced_peak(lambda: cli.main(argv)))
         # a path held whole would add 8 bytes a step, 384 KiB in all
         assert abs(peaks[1] - peaks[0]) < 16 * 1024
+
+    def test_rows_past_a_block_hold_their_paths_and_one_block(self, monkeypatch,
+                                                              params_accept):
+        # past the first block a row holds its path, 8 bytes a step, and a
+        # fixed allowance of blocks; the noise held whole (16 bytes a step)
+        # and the fold's running products (8) would reach 24
+        monkeypatch.setattr(SIM, "_TIME_BLOCK", _FOLD)
+        simulate_block(params_accept, 10, 1, range(3))
+        peaks = [self.traced_peak(lambda: simulate_block(params_accept, n, 1, range(3)))
+                 for n in (2 * _FOLD, 8 * _FOLD)]
+        assert (peaks[1] - peaks[0]) / (3 * 6 * _FOLD) < 12
 
     def test_single_row_holds_no_object_per_step(self, params_accept):
         # per step the peak of a path of at most _FOLD steps holds the path
