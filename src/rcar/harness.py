@@ -29,7 +29,6 @@ import functools
 import math
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -229,6 +228,14 @@ def _job_rows(n: int, burn: int, points: int = 1) -> int:
     coefficient scratch or one later time block's buffers, or the paths and
     the two temporaries of `estimate.correlation_statistics`."""
     return max(1, min(CHUNK // points, BLOCK_BYTES // (8 * (points + 2) * (burn + n + 1))))
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures' process pool, imported only when `_gather` starts
+    one: its modules, multiprocessing among them, would cost every other run
+    of rcar their import time and memory."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
 
 
 def _gather(cfg: MCConfig, stage, plan: list[tuple[ModelParams, int]]) -> list[dict]:

@@ -71,24 +71,49 @@ class NoiseFamily(str, enum.Enum):
         return cls.__members__.get(str(value).strip().upper())
 
 
-#: one row per family: its sampler (rng, scale, size), its closed-form even
-#: moments (m2, m4, m6, m8) of the scale, and the factor c of its
+def _gaussian(rng, s, size, out):
+    # numpy's normal(0, sd) is 0.0 + sd * z: adding 0.0 keeps a zero's sign
+    out = rng.standard_normal(size, out=out)
+    out *= math.sqrt(s)
+    out += 0.0
+    return out
+
+
+def _uniform(rng, s, size, out):
+    # numpy's uniform(-s, s) is -s + (s - -s) * u
+    out = rng.random(size, out=out)
+    out *= s - -s
+    out += -s
+    return out
+
+
+def _assigned(draw):
+    """A sampler that writes what draw(rng, s, size) returns into out."""
+    def sample(rng, s, size, out):
+        values = draw(rng, s, size)
+        if out is None:
+            return values
+        out[...] = values
+        return out
+    return sample
+
+
+#: one row per family: its sampler (rng, scale, size, out), its closed-form
+#: even moments (m2, m4, m6, m8) of the scale, and the factor c of its
 #: fourth-moment map m4 = c * m2^2
 _Family = namedtuple("_Family", "sample moments kurtosis")
 _FAMILIES = {
     NoiseFamily.GAUSSIAN: _Family(
-        lambda rng, s, size: rng.normal(0.0, math.sqrt(s), size),
-        lambda s: (s, 3 * s**2, 15 * s**3, 105 * s**4), 3.0),
+        _gaussian, lambda s: (s, 3 * s**2, 15 * s**3, 105 * s**4), 3.0),
     # E[X^(2k)] = c^(2k) / (2k + 1) on [-c, c]
     NoiseFamily.UNIFORM: _Family(
-        lambda rng, s, size: rng.uniform(-s, s, size),
-        lambda s: (s**2 / 3, s**4 / 5, s**6 / 7, s**8 / 9), 9.0 / 5.0),
+        _uniform, lambda s: (s**2 / 3, s**4 / 5, s**6 / 7, s**8 / 9), 9.0 / 5.0),
     # E[X^(2k)] = (2k)! b^(2k)
     NoiseFamily.LAPLACE: _Family(
-        lambda rng, s, size: rng.laplace(0.0, s, size),
+        _assigned(lambda rng, s, size: rng.laplace(0.0, s, size)),
         lambda s: (2 * s**2, 24 * s**4, 720 * s**6, 40320 * s**8), 6.0),
     NoiseFamily.RADEMACHER: _Family(
-        lambda rng, s, size: s * (2.0 * rng.integers(0, 2, size) - 1.0),
+        _assigned(lambda rng, s, size: s * (2.0 * rng.integers(0, 2, size) - 1.0)),
         lambda s: (s**2, s**4, s**6, s**8), 1.0),
 }
 
@@ -149,8 +174,10 @@ class NoiseSpec:
             raise ConfigurationError(
                 f"noise scale must be finite and > 0, got {self.scale}")
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return _FAMILIES[self.family].sample(rng, self.scale, size)
+    def sample(self, rng: np.random.Generator, size: int, out=None) -> np.ndarray:
+        """size draws; given out, a contiguous float64 array of that size,
+        they are written into it and it is returned."""
+        return _FAMILIES[self.family].sample(rng, self.scale, size, out)
 
 
 def noise_moments(spec: NoiseSpec) -> MomentSet:

@@ -44,7 +44,8 @@ of working memory, about 8 MB a row, whatever n is: `rcar simulate` writes
 each block as it comes, and `simulate_block` returns the view [:, burn:]
 of the first buffer where that is the whole path, else copies the blocks
 into one (rows, n + 1) array, as `simulate` and `simulate_with_noise` do.
-`ingest` parses a CSV a block of lines at a time into one float array.
+`ingest` parses a CSV about 2**18 characters at a time into one float
+array.
 
 CSV: `write_rows` prints each value as "%.17g" does, _WRITE_BLOCK rows at a
 time in numpy. For 1e-4 <= |x| < 1e16, which %.17g prints without an
@@ -58,6 +59,18 @@ no trailing zeros after the point. So the digits and the bytes are those of
 %.17g. The other rows, 0, |x| < 1e-4 (subnormals among them), |x| >= 1e16
 and non-finite values (about 70 rows in 10**6 of a stationary series), go
 through %.17g one by one.
+
+`ingest` reads the rows `write_rows` writes for that domain in numpy too,
+and np.loadtxt decides every other line. Such a row is `t,x`, t digits
+without a leading zero, x an optional '-', digits, '.' and digits, at most
+17 of them significant; the digits are summed as 8-digit SWAR words and
+give x = W 10**-P. Below 2**53, W and 10**P are exact doubles, and one
+division rounds correctly (Clinger, "How to read floating point numbers
+accurately", 1990). Otherwise the quotient or a neighbour 1 ulp away is
+the double whose `_significand` is W padded to 17 digits, at W 10**-P's
+exponent: seventeen digits identify a double, so it is the double nearest
+the text, as np.loadtxt gives. Rows outside the domain or with no such
+neighbour go to np.loadtxt, and a block it rejects is parsed whole.
 
 Stage 1 starts at 0 and runs `burn_in` steps. The initial condition is
 forgotten exponentially fast, at the contraction rate E ln|theta_t| < 0 of
@@ -75,7 +88,6 @@ with its error bound, is not negative.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import os
@@ -162,7 +174,7 @@ def _fill(rng, specs, states, outs, save: bool = False) -> list:
     for spec, state, out in zip(specs, states, outs):
         if spec is not None:
             rng.bit_generator.state = state
-            out[:] = spec.sample(rng, out.size)
+            spec.sample(rng, out.size, out)
         after.append(rng.bit_generator.state if save and spec is not None else None)
     return after
 
@@ -191,7 +203,10 @@ def _block_noise(params: ModelParams, seeds: list, n: int, burn: int):
                    "has_uint32": 0, "uinteger": 0} for key in keys]
         states.append(_fill(rng, specs, starts[:2], (eta[i, burn:], eps[i, burn:]), n > m))
         if burn:
-            _fill(rng, specs, starts[2:], (eta[i, :burn][::-1], eps[i, :burn][::-1]))
+            _fill(rng, specs, starts[2:], (eta[i, :burn], eps[i, :burn]))
+    if burn:  # numpy draws into contiguous arrays only: forward, then reversed
+        for b in (eta, eps):
+            b[:, :burn] = b[:, burn - 1::-1]
     return eta, eps, states if n > m else None
 
 
@@ -454,7 +469,8 @@ def simulate_block(params: ModelParams, n: int, master_seed: int,
 _CSV_ROWS = np.dtype([("t", "<i8"), ("x", "<f8")])
 #: rows formatted per write; bounds the size of each formatted string
 _WRITE_BLOCK = 1 << 13
-#: lines per parse of `ingest`
+#: lines per parse of `ingest`, about: it reads _PARSE_BLOCK * 32
+#: characters at a time and parses the whole lines among them
 _PARSE_BLOCK = 1 << 13
 #: rows per parse when a rejected block is searched for its faulty line
 _LOCATE_BLOCK = 1 << 10
@@ -471,6 +487,15 @@ _POW10 = np.array([float(f"1e{j}") for j in range(_K_MIN, _K_MAX + 2)])
 #: 5**(16 - k), below 2**50, split into its high and low 32-bit halves
 _POW5 = np.array([5 ** (16 - k) for k in range(_K_MIN, _K_MAX + 1)], dtype=np.uint64)
 _POW5_HI, _POW5_LO = _POW5 >> np.uint64(32), _POW5 & np.uint64(0xFFFFFFFF)
+#: 10**j for j = 0..16 in uint64, and 10**j for j = 0..20 as doubles, each
+#: exact (10**22 is the largest power of ten a double holds exactly)
+_POW10_U8 = np.array([10 ** j for j in range(17)], dtype=np.uint64)
+_POW10_F8 = np.array([float(f"1e{j}") for j in range(21)])
+#: the mask that clears the low i bytes of a '<u8' word, i = 0..8
+_WORD_KEEP = np.array([_MASK64 << 8 * i & _MASK64 for i in range(9)], dtype=np.uint64)
+#: the bytes around a block's text, so every word and byte `_read_block`
+#: reads is in its buffer; '0' is no separator
+_PAD = b"0" * 16
 
 
 @functools.cache
@@ -666,6 +691,193 @@ def _parse_rows(lines) -> np.ndarray:
                           comments=None, ndmin=1)
 
 
+def _digit_words(words: np.ndarray, fields) -> tuple:
+    """The digits of each row's fields as 8-digit SWAR words: a field (e,
+    s, count) is text[s:e] of each row, read as `count` words that end at
+    e, 8 bytes apart, with the bytes before s cleared to 0. words[i] is
+    the little-endian word at byte i of the text, whose fields hold no
+    byte below '0'. Returns the words' integers, (words, rows), the less
+    significant word of each field first, and whether every byte of each
+    row's fields is a digit."""
+    shape = (sum(count for _, _, count in fields), len(fields[0][0]))
+    at, outside = np.empty(shape, np.int64), np.empty(shape, np.int64)
+    j = 0
+    for end, start, count in fields:
+        for step in range(8, 8 * count + 1, 8):
+            np.subtract(end, step, out=at[j])
+            np.subtract(start, at[j], out=outside[j])
+            j += 1
+    w = words.take(at)
+    w &= _WORD_KEEP.take(outside, mode="clip")
+    # a byte 0x00..0x39 plus 0x46 stays below 0x80, one 0x3a..0x7f does not
+    high = w + np.uint64(0x4646464646464646)
+    high &= np.uint64(0x8080808080808080)
+    digits = functools.reduce(np.bitwise_or, high) == 0
+    # eight digits, the first in the low byte, to an integer in three
+    # multiplies (Lemire, "Quickly parsing eight digits", 2018)
+    w &= np.uint64(0x0F0F0F0F0F0F0F0F)
+    for mul, shift, keep in ((2561, 8, 0x00FF00FF00FF00FF),
+                             (6553601, 16, 0x0000FFFF0000FFFF)):
+        w *= np.uint64(mul)
+        w >>= np.uint64(shift)
+        w &= np.uint64(keep)
+    w *= np.uint64(42949672960001)
+    w >>= np.uint64(32)
+    return w, digits
+
+
+def _field_value(words: np.ndarray) -> np.ndarray:
+    """The integer of one field's 8-digit words, less significant first."""
+    value = words[0].copy()
+    if len(words) > 1:
+        value += words[1] * _POW10_U8[8]
+    return value
+
+
+def _nearest(y: np.ndarray, want_d: np.ndarray, want_k: np.ndarray) -> np.ndarray:
+    """Whether each y is in 1e-4 <= y < 1e16 and `_significand` gives
+    back (want_d, want_k) for it."""
+    inside = (y >= _FIXED_MIN) & (y < _FIXED_MAX)
+    d, k = _significand(np.where(inside, y, 1.0))
+    return inside & (d == want_d) & (k == want_k)
+
+
+def _exact_values(w: np.ndarray, p: np.ndarray) -> tuple:
+    """The double nearest w 10**-p for each w < 10**17 and p <= 20, and
+    whether it is resolved.
+
+    Below 2**53, w and 10**p are exact doubles, so one division rounds
+    w 10**-p correctly (Clinger, "How to read floating point numbers
+    accurately", 1990). Otherwise that quotient or a neighbour 1 ulp away
+    is the nearest double: the one for which `_significand` gives back w's
+    own digits, padded to 17, and w 10**-p's exponent. Seventeen
+    significant digits identify a double, so the double whose 17 digits
+    are the text's is the one nearest the text. The check needs
+    1e-4 <= x < 1e16; rows outside it, or whose three candidates all miss,
+    are unresolved.
+    """
+    x = w.astype(np.float64)
+    x /= _POW10_F8[p]
+    # w >= 2**53 has 16 or 17 digits
+    seventeen = w >= _POW10_U8[16]
+    want_d = np.where(seventeen, w, w * np.uint64(10))
+    want_k = 15 + seventeen - p
+    resolved = (w < np.uint64(1 << 53)) | _nearest(x, want_d, want_k)
+    miss = np.flatnonzero(~resolved)
+    if miss.size:
+        first, want_d, want_k = x[miss], want_d[miss], want_k[miss]
+        for step in (1, -1):
+            y = (first.view(np.int64) + step).view(np.float64)
+            hit = _nearest(y, want_d, want_k)
+            x[miss[hit]] = y[hit]
+            resolved[miss[hit]] = True
+    return x, resolved
+
+
+def _read_block(text: str):
+    """The (t, x) records of text's lines, or None where `_parse_rows`
+    rejects the lines the numpy path leaves it, or does not give one
+    record a line: the caller then parses the lines whole.
+
+    text is whole lines, each ending in "\\n" but perhaps the last. The
+    numpy path reads the lines `write_rows` writes for 1e-4 <= |x| < 1e16:
+    t digits without a leading zero, ',', an optional '-', digits without
+    a leading zero (but `0`), '.' and at most 20 digits, with at most 17
+    significant digits in x. Their fields are read as 8-digit words
+    (`_digit_words`); `_exact_values` gives the double nearest x's text,
+    which `np.loadtxt` gives too. The other lines go to `_parse_rows`.
+    """
+    try:
+        buf = b"".join((_PAD, text.encode("ascii"), _PAD))
+    except UnicodeEncodeError:
+        return None
+    b = np.frombuffer(buf, np.uint8)
+    words = np.ndarray((len(buf) - 7,), _U8, buf, strides=(1,))
+    at = np.flatnonzero(b < 48)  # the newlines, commas, signs and points
+    ch = b[at]
+    nl = np.flatnonzero(ch == 10)
+    ends = at[nl]
+    starts = np.empty_like(ends)
+    starts[:1] = len(_PAD)
+    starts[1:] = ends[:-1] + 1
+    # `,.\n` or `,-.\n` closes a line, the sign right after the comma
+    count = np.diff(nl, prepend=-1)
+    sign = count == 4
+    comma = nl - 2 - sign
+    dot, sep = at.take(nl - 1, mode="clip"), at.take(comma, mode="clip")
+    ok = (count == 3) | sign
+    ok &= ch.take(nl - 1, mode="clip") == 46
+    ok &= ch.take(comma, mode="clip") == 44
+    ok &= (b[sep + 1] == 45) == sign
+    lead = sep + 1 + sign
+    t_len, i_len, f_len = sep - starts, dot - lead, ends - dot - 1
+    # 10**f_len is exact in a double
+    ok &= (t_len >= 1) & (i_len >= 1) & (f_len >= 1) & (f_len <= 20)
+    zero = b[lead] == 48
+    ok &= ((t_len == 1) | (b[starts] != 48)) & ((i_len == 1) | ~zero)
+    # past 16 digits after the point, x is `0.` and the digits before the
+    # last 16 take the integer part's word
+    long = f_len > 16
+    ok &= ~long | zero
+    hi_end = np.where(long, ends - 16, dot)
+    hi_start = np.where(long, dot + 1, lead)
+    fields = []
+    for end, start in ((sep, starts), (hi_end, hi_start)):
+        size = end - start
+        words_n = 1 + (size.max(initial=0, where=ok) > 8)
+        if words_n > 1:
+            ok &= size <= 16
+        fields.append((end, start, words_n))
+    fields.append((ends, dot + 1, 2))  # the last 16 digits after the point
+    w, digits = _digit_words(words, fields)
+    ok &= digits
+    t = _field_value(w[:fields[0][2]])
+    hi = _field_value(w[fields[0][2]:-2])
+    scale = np.minimum(f_len, 16)
+    # at most 17 significant digits: hi < 10**(17 - scale), so no uint64
+    # product below wraps
+    ok &= hi < _POW10_U8.take(17 - scale, mode="clip")
+    hi *= ok  # rows off the numpy path read 0
+    hi *= _POW10_U8.take(scale, mode="clip")
+    hi += _field_value(w[-2:]) * ok
+    x, resolved = _exact_values(hi, f_len * ok)
+    ok &= resolved
+    np.negative(x, out=x, where=sign)
+    rows = np.empty(len(ends) + (not text.endswith("\n")), _CSV_ROWS)
+    rows["t"][:len(ends)] = t
+    rows["x"][:len(ends)] = x
+    slow = np.flatnonzero(~ok).tolist()
+    lines = [text[starts[i] - len(_PAD):ends[i] + 1 - len(_PAD)] for i in slow]
+    if len(rows) > len(ends):  # the last line has no newline
+        slow.append(len(ends))
+        lines.append(text[text.rfind("\n") + 1:])
+    if lines:
+        try:
+            parsed = _parse_rows(lines)
+        except ValueError:
+            return None
+        if len(parsed) != len(lines):
+            return None
+        rows[slow] = parsed
+    return rows
+
+
+def _line_chunks(fh, size: int) -> Iterator:
+    """fh's text in pieces of whole lines, each size characters and the
+    rest of its last line."""
+    while text := fh.read(size):
+        if not text.endswith("\n"):
+            text += fh.readline()
+        yield text
+
+
+def _lines(text: str) -> list:
+    """text's lines as file iteration gives them: cut after each "\\n"."""
+    lines = [line + "\n" for line in text.split("\n")]
+    lines[-1] = lines[-1][:-1]
+    return lines if lines[-1] else lines[:-1]
+
+
 def _value_fault(rows: np.ndarray, start: int) -> str | None:
     """Why the first record that breaks the contiguous index from `start` or
     holds a non-finite value is rejected, or None."""
@@ -732,11 +944,13 @@ def _newlines(path) -> int:
 def ingest(path) -> Trajectory:
     """Read a trajectory CSV; errors name the offending line, a pipe's too.
 
-    The data lines are parsed _PARSE_BLOCK at a time into one float array:
-    every row ends a line, so a file's newline count bounds the rows, and
-    the array grows only for a pipe or a file whose lines end in a lone
-    CR. Bytes that are not UTF-8 reach the parse as lone surrogates, which
-    it rejects like any other malformed cell.
+    The data lines are read 32 * _PARSE_BLOCK characters and the rest of a
+    line at a time (`_read_block`; `_parse_rows` of the whole block where
+    that rejects it) into one float array: every row ends a line, so a
+    file's newline count bounds the rows, and the array grows only for a
+    pipe or a file whose lines end in a lone CR. Bytes that are not UTF-8
+    reach the parse as lone surrogates, which it rejects like any other
+    malformed cell.
     """
     x = np.empty(_newlines(path) if os.path.isfile(path) else _PARSE_BLOCK)
     rows = 0
@@ -747,15 +961,17 @@ def ingest(path) -> Trajectory:
                 f"{path}: expected header 't,x', got {header.rstrip()!r}"
             )
         lineno = 2  # of the first line of the next block, empty lines counted
-        while lines := list(itertools.islice(fh, _PARSE_BLOCK)):
-            try:
-                block = _parse_rows(lines)
-            except ValueError as exc:
-                raise _locate(path, lines, lineno, rows, str(exc)) from None
+        for text in _line_chunks(fh, 32 * _PARSE_BLOCK):
+            block = _read_block(text)
+            if block is None:
+                try:
+                    block = _parse_rows(_lines(text))
+                except ValueError as exc:
+                    raise _locate(path, _lines(text), lineno, rows, str(exc)) from None
             fault = _value_fault(block, rows)
             if fault is not None:
-                raise _locate(path, lines, lineno, rows, fault)
-            lineno += len(lines)
+                raise _locate(path, _lines(text), lineno, rows, fault)
+            lineno += text.count("\n") + (not text.endswith("\n"))
             if rows + len(block) > len(x):
                 x.resize(2 * (rows + len(block)), refcheck=False)
             x[rows:rows + len(block)] = block["x"]

@@ -342,13 +342,14 @@ class TestSimulateEstimateRoundTrip:
         monkeypatch.setattr(sim, "_TIME_BLOCK", sim._FOLD)
         sample, calls, written = NoiseSpec.sample, [], []
 
-        def failing(spec, rng, size):
+        def failing(spec, rng, size, out=None):
             calls.append(size)
             if calls.count(sim._FOLD) <= 2:  # X_0 and the first block
-                return sample(spec, rng, size)
+                return sample(spec, rng, size, out)
             written.append(sum(p.stat().st_size for p in tmp_path.glob(".*.tmp")))
             if error is None:
-                return np.full(size, np.inf)
+                out[...] = np.inf
+                return out
             raise error
 
         monkeypatch.setattr(NoiseSpec, "sample", failing)

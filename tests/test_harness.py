@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -209,6 +212,23 @@ class TestWorkerPool:
         assert report == serial
 
 
+def test_pool_modules_imported_only_for_a_pool():
+    # a fresh interpreter that imports rcar.cli and runs `rcar check` has
+    # not loaded the process pool's modules
+    script = "\n".join([
+        "import contextlib, io, sys, rcar.cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert rcar.cli.main(['check', '--theta', '0.3', '--alpha', '0.5',",
+        "                          '--eps', 'gaussian:1', '--eta', 'gaussian:0.1']) == 0",
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process')",
+        "       if m in sys.modules])",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(harness.__file__)))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.split() == ["[]"]
+
+
 class TestJobBudget:
     """Each job's rows are sized from harness.BLOCK_BYTES; no byte of a
     report depends on it, and a job's memory does not grow with n."""
@@ -325,9 +345,9 @@ class TestSharedNoise:
         calls = []
         sample = NoiseSpec.sample
 
-        def counted(self, rng, size):
+        def counted(self, rng, size, out=None):
             calls.append(size)
-            return sample(self, rng, size)
+            return sample(self, rng, size, out)
 
         monkeypatch.setattr(NoiseSpec, "sample", counted)
         cfg = cfg_for(params_accept, n=60, replicates=100,

@@ -365,9 +365,9 @@ class TestBurnInDoubling:
     def test_doubled_row_redraws_only_its_burn_in(self, monkeypatch):
         drawn, sample = [], NoiseSpec.sample
 
-        def counting(spec, rng, size):
+        def counting(spec, rng, size, out=None):
             drawn.append(size)
-            return sample(spec, rng, size)
+            return sample(spec, rng, size, out)
 
         monkeypatch.setattr(NoiseSpec, "sample", counting)
         traj = simulate(SLOW, 10_000, seed=3, burn_in=5)
@@ -622,9 +622,9 @@ class TestTimeBlocks:
     def test_doubled_row_draws_each_value_once(self, monkeypatch):
         drawn, sample = [], NoiseSpec.sample
 
-        def counting(spec, rng, size):
+        def counting(spec, rng, size, out=None):
             drawn.append(size)
-            return sample(spec, rng, size)
+            return sample(spec, rng, size, out)
 
         monkeypatch.setattr(NoiseSpec, "sample", counting)
         monkeypatch.setattr(SIM, "_TIME_BLOCK", _FOLD)
@@ -829,6 +829,71 @@ def csv_reference(values) -> str:
     return "t,x\r\n" + "".join("%d,%.17g\r\n" % row for row in enumerate(values))
 
 
+_EDGE_DOUBLES = [1e-4, 1e16, 5e-324, 2.2250738585072009e-308,
+                 np.finfo(float).max, -np.finfo(float).max]
+#: cells around the edges of the numpy reader (`_read_block`): rows it
+#: reads, and variants that np.loadtxt alone decides
+READER_CELLS = list(dict.fromkeys([
+    "0.1", "5", "-3", "0", "-0", "-0.0", "0.50", "00.5", "+5", ".5", "5.",
+    " 0.5", "1e-05", "1E5", "inf", "nan", "2.5e3", "-.5", "0.5 ",
+    "1234567890.123456",  # 16 digits
+    "12345678901.234567", "-0.012345678901234567",  # 17
+    "123456789012.3456789", "1.68148280453199406",  # 18
+    "0.00012345678901234567891",  # 21
+    "1234567890123.456789012345",  # 25
+    "1844674407370956.3961",  # 20 digits: 2**64 + 12345
+    "0.10000000000000004",  # 17 digits that no double prints
+    "01.68148280453199406",  # 0.68148280453199406 is a double's %.17g
+    *(form % float(v) for v in _EDGE_DOUBLES
+      + [np.nextafter(v, d) for v in (1e-4, 1e16) for d in (0, np.inf)]
+      for form in ("%.17g", "%r")),
+]))
+
+
+def ingest_outcome(path):
+    """ingest's x as bytes, or its error's text after the path."""
+    try:
+        return ingest(path).x.tobytes()
+    except DegenerateDataError as exc:
+        assert str(exc).startswith(f"{path}:")
+        return str(exc)[len(str(path)):]
+
+
+def pipe_outcome(data: bytes):
+    """ingest_outcome of data read from a pipe."""
+    def feed(fd):
+        with contextlib.suppress(BrokenPipeError), open(fd, "wb") as fh:
+            fh.write(data)
+
+    read, write = os.pipe()
+    writer = threading.Thread(target=feed, args=(write,))
+    writer.start()
+    try:
+        outcome = ingest_outcome(f"/dev/fd/{read}")
+    finally:
+        os.close(read)  # a writer still blocked on a full pipe gets EPIPE
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    return outcome
+
+
+def check_reader(monkeypatch, path, data: bytes):
+    """ingest of data, as a file and as a pipe, is what it is when every
+    line goes to np.loadtxt: the same x, bitwise np.loadtxt's, or the same
+    error on the same line."""
+    path.write_bytes(data)
+    with monkeypatch.context() as m:
+        m.setattr(SIM, "_read_block", lambda text: None)
+        want = ingest_outcome(path)
+    if isinstance(want, bytes):
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, comments=None, ndmin=1,
+                          dtype=[("t", "<i8"), ("x", "<f8")])
+        assert rows["x"].tobytes() == want
+    assert ingest_outcome(path) == want, data
+    if os.path.isdir("/dev/fd"):
+        assert pipe_outcome(data) == want, data
+
+
 class TestCsvInterchange:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(FLOATS | st.sampled_from([math.nan, math.inf, -math.inf]),
@@ -995,3 +1060,60 @@ class TestCsvInterchange:
         path.write_text("t,x\n0,1.0\n1,inf\n")
         with pytest.raises(DegenerateDataError, match="non-finite"):
             ingest(path)
+
+    @pytest.mark.parametrize("cell", READER_CELLS)
+    def test_reader_cells_as_loadtxt(self, monkeypatch, tmp_path, cell):
+        check_reader(monkeypatch, tmp_path / "s.csv",
+                     f"t,x\n0,0.25\n1,{cell}\n2,-1.5\n".encode())
+
+    @pytest.mark.parametrize("index", ["007", "0", "+7", " 7", "7 ", "-7", "7.0"])
+    def test_reader_index_as_loadtxt(self, monkeypatch, tmp_path, index):
+        rows = "".join(f"{t},0.{t + 1}\n" for t in range(7))
+        check_reader(monkeypatch, tmp_path / "s.csv",
+                     f"t,x\n{rows}{index},0.5\n8,0.25\n".encode())
+
+    @pytest.mark.parametrize("text", ["\n", "5\n", "5", ",\n", "5,-\n", ".\n",
+                                      "0,0.5", "0,0.5\n\n", "0,0.5\n1"])
+    def test_reader_short_blocks(self, text):
+        # a read may end up as any few lines: the numpy path gives
+        # np.loadtxt's records, or leaves the block to it
+        rows = SIM._read_block(text)
+        if rows is not None:
+            assert rows.tobytes() == SIM._parse_rows(SIM._lines(text)).tobytes()
+
+    @pytest.mark.parametrize("block", [1, 3, SIM._PARSE_BLOCK])
+    def test_reader_crlf_across_reads(self, monkeypatch, tmp_path, block):
+        # reads of 32 * block characters, and header spaces that put a
+        # CR/LF pair across the first 8192-byte read of the file
+        monkeypatch.setattr(SIM, "_PARSE_BLOCK", block)
+        x = simulate(ModelParams(0.3, 0.5, GAUSS1, NoiseSpec(NoiseFamily.GAUSSIAN, 0.1)),
+                     400, seed=3).x
+        body = "".join("%d,%.17g\r\n" % row for row in enumerate(x.tolist())).encode()
+        pad = 8191 - 5 - body.index(b"\r\n", 8192 - 5 - 40)
+        data = b"t,x" + b" " * pad + b"\r\n" + body
+        assert data[8191:8193] == b"\r\n"
+        check_reader(monkeypatch, tmp_path / "s.csv", data)
+        assert ingest(tmp_path / "s.csv").x.tobytes() == x.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(FLOATS | st.floats(1e-4, 1e16) | st.floats(-1e16, -1e-4),
+                    min_size=2, max_size=40), st.sampled_from(["%.17g", "%r"]))
+    def test_reader_any_double(self, values, form):
+        x = np.array(values)
+        text = "t,x\n" + "".join(f"{t},{form % float(v)}\n" for t, v in enumerate(values))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.csv")
+            with open(path, "w") as fh:
+                fh.write(text)
+            back = ingest(path).x
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
+                              ndmin=1, dtype=[("t", "<i8"), ("x", "<f8")])
+        assert back.tobytes() == rows["x"].tobytes() == x.tobytes()
+
+    def test_reader_writer_edges(self, tmp_path):
+        # every binade of the writer's domain, its edges and the 17th
+        # digit's ties, each written and read back bitwise
+        x = np.resize(WRITER_EDGES, 10_050)
+        path = tmp_path / "s.csv"
+        write_csv(Trajectory(x=x, n=len(x) - 1), path)
+        assert ingest(path).x.tobytes() == x.tobytes()
