@@ -230,14 +230,6 @@ def _job_rows(n: int, burn: int, points: int = 1) -> int:
     return max(1, min(CHUNK // points, BLOCK_BYTES // (8 * (points + 2) * (burn + n + 1))))
 
 
-def ProcessPoolExecutor(max_workers: int):
-    """concurrent.futures' process pool, imported only when `_gather` starts
-    one: its modules, multiprocessing among them, would cost every other run
-    of rcar their import time and memory."""
-    from concurrent.futures import ProcessPoolExecutor as pool
-    return pool(max_workers=max_workers)
-
-
 def _gather(cfg: MCConfig, stage, plan: list[tuple[ModelParams, int]]) -> list[dict]:
     """Run `stage` over jobs of `_job_rows` of cfg's replicates, each job at
     every point of plan: one result per point, merged in index order. Every
@@ -249,6 +241,9 @@ def _gather(cfg: MCConfig, stage, plan: list[tuple[ModelParams, int]]) -> list[d
     work = functools.partial(_chunk, stage, cfg.n, cfg.master_seed, plan)
     workers = min(cfg.workers, len(starts), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: the pool's modules, multiprocessing among them,
+        # would cost every other run of rcar their import time and memory
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(work, starts, stops))
     else:

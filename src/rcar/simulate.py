@@ -44,8 +44,8 @@ of working memory, about 8 MB a row, whatever n is: `rcar simulate` writes
 each block as it comes, and `simulate_block` returns the view [:, burn:]
 of the first buffer where that is the whole path, else copies the blocks
 into one (rows, n + 1) array, as `simulate` and `simulate_with_noise` do.
-`ingest` parses a CSV about 2**18 characters at a time into one float
-array.
+`ingest` parses a CSV 2**18 characters and the rest of a line at a time
+into one float array.
 
 CSV: `write_rows` prints each value as "%.17g" does, _WRITE_BLOCK rows at a
 time in numpy. For 1e-4 <= |x| < 1e16, which %.17g prints without an
@@ -69,8 +69,13 @@ division rounds correctly (Clinger, "How to read floating point numbers
 accurately", 1990). Otherwise the quotient or a neighbour 1 ulp away is
 the double whose `_significand` is W padded to 17 digits, at W 10**-P's
 exponent: seventeen digits identify a double, so it is the double nearest
-the text, as np.loadtxt gives. Rows outside the domain or with no such
-neighbour go to np.loadtxt, and a block it rejects is parsed whole.
+the text, as np.loadtxt gives. Empty lines hold no record there either.
+Rows outside the domain or with no such neighbour go to np.loadtxt, and a
+block it rejects is parsed whole. A read that leaves more than an eighth
+of its lines to np.loadtxt, and more than _SLOW_LINES, turns the numpy
+path off for the rest of the input, which np.loadtxt then reads whole a
+read at a time: on input of other writers (integer or exponent-form
+values) the numpy pass costs more than it saves.
 
 Stage 1 starts at 0 and runs `burn_in` steps. The initial condition is
 forgotten exponentially fast, at the contraction rate E ln|theta_t| < 0 of
@@ -469,9 +474,16 @@ def simulate_block(params: ModelParams, n: int, master_seed: int,
 _CSV_ROWS = np.dtype([("t", "<i8"), ("x", "<f8")])
 #: rows formatted per write; bounds the size of each formatted string
 _WRITE_BLOCK = 1 << 13
-#: lines per parse of `ingest`, about: it reads _PARSE_BLOCK * 32
-#: characters at a time and parses the whole lines among them
+#: rows a pipe's array starts at, and 1/_LINE_CHARS of the characters per
+#: read of `ingest`
 _PARSE_BLOCK = 1 << 13
+#: `ingest` reads _LINE_CHARS * _PARSE_BLOCK characters, and the rest of the
+#: last line, at a time: _PARSE_BLOCK lines of _LINE_CHARS characters
+_LINE_CHARS = 32
+#: `ingest` gives up the numpy path for the rest of its input once a read
+#: leaves more than an eighth of its lines, and more than this many, to
+#: `_parse_rows`: there the pass costs more than it saves
+_SLOW_LINES = 1 << 10
 #: rows per parse when a rejected block is searched for its faulty line
 _LOCATE_BLOCK = 1 << 10
 
@@ -775,9 +787,11 @@ def _exact_values(w: np.ndarray, p: np.ndarray) -> tuple:
 
 
 def _read_block(text: str):
-    """The (t, x) records of text's lines, or None where `_parse_rows`
-    rejects the lines the numpy path leaves it, or does not give one
-    record a line: the caller then parses the lines whole.
+    """The (t, x) records of text's lines and the count of its lines, or
+    None where the numpy path
+    leaves more than an eighth of them, and more than _SLOW_LINES, or where
+    `_parse_rows` rejects the lines it leaves, or does not give one record
+    for each: the caller then parses the lines whole.
 
     text is whole lines, each ending in "\\n" but perhaps the last. The
     numpy path reads the lines `write_rows` writes for 1e-4 <= |x| < 1e16:
@@ -785,7 +799,8 @@ def _read_block(text: str):
     a leading zero (but `0`), '.' and at most 20 digits, with at most 17
     significant digits in x. Their fields are read as 8-digit words
     (`_digit_words`); `_exact_values` gives the double nearest x's text,
-    which `np.loadtxt` gives too. The other lines go to `_parse_rows`.
+    which `np.loadtxt` gives too. Empty lines hold no record, as in
+    `_parse_rows`; the other lines go to it.
     """
     try:
         buf = b"".join((_PAD, text.encode("ascii"), _PAD))
@@ -843,11 +858,16 @@ def _read_block(text: str):
     x, resolved = _exact_values(hi, f_len * ok)
     ok &= resolved
     np.negative(x, out=x, where=sign)
+    empty = ends == starts  # an empty line holds no record
+    slow = np.flatnonzero(~(ok | empty))
+    if len(slow) > max(len(ends) >> 3, _SLOW_LINES):
+        return None
     rows = np.empty(len(ends) + (not text.endswith("\n")), _CSV_ROWS)
     rows["t"][:len(ends)] = t
     rows["x"][:len(ends)] = x
-    slow = np.flatnonzero(~ok).tolist()
-    lines = [text[starts[i] - len(_PAD):ends[i] + 1 - len(_PAD)] for i in slow]
+    lines = [text[a:b] for a, b in zip((starts[slow] - len(_PAD)).tolist(),
+                                       (ends[slow] + 1 - len(_PAD)).tolist())]
+    slow = slow.tolist()
     if len(rows) > len(ends):  # the last line has no newline
         slow.append(len(ends))
         lines.append(text[text.rfind("\n") + 1:])
@@ -859,7 +879,7 @@ def _read_block(text: str):
         if len(parsed) != len(lines):
             return None
         rows[slow] = parsed
-    return rows
+    return np.delete(rows, np.flatnonzero(empty)) if empty.any() else rows, len(rows)
 
 
 def _line_chunks(fh, size: int) -> Iterator:
@@ -944,13 +964,14 @@ def _newlines(path) -> int:
 def ingest(path) -> Trajectory:
     """Read a trajectory CSV; errors name the offending line, a pipe's too.
 
-    The data lines are read 32 * _PARSE_BLOCK characters and the rest of a
-    line at a time (`_read_block`; `_parse_rows` of the whole block where
-    that rejects it) into one float array: every row ends a line, so a
-    file's newline count bounds the rows, and the array grows only for a
-    pipe or a file whose lines end in a lone CR. Bytes that are not UTF-8
-    reach the parse as lone surrogates, which it rejects like any other
-    malformed cell.
+    The data lines are read _LINE_CHARS * _PARSE_BLOCK characters and the
+    rest of a line at a time into one float array: every row ends a line,
+    so a file's newline count bounds the rows, and the array grows only for
+    a pipe or a file whose lines end in a lone CR. Each read goes through
+    `_read_block`, or through `_parse_rows` whole where that leaves it; after
+    the first read it leaves, every read goes through `_parse_rows` whole.
+    Bytes that are not UTF-8 reach the parse as lone surrogates, which it
+    rejects like any other malformed cell.
     """
     x = np.empty(_newlines(path) if os.path.isfile(path) else _PARSE_BLOCK)
     rows = 0
@@ -961,17 +982,21 @@ def ingest(path) -> Trajectory:
                 f"{path}: expected header 't,x', got {header.rstrip()!r}"
             )
         lineno = 2  # of the first line of the next block, empty lines counted
-        for text in _line_chunks(fh, 32 * _PARSE_BLOCK):
-            block = _read_block(text)
-            if block is None:
+        fast = True
+        for text in _line_chunks(fh, _LINE_CHARS * _PARSE_BLOCK):
+            read = _read_block(text) if fast else None
+            if read is None:
+                fast = False
+                lines = text.split("\n")
                 try:
-                    block = _parse_rows(_lines(text))
+                    read = _parse_rows(lines), len(lines) - (not lines[-1])
                 except ValueError as exc:
                     raise _locate(path, _lines(text), lineno, rows, str(exc)) from None
+            block, count = read
             fault = _value_fault(block, rows)
             if fault is not None:
                 raise _locate(path, _lines(text), lineno, rows, fault)
-            lineno += text.count("\n") + (not text.endswith("\n"))
+            lineno += count
             if rows + len(block) > len(x):
                 x.resize(2 * (rows + len(block)), refcheck=False)
             x[rows:rows + len(block)] = block["x"]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 import os
@@ -164,9 +165,10 @@ class TestCltExperiments:
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Puts a stand-in for ProcessPoolExecutor in the harness and returns the
-    list of the max_workers of each pool built; the stand-in runs the map in
-    this process, so no process is started."""
+    """Puts a stand-in for the ProcessPoolExecutor that `_gather` imports
+    from concurrent.futures and returns the list of the max_workers of each
+    pool built; the stand-in runs the map in this process, so no process is
+    started."""
     sizes = []
 
     class RecordingPool:
@@ -182,7 +184,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes
 
 

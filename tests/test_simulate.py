@@ -1077,14 +1077,16 @@ class TestCsvInterchange:
     def test_reader_short_blocks(self, text):
         # a read may end up as any few lines: the numpy path gives
         # np.loadtxt's records, or leaves the block to it
-        rows = SIM._read_block(text)
-        if rows is not None:
+        read = SIM._read_block(text)
+        if read is not None:
+            rows, count = read
             assert rows.tobytes() == SIM._parse_rows(SIM._lines(text)).tobytes()
+            assert count == len(SIM._lines(text))
 
     @pytest.mark.parametrize("block", [1, 3, SIM._PARSE_BLOCK])
     def test_reader_crlf_across_reads(self, monkeypatch, tmp_path, block):
-        # reads of 32 * block characters, and header spaces that put a
-        # CR/LF pair across the first 8192-byte read of the file
+        # reads of _LINE_CHARS * block characters, and header spaces that
+        # put a CR/LF pair across the first 8192-byte read of the file
         monkeypatch.setattr(SIM, "_PARSE_BLOCK", block)
         x = simulate(ModelParams(0.3, 0.5, GAUSS1, NoiseSpec(NoiseFamily.GAUSSIAN, 0.1)),
                      400, seed=3).x
@@ -1117,3 +1119,44 @@ class TestCsvInterchange:
         path = tmp_path / "s.csv"
         write_csv(Trajectory(x=x, n=len(x) - 1), path)
         assert ingest(path).x.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("bad", [None, 310])
+    @pytest.mark.parametrize("block", [4, SIM._PARSE_BLOCK])
+    def test_reader_empty_lines_among_rows(self, monkeypatch, tmp_path, bad, block):
+        # rcar's rows with an empty line after every 50th and a cell the
+        # numpy path leaves to np.loadtxt every 40th: the reads keep the
+        # numpy path, and an error names the line it names without it
+        monkeypatch.setattr(SIM, "_PARSE_BLOCK", block)
+        x = simulate(ModelParams(0.3, 0.5, GAUSS1, NoiseSpec(NoiseFamily.GAUSSIAN, 0.1)),
+                     399, seed=4).x
+        cells = ["%.17g" % v for v in x.tolist()]
+        cells[::40] = ["%.6e" % v for v in x[::40].tolist()]
+        if bad is not None:
+            cells[bad] += "x"
+        body = "".join(f"{t},{cell}\n" + "\n" * (t % 50 == 49)
+                       for t, cell in enumerate(cells))
+        check_reader(monkeypatch, tmp_path / "s.csv", ("t,x\n" + body).encode())
+        if bad is None:
+            rows, count = SIM._read_block(body)
+            assert rows.tobytes() == SIM._parse_rows(SIM._lines(body)).tobytes()
+            assert count == len(SIM._lines(body)) == 400 + 400 // 50
+        else:
+            # the header, then row t on line 2 + t + t // 50
+            assert ingest_outcome(tmp_path / "s.csv").startswith(":318: ")
+
+    def test_reader_given_up_after_a_slow_read(self, monkeypatch, tmp_path):
+        # a read that leaves most of its lines to np.loadtxt, more than
+        # _SLOW_LINES of them, turns the numpy path off for the rest of the
+        # input; the rows are np.loadtxt's all the same
+        monkeypatch.setattr(SIM, "_PARSE_BLOCK", 256)  # 8192 characters a read
+        x = simulate(ModelParams(0.3, 0.5, GAUSS1, NoiseSpec(NoiseFamily.GAUSSIAN, 0.1)),
+                     3999, seed=6).x
+        body = "".join(f"{t},{round(v)}\n" if t < 2000 else f"{t},{v!r}\n"
+                       for t, v in enumerate(x.tolist()))
+        path = tmp_path / "s.csv"
+        check_reader(monkeypatch, path, ("t,x\n" + body).encode())
+        read_block, reads = SIM._read_block, []
+        monkeypatch.setattr(SIM, "_read_block",
+                            lambda text: reads.append(read_block(text)) or reads[-1])
+        ingest(path)
+        assert reads == [None]
