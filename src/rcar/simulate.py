@@ -788,10 +788,10 @@ def _exact_values(w: np.ndarray, p: np.ndarray) -> tuple:
 
 def _read_block(text: str):
     """The (t, x) records of text's lines and the count of its lines, or
-    None where the numpy path
-    leaves more than an eighth of them, and more than _SLOW_LINES, or where
-    `_parse_rows` rejects the lines it leaves, or does not give one record
-    for each: the caller then parses the lines whole.
+    None where the numpy path leaves more than an eighth of them, and more
+    than _SLOW_LINES, or where `_parse_rows` rejects the lines it leaves,
+    or does not give one record for each: the caller then parses the lines
+    whole.
 
     text is whole lines, each ending in "\\n" but perhaps the last. The
     numpy path reads the lines `write_rows` writes for 1e-4 <= |x| < 1e16:
@@ -879,7 +879,7 @@ def _read_block(text: str):
         if len(parsed) != len(lines):
             return None
         rows[slow] = parsed
-    return np.delete(rows, np.flatnonzero(empty)) if empty.any() else rows, len(rows)
+    return (np.delete(rows, np.flatnonzero(empty)) if empty.any() else rows), len(rows)
 
 
 def _line_chunks(fh, size: int) -> Iterator:
