@@ -163,16 +163,15 @@ class MixedMomentKey:
 
 def _eta_x_moment(e: int, m: int, params: ModelParams,
                   fo: FourthOrderTables) -> float:
-    """E[eta_t^e X_t^m] for m in {0, 2, 4} (odd m vanish by symmetry)."""
+    """E[eta_t^e X_t^m] for m in 0..4 (odd m vanish by symmetry); m is
+    p + j <= p + q, which `MixedMomentKey.BOUNDS` caps at 4."""
     if m % 2 == 1:
         return 0.0
     if m == 0:
         return params.tau(e)
     if m == 2:
         return float(fo.Lam5[e])
-    if m == 4:
-        return float(fo.Delta[e])
-    raise ValueError(f"moment E[eta^{e} X^{m}] unavailable")
+    return float(fo.Delta[e])
 
 
 def mixed_moment(key: MixedMomentKey, params: ModelParams,

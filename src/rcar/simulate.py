@@ -44,8 +44,8 @@ of working memory, about 8 MB a row, whatever n is: `rcar simulate` writes
 each block as it comes, and `simulate_block` returns the view [:, burn:]
 of the first buffer where that is the whole path, else copies the blocks
 into one (rows, n + 1) array, as `simulate` and `simulate_with_noise` do.
-`ingest` parses a CSV 2**18 characters and the rest of a line at a time
-into one float array.
+`ingest` parses a CSV _READ_CHARS = 2**18 characters and the rest of a
+line at a time, each read ending in a newline, into one float array.
 
 CSV: `write_rows` prints each value as "%.17g" does, _WRITE_BLOCK rows at a
 time in numpy. For 1e-4 <= |x| < 1e16, which %.17g prints without an
@@ -71,7 +71,7 @@ the double whose `_significand` is W padded to 17 digits, at W 10**-P's
 exponent: seventeen digits identify a double, so it is the double nearest
 the text, as np.loadtxt gives. Empty lines hold no record there either.
 Rows outside the domain or with no such neighbour go to np.loadtxt, and a
-block it rejects is parsed whole. A read that leaves more than an eighth
+line it rejects goes to `_locate`. A read that leaves more than an eighth
 of its lines to np.loadtxt, and more than _SLOW_LINES, turns the numpy
 path off for the rest of the input, which np.loadtxt then reads whole a
 read at a time: on input of other writers (integer or exponent-form
@@ -234,7 +234,8 @@ class Trajectory:
     burn_in: int | None = None
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
+        # contiguous, so every stride of a series gives the same sums
+        x = np.ascontiguousarray(self.x, dtype=float)
         object.__setattr__(self, "x", x)
         if x.ndim != 1 or len(x) != self.n + 1:
             raise DegenerateDataError(
@@ -474,12 +475,9 @@ def simulate_block(params: ModelParams, n: int, master_seed: int,
 _CSV_ROWS = np.dtype([("t", "<i8"), ("x", "<f8")])
 #: rows formatted per write; bounds the size of each formatted string
 _WRITE_BLOCK = 1 << 13
-#: rows a pipe's array starts at, and 1/_LINE_CHARS of the characters per
-#: read of `ingest`
-_PARSE_BLOCK = 1 << 13
-#: `ingest` reads _LINE_CHARS * _PARSE_BLOCK characters, and the rest of the
-#: last line, at a time: _PARSE_BLOCK lines of _LINE_CHARS characters
-_LINE_CHARS = 32
+#: `ingest` reads this many characters, and the rest of the last line, at
+#: a time: 8192 lines of 32 characters
+_READ_CHARS = 1 << 18
 #: `ingest` gives up the numpy path for the rest of its input once a read
 #: leaves more than an eighth of its lines, and more than this many, to
 #: `_parse_rows`: there the pass costs more than it saves
@@ -788,24 +786,24 @@ def _exact_values(w: np.ndarray, p: np.ndarray) -> tuple:
 
 def _read_block(text: str):
     """The (t, x) records of text's lines and the count of its lines, or
-    None where the numpy path leaves more than an eighth of them, and more
-    than _SLOW_LINES, or where `_parse_rows` rejects the lines it leaves,
-    or does not give one record for each: the caller then parses the lines
-    whole.
+    None where text is not ASCII or the numpy path leaves more than an
+    eighth of its lines, and more than _SLOW_LINES, to `_parse_rows`: the
+    caller then parses the lines whole. `_parse_rows`' ValueError on the
+    lines it leaves is raised.
 
-    text is whole lines, each ending in "\\n" but perhaps the last. The
-    numpy path reads the lines `write_rows` writes for 1e-4 <= |x| < 1e16:
-    t digits without a leading zero, ',', an optional '-', digits without
-    a leading zero (but `0`), '.' and at most 20 digits, with at most 17
-    significant digits in x. Their fields are read as 8-digit words
-    (`_digit_words`); `_exact_values` gives the double nearest x's text,
-    which `np.loadtxt` gives too. Empty lines hold no record, as in
-    `_parse_rows`; the other lines go to it.
+    text is whole lines, each ending in "\\n". The numpy path reads the
+    lines `write_rows` writes for 1e-4 <= |x| < 1e16: t digits without a
+    leading zero, ',', an optional '-', digits without a leading zero (but
+    `0`), '.' and at most 20 digits, with at most 17 significant digits in
+    x. Their fields are read as 8-digit words (`_digit_words`);
+    `_exact_values` gives the double nearest x's text, which `np.loadtxt`
+    gives too. Empty lines hold no record, as in `_parse_rows`, which gives
+    one record for each other line it is left: the one non-empty line
+    np.loadtxt skips is a lone "\\r", and text mode reads none.
     """
-    try:
-        buf = b"".join((_PAD, text.encode("ascii"), _PAD))
-    except UnicodeEncodeError:
+    if not text.isascii():
         return None
+    buf = b"".join((_PAD, text.encode("ascii"), _PAD))
     b = np.frombuffer(buf, np.uint8)
     words = np.ndarray((len(buf) - 7,), _U8, buf, strides=(1,))
     at = np.flatnonzero(b < 48)  # the newlines, commas, signs and points
@@ -862,40 +860,23 @@ def _read_block(text: str):
     slow = np.flatnonzero(~(ok | empty))
     if len(slow) > max(len(ends) >> 3, _SLOW_LINES):
         return None
-    rows = np.empty(len(ends) + (not text.endswith("\n")), _CSV_ROWS)
-    rows["t"][:len(ends)] = t
-    rows["x"][:len(ends)] = x
-    lines = [text[a:b] for a, b in zip((starts[slow] - len(_PAD)).tolist(),
-                                       (ends[slow] + 1 - len(_PAD)).tolist())]
-    slow = slow.tolist()
-    if len(rows) > len(ends):  # the last line has no newline
-        slow.append(len(ends))
-        lines.append(text[text.rfind("\n") + 1:])
-    if lines:
-        try:
-            parsed = _parse_rows(lines)
-        except ValueError:
-            return None
-        if len(parsed) != len(lines):
-            return None
-        rows[slow] = parsed
+    rows = np.empty(len(ends), _CSV_ROWS)
+    rows["t"] = t
+    rows["x"] = x
+    if slow.size:
+        rows[slow] = _parse_rows([text[a:b] for a, b in zip(
+            (starts[slow] - len(_PAD)).tolist(), (ends[slow] + 1 - len(_PAD)).tolist())])
     return (np.delete(rows, np.flatnonzero(empty)) if empty.any() else rows), len(rows)
 
 
 def _line_chunks(fh, size: int) -> Iterator:
     """fh's text in pieces of whole lines, each size characters and the
-    rest of its last line."""
+    rest of its last line, and each ending in "\\n": the input's last line
+    gets one if it has none."""
     while text := fh.read(size):
         if not text.endswith("\n"):
-            text += fh.readline()
+            text += fh.readline().removesuffix("\n") + "\n"
         yield text
-
-
-def _lines(text: str) -> list:
-    """text's lines as file iteration gives them: cut after each "\\n"."""
-    lines = [line + "\n" for line in text.split("\n")]
-    lines[-1] = lines[-1][:-1]
-    return lines if lines[-1] else lines[:-1]
 
 
 def _value_fault(rows: np.ndarray, start: int) -> str | None:
@@ -926,16 +907,16 @@ def _line_fault(line: str, start: int) -> str | None:
 
 def _locate(path, lines: list, lineno: int, start: int,
             reason: str) -> DegenerateDataError:
-    """The error naming the first faulty line of a block `ingest` rejected.
+    """The error naming the first faulty line of a read `ingest` rejected.
 
-    lines is the block as read, its first line being line `lineno` of the
-    input and its first row expected at index `start`. Walks its non-empty
-    lines _LOCATE_BLOCK at a time through the same parse and checks, then
-    line by line within the first that fails; the input is not read again,
-    so a pipe is searched as a file is. Falls back to the rejection's
-    `reason` if no line is pinned.
+    lines is the read cut at each "\\n", its first line being line
+    `lineno` of the input and its first row expected at index `start`.
+    Walks its non-empty lines _LOCATE_BLOCK at a time through the same parse
+    and checks, then line by line within the first that fails; the input is
+    not read again, so a pipe is searched as a file is. Falls back to the
+    rejection's `reason` if no line is pinned.
     """
-    numbered = [(lineno + i, line) for i, line in enumerate(lines) if line != "\n"]
+    numbered = [(lineno + i, line) for i, line in enumerate(lines) if line]
     for first in range(0, len(numbered), _LOCATE_BLOCK):
         block = numbered[first:first + _LOCATE_BLOCK]
         try:
@@ -964,16 +945,18 @@ def _newlines(path) -> int:
 def ingest(path) -> Trajectory:
     """Read a trajectory CSV; errors name the offending line, a pipe's too.
 
-    The data lines are read _LINE_CHARS * _PARSE_BLOCK characters and the
-    rest of a line at a time into one float array: every row ends a line,
-    so a file's newline count bounds the rows, and the array grows only for
-    a pipe or a file whose lines end in a lone CR. Each read goes through
-    `_read_block`, or through `_parse_rows` whole where that leaves it; after
-    the first read it leaves, every read goes through `_parse_rows` whole.
-    Bytes that are not UTF-8 reach the parse as lone surrogates, which it
-    rejects like any other malformed cell.
+    The data lines are read _READ_CHARS characters and the rest of a line
+    at a time, each read ending in "\\n", into one float array: every row
+    ends a line, so a file's newline count bounds the rows, and the array
+    grows only for a pipe (which starts it empty) or a file whose lines end
+    in a lone CR. Each read goes through `_read_block`, or through
+    `_parse_rows` whole where that leaves it; after the first read it
+    leaves, every read goes through `_parse_rows` whole. A line either
+    parse rejects, or a record that breaks the index or is not finite, goes
+    with its read to `_locate`. Bytes that are not UTF-8 reach the parse as
+    lone surrogates, which it rejects like any other malformed cell.
     """
-    x = np.empty(_newlines(path) if os.path.isfile(path) else _PARSE_BLOCK)
+    x = np.empty(_newlines(path) if os.path.isfile(path) else 0)
     rows = 0
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline()
@@ -981,21 +964,21 @@ def ingest(path) -> Trajectory:
             raise DegenerateDataError(
                 f"{path}: expected header 't,x', got {header.rstrip()!r}"
             )
-        lineno = 2  # of the first line of the next block, empty lines counted
+        lineno = 2  # of the first line of the next read, empty lines counted
         fast = True
-        for text in _line_chunks(fh, _LINE_CHARS * _PARSE_BLOCK):
-            read = _read_block(text) if fast else None
-            if read is None:
-                fast = False
-                lines = text.split("\n")
-                try:
-                    read = _parse_rows(lines), len(lines) - (not lines[-1])
-                except ValueError as exc:
-                    raise _locate(path, _lines(text), lineno, rows, str(exc)) from None
-            block, count = read
-            fault = _value_fault(block, rows)
+        for text in _line_chunks(fh, _READ_CHARS):
+            try:
+                read = _read_block(text) if fast else None
+                if read is None:
+                    fast = False
+                    lines = text.split("\n")
+                    read = _parse_rows(lines), len(lines) - 1
+                block, count = read
+                fault = _value_fault(block, rows)
+            except ValueError as exc:
+                fault = str(exc)
             if fault is not None:
-                raise _locate(path, _lines(text), lineno, rows, fault)
+                raise _locate(path, text.split("\n"), lineno, rows, fault)
             lineno += count
             if rows + len(block) > len(x):
                 x.resize(2 * (rows + len(block)), refcheck=False)

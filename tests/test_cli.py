@@ -392,6 +392,13 @@ class TestSimulateEstimateRoundTrip:
             payloads.append(payload)
         assert payloads[0] == payloads[1]
 
+    def test_one_row_exit3(self, tmp_path, capsys):
+        path = tmp_path / "one.csv"
+        path.write_text("t,x\n0,1.5\n")
+        assert main(["estimate", "--in", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            f"rcar: degenerate data: {path}: need at least two observations\n")
+
     def test_malformed_csv_exit3(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,x\n0,1.0\n2,0.5\n")
@@ -455,6 +462,20 @@ class TestMc:
                          str(cfg), "--workers", workers]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+    def test_seed_flag_overrides_config(self, tmp_path, capsys):
+        # `--seed 9` gives the report of the same file with master_seed = 9
+        outputs = []
+        for seed, flag in ((11, ["--seed", "9"]), (9, []), (11, [])):
+            cfg = tmp_path / f"run{len(outputs)}.toml"
+            cfg.write_text(
+                "theta = 0.3\nalpha = 0.5\neps.family = gaussian\neps.scale = 1\n"
+                "eta.family = gaussian\neta.scale = 0.1\nn = 200\n"
+                f"replicates = 150\nmaster_seed = {seed}\n")
+            assert main(["mc", "--experiment", "clt_theta", "--config",
+                         str(cfg), *flag]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] != outputs[2]
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.toml"
@@ -693,12 +714,14 @@ class TestUsageErrors:
          "expected family:scale\n"),
         (["mc", "--experiment", "clt_couple"], "eta.family=zero\n", 2,
          "eta.family = zero:"),
+        (["check", "--theta", "0.3", "--alpha", "0", "--eps", "none",
+          "--eta", "gaussian:0.1"], None, 2, "eps noise cannot be 'none'\n"),
     ], ids=["hmax-1", "hmax0", "hmax1", "mu_key2", "mu_key9", "burn_in-3",
             "n0", "n1e6", "theta_abc", "eps_family_bogus", "estimate_eps_family",
             "test_eta_family", "test_level2", "estimate_level0", "theta1e200",
             "region_range1e100", "eta_gaussian1e100", "eps_laplace1e100",
             "eps_gaussian_inf", "oracle_n1000", "workers0", "workers-3",
-            "eta_zero_flag", "eps_two_colons", "eta_family_zero"])
+            "eta_zero_flag", "eps_two_colons", "eta_family_zero", "eps_none"])
     def test_no_traceback(self, tmp_path, capsys, argv, config, code, key):
         if config is not None:
             cfg = tmp_path / "run.cfg"

@@ -689,7 +689,7 @@ class TestSeriesMemory:
     def test_ingest_and_test_hold_the_series_and_one_block(self, monkeypatch,
                                                            tmp_path,
                                                            params_accept):
-        monkeypatch.setattr(SIM, "_PARSE_BLOCK", 256)
+        monkeypatch.setattr(SIM, "_READ_CHARS", 8192)
         monkeypatch.setattr(importlib.import_module("rcar.estimate"),
                             "_STAT_BLOCK", 4096)
         for n in (2 * _FOLD, 8 * _FOLD):
@@ -745,12 +745,13 @@ def numbered_rows(ts) -> str:
 
 
 class TestBlockedIngest:
-    """`ingest` parses _PARSE_BLOCK lines at a time into one array; every
-    error names the line it named when the file was parsed whole."""
+    """`ingest` parses _READ_CHARS characters and the rest of a line at a
+    time into one array; every error names the line it named when the file
+    was parsed whole."""
 
     @pytest.fixture(autouse=True)
-    def four_line_blocks(self, monkeypatch):
-        monkeypatch.setattr(SIM, "_PARSE_BLOCK", 4)
+    def short_reads(self, monkeypatch):
+        monkeypatch.setattr(SIM, "_READ_CHARS", 128)
 
     @pytest.mark.parametrize("text, match", [
         # the fourth block
@@ -804,6 +805,18 @@ class TestTrajectoryType:
     def test_finite_invariant(self):
         with pytest.raises(DegenerateDataError):
             Trajectory(x=np.array([0.0, np.inf]), n=1)
+
+    def test_report_whatever_the_stride(self, params_accept):
+        # the CI series w2.csv as np.loadtxt's structured rows: the stride-16
+        # x column gives the report of its contiguous copy, bit for bit
+        x = simulate(params_accept, 300_000, seed=5).x
+        rows = np.empty(len(x), [("t", "<i8"), ("x", "<f8")])
+        rows["x"] = x
+        assert rows["x"].strides == (16,)
+        strided, contiguous = (
+            json.dumps(correlation_test(Trajectory(x=v, n=len(x) - 1)).to_dict())
+            for v in (rows["x"], rows["x"].copy()))
+        assert strided == contiguous
 
 
 FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
@@ -1072,22 +1085,32 @@ class TestCsvInterchange:
         check_reader(monkeypatch, tmp_path / "s.csv",
                      f"t,x\n{rows}{index},0.5\n8,0.25\n".encode())
 
-    @pytest.mark.parametrize("text", ["\n", "5\n", "5", ",\n", "5,-\n", ".\n",
-                                      "0,0.5", "0,0.5\n\n", "0,0.5\n1"])
+    @pytest.mark.parametrize("text", ["\n", "5\n", ",\n", "5,-\n", ".\n", "0,0.5\n\n"])
     def test_reader_short_blocks(self, text):
         # a read may end up as any few lines: the numpy path gives
-        # np.loadtxt's records, or leaves the block to it
+        # np.loadtxt's records or its error, or leaves the read to it
+        try:
+            want = SIM._parse_rows(text.split("\n"))
+        except ValueError:
+            with pytest.raises(ValueError):
+                SIM._read_block(text)
+            return
         read = SIM._read_block(text)
         if read is not None:
             rows, count = read
-            assert rows.tobytes() == SIM._parse_rows(SIM._lines(text)).tobytes()
-            assert count == len(SIM._lines(text))
+            assert rows.tobytes() == want.tobytes()
+            assert count == text.count("\n")
 
-    @pytest.mark.parametrize("block", [1, 3, SIM._PARSE_BLOCK])
+    @pytest.mark.parametrize("text", ["5", "0,0.5", "0,0.5\n1"])
+    def test_reader_no_final_newline(self, monkeypatch, tmp_path, text):
+        # the last line of the input ends its read without a newline
+        check_reader(monkeypatch, tmp_path / "s.csv", f"t,x\n{text}".encode())
+
+    @pytest.mark.parametrize("block", [1, 3, SIM._READ_CHARS // 32])
     def test_reader_crlf_across_reads(self, monkeypatch, tmp_path, block):
-        # reads of _LINE_CHARS * block characters, and header spaces that
-        # put a CR/LF pair across the first 8192-byte read of the file
-        monkeypatch.setattr(SIM, "_PARSE_BLOCK", block)
+        # reads of 32 * block characters, and header spaces that put a
+        # CR/LF pair across the first 8192-byte read of the file
+        monkeypatch.setattr(SIM, "_READ_CHARS", 32 * block)
         x = simulate(ModelParams(0.3, 0.5, GAUSS1, NoiseSpec(NoiseFamily.GAUSSIAN, 0.1)),
                      400, seed=3).x
         body = "".join("%d,%.17g\r\n" % row for row in enumerate(x.tolist())).encode()
@@ -1121,12 +1144,12 @@ class TestCsvInterchange:
         assert ingest(path).x.tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("bad", [None, 310])
-    @pytest.mark.parametrize("block", [4, SIM._PARSE_BLOCK])
+    @pytest.mark.parametrize("block", [4, SIM._READ_CHARS // 32])
     def test_reader_empty_lines_among_rows(self, monkeypatch, tmp_path, bad, block):
         # rcar's rows with an empty line after every 50th and a cell the
         # numpy path leaves to np.loadtxt every 40th: the reads keep the
         # numpy path, and an error names the line it names without it
-        monkeypatch.setattr(SIM, "_PARSE_BLOCK", block)
+        monkeypatch.setattr(SIM, "_READ_CHARS", 32 * block)
         x = simulate(ModelParams(0.3, 0.5, GAUSS1, NoiseSpec(NoiseFamily.GAUSSIAN, 0.1)),
                      399, seed=4).x
         cells = ["%.17g" % v for v in x.tolist()]
@@ -1138,8 +1161,8 @@ class TestCsvInterchange:
         check_reader(monkeypatch, tmp_path / "s.csv", ("t,x\n" + body).encode())
         if bad is None:
             rows, count = SIM._read_block(body)
-            assert rows.tobytes() == SIM._parse_rows(SIM._lines(body)).tobytes()
-            assert count == len(SIM._lines(body)) == 400 + 400 // 50
+            assert rows.tobytes() == SIM._parse_rows(body.split("\n")).tobytes()
+            assert count == body.count("\n") == 400 + 400 // 50
         else:
             # the header, then row t on line 2 + t + t // 50
             assert ingest_outcome(tmp_path / "s.csv").startswith(":318: ")
@@ -1148,7 +1171,7 @@ class TestCsvInterchange:
         # a read that leaves most of its lines to np.loadtxt, more than
         # _SLOW_LINES of them, turns the numpy path off for the rest of the
         # input; the rows are np.loadtxt's all the same
-        monkeypatch.setattr(SIM, "_PARSE_BLOCK", 256)  # 8192 characters a read
+        monkeypatch.setattr(SIM, "_READ_CHARS", 8192)
         x = simulate(ModelParams(0.3, 0.5, GAUSS1, NoiseSpec(NoiseFamily.GAUSSIAN, 0.1)),
                      3999, seed=6).x
         body = "".join(f"{t},{round(v)}\n" if t < 2000 else f"{t},{v!r}\n"
