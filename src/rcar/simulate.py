@@ -44,8 +44,10 @@ of working memory, about 8 MB a row, whatever n is: `rcar simulate` writes
 each block as it comes, and `simulate_block` returns the view [:, burn:]
 of the first buffer where that is the whole path, else copies the blocks
 into one (rows, n + 1) array, as `simulate` and `simulate_with_noise` do.
-`ingest` parses a CSV _READ_CHARS = 2**18 characters and the rest of a
-line at a time, each read ending in a newline, into one float array.
+`ingest` parses a CSV's bytes _READ_CHARS = 2**18 bytes and the rest of a
+line at a time, each read ending where text mode ends a line, into one
+float array sized from the file's b"\n" count; it decodes only the reads
+the numpy path leaves.
 
 CSV: `write_rows` prints each value as "%.17g" does, _WRITE_BLOCK rows at a
 time in numpy. For 1e-4 <= |x| < 1e16, which %.17g prints without an
@@ -61,21 +63,26 @@ and non-finite values (about 70 rows in 10**6 of a stationary series), go
 through %.17g one by one.
 
 `ingest` reads the rows `write_rows` writes for that domain in numpy too,
-and np.loadtxt decides every other line. Such a row is `t,x`, t digits
-without a leading zero, x an optional '-', digits, '.' and digits, at most
-17 of them significant; the digits are summed as 8-digit SWAR words and
-give x = W 10**-P. Below 2**53, W and 10**P are exact doubles, and one
-division rounds correctly (Clinger, "How to read floating point numbers
-accurately", 1990). Otherwise the quotient or a neighbour 1 ulp away is
-the double whose `_significand` is W padded to 17 digits, at W 10**-P's
-exponent: seventeen digits identify a double, so it is the double nearest
-the text, as np.loadtxt gives. Empty lines hold no record there either.
-Rows outside the domain or with no such neighbour go to np.loadtxt, and a
-line it rejects goes to `_locate`. A read that leaves more than an eighth
-of its lines to np.loadtxt, and more than _SLOW_LINES, turns the numpy
-path off for the rest of the input, which np.loadtxt then reads whole a
-read at a time: on input of other writers (integer or exponent-form
-values) the numpy pass costs more than it saves.
+straight from the file's bytes, and np.loadtxt decides every other line.
+Lines end where text mode ends them, in LF, CRLF or a lone CR. Such a row
+is `t,x`, t digits without a leading zero, x an optional '-', digits, '.'
+and digits, at most 17 of them significant; the digits are summed as
+8-digit SWAR words and give x = W 10**-P. Below 2**53, W and 10**P are
+exact doubles, and one division rounds correctly (Clinger, "How to read
+floating point numbers accurately", 1990). Otherwise the quotient or a
+neighbour 1 ulp away is the double whose `_significand` is W padded to 17
+digits, at W 10**-P's exponent: seventeen digits identify a double, so it
+is the double nearest the text, as np.loadtxt gives. Empty lines hold no
+record there either. Rows outside the domain or with no such neighbour go
+to np.loadtxt, and a line it rejects goes to `_locate`. A read that is not
+ASCII, or that leaves more than an eighth of its lines to np.loadtxt, and
+more than _SLOW_LINES, turns the numpy path off for the rest of the input,
+which np.loadtxt then reads whole a read at a time: on input of other
+writers (integer or exponent-form values) the numpy pass costs more than
+it saves. What np.loadtxt and `_locate` read, and the header, is decoded
+as text mode decodes it (UTF-8, undecodable bytes as lone surrogates,
+universal newlines), so x, error texts and line numbers are those of a
+text-mode read.
 
 Stage 1 starts at 0 and runs `burn_in` steps. The initial condition is
 forgotten exponentially fast, at the contraction rate E ln|theta_t| < 0 of
@@ -93,9 +100,11 @@ with its error bound, is not negative.
 from __future__ import annotations
 
 import functools
+import io
 import math
 import operator
 import os
+import re
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -475,8 +484,8 @@ def simulate_block(params: ModelParams, n: int, master_seed: int,
 _CSV_ROWS = np.dtype([("t", "<i8"), ("x", "<f8")])
 #: rows formatted per write; bounds the size of each formatted string
 _WRITE_BLOCK = 1 << 13
-#: `ingest` reads this many characters, and the rest of the last line, at
-#: a time: 8192 lines of 32 characters
+#: `ingest` reads this many bytes, and the rest of the last line, at a
+#: time: 8192 lines of 32 bytes
 _READ_CHARS = 1 << 18
 #: `ingest` gives up the numpy path for the rest of its input once a read
 #: leaves more than an eighth of its lines, and more than this many, to
@@ -506,6 +515,8 @@ _WORD_KEEP = np.array([_MASK64 << 8 * i & _MASK64 for i in range(9)], dtype=np.u
 #: the bytes around a block's text, so every word and byte `_read_block`
 #: reads is in its buffer; '0' is no separator
 _PAD = b"0" * 16
+#: a line end as text mode reads it, where the bytes hold all of it
+_LINE_END = re.compile(rb"\r\n?|\n")
 
 
 @functools.cache
@@ -717,7 +728,7 @@ def _digit_words(words: np.ndarray, fields) -> tuple:
             np.subtract(end, step, out=at[j])
             np.subtract(start, at[j], out=outside[j])
             j += 1
-    w = words.take(at)
+    w = words[at]
     w &= _WORD_KEEP.take(outside, mode="clip")
     # a byte 0x00..0x39 plus 0x46 stays below 0x80, one 0x3a..0x7f does not
     high = w + np.uint64(0x4646464646464646)
@@ -784,42 +795,49 @@ def _exact_values(w: np.ndarray, p: np.ndarray) -> tuple:
     return x, resolved
 
 
-def _read_block(text: str):
-    """The (t, x) records of text's lines and the count of its lines, or
-    None where text is not ASCII or the numpy path leaves more than an
+def _read_block(data: bytes):
+    """The (t, x) records of data's lines and the count of its lines, or
+    None where data is not ASCII or the numpy path leaves more than an
     eighth of its lines, and more than _SLOW_LINES, to `_parse_rows`: the
-    caller then parses the lines whole. `_parse_rows`' ValueError on the
-    lines it leaves is raised.
+    caller then decodes the lines and parses them whole. `_parse_rows`'
+    ValueError on the lines it leaves is raised.
 
-    text is whole lines, each ending in "\\n". The numpy path reads the
-    lines `write_rows` writes for 1e-4 <= |x| < 1e16: t digits without a
-    leading zero, ',', an optional '-', digits without a leading zero (but
-    `0`), '.' and at most 20 digits, with at most 17 significant digits in
-    x. Their fields are read as 8-digit words (`_digit_words`);
-    `_exact_values` gives the double nearest x's text, which `np.loadtxt`
-    gives too. Empty lines hold no record, as in `_parse_rows`, which gives
-    one record for each other line it is left: the one non-empty line
-    np.loadtxt skips is a lone "\\r", and text mode reads none.
+    data is whole lines, each ending where text mode ends a line: in
+    b"\\n", b"\\r\\n" or a lone b"\\r", which is read as b"\\n". The
+    numpy path reads the lines `write_rows` writes for 1e-4 <= |x| < 1e16:
+    t digits without a leading zero, ',', an optional '-', digits without a
+    leading zero (but `0`), '.' and at most 20 digits, with at most 17
+    significant digits in x. Their fields are read as 8-digit words
+    (`_digit_words`); `_exact_values` gives the double nearest x's text,
+    which `np.loadtxt` gives too. Empty lines hold no record, as in
+    `_parse_rows`, which gives one record for each other line it is left
+    without its line end: the one non-empty line np.loadtxt skips is a lone
+    "\\r", and no line holds one.
     """
-    if not text.isascii():
+    if not data.isascii():
         return None
-    buf = b"".join((_PAD, text.encode("ascii"), _PAD))
+    buf = b"".join((_PAD, data, _PAD))
     b = np.frombuffer(buf, np.uint8)
     words = np.ndarray((len(buf) - 7,), _U8, buf, strides=(1,))
-    at = np.flatnonzero(b < 48)  # the newlines, commas, signs and points
+    at = np.flatnonzero(b < 48)  # the line ends, commas, signs and points
     ch = b[at]
+    cr = np.flatnonzero(ch == 13)
+    ch[cr[b[at[cr] + 1] != 10]] = 10  # text mode ends a line at a lone CR
     nl = np.flatnonzero(ch == 10)
-    ends = at[nl]
+    crlf = ch.take(nl - 1, mode="clip") == 13
+    stop = nl - crlf  # each line's end: its LF, its lone CR or the CR of its CRLF
+    ends = at[stop]
     starts = np.empty_like(ends)
     starts[:1] = len(_PAD)
-    starts[1:] = ends[:-1] + 1
-    # `,.\n` or `,-.\n` closes a line, the sign right after the comma
-    count = np.diff(nl, prepend=-1)
+    starts[1:] = at[nl[:-1]] + 1
+    # `,.` or `,-.` and the line end close a line, the sign right after
+    # the comma
+    count = np.diff(nl, prepend=-1) - crlf
     sign = count == 4
-    comma = nl - 2 - sign
-    dot, sep = at.take(nl - 1, mode="clip"), at.take(comma, mode="clip")
+    comma = stop - 2 - sign
+    dot, sep = at.take(stop - 1, mode="clip"), at.take(comma, mode="clip")
     ok = (count == 3) | sign
-    ok &= ch.take(nl - 1, mode="clip") == 46
+    ok &= ch.take(stop - 1, mode="clip") == 46
     ok &= ch.take(comma, mode="clip") == 44
     ok &= (b[sep + 1] == 45) == sign
     lead = sep + 1 + sign
@@ -864,19 +882,47 @@ def _read_block(text: str):
     rows["t"] = t
     rows["x"] = x
     if slow.size:
-        rows[slow] = _parse_rows([text[a:b] for a, b in zip(
-            (starts[slow] - len(_PAD)).tolist(), (ends[slow] + 1 - len(_PAD)).tolist())])
+        rows[slow] = _parse_rows([data[a:e].decode("ascii") for a, e in zip(
+            (starts[slow] - len(_PAD)).tolist(), (ends[slow] - len(_PAD)).tolist())])
     return (np.delete(rows, np.flatnonzero(empty)) if empty.any() else rows), len(rows)
 
 
+def _whole_lines(fh, data: bytes) -> bytes:
+    """data and the rest of its last line from the binary stream fh, up to
+    where text mode ends that line: a b"\\n", or a b"\\r" and the b"\\n"
+    after it if one follows. The input's last line gets a b"\\n" if it
+    ends in neither. The pieces are joined once, so a long line costs
+    linear time."""
+    parts = [data]
+    while not parts[-1].endswith(b"\n"):
+        more = fh.peek()
+        if parts[-1].endswith(b"\r"):
+            if more[:1] == b"\n":
+                parts.append(fh.read(1))
+            break
+        if not more:
+            parts.append(b"\n")
+            break
+        end = _LINE_END.search(more)
+        parts.append(fh.read(end.end() if end else len(more)))
+    return b"".join(parts)
+
+
 def _line_chunks(fh, size: int) -> Iterator:
-    """fh's text in pieces of whole lines, each size characters and the
-    rest of its last line, and each ending in "\\n": the input's last line
-    gets one if it has none."""
-    while text := fh.read(size):
-        if not text.endswith("\n"):
-            text += fh.readline().removesuffix("\n") + "\n"
-        yield text
+    """The binary stream fh's bytes in pieces of whole lines, each size
+    bytes and the rest of its last line (`_whole_lines`)."""
+    while data := fh.read(size):
+        yield _whole_lines(fh, data)
+
+
+def _decode(data: bytes) -> str:
+    """data as text mode reads it: UTF-8, each byte that does not decode a
+    lone surrogate, and each "\\r\\n" and lone "\\r" a "\\n". data is
+    whole lines, so no character and no CRLF pair is cut at its edges."""
+    text = data.decode("utf-8", "surrogateescape")
+    if "\r" in text:
+        text = io.IncrementalNewlineDecoder(None, translate=True).decode(text, final=True)
+    return text
 
 
 def _value_fault(rows: np.ndarray, start: int) -> str | None:
@@ -934,51 +980,55 @@ def _locate(path, lines: list, lineno: int, start: int,
 
 
 def _newlines(path) -> int:
-    """The count of newline bytes in the file at path."""
+    """The count of b"\\n" bytes in the file at path, counted in numpy
+    over one 64 KiB buffer."""
     count, chunk = 0, bytearray(1 << 16)
+    view = np.frombuffer(chunk, np.uint8)
     with open(path, "rb", buffering=0) as fh:
         while size := fh.readinto(chunk):
-            count += chunk.count(b"\n", 0, size)
+            count += np.count_nonzero(view[:size] == 10)
     return count
 
 
 def ingest(path) -> Trajectory:
     """Read a trajectory CSV; errors name the offending line, a pipe's too.
 
-    The data lines are read _READ_CHARS characters and the rest of a line
-    at a time, each read ending in "\\n", into one float array: every row
-    ends a line, so a file's newline count bounds the rows, and the array
-    grows only for a pipe (which starts it empty) or a file whose lines end
-    in a lone CR. Each read goes through `_read_block`, or through
-    `_parse_rows` whole where that leaves it; after the first read it
-    leaves, every read goes through `_parse_rows` whole. A line either
-    parse rejects, or a record that breaks the index or is not finite, goes
-    with its read to `_locate`. Bytes that are not UTF-8 reach the parse as
-    lone surrogates, which it rejects like any other malformed cell.
+    The input is read as bytes, _READ_CHARS bytes and the rest of a line at
+    a time, each read ending where text mode ends a line (`_line_chunks`),
+    into one float array: every row ends a line, so a file's b"\\n" count
+    bounds the rows, and the array grows only for a pipe (which starts it
+    empty) or a file whose lines end in a lone CR. Each read goes through
+    `_read_block`, or, where that leaves it, is decoded as text mode
+    decodes it (`_decode`) and goes through `_parse_rows` whole; after the
+    first read it leaves, every read is. The header is decoded the same
+    way. A line either parse rejects, or a record that breaks the index or
+    is not finite, goes with its decoded read to `_locate`. Bytes that are
+    not UTF-8 reach the parse as lone surrogates, which it rejects like any
+    other malformed cell.
     """
     x = np.empty(_newlines(path) if os.path.isfile(path) else 0)
     rows = 0
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        header = fh.readline()
+    with open(path, "rb") as fh:
+        header = _decode(_whole_lines(fh, b""))
         if [c.strip() for c in header.split(",")] != ["t", "x"]:
             raise DegenerateDataError(
                 f"{path}: expected header 't,x', got {header.rstrip()!r}"
             )
         lineno = 2  # of the first line of the next read, empty lines counted
         fast = True
-        for text in _line_chunks(fh, _READ_CHARS):
+        for data in _line_chunks(fh, _READ_CHARS):
             try:
-                read = _read_block(text) if fast else None
+                read = _read_block(data) if fast else None
                 if read is None:
                     fast = False
-                    lines = text.split("\n")
+                    lines = _decode(data).split("\n")
                     read = _parse_rows(lines), len(lines) - 1
                 block, count = read
                 fault = _value_fault(block, rows)
             except ValueError as exc:
                 fault = str(exc)
             if fault is not None:
-                raise _locate(path, text.split("\n"), lineno, rows, fault)
+                raise _locate(path, _decode(data).split("\n"), lineno, rows, fault)
             lineno += count
             if rows + len(block) > len(x):
                 x.resize(2 * (rows + len(block)), refcheck=False)

@@ -536,6 +536,16 @@ class TestRegion:
                      "--alpha-range", "0:1:0.5", "--eps", "gaussian:1",
                      "--eta", "gaussian:0.1"]) == 2
 
+    def test_range_flag_without_a_value(self, capsys):
+        # the flag after it is not taken for a dash value: only a value
+        # holding a colon is glued on
+        with pytest.raises(SystemExit) as exc:
+            main(["region", "--theta-range", "--alpha-range", "0:1:0.5",
+                  "--eps", "gaussian:1", "--eta", "gaussian:0.1"])
+        assert exc.value.code == 2
+        assert ("argument --theta-range: expected one argument"
+                in capsys.readouterr().err)
+
     def test_negative_range_spec_syntax(self, tmp_path):
         out = tmp_path / "grid.csv"
         code = main(["region", "--theta-range", "-1:1:1.0",

@@ -745,37 +745,46 @@ def numbered_rows(ts) -> str:
 
 
 class TestBlockedIngest:
-    """`ingest` parses _READ_CHARS characters and the rest of a line at a
-    time into one array; every error names the line it named when the file
-    was parsed whole."""
+    """`ingest` parses _READ_CHARS bytes and the rest of a line at a time
+    into one array; every error names the line it named when the file was
+    parsed whole."""
 
     @pytest.fixture(autouse=True)
     def short_reads(self, monkeypatch):
-        monkeypatch.setattr(SIM, "_READ_CHARS", 128)
+        # four rows `t,x.y` of one digit each fill a read
+        monkeypatch.setattr(SIM, "_READ_CHARS", 24)
 
-    @pytest.mark.parametrize("text, match", [
-        # the fourth block
+    @pytest.mark.parametrize("text, match, where", [
+        # the fourth read
         ("t,x\n" + numbered_rows(range(13)) + "13,oops\n" + numbered_rows(range(14, 20)),
-         r":15: expected an integer index and a float, got '13,oops'"),
-        # the first line of the second block
+         r":15: expected an integer index and a float, got '13,oops'", (3, b"13,oops", False)),
+        # the first line of the second read
         ("t,x\n" + numbered_rows(range(4)) + numbered_rows(range(5, 9)),
-         r":6: index 5 breaks the contiguous sequence \(expected 4\)"),
-        # blank lines fill blocks but take no index
+         r":6: index 5 breaks the contiguous sequence \(expected 4\)", (1, b"5,2.5", True)),
+        # blank lines fill reads but take no index
         ("t,x\n0,1\n\n1,2\n\n\n2,3\n3,4\n\n\n\n\n4,oops\n5,1\n",
-         r":13: expected an integer index and a float, got '4,oops'"),
+         r":13: expected an integer index and a float, got '4,oops'", None),
         ("t,x\n0,1\n\n\n\n1,2\n\n3,3\n",
-         r":8: index 3 breaks the contiguous sequence \(expected 2\)"),
+         r":8: index 3 breaks the contiguous sequence \(expected 2\)", None),
         # a last line without a newline
         ("t,x\n0,1\n1,2\n2,3\n3,4\n4,5\n5,x",
-         r":7: expected an integer index and a float, got '5,x'"),
+         r":7: expected an integer index and a float, got '5,x'", None),
         ("t,x\n0,1\n1,2\n2,3\n3,4\n4,5\n6,6",
-         r":7: index 6 breaks the contiguous sequence \(expected 5\)"),
-        ("t,x\n" + numbered_rows(range(9)) + "9,nan\n", r":11: non-finite value"),
+         r":7: index 6 breaks the contiguous sequence \(expected 5\)", None),
+        ("t,x\n" + numbered_rows(range(9)) + "9,nan\n", r":11: non-finite value", None),
     ], ids=["later-block", "block-boundary", "blank-lines", "blank-gap",
             "no-newline-cell", "no-newline-gap", "non-finite"])
-    def test_error_names_the_line(self, tmp_path, text, match):
+    def test_error_names_the_line(self, tmp_path, text, match, where):
         path = tmp_path / "s.csv"
         path.write_bytes(text.encode())
+        if where is not None:
+            # the faulty line is on the read the id names, first in it or not
+            read, line, first = where
+            with open(path, "rb") as fh:
+                fh.readline()
+                reads = list(SIM._line_chunks(fh, SIM._READ_CHARS))
+            assert [i for i, r in enumerate(reads) if line in r.split(b"\n")] == [read]
+            assert reads[read].startswith(line + b"\n") == first
         with pytest.raises(DegenerateDataError, match=match):
             ingest(path)
 
@@ -1093,9 +1102,9 @@ class TestCsvInterchange:
             want = SIM._parse_rows(text.split("\n"))
         except ValueError:
             with pytest.raises(ValueError):
-                SIM._read_block(text)
+                SIM._read_block(text.encode())
             return
-        read = SIM._read_block(text)
+        read = SIM._read_block(text.encode())
         if read is not None:
             rows, count = read
             assert rows.tobytes() == want.tobytes()
@@ -1106,10 +1115,13 @@ class TestCsvInterchange:
         # the last line of the input ends its read without a newline
         check_reader(monkeypatch, tmp_path / "s.csv", f"t,x\n{text}".encode())
 
-    @pytest.mark.parametrize("block", [1, 3, SIM._READ_CHARS // 32])
-    def test_reader_crlf_across_reads(self, monkeypatch, tmp_path, block):
-        # reads of 32 * block characters, and header spaces that put a
-        # CR/LF pair across the first 8192-byte read of the file
+    @pytest.mark.parametrize("block, split", [(1, False), (3, True),
+                                              (SIM._READ_CHARS // 32, False)],
+                             ids=["1", "3", str(SIM._READ_CHARS // 32)])
+    def test_reader_crlf_across_reads(self, monkeypatch, tmp_path, block, split):
+        # reads of 32 * block bytes, at 3 some of them ending on the CR of
+        # a CRLF pair, and header spaces that put a CR/LF pair across the
+        # first 8192 bytes of the file
         monkeypatch.setattr(SIM, "_READ_CHARS", 32 * block)
         x = simulate(ModelParams(0.3, 0.5, GAUSS1, NoiseSpec(NoiseFamily.GAUSSIAN, 0.1)),
                      400, seed=3).x
@@ -1117,8 +1129,59 @@ class TestCsvInterchange:
         pad = 8191 - 5 - body.index(b"\r\n", 8192 - 5 - 40)
         data = b"t,x" + b" " * pad + b"\r\n" + body
         assert data[8191:8193] == b"\r\n"
-        check_reader(monkeypatch, tmp_path / "s.csv", data)
-        assert ingest(tmp_path / "s.csv").x.tobytes() == x.tobytes()
+        path = tmp_path / "s.csv"
+        path.write_bytes(data)
+        with open(path, "rb") as fh:
+            fh.readline()
+            reads = list(SIM._line_chunks(fh, 32 * block))
+        assert any(r[32 * block - 1:32 * block] == b"\r" for r in reads) == split
+        assert all(r.endswith(b"\r\n") for r in reads)
+        check_reader(monkeypatch, path, data)
+        # the writer's CRLF rows all take the numpy path
+        monkeypatch.setattr(SIM, "_parse_rows", lambda lines: pytest.fail(str(lines)))
+        assert ingest(path).x.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("data, size, edge, outcome", [
+        # a lone CR as a read's last byte, and one inside a read, each
+        # read on the numpy path
+        (b"t,x\n" + numbered_rows(range(4)).encode()
+         + b"4,2.0\n5,2.5\n6,3.0\n7,3.5\r8,4.0\n9,4.5\n", 24,
+         lambda reads: (reads[2].endswith(b"7,3.5\r") and reads[3].startswith(b"8,")
+                        and SIM._read_block(reads[2]) is not None),
+         None),
+        (b"t,x\n" + numbered_rows(range(4)).encode()
+         + b"4,2.0\n5,2.5\r6,3.0\n7,3.5\n8,4.0\n", 24,
+         lambda reads: (b"5,2.5\r6" in reads[2]
+                        and SIM._read_block(reads[2]) is not None), None),
+        # LF and CRLF rows in one read, which the numpy path reads
+        (b"t,x\r\n0,0.25\r\n1,-0.5\n2,1.5\r\n3,0.123456789012345678\n4,2\n", 1 << 18,
+         lambda reads: len(reads) == 2 and reads[1].count(b"\r\n") == 2, None),
+        # a header ended by a lone CR, then CRLF and LF rows
+        (b"t,x\r0,0.25\r\n1,-0.5\n2,1.5\r\n", 1 << 18,
+         lambda reads: reads[0] == b"t,x\r", None),
+        # a byte that is not UTF-8 on the third read
+        (b"t,x\n" + numbered_rows(range(9)).encode() + b"9,\xff\n"
+         + numbered_rows(range(10, 12)).encode(), 24,
+         lambda reads: b"9,\xff" in reads[3],
+         ":11: expected an integer index and a float, got '9,\\udcff'"),
+        # a UTF-8 byte order mark before the header
+        (b"\xef\xbb\xbft,x\r\n0,0.25\r\n1,0.5\r\n", 1 << 18,
+         lambda reads: reads[0] == b"\xef\xbb\xbft,x\r\n",
+         ": expected header 't,x', got '\\ufefft,x'"),
+    ], ids=["cr-last", "cr-mid", "lf-crlf", "header-cr", "non-utf8-third", "bom"])
+    def test_reader_line_ends_at_read_edges(self, monkeypatch, tmp_path, data, size,
+                                            edge, outcome):
+        # each case's line end or byte sits where its id says (reads[0] is
+        # the header); ingest as a file and as a pipe reads what np.loadtxt
+        # reads, or gives the error it gave when it read text
+        monkeypatch.setattr(SIM, "_READ_CHARS", size)
+        path = tmp_path / "s.csv"
+        path.write_bytes(data)
+        with open(path, "rb") as fh:
+            assert edge([SIM._whole_lines(fh, b""), *SIM._line_chunks(fh, size)])
+        check_reader(monkeypatch, path, data)
+        if outcome is not None:
+            assert ingest_outcome(path) == outcome
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(FLOATS | st.floats(1e-4, 1e16) | st.floats(-1e16, -1e-4),
@@ -1160,7 +1223,7 @@ class TestCsvInterchange:
                        for t, cell in enumerate(cells))
         check_reader(monkeypatch, tmp_path / "s.csv", ("t,x\n" + body).encode())
         if bad is None:
-            rows, count = SIM._read_block(body)
+            rows, count = SIM._read_block(body.encode())
             assert rows.tobytes() == SIM._parse_rows(body.split("\n")).tobytes()
             assert count == body.count("\n") == 400 + 400 // 50
         else:
