@@ -19,7 +19,8 @@ from .harness import MCConfig, MCReport, mixed_moment_oracle, run_experiment
 from .model import (HypothesisReport, ModelParams, MomentSet, NoiseFamily,
                     NoiseSpec, check_hypotheses, noise_moments)
 from .second_order import SecondOrderTables, acvf, build_second_order
-from .simulate import Trajectory, ingest, simulate, write_csv
+from .series_csv import ingest, write_csv
+from .simulate import Trajectory, simulate
 
 __all__ = [
     "ConfigurationError", "CovarianceStack",

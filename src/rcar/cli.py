@@ -25,8 +25,8 @@ from . import estimate as est
 from . import fourth_order, model, second_order
 from .errors import (ConfigurationError, DegenerateDataError, HypothesisError,
                      PathologicalParamsError, RcarError)
-from .simulate import (DEFAULT_BURN_IN, GENERATOR_ID, ingest,
-                       simulate_blocks as run_simulation, write_csv, write_rows)
+from .series_csv import ingest, write_csv, write_rows
+from .simulate import DEFAULT_BURN_IN, GENERATOR_ID, simulate_blocks as run_simulation
 
 # `write_csv` has no caller here, since `rcar simulate` writes its time
 # blocks as they come; it is re-exported because the benchmark's tracer

@@ -22,7 +22,8 @@ from rcar.fourth_order import build_fourth_order
 from rcar.model import ModelParams, NoiseFamily, NoiseSpec, parse_noise
 from rcar.numerics import spectral_radius
 from rcar.second_order import build_second_order, stationarity_radii
-from rcar.simulate import burn_in_for, ingest, simulate
+from rcar.series_csv import ingest
+from rcar.simulate import burn_in_for, simulate
 
 from conftest import random_admissible
 

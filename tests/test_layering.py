@@ -1,5 +1,7 @@
 """The package modules import one way: model -> second_order/fourth_order ->
-asymptotics -> estimate -> harness/cli. Theory never imports inference, and
+asymptotics -> estimate -> harness/cli, and model -> simulate -> series_csv
+-> cli, simulate also feeding estimate and harness. Theory never imports
+inference, the simulator and the estimators never import the CSV codec, and
 no import is deferred into a function to break a cycle, except the one in
 `model.check_hypotheses`: it reads the moment and variance layers above
 `model`, and stays there because the benchmark's tracer patches it there.
@@ -96,9 +98,15 @@ def test_module_level_imports_have_no_cycle():
 
 
 def test_theory_does_not_import_inference():
-    inference = {"estimate", "harness", "cli", "simulate"}
+    inference = {"estimate", "harness", "cli", "simulate", "series_csv"}
     for module in ("model", "second_order", "fourth_order", "asymptotics"):
         assert not {t for m, _, t in package_imports() if m == module} & inference
+
+
+def test_the_csv_codec_sits_between_simulate_and_cli():
+    edges = {(m, t) for m, _, t in package_imports()}
+    assert {("series_csv", "simulate"), ("cli", "series_csv")} <= edges
+    assert not {("simulate", "series_csv"), ("estimate", "series_csv")} & edges
 
 
 def test_the_one_function_level_import():

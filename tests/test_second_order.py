@@ -124,6 +124,15 @@ class TestAutocovariance:
                 assert values[h] == pytest.approx(direct, rel=1e-13,
                                                   abs=1e-15 * values[0])
 
+    def test_recurrence_from_lag_two(self, rng, params_accept):
+        # a known answer outside the N^h Lambda pipeline: for h >= 2,
+        # E[eta_{t-1} X_{t-1} X_{t-h}] = tau2 gamma(h - 2), so
+        # gamma(h) = theta gamma(h - 1) + alpha tau2 gamma(h - 2)
+        for p in [params_accept, *(random_admissible(rng) for _ in range(200))]:
+            g = acvf(build_second_order(p), 60)
+            resid = g[2:] - p.theta * g[1:-1] - p.alpha * p.tau(2) * g[:-2]
+            assert np.max(np.abs(resid)) <= 1e-10 * g[0], p
+
     def test_lag_cap(self, params_accept):
         so = build_second_order(params_accept)
         assert len(acvf(so, 1000)) == 1001

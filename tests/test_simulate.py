@@ -23,19 +23,20 @@ from rcar.estimate import correlation_test
 from rcar.harness import MCConfig, run_experiment
 from rcar.model import ModelParams, NoiseFamily, NoiseSpec, log_moment
 from rcar.second_order import build_second_order
+from rcar.series_csv import ingest, write_csv
 from rcar.simulate import (DEFAULT_BURN_IN, EXPLOSION_LIMIT, FORGET_TOL,
                            GENERATOR_ID, MAX_BURN_IN, Trajectory, _EPS_BURN,
                            _EPS_STREAM, _ETA_BURN, _ETA_STREAM, _FOLD,
                            _TIME_BLOCK, _TWIN_START, _check_explosion,
                            _block_noise, _recur, _simulate_rows, block_noise,
-                           burn_in_for, ingest, mix64,
-                           replicate_seed, simulate, simulate_block,
-                           simulate_with_noise, write_csv)
+                           burn_in_for, mix64, replicate_seed, simulate,
+                           simulate_block, simulate_with_noise)
 
 from conftest import batch_se
 
-#: the module, for patching its constants (`rcar.simulate` is the function)
+#: the modules, for patching their constants (`rcar.simulate` is the function)
 SIM = importlib.import_module("rcar.simulate")
+CSV = importlib.import_module("rcar.series_csv")
 
 GAUSS1 = NoiseSpec(NoiseFamily.GAUSSIAN, 1.0)
 #: slowly forgetting: the default check doubles a burn-in of 5 several times
@@ -656,7 +657,7 @@ class TestSeriesMemory:
     def test_simulate_to_csv_flat_in_n(self, monkeypatch, tmp_path,
                                        params_accept):
         monkeypatch.setattr(SIM, "_TIME_BLOCK", _FOLD)
-        monkeypatch.setattr(SIM, "_WRITE_BLOCK", 1024)
+        monkeypatch.setattr(CSV, "_WRITE_BLOCK", 1024)
         cli.main(simulate_argv(params_accept, 10, 1, None, tmp_path / "s.csv"))
         peaks = []
         for n in (2 * _FOLD, 8 * _FOLD):
@@ -689,7 +690,7 @@ class TestSeriesMemory:
     def test_ingest_and_test_hold_the_series_and_one_block(self, monkeypatch,
                                                            tmp_path,
                                                            params_accept):
-        monkeypatch.setattr(SIM, "_READ_CHARS", 8192)
+        monkeypatch.setattr(CSV, "_READ_CHARS", 8192)
         monkeypatch.setattr(importlib.import_module("rcar.estimate"),
                             "_STAT_BLOCK", 4096)
         for n in (2 * _FOLD, 8 * _FOLD):
@@ -752,7 +753,7 @@ class TestBlockedIngest:
     @pytest.fixture(autouse=True)
     def short_reads(self, monkeypatch):
         # four rows `t,x.y` of one digit each fill a read
-        monkeypatch.setattr(SIM, "_READ_CHARS", 24)
+        monkeypatch.setattr(CSV, "_READ_CHARS", 24)
 
     @pytest.mark.parametrize("text, match, where", [
         # the fourth read
@@ -782,7 +783,7 @@ class TestBlockedIngest:
             read, line, first = where
             with open(path, "rb") as fh:
                 fh.readline()
-                reads = list(SIM._line_chunks(fh, SIM._READ_CHARS))
+                reads = list(CSV._line_chunks(fh, CSV._READ_CHARS))
             assert [i for i, r in enumerate(reads) if line in r.split(b"\n")] == [read]
             assert reads[read].startswith(line + b"\n") == first
         with pytest.raises(DegenerateDataError, match=match):
@@ -905,7 +906,7 @@ def check_reader(monkeypatch, path, data: bytes):
     error on the same line."""
     path.write_bytes(data)
     with monkeypatch.context() as m:
-        m.setattr(SIM, "_read_block", lambda text: None)
+        m.setattr(CSV, "_read_block", lambda text: None)
         want = ingest_outcome(path)
     if isinstance(want, bytes):
         rows = np.loadtxt(path, delimiter=",", skiprows=1, comments=None, ndmin=1,
@@ -922,18 +923,18 @@ class TestCsvInterchange:
                     max_size=40), st.integers(1, 9))
     def test_writer_bytes_any_double(self, values, size):
         fh = io.StringIO(newline="")
-        with mock.patch.object(SIM, "_WRITE_BLOCK", 3):
-            SIM.write_rows(fh, [np.array(values[i:i + size], dtype=float)
+        with mock.patch.object(CSV, "_WRITE_BLOCK", 3):
+            CSV.write_rows(fh, [np.array(values[i:i + size], dtype=float)
                                 for i in range(0, len(values), size)])
         assert fh.getvalue() == csv_reference(values)
 
     def test_writer_bytes_edges(self, monkeypatch):
         # blocks of 97 rows, and indices that cross 9 -> 10, 99 -> 100 and
         # 9999 -> 10000 inside a block
-        monkeypatch.setattr(SIM, "_WRITE_BLOCK", 97)
+        monkeypatch.setattr(CSV, "_WRITE_BLOCK", 97)
         x = np.resize(WRITER_EDGES, 10_050)
         fh = io.StringIO(newline="")
-        SIM.write_rows(fh, [x[:5000], x[5000:]])
+        CSV.write_rows(fh, [x[:5000], x[5000:]])
         assert fh.getvalue() == csv_reference(x.tolist())
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
@@ -972,16 +973,16 @@ class TestCsvInterchange:
         # built no CSV lookup table; its first write builds them
         script = "\n".join([
             "import contextlib, io, sys, numpy, rcar.cli",
-            "SIM = sys.modules['rcar.simulate']",
+            "CSV = sys.modules['rcar.series_csv']",
             "with contextlib.redirect_stdout(io.StringIO()):",
             "    assert rcar.cli.main(['check', '--theta', '0.3', '--alpha', '0.5',",
             "                          '--eps', 'gaussian:1', '--eta', 'gaussian:0.1']) == 0",
-            "tables = SIM._digit_tables, SIM._layout_tables",
+            "tables = CSV._digit_tables, CSV._layout_tables",
             "before = [f.cache_info().currsize for f in tables]",
-            "SIM.write_rows(io.StringIO(), [numpy.ones(3)])",
+            "CSV.write_rows(io.StringIO(), [numpy.ones(3)])",
             "print(*before, *(f.cache_info().currsize for f in tables))",
         ])
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(SIM.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(CSV.__file__)))
         out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                              capture_output=True, text=True, timeout=60).stdout
         assert out.split() == ["0", "0", "1", "1"]
@@ -1099,12 +1100,12 @@ class TestCsvInterchange:
         # a read may end up as any few lines: the numpy path gives
         # np.loadtxt's records or its error, or leaves the read to it
         try:
-            want = SIM._parse_rows(text.split("\n"))
+            want = CSV._parse_rows(text.split("\n"))
         except ValueError:
             with pytest.raises(ValueError):
-                SIM._read_block(text.encode())
+                CSV._read_block(text.encode())
             return
-        read = SIM._read_block(text.encode())
+        read = CSV._read_block(text.encode())
         if read is not None:
             rows, count = read
             assert rows.tobytes() == want.tobytes()
@@ -1116,13 +1117,13 @@ class TestCsvInterchange:
         check_reader(monkeypatch, tmp_path / "s.csv", f"t,x\n{text}".encode())
 
     @pytest.mark.parametrize("block, split", [(1, False), (3, True),
-                                              (SIM._READ_CHARS // 32, False)],
-                             ids=["1", "3", str(SIM._READ_CHARS // 32)])
+                                              (CSV._READ_CHARS // 32, False)],
+                             ids=["1", "3", str(CSV._READ_CHARS // 32)])
     def test_reader_crlf_across_reads(self, monkeypatch, tmp_path, block, split):
         # reads of 32 * block bytes, at 3 some of them ending on the CR of
         # a CRLF pair, and header spaces that put a CR/LF pair across the
         # first 8192 bytes of the file
-        monkeypatch.setattr(SIM, "_READ_CHARS", 32 * block)
+        monkeypatch.setattr(CSV, "_READ_CHARS", 32 * block)
         x = simulate(ModelParams(0.3, 0.5, GAUSS1, NoiseSpec(NoiseFamily.GAUSSIAN, 0.1)),
                      400, seed=3).x
         body = "".join("%d,%.17g\r\n" % row for row in enumerate(x.tolist())).encode()
@@ -1133,12 +1134,12 @@ class TestCsvInterchange:
         path.write_bytes(data)
         with open(path, "rb") as fh:
             fh.readline()
-            reads = list(SIM._line_chunks(fh, 32 * block))
+            reads = list(CSV._line_chunks(fh, 32 * block))
         assert any(r[32 * block - 1:32 * block] == b"\r" for r in reads) == split
         assert all(r.endswith(b"\r\n") for r in reads)
         check_reader(monkeypatch, path, data)
         # the writer's CRLF rows all take the numpy path
-        monkeypatch.setattr(SIM, "_parse_rows", lambda lines: pytest.fail(str(lines)))
+        monkeypatch.setattr(CSV, "_parse_rows", lambda lines: pytest.fail(str(lines)))
         assert ingest(path).x.tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("data, size, edge, outcome", [
@@ -1147,12 +1148,12 @@ class TestCsvInterchange:
         (b"t,x\n" + numbered_rows(range(4)).encode()
          + b"4,2.0\n5,2.5\n6,3.0\n7,3.5\r8,4.0\n9,4.5\n", 24,
          lambda reads: (reads[2].endswith(b"7,3.5\r") and reads[3].startswith(b"8,")
-                        and SIM._read_block(reads[2]) is not None),
+                        and CSV._read_block(reads[2]) is not None),
          None),
         (b"t,x\n" + numbered_rows(range(4)).encode()
          + b"4,2.0\n5,2.5\r6,3.0\n7,3.5\n8,4.0\n", 24,
          lambda reads: (b"5,2.5\r6" in reads[2]
-                        and SIM._read_block(reads[2]) is not None), None),
+                        and CSV._read_block(reads[2]) is not None), None),
         # LF and CRLF rows in one read, which the numpy path reads
         (b"t,x\r\n0,0.25\r\n1,-0.5\n2,1.5\r\n3,0.123456789012345678\n4,2\n", 1 << 18,
          lambda reads: len(reads) == 2 and reads[1].count(b"\r\n") == 2, None),
@@ -1174,11 +1175,11 @@ class TestCsvInterchange:
         # each case's line end or byte sits where its id says (reads[0] is
         # the header); ingest as a file and as a pipe reads what np.loadtxt
         # reads, or gives the error it gave when it read text
-        monkeypatch.setattr(SIM, "_READ_CHARS", size)
+        monkeypatch.setattr(CSV, "_READ_CHARS", size)
         path = tmp_path / "s.csv"
         path.write_bytes(data)
         with open(path, "rb") as fh:
-            assert edge([SIM._whole_lines(fh, b""), *SIM._line_chunks(fh, size)])
+            assert edge([CSV._whole_lines(fh, b""), *CSV._line_chunks(fh, size)])
         check_reader(monkeypatch, path, data)
         if outcome is not None:
             assert ingest_outcome(path) == outcome
@@ -1207,12 +1208,12 @@ class TestCsvInterchange:
         assert ingest(path).x.tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("bad", [None, 310])
-    @pytest.mark.parametrize("block", [4, SIM._READ_CHARS // 32])
+    @pytest.mark.parametrize("block", [4, CSV._READ_CHARS // 32])
     def test_reader_empty_lines_among_rows(self, monkeypatch, tmp_path, bad, block):
         # rcar's rows with an empty line after every 50th and a cell the
         # numpy path leaves to np.loadtxt every 40th: the reads keep the
         # numpy path, and an error names the line it names without it
-        monkeypatch.setattr(SIM, "_READ_CHARS", 32 * block)
+        monkeypatch.setattr(CSV, "_READ_CHARS", 32 * block)
         x = simulate(ModelParams(0.3, 0.5, GAUSS1, NoiseSpec(NoiseFamily.GAUSSIAN, 0.1)),
                      399, seed=4).x
         cells = ["%.17g" % v for v in x.tolist()]
@@ -1223,8 +1224,8 @@ class TestCsvInterchange:
                        for t, cell in enumerate(cells))
         check_reader(monkeypatch, tmp_path / "s.csv", ("t,x\n" + body).encode())
         if bad is None:
-            rows, count = SIM._read_block(body.encode())
-            assert rows.tobytes() == SIM._parse_rows(body.split("\n")).tobytes()
+            rows, count = CSV._read_block(body.encode())
+            assert rows.tobytes() == CSV._parse_rows(body.split("\n")).tobytes()
             assert count == body.count("\n") == 400 + 400 // 50
         else:
             # the header, then row t on line 2 + t + t // 50
@@ -1234,15 +1235,15 @@ class TestCsvInterchange:
         # a read that leaves most of its lines to np.loadtxt, more than
         # _SLOW_LINES of them, turns the numpy path off for the rest of the
         # input; the rows are np.loadtxt's all the same
-        monkeypatch.setattr(SIM, "_READ_CHARS", 8192)
+        monkeypatch.setattr(CSV, "_READ_CHARS", 8192)
         x = simulate(ModelParams(0.3, 0.5, GAUSS1, NoiseSpec(NoiseFamily.GAUSSIAN, 0.1)),
                      3999, seed=6).x
         body = "".join(f"{t},{round(v)}\n" if t < 2000 else f"{t},{v!r}\n"
                        for t, v in enumerate(x.tolist()))
         path = tmp_path / "s.csv"
         check_reader(monkeypatch, path, ("t,x\n" + body).encode())
-        read_block, reads = SIM._read_block, []
-        monkeypatch.setattr(SIM, "_read_block",
+        read_block, reads = CSV._read_block, []
+        monkeypatch.setattr(CSV, "_read_block",
                             lambda text: reads.append(read_block(text)) or reads[-1])
         ingest(path)
         assert reads == [None]
