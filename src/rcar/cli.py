@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import json
 import math
 import os
@@ -47,11 +48,17 @@ EXIT_TABLE = (
 )
 
 
+def _seed(value) -> int:
+    """value as a seed: an integer in 0..2**64 - 1. The library reduces any
+    other integer mod 2**64, so it would alias a seed of that range."""
+    seed = int(value)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError("a seed is an integer in 0..2**64 - 1")
+    return seed
+
+
 def _default_seed() -> int:
-    try:
-        return int(os.environ.get("RCAR_SEED", "0"))
-    except ValueError as exc:
-        raise ConfigurationError(f"RCAR_SEED: {exc}") from None
+    return model.cast_value("RCAR_SEED", os.environ.get("RCAR_SEED", "0"), _seed)
 
 
 def _provenance(params: model.ModelParams | None, seed=None, **settings) -> dict:
@@ -80,7 +87,7 @@ def _null_non_finite(obj):
 
 @contextlib.contextmanager
 def _replacing(out: str):
-    """A text stream whose bytes replace the file `out` once the block ends.
+    """A binary stream whose bytes replace the file `out` once the block ends.
 
     They go to a temporary sibling file, which `os.replace` moves over
     `out` on success and which is removed on any error, so a failed run
@@ -89,13 +96,13 @@ def _replacing(out: str):
     """
     target = os.path.realpath(out)
     if os.path.exists(target) and not os.path.isfile(target):
-        with open(out, "w", newline="", encoding="utf-8") as fh:
+        with open(out, "wb") as fh:
             yield fh
         return
     head, name = os.path.split(target)
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:
-        fh = open(tmp, "w", newline="", encoding="utf-8")
+        fh = open(tmp, "wb")
     except OSError as exc:
         exc.filename = out  # name the output, not its temporary sibling
         raise
@@ -114,19 +121,27 @@ def _emit(result, out: str | None) -> None:
 
     The result is a JSON payload (a dict, written as strict JSON: an
     undefined or infinite value is null) or a function that writes a CSV
-    table to a text stream. A reader that closes stdout early ends the
-    output quietly.
+    table to a binary stream. Stdout's bytes go to `sys.stdout.buffer`; a
+    text stdout without one (as `contextlib.redirect_stdout` sets) gets
+    them decoded. A reader that closes stdout early ends the output quietly.
     """
     if isinstance(result, dict):
         text = json.dumps(_null_non_finite(result), indent=2, allow_nan=False)
-        result = lambda fh: fh.write(text + "\n")
+        result = lambda fh: fh.write(text.encode() + b"\n")
     if out:
         with _replacing(out) as fh:
             result(fh)
     else:
         try:
-            result(sys.stdout)
             sys.stdout.flush()
+            stream = getattr(sys.stdout, "buffer", None)
+            if stream is None:
+                stream = io.BytesIO()
+                result(stream)
+                sys.stdout.write(stream.getvalue().decode())
+            else:
+                result(stream)
+                stream.flush()
         except BrokenPipeError:
             # stdout is dead; the interpreter's last flush must not report it
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -215,7 +230,8 @@ def cmd_variance(args) -> dict:
 
 def cmd_simulate(args):
     params = _params_from_args(args)
-    seed = args.env_seed if args.seed is None else args.seed
+    seed = (args.env_seed if args.seed is None
+            else model.cast_value("--seed", args.seed, _seed))
     path = run_simulation(params, args.n, seed, args.burn_in)
     if args.format == "csv":
         # each time block is written as it comes
@@ -259,7 +275,7 @@ def _comma_list(cast):
 # the `MCConfig` fields a run file may set, with the cast of each value;
 # `MCConfig` holds the defaults of those the file leaves out
 _MC_CASTS = {
-    "n": int, "replicates": int, "master_seed": int, "level": float,
+    "n": int, "replicates": int, "master_seed": _seed, "level": float,
     "burn_in": int, "theta_source": str,
     "alpha_grid": _comma_list(float), "mu_key": _comma_list(int),
 }
@@ -277,7 +293,7 @@ def cmd_mc(args) -> dict:
     settings.update((key, model.cast_value(key, values[key], cast))
                     for key, cast in _MC_CASTS.items() if key in values)
     if args.seed is not None:
-        settings["master_seed"] = args.seed
+        settings["master_seed"] = model.cast_value("--seed", args.seed, _seed)
     cfg = harness.MCConfig(params=params, experiment=experiment,
                            workers=args.workers, **settings)
     report = harness.run_experiment(cfg)
@@ -315,7 +331,7 @@ def cmd_region(args):
         return {"columns": header, "rows": rows}
     text = ",".join(header) + "\r\n" + "".join(
         "%.17g,%.17g,%.17g,%.17g\r\n" % tuple(row) for row in rows)
-    return lambda fh: fh.write(text)
+    return lambda fh: fh.write(text.encode())
 
 
 @functools.cache

@@ -16,16 +16,26 @@ the physical line, a pipe's as a file's, for a line np.loadtxt rejects
 breaks the sequence 0, 1, 2, ... and a non-finite value; a missing header
 or fewer than two rows is named without a line.
 
-Writing. `_format_rows` formats _WRITE_BLOCK rows at a time in numpy. For
-1e-4 <= |x| < 1e16, which %.17g prints without an exponent, `_significand`
-gives the 17 significant digits exactly, rounded as dtoa rounds the exact
+Writing. `write_rows` writes bytes to a binary stream, which
+`_format_rows` makes _WRITE_BLOCK rows at a time in numpy: each row is
+first a dense record of fixed width (35 bytes where t < 10**8) whose
+unused bytes are NUL, and one `bytes.translate` deletes them. Its words
+of digits come from one table of the 4-digit groups as '<u4' words. As t
+is consecutive, the index's last word is a slice of that table (below
+10**4, of its copy with leading zeros NUL) and the others change only at
+multiples of 10**4. For 1e-4 <=
+|x| < 1e16, which %.17g prints without an exponent, `_significand` gives
+the 17 significant digits exactly, rounded as dtoa rounds the exact
 binary value (Gay, "Correctly rounded binary-decimal and decimal-binary
-conversions", 1990), and `_value_words` lays them out as %g does: the
-point after digit k = floor(log10 |x|), or `0.` and -k - 1 zeros before
-the digits where k < 0, and no trailing zeros after the point. So the
-bytes are those of %.17g. The other rows, 0, |x| < 1e-4 (subnormals among
-them), |x| >= 1e16 and non-finite values (about 70 rows in 10**6 of a
-stationary series), go through %.17g one by one.
+conversions", 1990), and `_value_words` lays them out as %g does, with
+k = floor(log10 |x|): a head word holds ',', the sign and the first
+digit, with `0.` and -k - 1 zeros before it where k < 0 or the point
+after it where k = 0; digits 1..16 follow dense, and where k >= 1 the
+point is shifted in after digit k; no trailing zeros stay after the
+point. So the bytes are those of %.17g. The other rows, 0, |x| < 1e-4
+(subnormals among them), |x| >= 1e16 and non-finite values (about 70
+rows in 10**6 of a stationary series), get their %.17g, made for the
+block in one format call, in their record's value field.
 
 Reading. `ingest` reads the input as bytes, _READ_CHARS = 2**18 bytes and
 the rest of a line at a time, into one float array sized from the file's
@@ -87,6 +97,15 @@ _POW10_U8 = np.array([10 ** j for j in range(17)], dtype=np.uint64)
 _POW10_F8 = np.array([float(f"1e{j}") for j in range(21)])
 #: the mask that clears the low i bytes of a '<u8' word, i = 0..8
 _WORD_KEEP = np.array([_MASK64 << 8 * i & _MASK64 for i in range(9)], dtype=np.uint64)
+#: by m = 0..16, the masks of the two dense digit words (digit 1 the low
+#: byte of the first) that keep digits 1..m
+_DIGITS_KEEP = ~_WORD_KEEP[np.clip(np.arange(17)[:, None] - [0, 8], 0, 8)]
+#: by k = 0..15, the masks of the digit words that put the point after
+#: digit k: the digits 1..k that stay, the point in the byte after them,
+#: and the bytes above it, which the words shifted one byte up fill
+_POINT_AFTER = (_DIGITS_KEEP[:16],
+                _DIGITS_KEEP[1:] & ~_DIGITS_KEEP[:16] & np.uint64(0x2E2E2E2E2E2E2E2E),
+                ~_DIGITS_KEEP[1:])
 #: the bytes around a block's text, so every word and byte `_read_block`
 #: reads is in its buffer; '0' is no separator
 _PAD = b"0" * 16
@@ -96,11 +115,14 @@ _LINE_END = re.compile(rb"\r\n?|\n")
 
 @functools.cache
 def _digit_tables():
-    """Lookup words of the 4-digit groups g = 0..9999: g's ASCII digits at
-    the odd bytes of a '<u8' word (the even bytes hold the decimal point),
-    as a '<u4' word, and as a '<u4' word with its leading zeros NUL ('0'
-    for 0); and the place 1..4 of g's last nonzero digit (negative for 0).
-    Built on the first call, so a process that writes no CSV builds none."""
+    """Lookup words of the writer: the 4-digit groups g = 0..9999 as '<u4'
+    words of g's ASCII digits, and of those with the leading zeros NUL ('0'
+    for 0); the place 1..4 of g's last nonzero digit (negative for 0); and
+    the head word of the value field by exponent k, whether the point
+    follows the first digit and that digit: ',', a NUL for the sign, then
+    `0.` and -k - 1 zeros before the digit where k < 0, or the digit and,
+    where k = 0 and a fraction shows, the point. Built on the first call,
+    so a process that writes no CSV builds none."""
     g = np.arange(10_000, dtype=np.int64)
     digits = np.empty((10_000, 4), np.uint8)
     top = np.empty_like(digits)
@@ -111,30 +133,12 @@ def _digit_tables():
         top[:, i] = np.where(g >= scale, digit + 48, 0)
         last[digit != 0] = i + 1
     top[0, 3] = 48
-    spaced = np.zeros((10_000, 8), np.uint8)
-    spaced[:, 1::2] = digits
-    return (spaced.view(_U8)[:, 0], digits.view(_U4)[:, 0],
-            top.view(_U4)[:, 0], last)
-
-
-@functools.cache
-def _layout_tables():
-    """The constant bytes of the value field, by exponent k and whether a
-    point shows: ',', the `0.000` prefix of k < 0 and the point after
-    digit k (5 words: the head, then the 4 group words); and, by the last
-    digit kept, the mask that keeps digits 1..16 up to it (4 words).
-    Built on the first call, as `_digit_tables` is."""
-    k = np.arange(_K_MIN, _K_MAX + 1)[:, None, None]
-    shows = np.arange(2)[None, :, None]
-    fill = np.zeros((len(k), 2, 40), np.uint8)
-    fill[..., 0] = 44
-    fill[..., 2:4] = np.where(k < 0, [48, 46], 0)
-    fill[..., 4:7] = np.where(np.arange(3) < -k - 1, 48, 0)
-    # the point after digit i, i = 0..15, is the even byte before digit i + 1
-    fill[..., 8::2] = np.where((np.arange(16) == k) & (shows == 1), 46, 0)
-    keep = np.zeros((17, 32), np.uint8)
-    keep[:, 1::2] = np.where(np.arange(1, 17) <= np.arange(17)[:, None], 0xFF, 0)
-    return fill.view(_U8).reshape(-1, 5), keep.view(_U8)
+    heads = b"".join(
+        b",\0" + (f"0.{'0' * (-k - 1)}{lead}" if k < 0 else
+                  f"{lead}{'.' * (k == 0 and point)}").encode().rjust(6, b"\0")
+        for k in range(_K_MIN, _K_MAX + 1) for point in (0, 1) for lead in range(10))
+    return (digits.view(_U4)[:, 0], top.view(_U4)[:, 0], last,
+            np.frombuffer(heads, _U8))
 
 
 def _significand(x: np.ndarray):
@@ -149,111 +153,125 @@ def _significand(x: np.ndarray):
     than 5e-18 of it below.
     """
     bits = x.view(np.uint64)
-    exp = (bits >> np.uint64(52) & np.uint64(0x7FF)).astype(np.int64)
+    exp = (bits >> np.uint64(52)).view(np.int64) & 0x7FF
     # floor(log10 2**(exp - 1023)), exact for |exp - 1023| < 1100 (Adams,
     # "Ryu: fast float-to-string conversion", 2018); x is 2**(exp - 1023)
     # to under twice that, so k is it or it plus one
     k = (exp - 1023) * 78913 >> 18
-    k += np.abs(x) >= _POW10[k + 1 - _K_MIN]
+    k += np.abs(x) >= _POW10[k + (1 - _K_MIN)]
     m = (bits & np.uint64((1 << 52) - 1) | np.uint64(1 << 52)) << np.uint64(4)
-    shift = (k - exp + (1075 + 4 - 16)).astype(np.uint64)
+    shift = (k - exp + (1075 + 4 - 16)).view(np.uint64)
     m_hi, m_lo = m >> np.uint64(32), m & np.uint64(0xFFFFFFFF)
-    p_hi, p_lo = _POW5_HI[k - _K_MIN], _POW5_LO[k - _K_MIN]
+    power = k - _K_MIN
+    p_hi, p_lo = _POW5_HI[power], _POW5_LO[power]
     lo = m_lo * p_lo
     mid = m_hi * p_lo + m_lo * p_hi
     low = lo + (mid << np.uint64(32))
     high = m_hi * p_hi + (mid >> np.uint64(32)) + (low < lo)
-    d = high << (np.uint64(64) - shift) | low >> shift
-    rest = low & ((np.uint64(1) << shift) - np.uint64(1))
-    half = np.uint64(1) << (shift - np.uint64(1))
-    d += (rest > half) | (rest == half) & (d & np.uint64(1) == np.uint64(1))
+    up = np.uint64(64) - shift
+    d = high << up | low >> shift
+    # the bits shifted out, moved to the top of a word that holds d's
+    # parity in bit 0, exceed 2**63 exactly where they are above one half,
+    # or one half and d is odd: half to even
+    d += (low << up | d & np.uint64(1)) > np.uint64(1 << 63)
     return d, k
 
 
 def _value_words(x: np.ndarray):
     """The value field of each row, x in the domain: a head word (',', the
-    sign, the `0.000` prefix of k < 0, the first digit) and four words of
-    digits 1..16, each at an odd byte, the even byte before it holding the
-    point where it follows the digit before. The digits after the point
-    stop at the last nonzero one; those before it all stay."""
+    sign, the `0.000` prefix of k < 0, the first digit and the point of
+    k = 0), digits 1..16 dense in two words, and a spare byte. Where k >= 1
+    and a fraction shows, the point goes after digit k and the digits after
+    it move one byte up, the last into the spare byte. The digits after the
+    point stop at the last nonzero one; those before it all stay."""
     d, k = _significand(x)
-    spaced, _, _, group_last = _digit_tables()
-    fills, keep = _layout_tables()
-    top = d // np.uint64(10 ** 8)
-    low = (d - top * np.uint64(10 ** 8)).astype(np.int64)
-    top = top.astype(np.int64)
-    lead = top // 10 ** 8
-    top -= lead * 10 ** 8
+    digits, _, group_last, heads = _digit_tables()
+    d = d.view(np.int64)
+    lead = d // 10 ** 16
+    d -= lead * 10 ** 16
     groups = np.empty((len(x), 4), np.int64)
-    groups[:, 0], groups[:, 1] = np.divmod(top, 10 ** 4)
-    groups[:, 2], groups[:, 3] = np.divmod(low, 10 ** 4)
-    # digit 16 is 0 on these rows alone; on them the digits after the
-    # point may stop early
-    short = np.flatnonzero(groups[:, 3] % 10 == 0)
-    last = np.full(len(x), 16, dtype=np.int64)
-    ends = group_last[groups[short]] + np.arange(0, 16, 4, dtype=np.int64)
-    last[short] = np.maximum(ends.max(axis=1), 0)
-    fill = np.take(fills, (k - _K_MIN) * 2 + (last > k), axis=0)
-    head = (x.view(np.uint64) >> np.uint64(63)) * np.uint64(ord("-") << 8)
-    head |= (lead.astype(np.uint64) + np.uint64(48)) << np.uint64(56)
-    head |= fill[:, 0]
-    words = np.take(spaced, groups)
-    words[short] &= np.take(keep, np.maximum(k[short], last[short]), axis=0)
-    words |= fill[:, 1:]
-    return head, words
+    for j, scale in enumerate((10 ** 12, 10 ** 8, 10 ** 4)):
+        groups[:, j] = d // scale
+        d -= groups[:, j] * scale
+    groups[:, 3] = d
+    words = digits.take(groups).view(_U8)
+    # rows of words are gathered with take and scattered through a 16-byte
+    # view: numpy indexes the rows of a 2-D array far more slowly
+    pairs = words.view("V16")[:, 0]
+    # digit 16 (byte 15) is '0' on these rows alone; on them the digits
+    # after the point may stop early
+    short = np.flatnonzero(words.view(np.uint8)[:, 15] == 48)
+    ends = group_last.take(groups.take(short, axis=0)) + np.arange(0, 16, 4)
+    last, k_short = np.maximum(ends.max(axis=1), 0), k[short]
+    kept = words.take(short, axis=0)
+    kept &= _DIGITS_KEEP.take(np.maximum(k_short, last), axis=0)
+    pairs[short] = kept.view("V16")[:, 0]
+    # whether a fraction shows: on every row whose digit 16 is not 0
+    point = np.ones(len(x), bool)
+    point[short] = last > k_short
+    head = heads.take(((k - _K_MIN) * 2 + point) * 10 + lead)
+    head |= (x.view(np.uint64) >> np.uint64(63)) * np.uint64(ord("-") << 8)
+    spare = np.zeros(len(x), np.uint8)
+    inner = np.flatnonzero(point & (k >= 1))
+    w = words.take(inner, axis=0)
+    spare[inner] = w[:, 1] >> np.uint64(56)
+    up = w << np.uint64(8)
+    up[:, 1] |= w[:, 0] >> np.uint64(56)
+    stay, dot, moved = (mask.take(k[inner], axis=0) for mask in _POINT_AFTER)
+    w &= stay
+    w |= dot
+    up &= moved
+    w |= up
+    pairs[inner] = w.view("V16")[:, 0]
+    return head, words, spare
 
 
 def _index_words(out: np.ndarray, t0: int) -> None:
     """Write t = t0, t0 + 1, ... into out, one row of 4-digit '<u4' words
-    each, the most significant first, with leading zeros NUL."""
+    each, the most significant first, with leading zeros NUL. Between two
+    multiples of 10**4, the last word is a slice of a table and the others
+    do not change."""
     n, width = out.shape
-    _, index, index_top, _ = _digit_tables()
-    t = np.arange(t0, t0 + n, dtype=np.int64)
-    for j in range(width):
-        scale = 10 ** (4 * (width - 1 - j))
-        group = t // scale % 10 ** 4
-        # t is sorted: rows before `first` have no digit in this word (the
-        # last word writes t = 0 as '0'), rows from `full` on have one
-        # before it
-        first, full = (min(max(v - t0, 0), n)
-                       for v in (scale if scale > 1 else 0, scale * 10 ** 4))
-        out[:first, j] = 0
-        out[first:full, j] = index_top[group[first:full]]
-        out[full:, j] = index[group[full:]]
+    digits, top = _digit_tables()[:2]
+    start = 0
+    while start < n:
+        high, low = divmod(t0 + start, 10 ** 4)
+        stop = min(start + 10 ** 4 - low, n)
+        out[start:stop, -1] = (digits if high else top)[low:low + stop - start]
+        out[start:stop, :-1] = np.frombuffer(
+            (str(high) if high else "").rjust(4 * width - 4, "\0").encode(), _U4)
+        start = stop
 
 
-def _format_rows(x: np.ndarray, t0: int) -> str:
-    """The CSV rows `t,x_t` of x, t from t0, each `"%d,%.17g\r\n" % (t, x_t)`.
+def _format_rows(x: np.ndarray, t0: int) -> bytes:
+    """The CSV rows `t,x_t` of x, t from t0, each `b"%d,%.17g\r\n" % (t, x_t)`.
 
     Each row is first a fixed-width record whose unused bytes are NUL: the
-    index words, the value field and CRLF. Deleting the NULs leaves the
-    rows. A value outside the domain leaves a marker in its field that its
-    own %.17g replaces.
+    index words, the 25-byte value field and CRLF. Deleting the NULs leaves
+    the rows. A row outside the domain gets ',' and its %.17g, at most 24
+    bytes, in its value field; one format call makes those of a block.
     """
-    fixed = (np.abs(x) >= _FIXED_MIN) & (np.abs(x) < _FIXED_MAX)
-    fallback = np.flatnonzero(~fixed)
-    width = -(-len(str(t0 + len(x) - 1)) // 4)
-    rows = np.empty(len(x), [("t", _U4, (width,)), ("head", _U8),
-                             ("digits", _U8, (4,)), ("end", "<u2")])
+    size = np.abs(x)
+    fallback = np.flatnonzero(~((size >= _FIXED_MIN) & (size < _FIXED_MAX)))
+    index = ("t", _U4, (-(-len(str(t0 + len(x) - 1)) // 4),))
+    rows = np.empty(len(x), [index, ("head", _U8), ("digits", _U8, (2,)),
+                             ("spare", "u1"), ("end", "<u2")])
     _index_words(rows["t"], t0)
-    rows["head"], rows["digits"] = _value_words(np.where(fixed, x, 1.0))
+    inside = x.copy()
+    inside[fallback] = 1.0
+    rows["head"], rows["digits"], rows["spare"] = _value_words(inside)
     rows["end"] = 0x0A0D
-    rows["head"][fallback] = 0x012C  # ',' and the marker
-    rows["digits"][fallback] = 0
-    text = rows.tobytes().translate(None, b"\0").decode("ascii")
-    if not fallback.size:
-        return text
-    pieces = text.split("\x01")
-    out = [pieces[0]]
-    for value, piece in zip(x[fallback].tolist(), pieces[1:]):
-        out += ("%.17g" % value, piece)
-    return "".join(out)
+    if fallback.size:
+        text = ",%.17g\0" * len(fallback) % tuple(x[fallback].tolist())
+        value = rows.view([index, ("value", "S25"), ("end", "<u2")])["value"]
+        value[fallback] = text.encode().split(b"\0")[:-1]
+    return rows.tobytes().translate(None, b"\0")
 
 
 def write_rows(fh, blocks) -> None:
-    """Write the `t,x` header and the rows `t,x_t` to a text stream, x_0,
+    """Write the `t,x` header and the rows `t,x_t` to a binary stream, x_0,
     x_1, ... being the values of the arrays `blocks` yields in turn."""
-    fh.write("t,x\r\n")
+    fh.write(b"t,x\r\n")
     t = 0
     for x in blocks:
         x = np.ascontiguousarray(x, dtype=np.float64)
@@ -264,7 +282,7 @@ def write_rows(fh, blocks) -> None:
 
 
 def write_csv(traj: Trajectory, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         write_rows(fh, [traj.x])
 
 

@@ -805,6 +805,48 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "configuration error" in err and "RCAR_SEED" in err
 
+    SIMULATE = ["simulate", "--theta", "0.3", "--alpha", "0.5", "--eps",
+                "gaussian:1", "--eta", "gaussian:0.1", "--n", "20"]
+    MC = ["mc", "--experiment", "clt_couple"]
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    @pytest.mark.parametrize("argv,source", [
+        (SIMULATE, "--seed"), (MC, "--seed"), (SIMULATE, "RCAR_SEED"),
+        (MC, "RCAR_SEED"), (MC, "master_seed"),
+    ], ids=["simulate-flag", "mc-flag", "simulate-env", "mc-env", "mc-run-file"])
+    def test_seed_outside_64_bits_is_a_configuration_error(
+            self, tmp_path, capsys, monkeypatch, argv, source, seed):
+        # the library reduces a seed mod 2**64, so 2**64 would run seed 0
+        # and -1 seed 2**64 - 1; the flag, the environment and the run file
+        # refuse them, and no output is written
+        monkeypatch.delenv("RCAR_SEED", raising=False)
+        if source == "RCAR_SEED":
+            monkeypatch.setenv("RCAR_SEED", str(seed))
+        cfg = tmp_path / "mc.cfg"
+        cfg.write_text(self.MC_PARAMS + "n=50\nreplicates=100\n"
+                       + (f"master_seed={seed}\n" if source == "master_seed" else ""))
+        out = tmp_path / "out"
+        argv = [*argv, *(["--config", str(cfg)] if argv is self.MC else []),
+                *(["--seed", str(seed)] if source == "--seed" else []),
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"rcar: configuration error: {source} = {seed}: ")
+        assert not out.exists()
+
+    def test_seed_range_ends_are_accepted(self, tmp_path, capsys, monkeypatch):
+        top = str(2 ** 64 - 1)
+        monkeypatch.setenv("RCAR_SEED", top)
+        for name, flag in (("env", []), ("top", ["--seed", top]),
+                           ("zero", ["--seed", "0"])):
+            assert main([*self.SIMULATE, *flag, "--out", str(tmp_path / name)]) == 0
+        assert ((tmp_path / "env").read_bytes() == (tmp_path / "top").read_bytes()
+                != (tmp_path / "zero").read_bytes())
+        cfg = tmp_path / "mc.cfg"
+        cfg.write_text(self.MC_PARAMS + f"n=50\nreplicates=100\nmaster_seed={top}\n")
+        code, payload = run_json(capsys, [*self.MC, "--config", str(cfg)])
+        assert code == 0 and payload["config"]["master_seed"] == 2 ** 64 - 1
+
 
 #: the values the fuzz test gives each numeric flag
 FUZZ_VALUES = (math.inf, -math.inf, math.nan, 1e300, -1e300, 1e-300, -1e-300,

@@ -847,9 +847,9 @@ WRITER_EDGES = np.concatenate([
 WRITER_EDGES = np.concatenate([WRITER_EDGES, -WRITER_EDGES])
 
 
-def csv_reference(values) -> str:
+def csv_reference(values) -> bytes:
     """What `write_rows` writes for values: %.17g a row."""
-    return "t,x\r\n" + "".join("%d,%.17g\r\n" % row for row in enumerate(values))
+    return ("t,x\r\n" + "".join("%d,%.17g\r\n" % row for row in enumerate(values))).encode()
 
 
 _EDGE_DOUBLES = [1e-4, 1e16, 5e-324, 2.2250738585072009e-308,
@@ -922,7 +922,7 @@ class TestCsvInterchange:
     @given(st.lists(FLOATS | st.sampled_from([math.nan, math.inf, -math.inf]),
                     max_size=40), st.integers(1, 9))
     def test_writer_bytes_any_double(self, values, size):
-        fh = io.StringIO(newline="")
+        fh = io.BytesIO()
         with mock.patch.object(CSV, "_WRITE_BLOCK", 3):
             CSV.write_rows(fh, [np.array(values[i:i + size], dtype=float)
                                 for i in range(0, len(values), size)])
@@ -933,8 +933,40 @@ class TestCsvInterchange:
         # 9999 -> 10000 inside a block
         monkeypatch.setattr(CSV, "_WRITE_BLOCK", 97)
         x = np.resize(WRITER_EDGES, 10_050)
-        fh = io.StringIO(newline="")
+        fh = io.BytesIO()
         CSV.write_rows(fh, [x[:5000], x[5000:]])
+        assert fh.getvalue() == csv_reference(x.tolist())
+
+    @pytest.mark.parametrize("scale", [1e4, 1e-9])
+    def test_writer_bytes_at_the_default_block(self, params_accept, scale):
+        # x 1e4 puts the point inside digits 1..15 on (nearly) every row,
+        # x 1e-9 puts every row outside the numpy domain; t passes 10**4
+        # inside the second block of 8192 rows
+        x = simulate(params_accept, 20_000, seed=1).x * scale
+        k = np.floor(np.log10(np.abs(x)))
+        if scale > 1:
+            assert np.mean((k >= 1) & (k <= 15)) > 0.99
+        else:
+            assert (k < -4).all()
+        fh = io.BytesIO()
+        CSV.write_rows(fh, [x])
+        assert fh.getvalue() == csv_reference(x.tolist())
+
+    @pytest.mark.parametrize("t0", [9_995, 10 ** 8 - 7, 10 ** 8 + 123_456,
+                                    10 ** 12 - 3])
+    def test_writer_index_words(self, t0):
+        # an index that gains a digit, and one of three and four words
+        x = WRITER_EDGES[:300]
+        want = b"".join(b"%d,%.17g\r\n" % (t0 + i, v)
+                        for i, v in enumerate(x.tolist()))
+        assert CSV._format_rows(x, t0) == want
+        assert b"".join(CSV._format_rows(x[i:i + 1], t0 + i)
+                        for i in range(len(x))) == want
+
+    def test_writer_one_row_blocks(self):
+        x = WRITER_EDGES
+        fh = io.BytesIO()
+        CSV.write_rows(fh, [x[i:i + 1] for i in range(len(x))])
         assert fh.getvalue() == csv_reference(x.tolist())
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
@@ -977,15 +1009,15 @@ class TestCsvInterchange:
             "with contextlib.redirect_stdout(io.StringIO()):",
             "    assert rcar.cli.main(['check', '--theta', '0.3', '--alpha', '0.5',",
             "                          '--eps', 'gaussian:1', '--eta', 'gaussian:0.1']) == 0",
-            "tables = CSV._digit_tables, CSV._layout_tables",
+            "tables = [CSV._digit_tables]",
             "before = [f.cache_info().currsize for f in tables]",
-            "CSV.write_rows(io.StringIO(), [numpy.ones(3)])",
+            "CSV.write_rows(io.BytesIO(), [numpy.ones(3)])",
             "print(*before, *(f.cache_info().currsize for f in tables))",
         ])
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(CSV.__file__)))
         out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                              capture_output=True, text=True, timeout=60).stdout
-        assert out.split() == ["0", "0", "1", "1"]
+        assert out.split() == ["0", "1"]
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(FLOATS, min_size=2, max_size=40))
