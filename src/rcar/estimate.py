@@ -8,7 +8,8 @@ correlated; the map f below turns them into consistent estimates of
     n * gamma_tilde^2 / psi0_hat
 
 is asymptotically chi-square(1) under the null of uncorrelated coefficients.
-Each statistic is computed once, row-wise over a block of series: the Monte
+Each statistic has one formula, a finisher over per-row power sums added
+in one pass, block by block in time, over a block of series: the Monte
 Carlo harness passes whole blocks, the scalar functions a block of one.
 """
 
@@ -26,15 +27,15 @@ from .numerics import chisq1_tail
 from .simulate import Trajectory
 
 MIN_TEST_LENGTH = 50
-#: steps per block of the residual sums of `correlation_statistics`
+#: steps per block of the sums of `_row_sums`
 _STAT_BLOCK = 1 << 18
 
-#: reason codes of the batch statistics, in the order they are checked: a
-#: row carries the first that applies, OK when none does
+#: reason codes of the batch statistics: a row carries the first that
+#: applies, in this order but with OVERFLOW first, OK when none does
 (OK, ZERO_WINDOW, MAP_BOUNDARY, CONSTANT_SQUARES, PSI0_DENOMINATOR,
- PSI0_NOT_POSITIVE) = range(6)
+ PSI0_NOT_POSITIVE, OVERFLOW) = range(7)
 REASONS = ("ok", "zero_window", "map_boundary", "constant_squares",
-           "psi0_denominator", "psi0_not_positive")
+           "psi0_denominator", "psi0_not_positive", "overflow")
 
 #: error class and message template (formatted with the row's values) of
 #: each failure reason
@@ -46,6 +47,7 @@ _ERRORS = {
     PSI0_DENOMINATOR: (PathologicalParamsError, "psi0 denominator vanishes"),
     PSI0_NOT_POSITIVE: (DegenerateDataError, "invalid variance plug-in: "
                         "psi0_hat = {psi0_hat:.6g} <= 0"),
+    OVERFLOW: (DegenerateDataError, "the power sums of the series overflow"),
 }
 
 
@@ -56,22 +58,50 @@ def _raise_for(code: int, where: str, **values) -> None:
 
 
 # ---------------------------------------------------------------------------
-# row-wise formulas over a block x of shape (R, n+1), one series X_0..X_n
-# per row; each returns nan where it is undefined, with an ok mask
+# per-row sums over a block x of shape (R, n+1), one series X_0..X_n per
+# row, and the statistics as finishers over them; each finisher returns nan
+# where a value is undefined, with the reason
 
 
 def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
-def _lag_ratio(x: np.ndarray, lag: int):
-    """sum X_{t-lag} X_t / sum X_{t-lag}^2, t = lag..n; ok if the lag window
-    is not all zero."""
-    lagged = x[:, :-lag]
-    den = _dot_rows(lagged, lagged)
-    ok = den > 0
-    return np.divide(_dot_rows(lagged, x[:, lag:]), den,
-                     out=np.full(len(x), np.nan), where=ok), ok
+def _row_sums(x: np.ndarray, test: bool = False) -> np.ndarray:
+    """Per row of x, stacked, with S(a, b) = sum X_t^a X_{t-1}^b, t = 1..n:
+    sum X_t, S(1, 1), S(0, 2), sum X_{t-2} X_t and sum X_{t-2}^2 (t = 2..n),
+    and where test also S(2, 0), S(2, 2), S(1, 3) and S(0, 4). They are
+    added in time order over blocks of _STAT_BLOCK steps, each owning its
+    t-range and reading two columns before it, with two block-sized
+    temporaries; a sum that overflows is inf or nan, without a warning."""
+    n = x.shape[1] - 1
+    total = None
+    if test:  # allocated once: a fresh pair per block raised the peak RSS
+        shape = (len(x), min(n, _STAT_BLOCK))
+        z_block, p_block = np.empty(shape), np.empty(shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, max(n, 1), _STAT_BLOCK):
+            b = min(a + _STAT_BLOCK, n)
+            lag, lead = x[:, a:b], x[:, a + 1:b + 1]
+            lag2, lead2 = x[:, max(a - 1, 0):b - 1], x[:, max(a + 1, 2):b + 1]
+            sums = [lead.sum(axis=1), _dot_rows(lag, lead), _dot_rows(lag, lag),
+                    _dot_rows(lag2, lead2), _dot_rows(lag2, lag2)]
+            if test:
+                z = np.square(lag, out=z_block[:, :b - a])
+                p = np.multiply(lag, lead, out=p_block[:, :b - a])
+                sums += [_dot_rows(lead, lead), _dot_rows(p, p),
+                         _dot_rows(p, z), _dot_rows(z, z)]
+            total = np.array(sums) if total is None else total + sums
+    return total
+
+
+def _ratio(num: np.ndarray, den: np.ndarray):
+    """num / den of a lag ratio, and its reason: OVERFLOW where a sum is not
+    finite, ZERO_WINDOW where den, the lag window's sum of squares, is 0."""
+    finite = np.isfinite(num) & np.isfinite(den)
+    ok = finite & (den > 0)
+    return (np.divide(num, den, out=np.full(len(den), np.nan), where=ok),
+            np.select([~finite, ~ok], [OVERFLOW, ZERO_WINDOW], OK))
 
 
 def _correct(th: np.ndarray, vt: np.ndarray):
@@ -85,63 +115,15 @@ def _correct(th: np.ndarray, vt: np.ndarray):
     return tt, gg, ok
 
 
-def _residuals(x: np.ndarray, theta_used: np.ndarray) -> np.ndarray:
-    """e_t = X_t - theta_used X_{t-1}, t = 1..n."""
-    resid = np.multiply(theta_used[:, None], x[:, :-1])
-    return np.subtract(x[:, 1:], resid, out=resid)
-
-
-def _fold(parts):
-    """The sum of the arrays parts yields, added in order; a lone part is
-    returned as it is."""
-    total = None
-    for part in parts:
-        total = part if total is None else total + part
-    return total
-
-
-def _block_sums(x: np.ndarray, theta_used: np.ndarray, zbar=None):
-    """Per row of a column block, the sums of e_t^2, (Z - zbar)^2 and
-    (Z - zbar) e_t^2 over its steps, stacked, and zbar: as given, or the
-    block's own mean of Z where it is the whole series. The temporaries go
-    with the call."""
-    resid = _residuals(x, theta_used)
-    zc = np.square(x[:, :-1])
-    if zbar is None:
-        zbar = zc.mean(axis=1)
-    np.subtract(zc, zbar[:, None], out=zc)
-    return np.array([_dot_rows(resid, resid), _dot_rows(zc, zc),
-                     _dot_rows(zc, np.square(resid, out=resid))]), zbar
-
-
-def _nicholls_quinn(x: np.ndarray, theta_used: np.ndarray):
-    """The residual variance, and the regression of squared residuals on the
-    lagged squared series.
-
-    The residuals are e_t = X_t - theta_used X_{t-1}, t = 1..n. The
-    conditional variance of X_t given the past is sigma2 + tau2 X_{t-1}^2,
-    so residual t is paired with the regressor Z = X_{t-1}^2. Returns
-    (sigma2_hat, tau2_bar, sigma2_bar, ok): the mean squared residual, the
-    slope (it estimates the coefficient-noise variance), sigma2_bar =
-    sigma2_hat - Zbar * tau2_bar (it removes the inflation the raw residual
-    variance inherits from the random coefficient), and ok, False where Z
-    is constant. The sums run over blocks of _STAT_BLOCK steps, so a long
-    series needs two (rows, _STAT_BLOCK) temporaries beyond itself; a
-    series of at most _STAT_BLOCK steps is one block, summed as one array
-    in one pass.
-    """
-    n = x.shape[1] - 1
-    blocks = [x[:, a:a + _STAT_BLOCK + 1] for a in range(0, n, _STAT_BLOCK)]
-    if len(blocks) == 1:
-        (squares, den, num), zbar = _block_sums(x, theta_used)
-    else:  # Zbar first, then the sums around it
-        zbar = _fold(np.square(b[:, :-1]).sum(axis=1) for b in blocks) / n
-        squares, den, num = _fold(_block_sums(b, theta_used, zbar)[0]
-                                  for b in blocks)
-    sigma2_hat = squares / n
-    ok = den > 0
-    tau2_bar = np.divide(num, den, out=np.full(len(x), np.nan), where=ok)
-    return sigma2_hat, tau2_bar, sigma2_hat - zbar * tau2_bar, ok
+def _ratio_finish(s: np.ndarray, n: int) -> dict:
+    """The ratio statistics of the first five sums s of _row_sums."""
+    th, reason1 = _ratio(s[1], s[2])
+    vt, reason2 = _ratio(s[3], s[4])
+    tt, gg, ok_map = _correct(th, vt)
+    reason = np.select([reason1 != OK, reason2 != OK, ~ok_map],
+                       [reason1, reason2, MAP_BOUNDARY], OK)
+    return {"xbar": s[0] / n, "theta_hat": th, "vartheta_hat": vt,
+            "theta_tilde": tt, "gamma_tilde": gg, "reason": reason}
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +132,9 @@ def _nicholls_quinn(x: np.ndarray, theta_used: np.ndarray):
 
 def ratio_statistics(x: np.ndarray) -> dict:
     """Per row of x (shape (R, n+1)): arrays xbar, theta_hat, vartheta_hat,
-    theta_tilde, gamma_tilde and reason (OK, ZERO_WINDOW or MAP_BOUNDARY);
-    values a row's reason leaves undefined are nan."""
-    th, ok1 = _lag_ratio(x, 1)
-    vt, ok2 = _lag_ratio(x, 2)
-    tt, gg, ok_map = _correct(th, vt)
-    reason = np.select([~(ok1 & ok2), ~ok_map], [ZERO_WINDOW, MAP_BOUNDARY], OK)
-    return {"xbar": x[:, 1:].mean(axis=1), "theta_hat": th, "vartheta_hat": vt,
-            "theta_tilde": tt, "gamma_tilde": gg, "reason": reason}
+    theta_tilde, gamma_tilde and reason (OK, OVERFLOW, ZERO_WINDOW or
+    MAP_BOUNDARY); values a row's reason leaves undefined are nan."""
+    return _ratio_finish(_row_sums(x), x.shape[1] - 1)
 
 
 def correlation_statistics(x: np.ndarray, level: float, source: str,
@@ -167,25 +144,43 @@ def correlation_statistics(x: np.ndarray, level: float, source: str,
     arguments of correlation_test.
 
     Adds the arrays sigma2_hat, tau2_bar, sigma2_bar, sigma4_bar, tau4_bar,
-    psi0_hat, statistic, p_value and reject; reason may also be
+    psi0_hat, statistic, p_value and reject; reason may also be OVERFLOW,
     CONSTANT_SQUARES, PSI0_DENOMINATOR or PSI0_NOT_POSITIVE. A row that is
     not OK has statistic and p_value nan and is not rejected.
+
+    With e_t = X_t - theta_hat X_{t-1} and Z = X_{t-1}^2, since Var(X_t |
+    past) = sigma2 + tau2 Z: sigma2_hat is the mean e_t^2, tau2_bar the
+    slope of e_t^2 on Z (Nicholls and Quinn) and sigma2_bar = sigma2_hat -
+    Zbar tau2_bar; each residual sum is a polynomial in theta_hat.
     """
-    out = ratio_statistics(x)
+    n = x.shape[1] - 1
+    sums = _row_sums(x, test=True)
+    out = _ratio_finish(sums, n)
     th = out["theta_hat"]
-    sigma2_hat, tau2_bar, sigma2_bar, ok_nq = _nicholls_quinn(x, th)
+    (s11, s02), (s20, s22, s13, s04) = sums[1:3], sums[5:]
+    zbar = s02 / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = s20 - 2.0 * th * s11 + th * th * s02  # sum e_t^2
+        den = s04 - zbar * s02  # sum (Z - Zbar)^2
+        num = (s22 - 2.0 * th * s13 + th * th * s04) - zbar * squares
+    finite = np.isfinite(squares) & np.isfinite(num) & np.isfinite(den)
+    sigma2_hat = squares / n
+    tau2_bar = np.divide(num, den, out=np.full(len(x), np.nan),
+                         where=finite & (den > 0))
+    sigma2_bar = sigma2_hat - zbar * tau2_bar
     sigma4_bar = KURTOSIS_FACTOR[NoiseFamily(eps_family)] * sigma2_bar**2
     tau4_bar = KURTOSIS_FACTOR[NoiseFamily(eta_family)] * tau2_bar**2
     theta_bar = out["theta_tilde"] if source == "tilde" else th
     psi0, _ = psi0_closed_form(theta_bar, tau2_bar, tau4_bar, sigma2_bar,
                                sigma4_bar)
     reason = np.select(
-        [out["reason"] != OK, ~ok_nq, np.isnan(psi0),
+        [out["reason"] != OK, ~finite, ~(den > 0), np.isnan(psi0),
          ~(np.isfinite(psi0) & (psi0 > 0))],
-        [out["reason"], CONSTANT_SQUARES, PSI0_DENOMINATOR, PSI0_NOT_POSITIVE],
+        [out["reason"], OVERFLOW, CONSTANT_SQUARES, PSI0_DENOMINATOR,
+         PSI0_NOT_POSITIVE],
         OK)
     ok = reason == OK
-    stat = np.divide((x.shape[1] - 1) * out["gamma_tilde"]**2, psi0,
+    stat = np.divide(n * out["gamma_tilde"]**2, psi0,
                      out=np.full(len(x), np.nan), where=ok)
     pval = np.array([chisq1_tail(s) if good else math.nan
                      for s, good in zip(stat, ok)])
@@ -201,8 +196,9 @@ def correlation_statistics(x: np.ndarray, level: float, source: str,
 
 
 def _scalar_ratio(traj: Trajectory, lag: int, name: str) -> float:
-    ratio, ok = _lag_ratio(traj.x[None, :], lag)
-    _raise_for(OK if ok[0] else ZERO_WINDOW, name)
+    s = _row_sums(traj.x[None, :])
+    ratio, reason = _ratio(s[2 * lag - 1], s[2 * lag])
+    _raise_for(reason[0], name)
     return float(ratio[0])
 
 

@@ -226,7 +226,8 @@ def _job_rows(n: int, burn: int, points: int = 1) -> int:
     values per row, at least 1 and at most CHUNK paths. That bounds what a
     job holds: the noise of the first time block, the paths and one row of
     coefficient scratch or one later time block's buffers, or the paths and
-    the two temporaries of `estimate.correlation_statistics`."""
+    the two block-sized temporaries (X_{t-1}^2 and X_t X_{t-1}) from which
+    `estimate` adds a row's power sums."""
     return max(1, min(CHUNK // points, BLOCK_BYTES // (8 * (points + 2) * (burn + n + 1))))
 
 

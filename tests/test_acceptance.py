@@ -17,7 +17,7 @@ from rcar.fourth_order import build_fourth_order
 from rcar.harness import MCConfig, mixed_moment_oracle, run_experiment
 from rcar.model import ModelParams, NoiseFamily, NoiseSpec
 from rcar.numerics import spectral_radius
-from rcar.second_order import build_second_order
+from rcar.second_order import acvf, build_second_order
 from rcar.simulate import replicate_seed, simulate_with_noise
 
 from conftest import batch_se, random_admissible
@@ -161,16 +161,19 @@ def test_criterion_4_simulation_vs_theory():
         v = eta**a * x**4
         devs.append(abs(v.mean() - fo.Delta[a]) / batch_se(v))
 
-    num_b = np.array([b[:-1] @ b[1:] for b in np.array_split(x, 100)])
-    den_b = np.array([b[:-1] @ b[:-1] for b in np.array_split(x, 100)])
-    ratios = num_b / den_b
-    ratio = float(x[:-1] @ x[1:]) / float(x[:-1] @ x[:-1])
-    ratio_dev = abs(ratio - 1 / 3) / (ratios.std(ddof=1) / 10)
-    devs.append(ratio_dev)
+    # rho_X(h) = gamma_X(h) / gamma_X(0), rho_X(1) = theta_star = 1/3
+    gamma = acvf(so, 5)
+    for h in range(1, 6):
+        num_b = np.array([b[:-h] @ b[h:] for b in np.array_split(x, 100)])
+        den_b = np.array([b[:-h] @ b[:-h] for b in np.array_split(x, 100)])
+        ratios = num_b / den_b
+        ratio = float(x[:-h] @ x[h:]) / float(x[:-h] @ x[:-h])
+        devs.append(abs(ratio - gamma[h] / gamma[0]) / (ratios.std(ddof=1) / 10))
     worst = max(devs)
     report(4, worst <= 3.0,
-           f"E[eta^a X^2] (a<=2), E[eta^a X^4] (a<=4) and acf(1) vs theory: "
-           f"worst deviation {worst:.2f} batch-se (tol 3)",
+           f"E[eta^a X^2] (a<=2), E[eta^a X^4] (a<=4) and acf(1..5) vs theory: "
+           f"worst deviation {worst:.2f} batch-se (tol 3; acf(2..5) "
+           f"{', '.join(f'{d:.2f}' for d in devs[-4:])})",
            time.time() - start, 30.0)
 
 

@@ -770,6 +770,21 @@ class TestUsageErrors:
         assert main(argv) == code
         assert capsys.readouterr().err.startswith(f"rcar: {label}: ")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["estimate", "test"])
+    @pytest.mark.parametrize("value", ["1e80", "1e200"])
+    def test_overflowing_series_exit3(self, tmp_path, capsys, command, value):
+        # one finite value whose fourth power (1e80) or square (1e200)
+        # overflows: the power sums' own reason, on one line, no warning
+        rows = [f"{t},{math.sin(t)}\n" for t in range(200)]
+        rows[100] = f"100,{value}\n"
+        path = tmp_path / "big.csv"
+        path.write_text("t,x\n" + "".join(rows))
+        assert main([command, "--in", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "rcar: degenerate data: correlation_test: the power sums of the "
+            "series overflow\n")
+
     @pytest.mark.parametrize("error,code", [
         (NumericError("boom"), 1),
         # an OSError that is also a ValueError takes the earlier row

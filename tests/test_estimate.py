@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import random_admissible
 from rcar import estimate
-from rcar.asymptotics import f_jacobian, kappa_squared, limits, omega_squared
+from rcar.asymptotics import (f_jacobian, kappa_squared, limits, omega_squared,
+                               psi0_closed_form)
 from rcar.errors import DegenerateDataError, PathologicalParamsError
 from rcar.estimate import correlation_test, f_map, theta_hat, vartheta_hat
 from rcar.fourth_order import build_fourth_order
-from rcar.model import ModelParams, NoiseFamily, NoiseSpec
+from rcar.model import ModelParams, NoiseFamily, NoiseSpec, check_hypotheses
 from rcar.second_order import build_second_order
 from rcar.simulate import Trajectory, simulate, simulate_block
 
@@ -28,16 +31,11 @@ def block_of(values):
     return np.asarray(values, dtype=float)[None, :]
 
 
-def residuals(values, theta_used):
-    """Residuals X_t - theta_used X_{t-1} of one series, as a block of one."""
-    return estimate._residuals(block_of(values), np.array([theta_used]))
-
-
-def nicholls_quinn(values, theta_used):
-    """(sigma2_hat, tau2_bar, sigma2_bar, ok) of one series, whose residuals
-    are X_t - theta_used X_{t-1}."""
-    out = estimate._nicholls_quinn(block_of(values), np.array([theta_used]))
-    return [v[0] for v in out]
+def nicholls_quinn(values):
+    """(sigma2_hat, tau2_bar, sigma2_bar, reason) of one series, whose
+    residuals are X_t - theta_hat X_{t-1}."""
+    out = estimate.correlation_statistics(block_of(values), 0.05, "tilde", G, G)
+    return [out[k][0] for k in ("sigma2_hat", "tau2_bar", "sigma2_bar", "reason")]
 
 
 def gamma_zero_series(n=60):
@@ -62,6 +60,15 @@ class TestBasicEstimators:
         with pytest.raises(DegenerateDataError):
             theta_hat(traj_of([0, 0, 0, 1]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_squares(self):
+        # the squares of 1e200 overflow: an error naming it, no value
+        x = 1e200 * np.random.default_rng(0).normal(size=200)
+        with pytest.raises(DegenerateDataError, match="overflow"):
+            theta_hat(traj_of(x))
+        with pytest.raises(DegenerateDataError, match="overflow"):
+            vartheta_hat(traj_of(x))
+
     def test_vartheta_indexing(self):
         # lag-2 sums start at t = 2
         x = [1.0, 2.0, 3.0, 4.0]
@@ -77,8 +84,8 @@ class TestBasicEstimators:
         a, b = traj_of(x), traj_of(c * x)
         assert theta_hat(b) == pytest.approx(theta_hat(a), rel=1e-9)
         assert vartheta_hat(b) == pytest.approx(vartheta_hat(a), rel=1e-9)
-        s_a = nicholls_quinn(x, 0.4)[0]
-        s_b = nicholls_quinn(c * x, 0.4)[0]
+        s_a = nicholls_quinn(x)[0]
+        s_b = nicholls_quinn(c * x)[0]
         assert s_b == pytest.approx(c * c * s_a, rel=1e-9)
 
     def test_mean_clt_band(self):
@@ -156,16 +163,13 @@ class TestCorrectionMap:
 
 class TestResidualsAndVarianceEstimators:
     def test_perfect_fit(self):
+        # theta_hat is 0.5 exactly, and every residual 0
         x = 2.0 * 0.5 ** np.arange(6)
-        resid = residuals(x, 0.5)
-        assert nicholls_quinn(x, 0.5)[0] == 0.0
-        assert np.array_equal(resid[0], np.zeros(5))
+        assert nicholls_quinn(x)[0] == 0.0
 
     def test_residuals_are_series_when_theta_zero(self):
-        # residuals for t = 1..n are the values themselves
-        resid = residuals([1, 0, 1, 0], 0.0)
-        assert np.array_equal(resid[0], [0.0, 1.0, 0.0])
-        assert nicholls_quinn([1, 0, 1, 0], 0.0)[0] == pytest.approx(1 / 3)
+        # theta_hat is 0, so the residuals for t = 1..n are the values
+        assert nicholls_quinn([1, 0, 1, 0])[0] == pytest.approx(1 / 3)
 
     def test_sigma2_hat_limit_uncorrelated(self):
         # converges to sigma2 (1 - theta^2) / (1 - theta^2 - tau2)
@@ -175,15 +179,27 @@ class TestResidualsAndVarianceEstimators:
         assert correlation_test(traj).sigma2_hat == pytest.approx(ref, rel=0.03)
 
     def test_constant_residuals(self):
-        # theta 1 leaves the residual 1.5 at every step; the regressor
-        # 1, 6.25, 16 has the mean 7.75, so every term is exact
-        _, tau2_bar, sigma2_bar, ok = nicholls_quinn([1.0, 2.5, 4.0, 5.5], 1.0)
-        assert ok
+        # theta_hat is 0 (the lag-1 products -4.5, 2.25, 2.25 cancel), which
+        # leaves the residual 1.5 at every step; the regressor 9, 2.25, 2.25
+        # has the mean 4.5, so every term is exact
+        _, tau2_bar, sigma2_bar, reason = nicholls_quinn([-3.0, 1.5, 1.5, 1.5])
+        assert reason != estimate.CONSTANT_SQUARES
         assert tau2_bar == 0.0
         assert sigma2_bar == pytest.approx(1.5**2)
 
     def test_constant_regressor_rejected(self):
-        assert not nicholls_quinn([1.0, 1.0, 1.0, 1.0], 0.3)[3]
+        assert nicholls_quinn([1.0, 1.0, 1.0, 1.0])[3] == estimate.CONSTANT_SQUARES
+
+    @pytest.mark.parametrize("c", [0.3, 0.7, 1.1, 3.3])
+    def test_constant_squares_never_ok(self, monkeypatch, c):
+        # x_t = c (-1)^t: below, at and across a block of 256 steps, the
+        # power sums leave no row a test result
+        monkeypatch.setattr(estimate, "_STAT_BLOCK", 256)
+        for n in (60, 255, 256, 257, 1000, 5001):
+            x = c * (-1.0) ** np.arange(n + 1)
+            reason = nicholls_quinn(x)[3]
+            assert reason in (estimate.CONSTANT_SQUARES,
+                              estimate.PSI0_DENOMINATOR), (n, reason)
 
     def test_consistency_uncorrelated(self):
         # mean over replicates within 3 replicate standard errors of truth
@@ -247,6 +263,7 @@ REASON_ERRORS = {
     estimate.CONSTANT_SQUARES: DegenerateDataError,
     estimate.PSI0_DENOMINATOR: PathologicalParamsError,
     estimate.PSI0_NOT_POSITIVE: DegenerateDataError,
+    estimate.OVERFLOW: DegenerateDataError,
 }
 
 
@@ -304,6 +321,21 @@ class TestBatchKernel:
         for i, row in enumerate(block):
             assert_row_matches_scalar_path(out, i, row, source=source)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_reason(self, params_accept):
+        # a row with a 1e80 overflows only in the fourth powers, one with a
+        # 1e200 in the squares already
+        block = np.repeat(simulate_block(params_accept, self.N, master_seed=3,
+                                         replicates=range(1)), 3, axis=0)
+        block[1, 30], block[2, 30] = 1e80, 1e200
+        ratios = estimate.ratio_statistics(block)
+        assert ratios["reason"].tolist() == [estimate.OK, estimate.OK,
+                                             estimate.OVERFLOW]
+        out = estimate.correlation_statistics(block, 0.05, "tilde", G, G)
+        assert out["reason"][1:].tolist() == [estimate.OVERFLOW] * 2
+        for i, row in enumerate(block):
+            assert_row_matches_scalar_path(out, i, row)
+
     def test_statistic_scale(self, params_accept):
         # the statistic is n gamma_tilde^2 / psi0_hat, with n the number of
         # steps (one less than the columns), from the fields of one report
@@ -353,8 +385,8 @@ def whole_row_sums(x, theta_used):
 
 
 class TestStatisticsBlocks:
-    """The residual and Nicholls-Quinn sums run over blocks of _STAT_BLOCK
-    steps; a row of one block is summed as the whole row."""
+    """The power sums run over blocks of _STAT_BLOCK steps; a row of one
+    block has the ratio sums of the whole row."""
 
     @pytest.fixture
     def block(self, params_accept):
@@ -364,8 +396,31 @@ class TestStatisticsBlocks:
     def test_one_block_is_the_whole_row(self, block):
         assert block.shape[1] - 1 <= estimate._STAT_BLOCK
         out = estimate.correlation_statistics(block, 0.05, "tilde", G, G)
-        for key, want in whole_row_sums(block, out["theta_hat"]).items():
+        dot = functools.partial(np.einsum, "ij,ij->i")
+        ratios = {"xbar": block[:, 1:].mean(axis=1),
+                  "theta_hat": dot(block[:, :-1], block[:, 1:])
+                  / dot(block[:, :-1], block[:, :-1]),
+                  "vartheta_hat": dot(block[:, :-2], block[:, 2:])
+                  / dot(block[:, :-2], block[:, :-2])}
+        for key, want in ratios.items():
             assert out[key].tobytes() == want.tobytes(), key
+        for key, want in whole_row_sums(block, out["theta_hat"]).items():
+            np.testing.assert_allclose(out[key], want, rtol=1e-12, atol=0,
+                                       err_msg=key)
+
+    def test_two_block_temporaries(self, monkeypatch):
+        # a row of eight blocks holds two block-sized temporaries at a time
+        steps = 1 << 14
+        monkeypatch.setattr(estimate, "_STAT_BLOCK", steps)
+        x = np.random.default_rng(0).normal(size=(1, 8 * steps + 1))
+        estimate.correlation_statistics(x, 0.05, "tilde", G, G)
+        tracemalloc.start()
+        try:
+            estimate.correlation_statistics(x, 0.05, "tilde", G, G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * steps
 
     @pytest.mark.parametrize("steps", [256, 1000, 2999])
     def test_blocks_move_by_roundoff(self, monkeypatch, block, steps):
@@ -377,3 +432,40 @@ class TestStatisticsBlocks:
         for key, want in ref.items():
             np.testing.assert_allclose(out[key], want, rtol=1e-12, atol=0,
                                        err_msg=key)
+
+
+class TestPrecisionAtTheRegionEdges:
+    """The power sums against the centred whole-row sums at the points of
+    the grid theta in {+-0.97, +-0.9, -0.6, 0, 0.3, 0.6}, alpha in {-0.9, 0,
+    0.5, 0.9}, gaussian tau2 in {0.0025, 0.05, 0.1, 0.3} where they move
+    most, among those with finite fourth moments: 256 rows of n 2000 and
+    one of n 2e5 each."""
+
+    @pytest.mark.parametrize("theta, alpha, tau2", [
+        (0.97, 0.5, 0.0025),  # sigma2_hat
+        (-0.97, 0.5, 0.0025),  # tau2_bar and sigma2_bar
+        (-0.9, -0.9, 0.05),  # psi0_hat and statistic
+    ])
+    def test_moves_within_bounds(self, theta, alpha, tau2):
+        params = ModelParams(theta, alpha, GAUSS1, NoiseSpec(G, tau2))
+        report = check_hypotheses(params)
+        assert report.h3 and report.h4
+        for n, reps in ((2000, 256), (200_000, 1)):
+            x = simulate_block(params, n, master_seed=7, replicates=range(reps))
+            out = estimate.correlation_statistics(x, 0.05, "tilde", G, G)
+            ok = out["reason"] == estimate.OK
+            assert ok.mean() > 0.5
+            ref = whole_row_sums(x, out["theta_hat"])
+            psi0, _ = psi0_closed_form(out["theta_tilde"], ref["tau2_bar"],
+                                       3 * ref["tau2_bar"]**2, ref["sigma2_bar"],
+                                       3 * ref["sigma2_bar"]**2)
+            ref["statistic"] = n * out["gamma_tilde"]**2 / psi0
+            ref["tau2_bar"] /= tau2
+            out["tau2_bar"] = out["tau2_bar"] / tau2
+            for key, rtol, atol in (("sigma2_hat", 1e-12, 0),
+                                    ("sigma2_bar", 1e-10, 0),
+                                    ("tau2_bar", 0, 1e-10),
+                                    ("statistic", 1e-9, 0)):
+                np.testing.assert_allclose(out[key][ok], ref[key][ok],
+                                           rtol=rtol, atol=atol,
+                                           err_msg=f"{key} at n {n}")
